@@ -66,7 +66,6 @@ from .nogo import (
     find_singular_pair_witness,
 )
 from .synthesis import (
-    EquivalenceClass,
     SynthesisStats,
     SynthesisVerdict,
     build_classes,
@@ -88,6 +87,7 @@ from .tree import (
     extract_measurement,
     leaf_tree,
     leaves,
+    match_operator,
     merge_and_extend,
     prune_unitary_rounds,
     root_for,

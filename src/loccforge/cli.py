@@ -12,11 +12,10 @@ import json
 import pathlib
 import sys
 
-import numpy as np
-
 from .config import RunConfig, load_config
 from .errors import InfeasibleError, LoccForgeError
 from .io import (
+    _encode_matrix,
     export_dot,
     measurement_digest,
     parse_document,
@@ -43,11 +42,6 @@ def _emit(payload: dict, lines: list, fmt: str, out) -> None:
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         out.write("\n".join(lines) + "\n")
-
-
-def _encode_matrix(mat) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row]
-            for row in np.asarray(mat, dtype=complex)]
 
 
 def _cmd_validate(args, out) -> int:

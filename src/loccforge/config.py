@@ -41,7 +41,6 @@ class RunConfig:
     max_lps: int = 50000             # cap on LP solves across the search
     partition_exhaustive_n: int = 16 # above this, partition no-go only tries small S1
     mode: str = "first"              # "first" stops at the first protocol; "exhaustive" keeps going
-    seed: int | None = None          # reserved for randomized probes; search itself is deterministic
     tol: Tolerances = dataclasses.field(default_factory=Tolerances)
 
     def check(self) -> None:

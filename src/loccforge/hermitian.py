@@ -13,8 +13,6 @@ meaningful.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import InvalidOperatorError, ZeroOperatorError
@@ -45,11 +43,10 @@ class HermitianOperator:
     """A validated dim x dim complex Hermitian matrix.
 
     Construction checks hermiticity within `tol`, then symmetrizes, so entries
-    satisfy M[i][j] == conj(M[j][i]) exactly. The PSD check is lazy and cached
-    (tri-state: unknown until first asked).
+    satisfy M[i][j] == conj(M[j][i]) exactly.
     """
 
-    __slots__ = ("mat", "dim", "_psd")
+    __slots__ = ("mat", "dim")
 
     def __init__(self, mat, tol: float = HERM_TOL):
         m = np.asarray(mat, dtype=complex)
@@ -61,13 +58,9 @@ class HermitianOperator:
         m.flags.writeable = False
         self.mat = m
         self.dim = int(m.shape[0])
-        self._psd = None
 
     def is_psd(self, tol: float = PSD_TOL) -> bool:
-        # cached on first evaluation; callers use one tolerance policy per run
-        if self._psd is None:
-            self._psd = is_psd(self.mat, tol)
-        return self._psd
+        return is_psd(self.mat, tol)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -154,17 +147,3 @@ def devectorize(coords, dim: int) -> np.ndarray:
     m[(iu[1], iu[0])] = off.conj()
     return m
 
-
-class RealVectorization(NamedTuple):
-    """A Hermitian operator in real coordinates (see module docstring for basis order)."""
-
-    dim: int
-    coords: np.ndarray
-
-    @classmethod
-    def from_operator(cls, m) -> "RealVectorization":
-        m = asmat(m)
-        return cls(int(m.shape[0]), vectorize(m))
-
-    def operator(self) -> np.ndarray:
-        return devectorize(self.coords, self.dim)

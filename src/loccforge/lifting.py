@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FactorizationFailureError, LiftError, NoKrausDataError
 from .hermitian import LP_TOL, proportional, psd_sqrt
 from .measurement import SeparableMeasurement
-from .tree import ProtocolTree, leaf_products
+from .tree import ProtocolTree, leaf_products, match_operator
 
 _KERNEL_CUT = 1e-12
 _GS_CUT = 1e-7
@@ -44,25 +44,6 @@ class LiftedProtocol:
     assignment: np.ndarray
     tails: tuple
     extra_round: bool
-
-
-def _match_op(parts, m, tol):
-    hits = []
-    for j in range(len(m.ops)):
-        rs = []
-        for a in range(m.P):
-            try:
-                r = proportional(parts[a], m.part(j, a), tol)
-            except Exception:
-                r = None
-            if r is None or r <= 0:
-                break
-            rs.append(r)
-        else:
-            hits.append(j)
-    if len(hits) != 1:
-        raise LiftError(f"leaf value matches {len(hits)} operators, expected 1")
-    return hits[0]
 
 
 def _support_unitary(kprime, base, ratio, tol):
@@ -107,7 +88,10 @@ def lift(tree: ProtocolTree, assignment, m: SeparableMeasurement,
         raise NoKrausDataError("measurement carries no Kraus data")
     tails = []
     for leaf_id, (_, parts) in enumerate(leaf_products(tree, m, assignment)):
-        i = _match_op(parts, m, tol)
+        hits = match_operator(parts, m, tol)
+        if len(hits) != 1:
+            raise LiftError(f"leaf value matches {len(hits)} operators, expected 1")
+        i = hits[0][0]
         group = m.kraus_groups[i]
         base = [m.part(i, a) for a in range(m.P)]
         weights = []

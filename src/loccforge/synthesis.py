@@ -19,7 +19,9 @@ from .hermitian import LP_TOL, vectorize
 from .measurement import SeparableMeasurement, completeness_certificate, validate
 from .simplex import feasible_point
 from .tree import (
+    Constraint,
     ProtocolTree,
+    Term,
     canonical_key,
     compact_same_party,
     coverage,
@@ -40,14 +42,6 @@ class SynthesisStats:
 
     def as_dict(self):
         return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass(frozen=True)
-class EquivalenceClass:
-    free_party: int
-    party_subset: tuple
-    members: tuple
-    stale: bool = False
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,16 +66,22 @@ def _count_lp(stats: SynthesisStats, max_lps):
         raise _BudgetHit("lp budget exhausted")
 
 
-def _equations_to_lp(equations, m, ncols):
-    """equations: list of (party, [(col, op, scale, sign)]) with zero rhs."""
+def _equations_to_lp(constraints, m, ncols, pins=()):
+    """LP rows for lhs - rhs = 0 per Constraint, then group = identity per
+    (party, group) pin, one block of d*d rows each, in input order (Bland's
+    rule pivots by row and column order); returns (A, b)."""
     blocks = []
-    for party, terms in equations:
+    for party, lhs, rhs in list(constraints) + [Constraint(a, g, ()) for a, g in pins]:
         d = m.dims[party]
         rows = np.zeros((d * d, ncols))
-        for col, op, scale, sign in terms:
-            rows[:, col] += sign * scale * vectorize(m.part(op, party))
+        for group, sign in ((lhs, 1.0), (rhs, -1.0)):
+            for t in group:
+                rows[:, t.var] += sign * t.scale * vectorize(m.part(t.op, party))
         blocks.append(rows)
-    return np.vstack(blocks)
+    A = np.vstack(blocks)
+    eyes = [vectorize(np.eye(m.dims[a], dtype=complex)) for a, _ in pins]
+    b = np.concatenate([np.zeros(A.shape[0] - sum(e.size for e in eyes))] + eyes)
+    return A, b
 
 
 def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
@@ -89,29 +89,28 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
     every party except free_party?"""
     cols = {}
 
-    def col(tid, var):
-        return cols.setdefault((tid, var), len(cols))
+    def renamed(tid, g):
+        # columns are numbered by first use, lhs before rhs, in constraint order
+        return tuple(Term(t.op, cols.setdefault((tid, t.var), len(cols)), t.scale)
+                     for t in g)
 
-    def gterms(tid, g, sign):
-        return [(col(tid, t.var), t.op, t.scale, sign) for t in g]
-
-    equations = []
+    constraints = []
     for beta in range(trees[ids[0]].P):
         if beta == free_party:
             continue
         for tid in ids:
             gs = root_for(trees[tid], beta).groups
             for ga, gb in zip(gs, gs[1:]):
-                equations.append((beta, gterms(tid, ga, 1.0) + gterms(tid, gb, -1.0)))
+                constraints.append(Constraint(beta, renamed(tid, ga), renamed(tid, gb)))
         for ta, tb in zip(ids, ids[1:]):
             ga = root_for(trees[ta], beta).groups[0]
             gb = root_for(trees[tb], beta).groups[0]
-            equations.append((beta, gterms(ta, ga, 1.0) + gterms(tb, gb, -1.0)))
-    if not equations:
+            constraints.append(Constraint(beta, renamed(ta, ga), renamed(tb, gb)))
+    if not constraints:
         return True
-    A = _equations_to_lp(equations, m, len(cols))
+    A, b = _equations_to_lp(constraints, m, len(cols))
     _count_lp(stats, max_lps)
-    x = feasible_point(A, np.zeros(A.shape[0]), tol=tol, lower=np.ones(len(cols)))
+    x = feasible_point(A, b, tol=tol, lower=np.ones(len(cols)))
     return x is not None
 
 
@@ -145,32 +144,23 @@ def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
     return family
 
 
-def build_classes(trees, m: SeparableMeasurement, *, cache=None, stats=None,
-                  seen=None, max_subset=6, max_lps=None,
-                  tol=LP_TOL) -> list:
-    """All maximal mergeable classes for every free party, stale-flagged."""
-    trees = list(trees)
-    cache = {} if cache is None else cache
-    stats = SynthesisStats() if stats is None else stats
-    seen = set() if seen is None else seen
-    out = []
-    for free in range(m.P):
-        eligible = [i for i, t in enumerate(trees) if t.trunk_party != free]
-        if not eligible:
-            continue
-        family = _feasible_family(trees, eligible, free, m, cache, stats,
-                                  max_lps, max_subset, tol)
-        in_family = set(map(frozenset, family))
-        for s in sorted(family, key=lambda s: (len(s), s)):
-            if len(s) < 2:
-                continue
-            fs = frozenset(s)
-            if any(fs | {j} in in_family for j in eligible if j not in fs):
-                continue
-            out.append(EquivalenceClass(
-                free, tuple(p for p in range(m.P) if p != free), s,
-                stale=(free, fs) in seen))
-    return out
+def build_classes(trees, eligible, free, m, cache, stats, max_lps, max_subset,
+                  tol):
+    """Mergeable classes of the eligible trees with free party `free`.
+
+    Returns (mergers, maximal): every feasible subset of size >= 2 in merge
+    order (size, then ids), and the subsets among them that no further
+    eligible tree extends.
+    """
+    family = _feasible_family(trees, eligible, free, m, cache, stats, max_lps,
+                              max_subset, tol)
+    in_family = set(map(frozenset, family))
+    mergers = sorted((s for s in family if len(s) >= 2),
+                     key=lambda s: (len(s), s))
+    maximal = [s for s in mergers
+               if not any(frozenset(s + (j,)) in in_family
+                          for j in eligible if j not in s)]
+    return mergers, maximal
 
 
 def feasibility(t: ProtocolTree, m: SeparableMeasurement, *,
@@ -178,27 +168,12 @@ def feasibility(t: ProtocolTree, m: SeparableMeasurement, *,
                 tol: float = LP_TOL):
     """A strictly positive assignment satisfying the tree's recorded equalities
     (and identity pins), or None."""
-
-    def gterms(g, sign):
-        return [(term.var, term.op, term.scale, sign) for term in g]
-
-    equations = [(c.party, gterms(c.lhs, 1.0) + gterms(c.rhs, -1.0))
-                 for c in t.constraints]
     lower = np.full(t.nvars, delta)
-    rhs_blocks = []
-    if pin_identities:
-        for a in range(t.P):
-            equations.append((a, gterms(root_for(t, a).groups[0], 1.0)))
-            rhs_blocks.append((a, vectorize(np.eye(m.dims[a], dtype=complex))))
-    if not equations:
+    pins = ([(a, root_for(t, a).groups[0]) for a in range(t.P)]
+            if pin_identities else [])
+    if not t.constraints and not pins:
         return lower.copy()
-    A = _equations_to_lp(equations, m, t.nvars)
-    b = np.zeros(A.shape[0])
-    if pin_identities:
-        offset = A.shape[0] - sum(m.dims[a] ** 2 for a, _ in rhs_blocks)
-        for a, vec in rhs_blocks:
-            b[offset:offset + vec.size] = vec
-            offset += vec.size
+    A, b = _equations_to_lp(t.constraints, m, t.nvars, pins)
     return feasible_point(A, b, tol=tol, lower=lower)
 
 
@@ -229,9 +204,9 @@ def synthesize(m: SeparableMeasurement,
     full = set(range(N))
 
     if N == 1:
+        _count_lp(stats, cfg.max_lps)
         x = feasibility(trees[0], m, pin_identities=True, delta=cfg.delta,
                         tol=cfg.tol.lp)
-        stats.lps_solved += 1
         if x is not None:
             tree, x = _emit(trees[0], x, m, cfg.tol.lp)
             return SynthesisVerdict("Protocol", tree, x, stats,
@@ -258,23 +233,14 @@ def synthesize(m: SeparableMeasurement,
             for free in range(m.P):
                 eligible = [i for i in range(snapshot)
                             if trees[i].trunk_party != free]
-                family = _feasible_family(trees, eligible, free, m, cache,
-                                          stats, cfg.max_lps, cfg.max_subset,
-                                          cfg.tol.lp)
-                in_family = set(map(frozenset, family))
-                mergers = []
-                for s in family:
-                    if len(s) < 2:
-                        continue
-                    fs = frozenset(s)
-                    mergers.append(s)
-                    if not any(fs | {j} in in_family
-                               for j in eligible if j not in fs):
-                        if (free, fs) not in seen_classes:
-                            seen_classes.add((free, fs))
-                            new_classes += 1
-                            stats.classes_found += 1
-                for s in sorted(mergers, key=lambda s: (len(s), s)):
+                mergers, maximal = build_classes(
+                    trees, eligible, free, m, cache, stats, cfg.max_lps,
+                    cfg.max_subset, cfg.tol.lp)
+                fresh = {(free, frozenset(s)) for s in maximal} - seen_classes
+                seen_classes |= fresh
+                new_classes += len(fresh)
+                stats.classes_found += len(fresh)
+                for s in mergers:
                     mkey = (free, frozenset(s))
                     if mkey in merged:
                         continue

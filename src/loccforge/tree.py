@@ -324,25 +324,32 @@ def extract_measurement(t: ProtocolTree, m: SeparableMeasurement, assignment,
     return ExtractionResult(out, np.array(weights))
 
 
+def match_operator(parts, m: SeparableMeasurement, tol: float = LP_TOL):
+    """Input operators proportional to the product `parts`, party by party
+    with positive ratios: [(j, product of the ratios)]."""
+    hits = []
+    for j in range(len(m.ops)):
+        ratios = []
+        for a in range(m.P):
+            try:
+                r = proportional(parts[a], m.part(j, a), tol)
+            except ZeroOperatorError:
+                r = None
+            if r is None or r <= 0:
+                break
+            ratios.append(r)
+        else:
+            hits.append((j, float(np.prod(ratios))))
+    return hits
+
+
 def align_weights(t: ProtocolTree, m: SeparableMeasurement, assignment,
                   tol: float = LP_TOL):
     """Map each leaf to an input operator; return per-op weights and the
     completeness residual of the weighted sum against the identity."""
     w = np.zeros(len(m.ops))
     for _, parts in leaf_products(t, m, assignment):
-        hits = []
-        for j in range(len(m.ops)):
-            ratios = []
-            for a in range(m.P):
-                try:
-                    r = proportional(parts[a], m.part(j, a), tol)
-                except ZeroOperatorError:
-                    r = None
-                if r is None or r <= 0:
-                    break
-                ratios.append(r)
-            else:
-                hits.append((j, float(np.prod(ratios))))
+        hits = match_operator(parts, m, tol)
         if len(hits) != 1:
             raise TreeStructureError(
                 f"leaf product matches {len(hits)} operators, expected exactly 1")
@@ -369,21 +376,6 @@ def canonical_key(t: ProtocolTree):
                 tuple(sorted(nkey(c) for c in n.children)))
 
     return (t.P, tuple(sorted(nkey(r) for r in t.roots)))
-
-
-def _used_vars(t: ProtocolTree) -> set:
-    used = set()
-
-    def rec(n):
-        for g in n.groups:
-            for term in g:
-                used.add(term.var)
-        for c in n.children:
-            rec(c)
-
-    for r in t.roots:
-        rec(r)
-    return used
 
 
 def _structural_depth(roots) -> int:

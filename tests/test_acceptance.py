@@ -19,7 +19,7 @@ from loccforge.hermitian import proportional, tensor
 from loccforge.lifting import lift
 from loccforge.measurement import completeness_certificate
 from loccforge.nogo import find_partition_witness, find_singular_pair_witness
-from loccforge.synthesis import build_classes, synthesize
+from loccforge.synthesis import synthesize
 from loccforge.tree import (
     align_weights,
     canonical_key,
@@ -44,6 +44,7 @@ from conftest import (
 )
 from test_cones import random_cone, sampling_oracle
 from test_passes import same_extraction
+from test_synthesis import classes_by_party
 
 ALL_FIXTURES = [
     "cascade5",
@@ -131,11 +132,12 @@ def test_acceptance_2_domino_impossibility(capsys):
 def test_acceptance_3_fourparty_classes(capsys):
     with report(capsys, 3, "merge classes separate aligned from mismatched"):
         mm = load_fixture("fourparty_mismatch")
-        assert build_classes([leaf_tree(mm, j) for j in range(len(mm))], mm) == []
+        per_party = classes_by_party([leaf_tree(mm, j) for j in range(len(mm))], mm)
+        assert all(maximal == [] for _, maximal in per_party.values())
 
         ma = load_fixture("fourparty_aligned")
-        classes = build_classes([leaf_tree(ma, j) for j in range(len(ma))], ma)
-        assert len(classes) == 1
+        per_party = classes_by_party([leaf_tree(ma, j) for j in range(len(ma))], ma)
+        assert sum(len(maximal) for _, maximal in per_party.values()) == 1
 
         v = synthesize(ma, RunConfig(rounds=2))
         assert v.kind == "Protocol"

@@ -47,6 +47,13 @@ def test_is_psd_boundary_tolerance():
     assert not is_psd(np.diag([1.0, -1e-6]))
 
 
+def test_is_psd_method_honours_each_tolerance():
+    op = HermitianOperator(np.diag([1.0, -5e-9]))
+    assert op.is_psd(1e-8)
+    assert not op.is_psd(1e-10)
+    assert not HermitianOperator(np.diag([1.0, -5e-9])).is_psd(1e-10)
+
+
 def test_proportional_symmetry_and_scaling(rng):
     for _ in range(1000):
         d = int(rng.integers(1, 4))

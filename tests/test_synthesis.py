@@ -3,6 +3,7 @@ import pytest
 
 from loccforge.config import RunConfig
 from loccforge.errors import InvalidMeasurementError
+from loccforge.hermitian import LP_TOL
 from loccforge.measurement import measurement_from_parts
 from loccforge.synthesis import (
     SynthesisStats,
@@ -104,10 +105,45 @@ def test_productbasis_exhaustive_mode():
         assert validate_assignment(t, m, x, pin_identities=True)
 
 
+def classes_by_party(trees, m, cache=None, stats=None):
+    """build_classes for every free party over all trees: {free: (mergers, maximal)}."""
+    cache = {} if cache is None else cache
+    stats = SynthesisStats() if stats is None else stats
+    out = {}
+    for free in range(m.P):
+        eligible = [i for i, t in enumerate(trees) if t.trunk_party != free]
+        out[free] = build_classes(trees, eligible, free, m, cache, stats, None,
+                                  6, LP_TOL)
+    return out
+
+
+@pytest.mark.parametrize("name, kind, reason, stats", [
+    ("fourparty_aligned", "Protocol", "protocol found in round 1", (1, 3, 2, 1)),
+    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 11, 2)),
+    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 29, 5)),
+    ("singularpair3", "ProvedImpossible",
+     "round 1 produced no new equivalence classes", (1, 3, 6, 0)),
+    ("fourparty_mismatch", InvalidMeasurementError, "not complete", None),
+])
+def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
+    """stats: (rounds, trees_built, lps_solved, classes_found)."""
+    m = load_fixture(name)
+    if stats is None:
+        with pytest.raises(kind, match=reason):
+            synthesize(m)
+        return
+    v = synthesize(m)
+    assert (v.kind, v.reason) == (kind, reason)
+    assert v.stats.as_dict() == dict(zip(
+        ("rounds", "trees_built", "lps_solved", "classes_found"), stats))
+    if kind == "Protocol":
+        assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
+
+
 def test_fourparty_mismatch_has_no_classes():
     m = load_fixture("fourparty_mismatch")
     trees = [leaf_tree(m, j) for j in range(len(m))]
-    assert build_classes(trees, m) == []
+    assert all(classes == ([], []) for classes in classes_by_party(trees, m).values())
     # the mismatch also breaks completeness, so synthesis rejects the input
     with pytest.raises(InvalidMeasurementError, match="not complete"):
         synthesize(m)
@@ -116,10 +152,8 @@ def test_fourparty_mismatch_has_no_classes():
 def test_fourparty_aligned_single_class_and_protocol():
     m = load_fixture("fourparty_aligned")
     trees = [leaf_tree(m, j) for j in range(len(m))]
-    cls = build_classes(trees, m)
-    assert len(cls) == 1
-    assert cls[0].free_party == 0 and cls[0].members == (0, 1)
-    assert cls[0].party_subset == (1, 2, 3)
+    maximal = {free: cls for free, (_, cls) in classes_by_party(trees, m).items()}
+    assert maximal == {0: [(0, 1)], 1: [], 2: [], 3: []}
 
     v = synthesize(m, RunConfig(rounds=2))
     assert v.kind == "Protocol" and v.stats.rounds == 1
@@ -177,28 +211,26 @@ def test_determinism_across_runs():
         [canonical_key(t) for t, _ in e2.protocols]
 
 
-def test_build_classes_stale_flags():
-    m = load_fixture("productbasis4")
-    trees = [leaf_tree(m, j) for j in range(len(m))]
-    first = build_classes(trees, m)
-    assert first and all(not c.stale for c in first)
-    seen = {(c.free_party, frozenset(c.members)) for c in first}
-    again = build_classes(trees, m, seen=seen)
-    assert [(c.free_party, c.members) for c in again] == \
-        [(c.free_party, c.members) for c in first]
-    assert all(c.stale for c in again)
-
-
 def test_build_classes_shares_lp_cache():
     m = load_fixture("productbasis4")
     trees = [leaf_tree(m, j) for j in range(len(m))]
     cache = {}
     stats = SynthesisStats()
-    build_classes(trees, m, cache=cache, stats=stats)
+    first = classes_by_party(trees, m, cache, stats)
     solved = stats.lps_solved
     assert solved > 0
-    build_classes(trees, m, cache=cache, stats=stats)
+    assert classes_by_party(trees, m, cache, stats) == first
     assert stats.lps_solved == solved
+
+
+def test_build_classes_merge_order_and_maximal():
+    m = load_fixture("productbasis4")
+    trees = [leaf_tree(m, j) for j in range(len(m))]
+    for mergers, maximal in classes_by_party(trees, m).values():
+        assert mergers == sorted(mergers, key=lambda s: (len(s), s))
+        assert all(len(s) >= 2 for s in mergers)
+        assert maximal and set(maximal) <= set(mergers)
+        assert not any(set(a) < set(b) for a in maximal for b in mergers)
 
 
 def test_round_budget():
