@@ -21,6 +21,7 @@ from .errors import (
     LoccForgeError,
     NoKrausDataError,
     ParseError,
+    SimplexGuardError,
     SubsetTooSmallError,
     TreeStructureError,
     UnboundVariableError,

@@ -89,8 +89,9 @@ def _cmd_check_nogo(args, out) -> int:
         "partition_exhaustive_n": args.max_exhaustive,
     })
     m = parse_measurement(_read(args.measurement))
-    sp = find_singular_pair_witness(m)
-    scan = find_partition_witness(m, max_exhaustive_n=cfg.partition_exhaustive_n)
+    sp = find_singular_pair_witness(m, cfg.tol.lp)
+    scan = find_partition_witness(m, max_exhaustive_n=cfg.partition_exhaustive_n,
+                                  tol=cfg.tol.lp)
     pw = scan.witness
     payload = {"command": "check-nogo", "witness": bool(sp or pw)}
     lines = []

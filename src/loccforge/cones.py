@@ -43,6 +43,21 @@ class Cone:
         self.generators = tuple(frozen)
         self._vecs = np.column_stack([vectorize(g) for g in frozen])
 
+    def subcone(self, indices) -> Cone:
+        """The cone of the generators at `indices`, in that order.
+
+        The generators were validated when this cone was built, so the PSD
+        and zero checks are not repeated; their columns are sliced.
+        """
+        indices = list(indices)
+        if not indices:
+            raise InvalidOperatorError("a cone needs at least one generator")
+        sub = object.__new__(Cone)
+        sub.dim = self.dim
+        sub.generators = tuple(self.generators[i] for i in indices)
+        sub._vecs = self._vecs[:, indices]
+        return sub
+
     def __len__(self):
         return len(self.generators)
 
@@ -106,8 +121,8 @@ def is_extreme_ray(k: int, C: Cone, tol: float = LP_TOL) -> bool:
     the same ray and would make the membership test vacuous.
     """
     gk = C.generators[k]
-    rest = [g for i, g in enumerate(C.generators)
+    rest = [i for i, g in enumerate(C.generators)
             if i != k and proportional(g, gk, tol) is None]
     if not rest:
         return True
-    return member(gk, Cone(rest), tol) is None
+    return member(gk, C.subcone(rest), tol) is None

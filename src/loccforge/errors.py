@@ -21,6 +21,10 @@ class InfeasibleError(LoccForgeError):
     """A required linear system has no solution (e.g. no strictly positive weights)."""
 
 
+class SimplexGuardError(LoccForgeError):
+    """The LP kernel made more pivots than its iteration guard allows."""
+
+
 class InvalidMeasurementError(LoccForgeError):
     """Input operators fail validation; carries structured diagnostics when available."""
 

@@ -13,6 +13,8 @@ meaningful.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidOperatorError, ZeroOperatorError
@@ -124,12 +126,19 @@ def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
     return (u * np.sqrt(w)) @ u.conj().T
 
 
+@functools.lru_cache(maxsize=None)
+def _triu(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict upper-triangle indices of a dim x dim matrix, built once per dim."""
+    iu = np.triu_indices(dim, k=1)
+    for ix in iu:
+        ix.flags.writeable = False
+    return iu
+
+
 def vectorize(m) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the documented basis order."""
     m = asmat(m)
-    d = m.shape[0]
-    iu = np.triu_indices(d, k=1)
-    off = m[iu]
+    off = m[_triu(m.shape[0])]
     return np.concatenate([m.diagonal().real, _SQRT2 * off.real, _SQRT2 * off.imag])
 
 
@@ -140,7 +149,7 @@ def devectorize(coords, dim: int) -> np.ndarray:
         raise InvalidOperatorError(f"expected {dim * dim} coordinates, got shape {v.shape}")
     m = np.zeros((dim, dim), dtype=complex)
     np.fill_diagonal(m, v[:dim])
-    iu = np.triu_indices(dim, k=1)
+    iu = _triu(dim)
     k = dim + len(iu[0])
     off = (v[dim:k] + 1j * v[k:]) / _SQRT2
     m[iu] = off

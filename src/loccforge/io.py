@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import LoccForgeError, ParseError
 from .hermitian import psd_sqrt
 from .measurement import (
     KrausProduct,
@@ -165,7 +165,7 @@ def parse_measurement(text: str) -> SeparableMeasurement:
     doc = parse_document(text)
     try:
         m = doc.to_measurement()
-    except Exception as e:
+    except (LoccForgeError, ValueError) as e:
         raise ParseError(str(e), kind="shape") from e
     diags = validate(m)
     if diags:

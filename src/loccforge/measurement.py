@@ -80,7 +80,8 @@ def default_party_names(P: int) -> tuple[str, ...]:
 class SeparableMeasurement:
     """Immutable container for the operators, labels, and Kraus groups."""
 
-    __slots__ = ("P", "dims", "ops", "labels", "party_names", "kraus_groups")
+    __slots__ = ("P", "dims", "ops", "labels", "party_names", "kraus_groups",
+                 "_columns")
 
     def __init__(self, ops, labels=None, party_names=None, kraus_groups=None):
         built = []
@@ -111,6 +112,7 @@ class SeparableMeasurement:
             if len(kraus_groups) != len(self.ops):
                 raise DimMismatchError("kraus group count does not match operator count")
         self.kraus_groups = kraus_groups
+        self._columns = [None] * P
 
     def __len__(self):
         return len(self.ops)
@@ -120,6 +122,19 @@ class SeparableMeasurement:
 
     def party_parts(self, alpha: int) -> list[np.ndarray]:
         return [op.parts[alpha].mat for op in self.ops]
+
+    def columns(self, alpha: int) -> np.ndarray:
+        """Read-only (N, d*d) table whose row j is vectorize(part(j, alpha)).
+
+        Built on first use, so a measurement whose parts disagree in
+        dimension can still be constructed and reported by validate.
+        """
+        table = self._columns[alpha]
+        if table is None:
+            table = np.array([vectorize(p) for p in self.party_parts(alpha)])
+            table.flags.writeable = False
+            self._columns[alpha] = table
+        return table
 
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
@@ -237,8 +252,7 @@ def affine_rank_report(m: SeparableMeasurement) -> dict:
     """
     party_ranks = []
     for a in range(m.P):
-        rows = np.array([vectorize(m.part(j, a)) for j in range(len(m.ops))])
-        party_ranks.append(int(np.linalg.matrix_rank(rows, tol=1e-9)))
+        party_ranks.append(int(np.linalg.matrix_rank(m.columns(a), tol=1e-9)))
     prod_rows = np.array([vectorize(op.product()) for op in m.ops])
     return {
         "n_operators": len(m.ops),

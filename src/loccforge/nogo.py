@@ -51,12 +51,12 @@ def find_singular_pair_witness(m: SeparableMeasurement,
     if len(m.ops) < 2:
         # one outcome is always implementable; the conditions hold vacuously
         return None
-    cones = [Cone([op.parts[a].mat for op in m.ops]) for a in range(m.P)]
+    cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
     for j in range(len(m.ops)):
         bad = []
         for a in range(m.P):
-            gens = [op.parts[a].mat for op in m.ops]
-            if is_singular_ray(j, gens, tol) and is_extreme_ray(j, cones[a], tol):
+            if (is_singular_ray(j, cones[a].generators, tol)
+                    and is_extreme_ray(j, cones[a], tol)):
                 bad.append(a)
                 if len(bad) == 2:
                     return NoGoWitness("singular-pair", j, None, (bad[0], bad[1]),
@@ -90,13 +90,13 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
         return PartitionScanResult(None, True)
     exhaustive = n <= max_exhaustive_n
     small_side_max = None if exhaustive else 2
-    party_mats = [[op.parts[a].mat for op in m.ops] for a in range(m.P)]
+    # validated once; each bipartition slices its two sides out of these
+    cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
     for s1, s2 in _bipartitions(n, small_side_max):
         blocked = []
         for a in range(m.P):
-            c1 = Cone([party_mats[a][j] for j in s1])
-            c2 = Cone([party_mats[a][j] for j in s2])
-            if nontrivial_intersection(c1, c2, tol) is None:
+            c = cones[a]
+            if nontrivial_intersection(c.subcone(s1), c.subcone(s2), tol) is None:
                 blocked.append(a)
                 if len(blocked) == 2:
                     w = NoGoWitness("partition", None, (s1, s2),

@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SimplexGuardError
+
 # pivot threshold on the row-scaled tableau; rows are normalized to max entry 1
 _PIVOT_EPS = 1e-10
+# pivots allowed per (columns + rows + 10) before Bland's rule is presumed stuck
+_ITER_FACTOR = 200
 
 
 def feasible_point(A, b, *, tol: float = 1e-8, lower=None) -> np.ndarray | None:
@@ -36,25 +40,20 @@ def feasible_point(A, b, *, tol: float = 1e-8, lower=None) -> np.ndarray | None:
     # scale rows, flip signs so rhs >= 0, drop zero rows; "zero" is judged
     # relative to the whole matrix, else roundoff rows blow up into hard
     # constraints once normalized (the final residual check keeps this sound)
-    drop = 1e-12 * max(1.0, float(np.abs(A).max(initial=0.0)))
-    rows = []
-    rhs = []
-    for i in range(m):
-        amax = float(np.abs(A[i]).max(initial=0.0))
-        if amax <= drop:
-            if abs(b_work[i]) > tol * (1.0 + float(np.abs(b).max(initial=0.0))):
-                return None  # 0 = nonzero
-            continue
-        s = 1.0 / max(amax, abs(b_work[i]))
-        r = A[i] * s
-        v = b_work[i] * s
-        if v < 0:
-            r, v = -r, -v
-        rows.append(r)
-        rhs.append(v)
+    amax = np.abs(A).max(axis=1, initial=0.0)
+    drop = 1e-12 * max(1.0, float(amax.max(initial=0.0)))
+    keep = amax > drop
+    if (np.abs(b_work[~keep]) > tol * (1.0 + float(np.abs(b).max(initial=0.0)))).any():
+        return None  # 0 = nonzero
+    s = 1.0 / np.maximum(amax[keep], np.abs(b_work[keep]))
+    rows = A[keep] * s[:, None]
+    rhs = b_work[keep] * s
+    neg = rhs < 0
+    rows[neg] = -rows[neg]
+    rhs[neg] = -rhs[neg]
 
-    if rows:
-        x = _phase1(np.array(rows), np.array(rhs), n)
+    if rows.shape[0]:
+        x = _phase1(rows, rhs, n)
         if x is None:
             return None
     else:
@@ -82,15 +81,12 @@ def _phase1(A: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
     T[k, -1] = -b.sum()
     basis = list(range(n, n + k))
 
-    max_iter = 200 * (n + k + 10)
+    max_iter = _ITER_FACTOR * (n + k + 10)
     for _ in range(max_iter):
         # Bland: entering = smallest column index with negative reduced cost
-        enter = -1
-        for j in range(n + k):
-            if T[k, j] < -_PIVOT_EPS:
-                enter = j
-                break
-        if enter < 0:
+        negative = T[k, :n + k] < -_PIVOT_EPS
+        enter = int(negative.argmax())
+        if not negative[enter]:
             break
         # leaving = min ratio, ties broken by smallest basis variable
         leave = -1
@@ -107,12 +103,16 @@ def _phase1(A: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
             return None
         piv = T[leave, enter]
         T[leave] /= piv
-        for i in range(k + 1):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
+        # clear the entering column in every other row; rows where it is
+        # already zero are not written, as in a row-by-row elimination
+        coef = T[:, enter].copy()
+        coef[leave] = 0.0
+        np.subtract(T, np.outer(coef, T[leave]), out=T, where=(coef != 0.0)[:, None])
         basis[leave] = enter
     else:
-        raise ArithmeticError("simplex iteration guard tripped")
+        raise SimplexGuardError(
+            f"simplex iteration guard tripped after {max_iter} pivots "
+            f"({k} rows, {n} columns)")
 
     if -T[k, -1] > 1e-9 * (1.0 + k):
         return None  # artificials cannot be driven to zero

@@ -73,10 +73,11 @@ def _equations_to_lp(constraints, m, ncols, pins=()):
     blocks = []
     for party, lhs, rhs in list(constraints) + [Constraint(a, g, ()) for a, g in pins]:
         d = m.dims[party]
+        V = m.columns(party)
         rows = np.zeros((d * d, ncols))
         for group, sign in ((lhs, 1.0), (rhs, -1.0)):
             for t in group:
-                rows[:, t.var] += sign * t.scale * vectorize(m.part(t.op, party))
+                rows[:, t.var] += sign * t.scale * V[t.op]
         blocks.append(rows)
     A = np.vstack(blocks)
     eyes = [vectorize(np.eye(m.dims[a], dtype=complex)) for a, _ in pins]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from loccforge import cli, nogo, simplex
 from loccforge.cli import main
 from loccforge.io import measurement_digest, parse_protocol, serialize_measurement
 from loccforge.measurement import measurement_from_parts
@@ -83,6 +84,38 @@ def test_check_nogo_partial_scan_flag(capsys):
     assert code == 2
     payload = json.loads(out)
     assert payload["partition"]["exhaustive"] is False
+
+
+def test_check_nogo_config_tolerance_reaches_both_scans(tmp_path, capsys,
+                                                       monkeypatch):
+    seen = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append((name, kwargs.get("tol", args[-1])))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(cli, "find_singular_pair_witness")
+    spy(cli, "find_partition_witness")
+    spy(nogo, "is_extreme_ray")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lp": 1e-6}))
+    code, _, _ = run(capsys, "check-nogo", fx("domino9"), "--config", str(cfg))
+    assert code == 2
+    names = {name for name, _ in seen}
+    assert names == {"find_singular_pair_witness", "find_partition_witness",
+                     "is_extreme_ray"}
+    assert all(tol == 1e-6 for _, tol in seen)
+
+
+def test_simplex_guard_is_a_reported_error(capsys, monkeypatch):
+    monkeypatch.setattr(simplex, "_ITER_FACTOR", 0)
+    code, out, err = run(capsys, "synthesize", fx("cascade5"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: simplex iteration guard tripped")
 
 
 def test_synthesize_protocol(capsys):

@@ -8,7 +8,7 @@ from loccforge.cones import (
     member,
     nontrivial_intersection,
 )
-from loccforge.errors import DimMismatchError
+from loccforge.errors import DimMismatchError, InvalidOperatorError
 
 from conftest import random_psd
 
@@ -112,6 +112,19 @@ def test_member_reconstruction_error(rng):
         assert got is not None
         rebuilt = sum(w * g for w, g in zip(got, c.generators))
         assert np.abs(rebuilt - x).max() <= 1e-8 * (1 + np.abs(x).max())
+
+
+def test_subcone_matches_a_fresh_cone(rng):
+    gens = [random_psd(rng, 3, rank=int(rng.integers(1, 4))) for _ in range(6)]
+    big = Cone(gens)
+    for idx in [(0,), (4, 1), (1, 2, 5), (5, 4, 3, 2, 1, 0)]:
+        sub = big.subcone(idx)
+        fresh = Cone([gens[i] for i in idx])
+        assert sub.dim == fresh.dim and len(sub) == len(idx)
+        assert sub._vecs.tobytes() == fresh._vecs.tobytes()
+        assert all((g == h).all() for g, h in zip(sub.generators, fresh.generators))
+    with pytest.raises(InvalidOperatorError):
+        big.subcone([])
 
 
 def test_singular_ray():

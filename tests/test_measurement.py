@@ -7,7 +7,7 @@ from loccforge.errors import (
     InvalidOperatorError,
     ZeroOperatorError,
 )
-from loccforge.hermitian import psd_sqrt, tensor
+from loccforge.hermitian import psd_sqrt, tensor, vectorize
 from loccforge.measurement import (
     SeparableMeasurement,
     affine_rank_report,
@@ -31,6 +31,19 @@ def test_basic_construction_and_accessors():
     assert np.allclose(m.part(1, 0), P1)
     assert m.total_dim() == 4
     assert np.allclose(m.identity(), np.eye(4))
+
+
+def test_party_columns_are_stacked_vectorizations(rng):
+    m = measurement_from_parts([[random_psd(rng, 2), random_psd(rng, 3)]
+                                for _ in range(4)])
+    for a in range(m.P):
+        table = m.columns(a)
+        expected = np.array([vectorize(m.part(j, a)) for j in range(len(m))])
+        assert table.shape == (4, m.dims[a] ** 2)
+        assert table.tobytes() == expected.tobytes()
+        assert m.columns(a) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
 
 
 def test_construction_rejects_empty_and_bad_labels():

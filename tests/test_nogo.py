@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from loccforge.errors import InvalidOperatorError
 from loccforge.measurement import measurement_from_parts
 from loccforge.nogo import find_partition_witness, find_singular_pair_witness
 
@@ -87,6 +89,13 @@ def test_partition_scan_nonexhaustive_flag():
     # a witness with a singleton side is still found by the capped scan
     assert res.witness is not None
     assert not res.exhaustive
+
+
+def test_partition_scan_rejects_non_psd_part():
+    # measurement_from_parts does not validate; the scan's cones still do
+    m = measurement_from_parts([[np.diag([1.0, -0.5]), I2], [P1, I2], [P0, I2]])
+    with pytest.raises(InvalidOperatorError):
+        find_partition_witness(m)
 
 
 def test_single_operator_scan_is_trivial():

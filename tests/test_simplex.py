@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from loccforge import simplex
 from loccforge.simplex import feasible_point
 
 
@@ -55,3 +57,140 @@ def test_zero_rows_and_columns():
 def test_empty_constraint_matrix():
     x = feasible_point(np.zeros((0, 3)), np.zeros(0), lower=np.full(3, 0.25))
     assert x is not None and (x >= 0.25 - 1e-12).all()
+
+
+def _lp_cases(rng):
+    """(A, b, lower) systems covering the row-scaling paths: random feasible
+    and infeasible, degenerate, all-zero rows, negative rhs after a shift."""
+    for _ in range(40):
+        n, k = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        a = rng.standard_normal((k, n))
+        lower = rng.uniform(0.0, 1.0, n) if rng.random() < 0.5 else None
+        x0 = (0.0 if lower is None else lower) + rng.uniform(0.1, 2.0, n)
+        yield a, a @ x0, lower                               # feasible
+        yield a, rng.standard_normal(k), lower               # either
+        tall = rng.standard_normal((n + 2, n))
+        yield tall, rng.standard_normal(n + 2), lower        # overdetermined
+        pos = np.abs(a) + 0.1
+        yield pos, -pos @ rng.uniform(0.1, 2.0, n), None     # x >= 0 forbids
+        # degenerate: repeated and combined rows, a vertex with zero entries
+        x1 = rng.uniform(0.1, 2.0, n) * (rng.random(n) < 0.5)
+        d = np.vstack([a, a[:1], a[:1] + a[-1:], np.zeros((1, n))])
+        yield d, d @ x1, None
+        bad = d @ x1
+        bad[k] += 1.0                                        # a copy disagrees
+        yield d, bad, None
+        # all-zero rows with zero and with nonzero rhs
+        z = np.vstack([np.zeros((1, n)), a])
+        yield z, np.concatenate([[0.0], a @ x0]), lower
+        yield z, np.concatenate([[1.0], a @ x0]), lower
+        # negative rhs once the lower bound is shifted out
+        lo = rng.uniform(0.5, 1.5, n)
+        yield -pos, -pos @ (lo + rng.uniform(0.1, 1.0, n)), lo
+        yield pos, pos @ (0.5 * lo), lo                      # below the floor
+
+
+def test_feasible_point_agrees_with_highs(rng):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    verdicts = []
+    for a, b, lower in _lp_cases(rng):
+        n = a.shape[1]
+        lo = np.zeros(n) if lower is None else lower
+        ref = linprog(np.zeros(n), A_eq=a, b_eq=b, method="highs",
+                      bounds=[(float(v), None) for v in lo])
+        assert ref.status in (0, 2), ref.message
+        x = feasible_point(a, b, lower=lower)
+        assert (x is not None) == (ref.status == 0), (a, b, lower)
+        if x is not None:
+            assert (x >= lo - 1e-12).all()
+            assert np.abs(a @ x - b).max() <= 1e-8 * (1 + np.abs(b).max())
+        verdicts.append(x is not None)
+    assert 0.2 < np.mean(verdicts) < 0.8
+
+
+def _loop_scaling(A, b, tol, lower):
+    """The row-by-row scaling feasible_point vectorizes: None for a zero row
+    with a nonzero rhs, else the (rows, rhs) handed to _phase1."""
+    b_work = b if lower is None else b - A @ (np.zeros(A.shape[1]) + lower)
+    drop = 1e-12 * max(1.0, float(np.abs(A).max(initial=0.0)))
+    rows, rhs = [], []
+    for i in range(A.shape[0]):
+        amax = float(np.abs(A[i]).max(initial=0.0))
+        if amax <= drop:
+            if abs(b_work[i]) > tol * (1.0 + float(np.abs(b).max(initial=0.0))):
+                return None
+            continue
+        s = 1.0 / max(amax, abs(b_work[i]))
+        r, v = A[i] * s, b_work[i] * s
+        if v < 0:
+            r, v = -r, -v
+        rows.append(r)
+        rhs.append(v)
+    return np.array(rows), np.array(rhs)
+
+
+def _loop_phase1(A, b, n):
+    """_phase1 with Python scans for the entering column and the row
+    elimination."""
+    eps = simplex._PIVOT_EPS
+    k = A.shape[0]
+    T = np.zeros((k + 1, n + k + 1))
+    T[:k, :n] = A
+    T[:k, n:n + k] = np.eye(k)
+    T[:k, -1] = b
+    T[k, :n] = -A.sum(axis=0)
+    T[k, -1] = -b.sum()
+    basis = list(range(n, n + k))
+    while True:
+        enter = next((j for j in range(n + k) if T[k, j] < -eps), -1)
+        if enter < 0:
+            break
+        leave, best = -1, np.inf
+        for i in range(k):
+            a = T[i, enter]
+            if a > eps:
+                ratio = T[i, -1] / a
+                if ratio < best - eps or (ratio < best + eps and (
+                        leave < 0 or basis[i] < basis[leave])):
+                    best, leave = ratio, i
+        if leave < 0:
+            return None
+        T[leave] /= T[leave, enter]
+        for i in range(k + 1):
+            if i != leave and T[i, enter] != 0.0:
+                T[i] -= T[i, enter] * T[leave]
+        basis[leave] = enter
+    if -T[k, -1] > 1e-9 * (1.0 + k):
+        return None
+    x = np.zeros(n)
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = T[i, -1]
+    return x
+
+
+def test_vectorized_kernel_matches_loop_reference(rng, monkeypatch):
+    """Row scaling and pivots are bit-for-bit those of the loop versions."""
+    seen = []
+    phase1 = simplex._phase1
+
+    def spy(A, b, n):
+        x = phase1(A, b, n)
+        seen.append((A.copy(), b.copy(), x))
+        return x
+
+    monkeypatch.setattr(simplex, "_phase1", spy)
+    for a, b, lower in _lp_cases(rng):
+        seen.clear()
+        feasible_point(a, b, lower=lower)
+        ref = _loop_scaling(a, b, 1e-8, lower)
+        if ref is None or not len(ref[0]):
+            assert not seen
+            continue
+        (rows, rhs, x), = seen
+        assert rows.tobytes() == ref[0].tobytes()
+        assert rhs.tobytes() == ref[1].tobytes()
+        x_ref = _loop_phase1(rows, rhs, a.shape[1])
+        assert (x is None) == (x_ref is None)
+        if x is not None:
+            assert x.tobytes() == x_ref.tobytes()

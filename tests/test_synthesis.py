@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,19 @@ def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
         ("rounds", "trees_built", "lps_solved", "classes_found"), stats))
     if kind == "Protocol":
         assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
+
+
+@pytest.mark.parametrize("dims, stats", [
+    ((3, 3), (509, 49, 2)),
+    ((2, 2, 2), (831, 41, 3)),
+])
+def test_product_basis_search_counts(dims, stats):
+    """stats: (lps_solved, trees_built, rounds), as bench/corpus.json records."""
+    projs = [[np.diag(np.eye(d)[i]) for i in range(d)] for d in dims]
+    m = measurement_from_parts([list(c) for c in itertools.product(*projs)])
+    v = synthesize(m)
+    assert v.kind == "Protocol"
+    assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == stats
 
 
 def test_fourparty_mismatch_has_no_classes():
