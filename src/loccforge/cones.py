@@ -83,8 +83,8 @@ def member(X, C: Cone, tol: float = LP_TOL) -> np.ndarray | None:
     return feasible_point(C._vecs, vectorize(x), tol=tol)
 
 
-def nontrivial_intersection(A: Cone, B: Cone, tol: float = LP_TOL) -> FeasibilityWitness | None:
-    """Witness a common nonzero point of two cones, or None if only 0 is shared."""
+def _intersection_point(A: Cone, B: Cone, tol: float = LP_TOL) -> np.ndarray | None:
+    """Coefficients (a of A, then b of B) of a common nonzero point, or None."""
     if A.dim != B.dim:
         raise DimMismatchError("cones live on different dimensions")
     ka, kb = len(A), len(B)
@@ -94,9 +94,15 @@ def nontrivial_intersection(A: Cone, B: Cone, tol: float = LP_TOL) -> Feasibilit
     M = np.vstack([rows, norm_row])
     rhs = np.zeros(M.shape[0])
     rhs[-1] = 1.0
-    sol = feasible_point(M, rhs, tol=tol)
+    return feasible_point(M, rhs, tol=tol)
+
+
+def nontrivial_intersection(A: Cone, B: Cone, tol: float = LP_TOL) -> FeasibilityWitness | None:
+    """Witness a common nonzero point of two cones, or None if only 0 is shared."""
+    sol = _intersection_point(A, B, tol)
     if sol is None:
         return None
+    ka = len(A)
     a, b = sol[:ka], sol[ka:]
     pa = A._vecs @ a
     pb = B._vecs @ b

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .cones import Cone, is_extreme_ray, is_singular_ray, nontrivial_intersection
+from .cones import Cone, _intersection_point, is_extreme_ray, is_singular_ray
 from .hermitian import LP_TOL
 from .measurement import SeparableMeasurement
 
@@ -96,7 +96,7 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
         blocked = []
         for a in range(m.P):
             c = cones[a]
-            if nontrivial_intersection(c.subcone(s1), c.subcone(s2), tol) is None:
+            if _intersection_point(c.subcone(s1), c.subcone(s2), tol) is None:
                 blocked.append(a)
                 if len(blocked) == 2:
                     w = NoGoWitness("partition", None, (s1, s2),

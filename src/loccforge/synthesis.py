@@ -6,6 +6,17 @@ merges every such subset with that remaining party measuring first, and tests
 full-coverage trees for an assignment that pins every root to the identity.
 No new maximal class in a round means no tree can ever be built that was not
 already buildable, which proves impossibility.
+
+The feasible family is found level by level, and a subset gets an LP only
+when every subset one tree smaller is feasible. This keeps the impossibility
+argument because the family returned is exactly the set of feasible subsets,
+as an LP for each one would find it; only fewer LPs are solved. Feasibility
+is downward closed: a subset's LP keeps the alias equalities of its own trees,
+and its chain equalities follow from the superset's by transitivity, so any
+point of the superset's LP restricted to the subset's columns is a point of
+the subset's. A subset with an infeasible one-smaller subset is therefore
+infeasible without an LP, and the maximal classes, the mergers and the
+no-new-class test see the same family.
 """
 from __future__ import annotations
 
@@ -117,7 +128,13 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
 
 def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
                      max_subset, tol):
-    """All feasible subsets of eligible ids (ascending DFS; prefix-closed)."""
+    """All feasible subsets of the ascending eligible ids, level by level.
+
+    Level k+1 joins two feasible level-k tuples that share their first k-1
+    ids; a candidate gets an LP only when every one-smaller subset is
+    feasible (the family is downward closed). Each level is in ascending
+    order of its tuples.
+    """
 
     def check(ids):
         key = (free_party, frozenset(ids))
@@ -126,22 +143,22 @@ def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
                                          max_lps, tol)
         return cache[key]
 
-    family = []
-
-    def extend(s):
-        family.append(s)
-        if max_subset is not None and len(s) >= max_subset:
-            return
-        for j in eligible:
-            if j <= s[-1]:
-                continue
-            t = s + (j,)
-            if check(t):
-                extend(t)
-
-    for i in eligible:
-        if check((i,)):
-            extend((i,))
+    level = [(i,) for i in eligible if check((i,))]
+    family = list(level)
+    while level and (max_subset is None or len(level[0]) < max_subset):
+        feasible = set(level)
+        nxt = []
+        for n, a in enumerate(level):
+            for b in level[n + 1:]:
+                if b[:-1] != a[:-1]:
+                    break
+                c = a + b[-1:]
+                # dropping c[-1] gives a and dropping c[-2] gives b
+                if (all(c[:k] + c[k + 1:] in feasible for k in range(len(c) - 2))
+                        and check(c)):
+                    nxt.append(c)
+        family += nxt
+        level = nxt
     return family
 
 
@@ -201,7 +218,10 @@ def synthesize(m: SeparableMeasurement,
     stats = SynthesisStats()
     trees = [leaf_tree(m, j) for j in range(N)]
     stats.trees_built = N
-    keys = {canonical_key(t) for t in trees}
+    # One intern table per run shares repeated terms, renamed groups and key
+    # subtuples between trees; its kinds of entry never compare equal.
+    memo = {}
+    keys = {canonical_key(t, memo) for t in trees}
     full = set(range(N))
 
     if N == 1:
@@ -246,8 +266,8 @@ def synthesize(m: SeparableMeasurement,
                     if mkey in merged:
                         continue
                     merged.add(mkey)
-                    tnew = merge_and_extend([trees[i] for i in s], free)
-                    ck = canonical_key(tnew)
+                    tnew = merge_and_extend([trees[i] for i in s], free, memo)
+                    ck = canonical_key(tnew, memo)
                     if ck in keys:
                         continue
                     if len(trees) >= cfg.max_trees:

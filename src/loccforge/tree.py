@@ -81,21 +81,29 @@ def leaf_tree(m: SeparableMeasurement, j: int) -> ProtocolTree:
     return ProtocolTree(m.P, roots, (), m.P, 0)
 
 
-def _rename_group(g: Group, offset: int) -> Group:
-    return tuple(Term(t.op, t.var + offset, t.scale) for t in g)
+def _rename_group(g: Group, offset: int, memo: dict) -> Group:
+    key = (g, offset)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = tuple(
+            memo.setdefault(u, u)
+            for u in (Term(t.op, t.var + offset, t.scale) for t in g))
+    return out
 
 
-def _rename_node(n: Node, offset: int) -> Node:
+def _rename_node(n: Node, offset: int, memo: dict | None = None) -> Node:
+    memo = {} if memo is None else memo
     return Node(n.party,
-                tuple(_rename_group(g, offset) for g in n.groups),
-                tuple(_rename_node(c, offset) for c in n.children))
+                tuple(_rename_group(g, offset, memo) for g in n.groups),
+                tuple(_rename_node(c, offset, memo) for c in n.children))
 
 
 def _group_sort_key(g: Group):
     return (len(g), tuple(sorted((t.op, t.scale) for t in g)))
 
 
-def merge_and_extend(constituents, free_party: int) -> ProtocolTree:
+def merge_and_extend(constituents, free_party: int,
+                     memo: dict | None = None) -> ProtocolTree:
     """Merge trees that agree on all parties but one; that party measures first.
 
     Each non-free party's new root stacks every constituent's root groups as
@@ -104,6 +112,7 @@ def merge_and_extend(constituents, free_party: int) -> ProtocolTree:
     trunk children. Variables are renumbered per constituent so occurrences
     stay independent.
     """
+    memo = {} if memo is None else memo
     cs = list(constituents)
     if len(cs) < 2:
         raise SubsetTooSmallError("merging needs at least two trees")
@@ -122,11 +131,11 @@ def merge_and_extend(constituents, free_party: int) -> ProtocolTree:
     renamed_roots = []   # per constituent: {party: Node}
     constraints = []
     for c, off in zip(cs, offsets):
-        renamed_roots.append({r.party: _rename_node(r, off) for r in c.roots})
+        renamed_roots.append({r.party: _rename_node(r, off, memo) for r in c.roots})
         for con in c.constraints:
             constraints.append(Constraint(con.party,
-                                          _rename_group(con.lhs, off),
-                                          _rename_group(con.rhs, off)))
+                                          _rename_group(con.lhs, off, memo),
+                                          _rename_group(con.rhs, off, memo)))
 
     roots = []
     for beta in range(P):
@@ -360,20 +369,27 @@ def align_weights(t: ProtocolTree, m: SeparableMeasurement, assignment,
     return w, residual
 
 
-def canonical_key(t: ProtocolTree):
+def canonical_key(t: ProtocolTree, memo: dict | None = None):
     """Structural identity: party-tagged shape with sorted (op, scale) term sets.
 
     Invariant under root storage order, sibling order, group order, term order,
-    and variable renaming.
+    and variable renaming. `memo` is an intern table for the key's subtuples;
+    pass one dict to every call of a search so that the keys of trees with
+    common subtrees share them.
     """
+    memo = {} if memo is None else memo
+
+    def intern(k):
+        return memo.setdefault(k, k)
 
     def gkey(g):
-        return tuple(sorted((term.op, round(term.scale, 9)) for term in g))
+        return intern(tuple(sorted(intern((term.op, round(term.scale, 9)))
+                                   for term in g)))
 
     def nkey(n):
-        return (n.party,
-                tuple(sorted(gkey(g) for g in n.groups)),
-                tuple(sorted(nkey(c) for c in n.children)))
+        return intern((n.party,
+                       intern(tuple(sorted(gkey(g) for g in n.groups))),
+                       intern(tuple(sorted(nkey(c) for c in n.children)))))
 
     return (t.P, tuple(sorted(nkey(r) for r in t.roots)))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loccforge import cones
 from loccforge.errors import InvalidOperatorError
 from loccforge.measurement import measurement_from_parts
 from loccforge.nogo import find_partition_witness, find_singular_pair_witness
@@ -53,6 +54,16 @@ def test_cascade5_has_no_witness():
     m = load_fixture("cascade5")
     assert find_singular_pair_witness(m) is None
     assert find_partition_witness(m).witness is None
+
+
+def test_partition_scan_builds_no_witness_points(monkeypatch):
+    """The scan only asks whether two cones meet; it never builds the point."""
+    def fail(*args):
+        raise AssertionError("partition scan built a FeasibilityWitness")
+
+    monkeypatch.setattr(cones, "FeasibilityWitness", fail)
+    res = find_partition_witness(load_fixture("cascade5"))
+    assert res.witness is None and res.exhaustive
 
 
 def test_one_sided_refinement_is_clean():

@@ -3,12 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+from loccforge import synthesis
 from loccforge.config import RunConfig
 from loccforge.errors import InvalidMeasurementError
 from loccforge.hermitian import LP_TOL
 from loccforge.measurement import measurement_from_parts
 from loccforge.synthesis import (
     SynthesisStats,
+    _class_feasible,
+    _feasible_family,
     build_classes,
     feasibility,
     orderings,
@@ -39,7 +42,7 @@ def test_cascade5_protocol_shape():
     assert v.kind == "Protocol"
     assert v.reason == "protocol found in round 4"
     assert v.stats.as_dict() == {"rounds": 4, "trees_built": 12,
-                                 "lps_solved": 78, "classes_found": 5}
+                                 "lps_solved": 62, "classes_found": 5}
     assert len(leaves(v.tree)) == 5
     assert len(walk_nodes(v.tree)) == 9
     assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
@@ -81,7 +84,7 @@ def test_domino9_proved_impossible():
     assert v.reason == "round 2 produced no new equivalence classes"
     assert v.tree is None and v.assignment is None
     assert v.stats.as_dict() == {"rounds": 2, "trees_built": 13,
-                                 "lps_solved": 130, "classes_found": 4}
+                                 "lps_solved": 110, "classes_found": 4}
 
 
 def test_productbasis_first_mode():
@@ -121,8 +124,8 @@ def classes_by_party(trees, m, cache=None, stats=None):
 
 @pytest.mark.parametrize("name, kind, reason, stats", [
     ("fourparty_aligned", "Protocol", "protocol found in round 1", (1, 3, 2, 1)),
-    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 11, 2)),
-    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 29, 5)),
+    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 10, 2)),
+    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 22, 5)),
     ("singularpair3", "ProvedImpossible",
      "round 1 produced no new equivalence classes", (1, 3, 6, 0)),
     ("fourparty_mismatch", InvalidMeasurementError, "not complete", None),
@@ -142,15 +145,18 @@ def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
         assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
 
 
+def product_basis(*dims):
+    projs = [[np.diag(np.eye(d)[i]) for i in range(d)] for d in dims]
+    return measurement_from_parts([list(c) for c in itertools.product(*projs)])
+
+
 @pytest.mark.parametrize("dims, stats", [
-    ((3, 3), (509, 49, 2)),
-    ((2, 2, 2), (831, 41, 3)),
+    ((3, 3), (257, 49, 2)),
+    ((2, 2, 2), (558, 41, 3)),
 ])
 def test_product_basis_search_counts(dims, stats):
     """stats: (lps_solved, trees_built, rounds), as bench/corpus.json records."""
-    projs = [[np.diag(np.eye(d)[i]) for i in range(d)] for d in dims]
-    m = measurement_from_parts([list(c) for c in itertools.product(*projs)])
-    v = synthesize(m)
+    v = synthesize(product_basis(*dims))
     assert v.kind == "Protocol"
     assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == stats
 
@@ -246,6 +252,93 @@ def test_build_classes_merge_order_and_maximal():
         assert all(len(s) >= 2 for s in mergers)
         assert maximal and set(maximal) <= set(mergers)
         assert not any(set(a) < set(b) for a in maximal for b in mergers)
+
+
+def round_start_trees(m, monkeypatch, rounds):
+    """The tree list at the start of each of the first `rounds` rounds of
+    synthesize, captured at its first build_classes call of the round."""
+    starts = []
+    real = synthesis.build_classes
+
+    def spy(trees, eligible, free, *args):
+        if free == 0:
+            starts.append(list(trees))
+        return real(trees, eligible, free, *args)
+
+    monkeypatch.setattr(synthesis, "build_classes", spy)
+    synthesize(m, RunConfig(rounds=rounds))
+    monkeypatch.undo()
+    return starts
+
+
+@pytest.mark.parametrize("name", ["productbasis4", "cascade5", "domino9"])
+def test_feasible_family_matches_brute_force(name, monkeypatch):
+    m = load_fixture(name)
+    max_subset = RunConfig().max_subset
+    starts = round_start_trees(m, monkeypatch, 2)
+    assert len(starts) == 2 and len(starts[1]) > len(starts[0]) == len(m)
+    for trees in starts:
+        for free in range(m.P):
+            eligible = [i for i, t in enumerate(trees) if t.trunk_party != free]
+            brute = {frozenset(c) for k in range(1, max_subset + 1)
+                     for c in itertools.combinations(eligible, k)
+                     if _class_feasible(trees, c, free, m, SynthesisStats(),
+                                        None, LP_TOL)}
+
+            solved = []
+
+            def spy(trees, ids, *args):
+                solved.append(frozenset(ids))
+                return _class_feasible(trees, ids, *args)
+
+            monkeypatch.setattr(synthesis, "_class_feasible", spy)
+            family = _feasible_family(trees, eligible, free, m, {},
+                                      SynthesisStats(), None, max_subset, LP_TOL)
+            monkeypatch.undo()
+            assert len(set(family)) == len(family)
+            assert set(map(frozenset, family)) == brute
+            # only the family and its negative border reach _class_feasible:
+            # the infeasible sets whose one-smaller subsets are all feasible
+            border = {frozenset(c) for k in range(1, max_subset + 1)
+                      for c in itertools.combinations(eligible, k)
+                      if frozenset(c) not in brute
+                      and all(len(c) == 1 or frozenset(c) - {i} in brute
+                              for i in c)}
+            assert len(set(solved)) == len(solved)
+            assert set(solved) == brute | border
+
+
+def test_intern_table_keeps_keys_and_trees(monkeypatch):
+    """synthesize shares one intern table per run between merge_and_extend and
+    canonical_key; the keys and trees equal those built without one."""
+    tables = []
+    real_key, real_merge = synthesis.canonical_key, synthesis.merge_and_extend
+
+    def key_spy(t, memo):
+        k = real_key(t, memo)
+        assert k == canonical_key(t) and hash(k) == hash(canonical_key(t))
+        tables.append(memo)
+        return k
+
+    def merge_spy(cs, free, memo):
+        t = real_merge(cs, free, memo)
+        assert t == merge_and_extend(cs, free)
+        tables.append(memo)
+        return t
+
+    monkeypatch.setattr(synthesis, "canonical_key", key_spy)
+    monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
+    for m in (load_fixture("cascade5"), product_basis(3, 3)):
+        runs = []
+        for _ in range(2):
+            tables.clear()
+            v = synthesize(m)
+            assert v.kind == "Protocol" and len(tables) > len(m)
+            assert all(memo is tables[0] for memo in tables)
+            runs.append((v.stats.as_dict(),
+                         [canonical_key(t) for t, _ in v.protocols], tables[0]))
+        assert runs[0][:2] == runs[1][:2]
+        assert runs[0][2] is not runs[1][2]
 
 
 def test_round_budget():
