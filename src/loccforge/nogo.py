@@ -5,16 +5,28 @@ whose local parts at two parties are simultaneously singular and extreme in
 their party cones. The partition scan splits the operator set in two and asks
 whether both local cone pairs have trivial intersection, which no protocol can
 reconcile. Finding nothing proves nothing; only synthesis can.
+
+Both scans read one same-ray table per party: for each operator j, the mask
+of operators i != j whose part at that party is proportional to j's,
+`proportional(g_i, g_j)`. The singular-pair scan calls part j singular when
+its mask is empty, exactly as `is_singular_ray` would.
+
+The partition scan skips two kinds of intersection LP whose answer is known.
+A split that puts two operators with proportional parts at party a on
+opposite sides shares their ray: both cones hold a nonzero point of it (the
+cones reject zero parts), so the cones meet, a is not blocked, and a gets no
+LP. And once the parties left cannot bring the blocked count to two, the
+split is abandoned. Both rules only ever count a party as not blocked, which
+could hide a witness but never invent one: every reported witness still
+rests on two LPs that found the two cone pairs disjoint.
 """
 from __future__ import annotations
 
 import dataclasses
 import itertools
 
-import numpy as np
-
-from .cones import Cone, _intersection_point, is_extreme_ray, is_singular_ray
-from .hermitian import LP_TOL
+from .cones import Cone, _intersection_point, is_extreme_ray
+from .hermitian import LP_TOL, proportional
 from .measurement import SeparableMeasurement
 
 
@@ -45,6 +57,18 @@ class PartitionScanResult:
     exhaustive: bool   # False when only small partitions were tried
 
 
+def _same_ray_table(cones, tol):
+    """Per party, per operator j: the bitmask of i != j with part i
+    proportional to part j, tested as `proportional(g_i, g_j)`."""
+    table = []
+    for c in cones:
+        gens = c.generators
+        table.append([sum(1 << i for i, g in enumerate(gens)
+                          if i != j and proportional(g, gj, tol) is not None)
+                      for j, gj in enumerate(gens)])
+    return table
+
+
 def find_singular_pair_witness(m: SeparableMeasurement,
                                tol: float = LP_TOL) -> NoGoWitness | None:
     """First operator (ascending index) with singular extreme parts at two parties."""
@@ -52,11 +76,11 @@ def find_singular_pair_witness(m: SeparableMeasurement,
         # one outcome is always implementable; the conditions hold vacuously
         return None
     cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
+    same = _same_ray_table(cones, tol)
     for j in range(len(m.ops)):
         bad = []
         for a in range(m.P):
-            if (is_singular_ray(j, cones[a].generators, tol)
-                    and is_extreme_ray(j, cones[a], tol)):
+            if not same[a][j] and is_extreme_ray(j, cones[a], tol):
                 bad.append(a)
                 if len(bad) == 2:
                     return NoGoWitness("singular-pair", j, None, (bad[0], bad[1]),
@@ -83,7 +107,9 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
     """Scan bipartitions for two parties whose local cone pairs never meet.
 
     Beyond max_exhaustive_n operators only splits with a side of at most two
-    are tried, and a miss is reported as non-exhaustive.
+    are tried, and a miss is reported as non-exhaustive. A party where the
+    split separates two proportional parts gets no LP, and a split stops once
+    too few parties are left to block two (see the module docstring).
     """
     n = len(m.ops)
     if n < 2:
@@ -92,14 +118,24 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
     small_side_max = None if exhaustive else 2
     # validated once; each bipartition slices its two sides out of these
     cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
+    # operators that share a ray at a party, in either order of the test
+    same = _same_ray_table(cones, tol)
+    linked = [[row[j] | sum(1 << i for i in range(n) if row[i] >> j & 1)
+               for j in range(n)] for row in same]
+    everyone = (1 << n) - 1
     for s1, s2 in _bipartitions(n, small_side_max):
+        other = everyone ^ sum(1 << j for j in s1)
         blocked = []
         for a in range(m.P):
             c = cones[a]
-            if _intersection_point(c.subcone(s1), c.subcone(s2), tol) is None:
+            if (not any(linked[a][j] & other for j in s1)
+                    and _intersection_point(c.subcone(s1), c.subcone(s2),
+                                            tol) is None):
                 blocked.append(a)
                 if len(blocked) == 2:
                     w = NoGoWitness("partition", None, (s1, s2),
                                     (blocked[0], blocked[1]), {})
                     return PartitionScanResult(w, exhaustive)
+            if len(blocked) + (m.P - a - 1) < 2:
+                break
     return PartitionScanResult(None, exhaustive)

@@ -137,7 +137,7 @@ def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
     """
 
     def check(ids):
-        key = (free_party, frozenset(ids))
+        key = (free_party, ids)
         if key not in cache:
             cache[key] = _class_feasible(trees, ids, free_party, m, stats,
                                          max_lps, tol)
@@ -236,6 +236,7 @@ def synthesize(m: SeparableMeasurement,
         return SynthesisVerdict("ProvedImpossible", None, None, stats,
                                 reason="single operator cannot pin to the identity")
 
+    # keyed by (free party, ascending id tuple), as the family lists subsets
     cache = {}
     merged = set()
     seen_classes = set()
@@ -257,12 +258,12 @@ def synthesize(m: SeparableMeasurement,
                 mergers, maximal = build_classes(
                     trees, eligible, free, m, cache, stats, cfg.max_lps,
                     cfg.max_subset, cfg.tol.lp)
-                fresh = {(free, frozenset(s)) for s in maximal} - seen_classes
+                fresh = {(free, s) for s in maximal} - seen_classes
                 seen_classes |= fresh
                 new_classes += len(fresh)
                 stats.classes_found += len(fresh)
                 for s in mergers:
-                    mkey = (free, frozenset(s))
+                    mkey = (free, s)
                     if mkey in merged:
                         continue
                     merged.add(mkey)

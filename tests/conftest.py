@@ -6,7 +6,7 @@ import pytest
 
 from loccforge import parse_measurement
 from loccforge.hermitian import psd_sqrt
-from loccforge.measurement import measurement_from_parts
+from loccforge.measurement import measurement_from_parts, validate
 from loccforge.tree import Node, ProtocolTree, Term
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -21,6 +21,12 @@ def load_fixture(name):
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+def product_basis(*dims):
+    """The computational product basis of the given local dimensions."""
+    projs = [[np.diag(np.eye(d)[i]) for i in range(d)] for d in dims]
+    return measurement_from_parts([list(c) for c in itertools.product(*projs)])
 
 
 def random_complex(rng, d):
@@ -137,6 +143,19 @@ def random_valid_tree(rng, max_parties=3, max_dim=3, depth=3):
     nvars = next(vc)
     t = ProtocolTree(P, tuple(roots), (), nvars, levels(trunk_root))
     return t, m, np.ones(nvars)
+
+
+def locc_random_measurements():
+    """The measurements of random_valid_tree(max_parties=3, max_dim=3,
+    depth=4) over seeds 0..59 that pass validation, by seed. Each is LOCC
+    by construction."""
+    out = {}
+    for s in range(60):
+        _, m, _ = random_valid_tree(np.random.default_rng(s), max_parties=3,
+                                    max_dim=3, depth=4)
+        if not validate(m):
+            out[s] = m
+    return out
 
 
 def random_witness_measurement(rng):

@@ -31,7 +31,7 @@ from loccforge.tree import (
     walk_nodes,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, locc_random_measurements, product_basis
 
 I2 = np.eye(2)
 
@@ -143,11 +143,6 @@ def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
         ("rounds", "trees_built", "lps_solved", "classes_found"), stats))
     if kind == "Protocol":
         assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
-
-
-def product_basis(*dims):
-    projs = [[np.diag(np.eye(d)[i]) for i in range(d)] for d in dims]
-    return measurement_from_parts([list(c) for c in itertools.product(*projs)])
 
 
 @pytest.mark.parametrize("dims, stats", [
@@ -339,6 +334,16 @@ def test_intern_table_keeps_keys_and_trees(monkeypatch):
                          [canonical_key(t) for t, _ in v.protocols], tables[0]))
         assert runs[0][:2] == runs[1][:2]
         assert runs[0][2] is not runs[1][2]
+
+
+def test_locc_random_trees_are_never_proved_impossible():
+    """The random trees are LOCC by construction; running out of budget is
+    allowed, a proof of impossibility is not."""
+    ms = locc_random_measurements()
+    assert len(ms) == 16
+    for s, m in ms.items():
+        kind = synthesize(m, RunConfig(max_lps=2000)).kind
+        assert kind in ("Protocol", "BudgetExhausted"), s
 
 
 def test_round_budget():
