@@ -25,7 +25,7 @@ from .io import (
 )
 from .lifting import lift
 from .measurement import completeness_certificate, validate
-from .nogo import find_partition_witness, find_singular_pair_witness
+from .nogo import find_partition_witness, find_singular_pair_witness, party_tables
 from .synthesis import orderings, synthesize
 from .tree import align_weights, leaves, validate_assignment
 
@@ -89,9 +89,12 @@ def _cmd_check_nogo(args, out) -> int:
         "partition_exhaustive_n": args.max_exhaustive,
     })
     m = parse_measurement(_read(args.measurement))
-    sp = find_singular_pair_witness(m, cfg.tol.lp)
+    # both scans share one set of cones and same-ray tables; a single
+    # operator needs none, as neither scan reads them then
+    tables = party_tables(m, cfg.tol.lp) if len(m) > 1 else None
+    sp = find_singular_pair_witness(m, cfg.tol.lp, tables=tables)
     scan = find_partition_witness(m, max_exhaustive_n=cfg.partition_exhaustive_n,
-                                  tol=cfg.tol.lp)
+                                  tol=cfg.tol.lp, tables=tables)
     pw = scan.witness
     payload = {"command": "check-nogo", "witness": bool(sp or pw)}
     lines = []

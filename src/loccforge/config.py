@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 
 from .errors import ConfigError
@@ -26,8 +27,17 @@ class Tolerances:
     def check(self) -> None:
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if not (0 < v < 1):
-                raise ConfigError(f"tolerance {f.name} must be in (0, 1), got {v}")
+            if not (_is(v, numbers.Real) and 0 < v < 1):
+                raise ConfigError(f"tolerance {f.name} must be in (0, 1), got {v!r}")
+
+
+def _is(v, kind) -> bool:
+    """isinstance for config values; JSON true and false are not numbers."""
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+# budgets the search also runs without: None (null in a file) means no cap
+_UNCAPPED_OK = ("max_subset", "max_lps")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,21 +47,25 @@ class RunConfig:
     rounds: int | None = None        # max merge rounds; None = run to a verdict
     delta: float = 1e-7              # strict-positivity floor for LP variables
     max_trees: int = 20000           # cap on live trees across the search
-    max_subset: int = 6              # largest class subset merged at once
-    max_lps: int = 50000             # cap on LP solves across the search
+    max_subset: int | None = 6       # largest class subset merged at once; None = no cap
+    max_lps: int | None = 50000      # cap on LP solves across the search; None = no cap
     partition_exhaustive_n: int = 16 # above this, partition no-go only tries small S1
     mode: str = "first"              # "first" stops at the first protocol; "exhaustive" keeps going
     tol: Tolerances = dataclasses.field(default_factory=Tolerances)
 
     def check(self) -> None:
         self.tol.check()
-        if self.rounds is not None and self.rounds < 0:
-            raise ConfigError("rounds must be >= 0")
-        if not (0 < self.delta < 1):
-            raise ConfigError("delta must be in (0, 1)")
+        if self.rounds is not None and not (_is(self.rounds, numbers.Integral)
+                                            and self.rounds >= 0):
+            raise ConfigError(f"rounds must be an integer >= 0, got {self.rounds!r}")
+        if not (_is(self.delta, numbers.Real) and 0 < self.delta < 1):
+            raise ConfigError(f"delta must be in (0, 1), got {self.delta!r}")
         for name in ("max_trees", "max_subset", "max_lps", "partition_exhaustive_n"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            v = getattr(self, name)
+            if v is None and name in _UNCAPPED_OK:
+                continue
+            if not (_is(v, numbers.Integral) and v >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         if self.mode not in ("first", "exhaustive"):
             raise ConfigError(f"mode must be 'first' or 'exhaustive', got {self.mode!r}")
 

@@ -6,10 +6,12 @@ their party cones. The partition scan splits the operator set in two and asks
 whether both local cone pairs have trivial intersection, which no protocol can
 reconcile. Finding nothing proves nothing; only synthesis can.
 
-Both scans read one same-ray table per party: for each operator j, the mask
-of operators i != j whose part at that party is proportional to j's,
-`proportional(g_i, g_j)`. The singular-pair scan calls part j singular when
-its mask is empty, exactly as `is_singular_ray` would.
+Both scans read one validated `Cone` per party and one same-ray table per
+party: for each operator j, the mask of operators i != j whose part at that
+party is proportional to j's, `proportional(g_i, g_j)`. `party_tables`
+builds both; a caller running both scans builds them once and passes them
+to each. The singular-pair scan calls part j singular when its mask is
+empty, exactly as `is_singular_ray` would.
 
 The partition scan skips two kinds of intersection LP whose answer is known.
 A split that puts two operators with proportional parts at party a on
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from typing import NamedTuple
 
 from .cones import Cone, _intersection_point, is_extreme_ray
 from .hermitian import LP_TOL, proportional
@@ -57,26 +60,45 @@ class PartitionScanResult:
     exhaustive: bool   # False when only small partitions were tried
 
 
-def _same_ray_table(cones, tol):
-    """Per party, per operator j: the bitmask of i != j with part i
+class PartyTables(NamedTuple):
+    """What both scans read, built with one tolerance (see `party_tables`)."""
+
+    tol: float
+    cones: list       # one validated Cone of the parts per party
+    same: list        # per party, per operator j: the mask of its same-ray parts
+
+
+def party_tables(m: SeparableMeasurement, tol: float = LP_TOL) -> PartyTables:
+    """One validated Cone per party and the same-ray table built from them:
+    per party, per operator j, the bitmask of i != j with part i
     proportional to part j, tested as `proportional(g_i, g_j)`."""
-    table = []
+    cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
+    same = []
     for c in cones:
         gens = c.generators
-        table.append([sum(1 << i for i, g in enumerate(gens)
-                          if i != j and proportional(g, gj, tol) is not None)
-                      for j, gj in enumerate(gens)])
-    return table
+        same.append([sum(1 << i for i, g in enumerate(gens)
+                         if i != j and proportional(g, gj, tol) is not None)
+                     for j, gj in enumerate(gens)])
+    return PartyTables(tol, cones, same)
 
 
-def find_singular_pair_witness(m: SeparableMeasurement,
-                               tol: float = LP_TOL) -> NoGoWitness | None:
-    """First operator (ascending index) with singular extreme parts at two parties."""
+def _tables_for(m, tol, tables):
+    if tables is None:
+        return party_tables(m, tol)
+    if tables.tol != tol:
+        raise ValueError(f"tables built with tol {tables.tol}, scan given {tol}")
+    return tables
+
+
+def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
+                               tables: PartyTables | None = None
+                               ) -> NoGoWitness | None:
+    """First operator (ascending index) with singular extreme parts at two
+    parties. `tables` defaults to `party_tables(m, tol)`."""
     if len(m.ops) < 2:
         # one outcome is always implementable; the conditions hold vacuously
         return None
-    cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
-    same = _same_ray_table(cones, tol)
+    _, cones, same = _tables_for(m, tol, tables)
     for j in range(len(m.ops)):
         bad = []
         for a in range(m.P):
@@ -103,23 +125,25 @@ def _bipartitions(n: int, small_side_max: int | None):
 
 
 def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
-                           tol: float = LP_TOL) -> PartitionScanResult:
+                           tol: float = LP_TOL, *,
+                           tables: PartyTables | None = None
+                           ) -> PartitionScanResult:
     """Scan bipartitions for two parties whose local cone pairs never meet.
 
     Beyond max_exhaustive_n operators only splits with a side of at most two
     are tried, and a miss is reported as non-exhaustive. A party where the
     split separates two proportional parts gets no LP, and a split stops once
     too few parties are left to block two (see the module docstring).
+    `tables` defaults to `party_tables(m, tol)`.
     """
     n = len(m.ops)
     if n < 2:
         return PartitionScanResult(None, True)
     exhaustive = n <= max_exhaustive_n
     small_side_max = None if exhaustive else 2
-    # validated once; each bipartition slices its two sides out of these
-    cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
+    # each bipartition slices its two sides out of the validated cones
+    _, cones, same = _tables_for(m, tol, tables)
     # operators that share a ray at a party, in either order of the test
-    same = _same_ray_table(cones, tol)
     linked = [[row[j] | sum(1 << i for i in range(n) if row[i] >> j & 1)
                for j in range(n)] for row in same]
     everyone = (1 << n) - 1

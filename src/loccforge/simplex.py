@@ -91,10 +91,12 @@ def _phase1(A: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
         # leaving = min ratio, ties broken by smallest basis variable
         leave = -1
         best = np.inf
+        col = T[:k, enter].tolist()
+        rhs = T[:k, -1].tolist()
         for i in range(k):
-            a = T[i, enter]
+            a = col[i]
             if a > _PIVOT_EPS:
-                ratio = T[i, -1] / a
+                ratio = rhs[i] / a
                 if ratio < best - _PIVOT_EPS or (ratio < best + _PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])):
                     best = ratio
                     leave = i

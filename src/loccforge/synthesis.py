@@ -17,6 +17,14 @@ point of the superset's LP restricted to the subset's columns is a point of
 the subset's. A subset with an infeasible one-smaller subset is therefore
 infeasible without an LP, and the maximal classes, the mergers and the
 no-new-class test see the same family.
+
+Most class LPs, "is there an x >= 1 with A x = 0?", are answered by one of
+two certificates on r = A @ 1 before the simplex; each gives the answer the
+simplex would. If r is exactly zero, x = 1 is a solution: the shifted rhs
+-r is all zero, so phase 1 ends at objective 0 and x = 1 has residual 0. If
+a row of A has entries of one sign and |r_i| > 2 tol, no x >= 1 passes the
+residual check: the row sums same-signed terms, so |(A x)_i| >= |r_i| > tol
+with room for roundoff. Either way the LP is still counted in `lps_solved`.
 """
 from __future__ import annotations
 
@@ -81,19 +89,33 @@ def _equations_to_lp(constraints, m, ncols, pins=()):
     """LP rows for lhs - rhs = 0 per Constraint, then group = identity per
     (party, group) pin, one block of d*d rows each, in input order (Bland's
     rule pivots by row and column order); returns (A, b)."""
-    blocks = []
-    for party, lhs, rhs in list(constraints) + [Constraint(a, g, ()) for a, g in pins]:
-        d = m.dims[party]
+    constraints = list(constraints) + [Constraint(a, g, ()) for a, g in pins]
+    sizes = [m.dims[c.party] ** 2 for c in constraints]
+    A = np.zeros((sum(sizes), ncols))
+    start = 0
+    for (party, lhs, rhs), size in zip(constraints, sizes):
         V = m.columns(party)
-        rows = np.zeros((d * d, ncols))
+        block = A[start:start + size]
         for group, sign in ((lhs, 1.0), (rhs, -1.0)):
             for t in group:
-                rows[:, t.var] += sign * t.scale * V[t.op]
-        blocks.append(rows)
-    A = np.vstack(blocks)
+                block[:, t.var] += sign * t.scale * V[t.op]
+        start += size
     eyes = [vectorize(np.eye(m.dims[a], dtype=complex)) for a, _ in pins]
     b = np.concatenate([np.zeros(A.shape[0] - sum(e.size for e in eyes))] + eyes)
     return A, b
+
+
+def _class_certificate(A, tol):
+    """True or False when the class LP A x = 0, x >= 1 is decided by a
+    certificate of the module docstring, None when it needs the simplex."""
+    # the product feasible_point forms for its shift to x >= 1
+    r = A @ (np.zeros(A.shape[1]) + 1.0)
+    if not r.any():
+        return True
+    one_sign = (A >= 0.0).all(axis=1) | (A <= 0.0).all(axis=1)
+    if (one_sign & (np.abs(r) > 2.0 * tol)).any():
+        return False
+    return None
 
 
 def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
@@ -122,6 +144,9 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
         return True
     A, b = _equations_to_lp(constraints, m, len(cols))
     _count_lp(stats, max_lps)
+    known = _class_certificate(A, tol)
+    if known is not None:
+        return known
     x = feasible_point(A, b, tol=tol, lower=np.ones(len(cols)))
     return x is not None
 

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from loccforge import cli, nogo, simplex
+from loccforge import cli, cones, nogo, simplex
 from loccforge.cli import main
 from loccforge.io import measurement_digest, parse_protocol, serialize_measurement
 from loccforge.measurement import measurement_from_parts
 
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, load_fixture, product_basis
 
 
 def fx(name):
@@ -233,3 +233,50 @@ def test_byte_determinism_over_commands(capsys):
         c1, o1, _ = run(capsys, *argv)
         c2, o2, _ = run(capsys, *argv)
         assert c1 == c2 and o1 == o2
+
+
+def test_check_nogo_builds_one_cone_per_party(tmp_path, capsys, monkeypatch):
+    built = []
+    real = cones.Cone.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cones.Cone, "__init__", spy)
+    doc = tmp_path / "basis3x3.json"
+    m = product_basis(3, 3)
+    doc.write_text(serialize_measurement(m))
+    code, out, _ = run(capsys, "check-nogo", str(doc))
+    assert code == 0 and out.endswith("verdict: no-witness\n")
+    assert len(built) == m.P
+
+
+@pytest.mark.parametrize("key, command, expected", [
+    ("max_lps", "synthesize", None),
+    ("max_subset", "synthesize", None),
+    ("max_trees", "synthesize", "error: max_trees must be an integer >= 1, got None"),
+    ("partition_exhaustive_n", "check-nogo",
+     "error: partition_exhaustive_n must be an integer >= 1, got None"),
+])
+def test_null_budget_in_config(tmp_path, capsys, key, command, expected):
+    """null means no cap where the search has none to miss; elsewhere it is
+    a reported error, never a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: None}))
+    code, out, err = run(capsys, command, fx("cascade5"), "--config", str(cfg))
+    if expected is None:
+        assert code == 0 and "verdict: Protocol" in out
+    else:
+        assert (code, out, err) == (1, "", expected + "\n")
+
+
+@pytest.mark.parametrize("key", ["max_lps", "max_subset", "max_trees",
+                                 "partition_exhaustive_n", "rounds", "delta",
+                                 "lp"])
+def test_non_numeric_config_value_is_a_reported_error(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "x"}))
+    code, out, err = run(capsys, "synthesize", fx("cascade5"), "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "'x'" in err

@@ -222,3 +222,19 @@ def test_locc_random_trees_have_no_witness():
     for s, m in ms.items():
         assert find_singular_pair_witness(m) is None, s
         assert find_partition_witness(m).witness is None, s
+
+
+def test_shared_tables_give_the_same_answers():
+    """Both scans answer the same from one shared set of tables as from
+    their own, and refuse tables built with another tolerance."""
+    for name in ["cascade5", "domino9", "krausdemo", "singularpair3"]:
+        m = load_fixture(name)
+        tables = nogo.party_tables(m, 1e-6)
+        assert (find_singular_pair_witness(m, 1e-6, tables=tables)
+                == find_singular_pair_witness(m, 1e-6))
+        assert (find_partition_witness(m, tol=1e-6, tables=tables)
+                == find_partition_witness(m, tol=1e-6))
+        with pytest.raises(ValueError, match="tol"):
+            find_singular_pair_witness(m, tables=tables)
+        with pytest.raises(ValueError, match="tol"):
+            find_partition_witness(m, tables=tables)

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from loccforge import synthesis
+from loccforge import simplex, synthesis
 from loccforge.config import RunConfig
 from loccforge.errors import InvalidMeasurementError
 from loccforge.hermitian import LP_TOL
 from loccforge.measurement import measurement_from_parts
+from loccforge.simplex import feasible_point
 from loccforge.synthesis import (
     SynthesisStats,
     _class_feasible,
@@ -377,3 +378,87 @@ def test_orderings_input_forms():
     assert orderings([(t, None)]) == orderings([t])
     named = orderings([t], m.party_names)
     assert all(isinstance(s[0], str) for s in named)
+
+
+def kernel_answer(A, tol):
+    """The class LP as _class_feasible would put it to the simplex."""
+    x = feasible_point(A, np.zeros(A.shape[0]), tol=tol,
+                       lower=np.ones(A.shape[1]))
+    return x is not None
+
+
+def test_class_certificates_agree_with_the_simplex(monkeypatch):
+    """Every class LP built on the product bases, the fixtures and the LOCC
+    random trees: a certificate's answer is the simplex's answer."""
+    built = {}
+    real = synthesis._class_certificate
+
+    def spy(A, tol):
+        built.setdefault((A.shape, A.tobytes(), tol), (A, tol))
+        return real(A, tol)
+
+    monkeypatch.setattr(synthesis, "_class_certificate", spy)
+    cases = [(product_basis(3, 3), RunConfig()),
+             (product_basis(2, 2, 2), RunConfig()),
+             (load_fixture("cascade5"), RunConfig()),
+             (load_fixture("domino9"), RunConfig())]
+    cases += [(m, RunConfig(max_lps=2000))
+              for m in locc_random_measurements().values()]
+    for m, cfg in cases:
+        synthesize(m, cfg)
+    answers = {True: 0, False: 0, None: 0}
+    for A, tol in built.values():
+        known = real(A, tol)
+        answers[known] += 1
+        if known is not None:
+            assert known == kernel_answer(A, tol)
+    # both certificates fire, and some LPs still need the simplex
+    assert min(answers.values()) > 0
+
+
+def test_class_certificate_margins():
+    tol = LP_TOL
+    mixed = [1.0, -1.0]
+    cert = synthesis._class_certificate
+    # a one-signed row summing to 1.9 tol is left to the simplex ...
+    A = np.array([[0.95 * tol, 0.95 * tol], mixed])
+    assert cert(A, tol) is None
+    # ... and at 2.1 tol no x >= 1 passes the residual check
+    A = np.array([[1.05 * tol, 1.05 * tol], mixed])
+    assert cert(A, tol) is False and kernel_answer(A, tol) is False
+    # a one-signed roundoff row is dropped by the simplex, which finds x
+    A = np.array([[4e-13, 4e-13], mixed])
+    assert cert(A, tol) is None and kernel_answer(A, tol) is True
+    # a large mixed-sign row is not a certificate: x = (2, 1) solves it
+    A = np.array([[1.0, -2.0]])
+    assert cert(A, tol) is None and kernel_answer(A, tol) is True
+    # A @ 1 == 0, a zero row included: x = 1 solves it
+    A = np.array([[1.0, -1.0, 0.0], [0.0, 2.0, -2.0], [0.0, 0.0, 0.0]])
+    assert cert(A, tol) is True and kernel_answer(A, tol) is True
+
+
+def test_product_basis_class_lps_need_no_pivots(monkeypatch):
+    """On the 3x3 basis every class LP is decided by a certificate, and each
+    still counts in lps_solved."""
+    inside, calls, pivoted = [], [], []
+    real_class, real_phase1 = synthesis._class_feasible, simplex._phase1
+
+    def class_spy(*args):
+        inside.append(True)
+        calls.append(args[1])
+        try:
+            return real_class(*args)
+        finally:
+            inside.pop()
+
+    def phase1_spy(*args):
+        if inside:
+            pivoted.append(args)
+        return real_phase1(*args)
+
+    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    monkeypatch.setattr(simplex, "_phase1", phase1_spy)
+    v = synthesize(product_basis(3, 3))
+    assert v.kind == "Protocol"
+    assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (257, 49, 2)
+    assert calls and pivoted == []
