@@ -88,7 +88,6 @@ from .tree import (
     extract_measurement,
     leaf_tree,
     leaves,
-    match_operator,
     merge_and_extend,
     prune_unitary_rounds,
     root_for,

@@ -136,7 +136,6 @@ def _cmd_synthesize(args, out) -> int:
     cfg = load_config(args.config, {
         "rounds": args.rounds,
         "delta": args.delta,
-        "max_subset": args.max_subset,
         "max_lps": args.max_lps,
         "max_trees": args.max_trees,
         "mode": "exhaustive" if args.exhaustive else None,
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="collect every protocol of the first successful round")
     p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--max-subset", type=int, default=None)
     p.add_argument("--max-lps", type=int, default=None)
     p.add_argument("--max-trees", type=int, default=None)
     p.add_argument("--dot", default=None, help="write the protocol as DOT")

@@ -37,7 +37,7 @@ def _is(v, kind) -> bool:
 
 
 # budgets the search also runs without: None (null in a file) means no cap
-_UNCAPPED_OK = ("max_subset", "max_lps")
+_UNCAPPED_OK = ("max_lps",)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +47,6 @@ class RunConfig:
     rounds: int | None = None        # max merge rounds; None = run to a verdict
     delta: float = 1e-7              # strict-positivity floor for LP variables
     max_trees: int = 20000           # cap on live trees across the search
-    max_subset: int | None = 6       # largest class subset merged at once; None = no cap
     max_lps: int | None = 50000      # cap on LP solves across the search; None = no cap
     partition_exhaustive_n: int = 16 # above this, partition no-go only tries small S1
     mode: str = "first"              # "first" stops at the first protocol; "exhaustive" keeps going
@@ -60,7 +59,7 @@ class RunConfig:
             raise ConfigError(f"rounds must be an integer >= 0, got {self.rounds!r}")
         if not (_is(self.delta, numbers.Real) and 0 < self.delta < 1):
             raise ConfigError(f"delta must be in (0, 1), got {self.delta!r}")
-        for name in ("max_trees", "max_subset", "max_lps", "partition_exhaustive_n"):
+        for name in ("max_trees", "max_lps", "partition_exhaustive_n"):
             v = getattr(self, name)
             if v is None and name in _UNCAPPED_OK:
                 continue

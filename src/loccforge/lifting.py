@@ -15,7 +15,7 @@ import numpy as np
 from .errors import FactorizationFailureError, LiftError, NoKrausDataError
 from .hermitian import LP_TOL, proportional, psd_sqrt
 from .measurement import SeparableMeasurement
-from .tree import ProtocolTree, leaf_products, match_operator
+from .tree import ProtocolTree, leaf_operator, leaf_products
 
 _KERNEL_CUT = 1e-12
 _GS_CUT = 1e-7
@@ -87,11 +87,8 @@ def lift(tree: ProtocolTree, assignment, m: SeparableMeasurement,
     if m.kraus_groups is None:
         raise NoKrausDataError("measurement carries no Kraus data")
     tails = []
-    for leaf_id, (_, parts) in enumerate(leaf_products(tree, m, assignment)):
-        hits = match_operator(parts, m, tol)
-        if len(hits) != 1:
-            raise LiftError(f"leaf value matches {len(hits)} operators, expected 1")
-        i = hits[0][0]
+    for leaf_id, (leaf, parts) in enumerate(leaf_products(tree, m, assignment)):
+        i, _ = leaf_operator(tree, leaf, parts, m, tol)
         group = m.kraus_groups[i]
         base = [m.part(i, a) for a in range(m.P)]
         weights = []

@@ -176,7 +176,7 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
         for jp in range(j + 1, len(m.ops)):
             if not usable[jp]:
                 continue
-            if all(proportional(m.part(jp, a), m.part(j, a)) is not None
+            if all(proportional(m.part(jp, a), m.part(j, a), tol) is not None
                    for a in range(m.P)):
                 out.append(Diagnostic("duplicate-product", f"operators[{jp}]",
                                       f"product proportional to operators[{j}]"))

@@ -7,6 +7,10 @@ full-coverage trees for an assignment that pins every root to the identity.
 No new maximal class in a round means no tree can ever be built that was not
 already buildable, which proves impossibility.
 
+That proof needs the whole family of mergeable subsets of each round, so no
+subset size cuts it: only the budgets (`max_lps`, `max_trees`, `rounds`) stop
+a search early, and each ends it `BudgetExhausted`.
+
 The feasible family is found level by level, and a subset gets an LP only
 when every subset one tree smaller is feasible. This keeps the impossibility
 argument because the family returned is exactly the set of feasible subsets,
@@ -152,7 +156,7 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
 
 
 def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
-                     max_subset, tol):
+                     tol):
     """All feasible subsets of the ascending eligible ids, level by level.
 
     Level k+1 joins two feasible level-k tuples that share their first k-1
@@ -170,7 +174,7 @@ def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
 
     level = [(i,) for i in eligible if check((i,))]
     family = list(level)
-    while level and (max_subset is None or len(level[0]) < max_subset):
+    while level:
         feasible = set(level)
         nxt = []
         for n, a in enumerate(level):
@@ -187,8 +191,7 @@ def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
     return family
 
 
-def build_classes(trees, eligible, free, m, cache, stats, max_lps, max_subset,
-                  tol):
+def build_classes(trees, eligible, free, m, cache, stats, max_lps, tol):
     """Mergeable classes of the eligible trees with free party `free`.
 
     Returns (mergers, maximal): every feasible subset of size >= 2 in merge
@@ -196,7 +199,7 @@ def build_classes(trees, eligible, free, m, cache, stats, max_lps, max_subset,
     eligible tree extends.
     """
     family = _feasible_family(trees, eligible, free, m, cache, stats, max_lps,
-                              max_subset, tol)
+                              tol)
     in_family = set(map(frozenset, family))
     mergers = sorted((s for s in family if len(s) >= 2),
                      key=lambda s: (len(s), s))
@@ -282,7 +285,7 @@ def synthesize(m: SeparableMeasurement,
                             if trees[i].trunk_party != free]
                 mergers, maximal = build_classes(
                     trees, eligible, free, m, cache, stats, cfg.max_lps,
-                    cfg.max_subset, cfg.tol.lp)
+                    cfg.tol.lp)
                 fresh = {(free, s) for s in maximal} - seen_classes
                 seen_classes |= fresh
                 new_classes += len(fresh)

@@ -333,36 +333,34 @@ def extract_measurement(t: ProtocolTree, m: SeparableMeasurement, assignment,
     return ExtractionResult(out, np.array(weights))
 
 
-def match_operator(parts, m: SeparableMeasurement, tol: float = LP_TOL):
-    """Input operators proportional to the product `parts`, party by party
-    with positive ratios: [(j, product of the ratios)]."""
-    hits = []
-    for j in range(len(m.ops)):
-        ratios = []
-        for a in range(m.P):
-            try:
-                r = proportional(parts[a], m.part(j, a), tol)
-            except ZeroOperatorError:
-                r = None
-            if r is None or r <= 0:
-                break
-            ratios.append(r)
-        else:
-            hits.append((j, float(np.prod(ratios))))
-    return hits
+def leaf_operator(t: ProtocolTree, leaf, parts, m: SeparableMeasurement,
+                  tol: float = LP_TOL):
+    """(j, weight) for one item of `leaf_products`: synthesized leaves come
+    from `leaf_tree`, so the leaf's terms (the roots' without a trunk) name
+    one operator j, and each part must be lam * part(j, a), lam > 0 the trace
+    ratio, as `validate_assignment` checks; the weight is the product of lams."""
+    named = {term.op for n in (t.roots if leaf is None else (leaf,))
+             for g in n.groups for term in g}
+    if len(named) != 1:
+        raise TreeStructureError(f"leaf names {len(named)} operators, expected exactly 1")
+    (j,) = named
+    lams = []
+    for a, part in enumerate(parts):
+        lam = float(np.trace(part).real) / float(np.trace(m.part(j, a)).real)
+        if not (lam > 0 and _close(part, lam * m.part(j, a), tol)):
+            raise TreeStructureError(
+                f"leaf is no positive multiple of operator {j} at party {a}")
+        lams.append(lam)
+    return j, float(np.prod(lams))
 
 
 def align_weights(t: ProtocolTree, m: SeparableMeasurement, assignment,
                   tol: float = LP_TOL):
-    """Map each leaf to an input operator; return per-op weights and the
-    completeness residual of the weighted sum against the identity."""
+    """Weigh each leaf against the operator it names; return per-op weights
+    and the completeness residual of the weighted sum against the identity."""
     w = np.zeros(len(m.ops))
-    for _, parts in leaf_products(t, m, assignment):
-        hits = match_operator(parts, m, tol)
-        if len(hits) != 1:
-            raise TreeStructureError(
-                f"leaf product matches {len(hits)} operators, expected exactly 1")
-        j, c = hits[0]
+    for leaf, parts in leaf_products(t, m, assignment):
+        j, c = leaf_operator(t, leaf, parts, m, tol)
         w[j] += c
     total = sum(w[j] * m.ops[j].product() for j in range(len(m.ops)))
     residual = float(np.abs(total - m.identity()).max(initial=0.0))

@@ -8,7 +8,12 @@ from loccforge.cli import main
 from loccforge.io import measurement_digest, parse_protocol, serialize_measurement
 from loccforge.measurement import measurement_from_parts
 
-from conftest import FIXTURE_DIR, load_fixture, product_basis
+from conftest import (
+    FIXTURE_DIR,
+    load_fixture,
+    locc_random_measurements,
+    product_basis,
+)
 
 
 def fx(name):
@@ -54,6 +59,20 @@ def test_validate_structural_reject(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out)
     assert any(d["kind"] == "not-psd" for d in payload["diagnostics"])
+
+
+def test_validate_names_a_duplicate_of_a_tiny_part(tmp_path, capsys):
+    """A part whose largest entry lies between the zero-part tolerance and
+    1e-8 is compared at validate's own tolerance, not raised on."""
+    p0, p1, eye = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2)
+    m = measurement_from_parts(
+        [[p0, (1 - 5e-9) * eye], [p0, 5e-9 * eye], [p1, eye]])
+    p = tmp_path / "tiny.json"
+    p.write_text(serialize_measurement(m))
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 1 and err == ""
+    assert ("  [duplicate-product] operators[1]: product proportional to "
+            "operators[0]") in out.splitlines()
 
 
 def test_validate_missing_file(capsys):
@@ -116,6 +135,36 @@ def test_simplex_guard_is_a_reported_error(capsys, monkeypatch):
     code, out, err = run(capsys, "synthesize", fx("cascade5"))
     assert code == 1 and out == ""
     assert err.startswith("error: simplex iteration guard tripped")
+
+
+def synthesize_json(tmp_path, capsys, m, *flags):
+    doc = tmp_path / "m.json"
+    doc.write_text(serialize_measurement(m))
+    code, out, _ = run(capsys, "synthesize", str(doc), "--format", "json",
+                       *flags)
+    return code, json.loads(out)
+
+
+@pytest.mark.parametrize("n, lps", [(7, 142), (8, 276)])
+def test_one_sided_measurement_is_a_protocol(tmp_path, capsys, n, lps):
+    """A holds the identity and B measures an n-outcome basis, so B alone
+    implements it in one round; no subset size cuts the class family that
+    finds it."""
+    m = measurement_from_parts([[np.eye(2), np.diag(np.eye(n)[i])]
+                                for i in range(n)])
+    code, payload = synthesize_json(tmp_path, capsys, m)
+    assert (code, payload["verdict"]) == (0, "Protocol")
+    assert (payload["stats"]["rounds"], payload["stats"]["lps_solved"]) == (1, lps)
+    assert payload["weight_residual"] <= 1e-9
+
+
+def test_random_tree_29_gets_its_weights(tmp_path, capsys):
+    """Seed 29 has leaves at the delta floor and operators with proportional
+    products; each leaf is weighed against the operator it names."""
+    m = locc_random_measurements()[29]
+    code, payload = synthesize_json(tmp_path, capsys, m, "--max-lps", "2000")
+    assert (code, payload["verdict"]) == (0, "Protocol")
+    assert payload["weight_residual"] < 1e-9
 
 
 def test_synthesize_protocol(capsys):
@@ -254,7 +303,6 @@ def test_check_nogo_builds_one_cone_per_party(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("key, command, expected", [
     ("max_lps", "synthesize", None),
-    ("max_subset", "synthesize", None),
     ("max_trees", "synthesize", "error: max_trees must be an integer >= 1, got None"),
     ("partition_exhaustive_n", "check-nogo",
      "error: partition_exhaustive_n must be an integer >= 1, got None"),
@@ -271,7 +319,7 @@ def test_null_budget_in_config(tmp_path, capsys, key, command, expected):
         assert (code, out, err) == (1, "", expected + "\n")
 
 
-@pytest.mark.parametrize("key", ["max_lps", "max_subset", "max_trees",
+@pytest.mark.parametrize("key", ["max_lps", "max_trees",
                                  "partition_exhaustive_n", "rounds", "delta",
                                  "lp"])
 def test_non_numeric_config_value_is_a_reported_error(tmp_path, capsys, key):
@@ -280,3 +328,10 @@ def test_non_numeric_config_value_is_a_reported_error(tmp_path, capsys, key):
     code, out, err = run(capsys, "synthesize", fx("cascade5"), "--config", str(cfg))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "'x'" in err
+
+
+def test_max_subset_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_subset": 6}))
+    code, out, err = run(capsys, "synthesize", fx("cascade5"), "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: unknown config keys: ['max_subset']\n")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loccforge.errors import LiftError, NoKrausDataError
+from loccforge.errors import LiftError, NoKrausDataError, TreeStructureError
 from loccforge.hermitian import psd_sqrt, tensor
 from loccforge.lifting import lift
 from loccforge.measurement import (
@@ -10,7 +10,13 @@ from loccforge.measurement import (
     measurement_from_parts,
 )
 from loccforge.synthesis import synthesize
-from loccforge.tree import leaf_tree
+from loccforge.tree import (
+    align_weights,
+    eliminate_coin_flips,
+    leaf_tree,
+    leaves,
+    merge_and_extend,
+)
 
 from conftest import load_fixture
 
@@ -96,6 +102,19 @@ def test_inconsistent_group_raises():
                                kraus_groups=[[KrausProduct((P1, I2))]])
     with pytest.raises(LiftError, match="not internally proportional"):
         lift(leaf_tree(m, 0), np.ones(2), m)
+
+
+def test_leaf_naming_two_operators_is_rejected():
+    """Pooling the coin flip between the first two outcomes leaves one leaf
+    that names operators 0 and 1; neither weighing nor lifting picks one."""
+    m = from_kraus([(P0, P0), (P0, P1), (P1, I2)])
+    t = merge_and_extend([leaf_tree(m, j) for j in range(3)], 0)
+    pooled = eliminate_coin_flips(t, m, np.ones(t.nvars))
+    assert len(leaves(pooled)) == 2
+    for call in (lambda: align_weights(pooled, m, np.ones(t.nvars)),
+                 lambda: lift(pooled, np.ones(t.nvars), m)):
+        with pytest.raises(TreeStructureError, match="leaf names 2 operators"):
+            call()
 
 
 def test_three_party_exact_unitary_recovery(rng):

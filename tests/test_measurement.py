@@ -71,6 +71,14 @@ def test_validate_flags_duplicates():
     assert any(d.kind == "duplicate-product" for d in diags)
 
 
+def test_validate_compares_tiny_parts_at_its_own_tolerance():
+    # 5e-9 is above validate's zero-part tolerance and below proportional's
+    # default one
+    m = measurement_from_parts([[P0, (1 - 5e-9) * I2], [P0, 5e-9 * I2], [P1, I2]])
+    assert [(d.kind, d.where) for d in validate(m)] == [
+        ("duplicate-product", "operators[1]")]
+
+
 def test_validate_flags_part_count_and_dims():
     m = SeparableMeasurement([[P0, I2], [P1, np.eye(3)]])
     kinds = {d.kind for d in validate(m)}

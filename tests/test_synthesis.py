@@ -119,7 +119,7 @@ def classes_by_party(trees, m, cache=None, stats=None):
     for free in range(m.P):
         eligible = [i for i, t in enumerate(trees) if t.trunk_party != free]
         out[free] = build_classes(trees, eligible, free, m, cache, stats, None,
-                                  6, LP_TOL)
+                                  LP_TOL)
     return out
 
 
@@ -270,13 +270,12 @@ def round_start_trees(m, monkeypatch, rounds):
 @pytest.mark.parametrize("name", ["productbasis4", "cascade5", "domino9"])
 def test_feasible_family_matches_brute_force(name, monkeypatch):
     m = load_fixture(name)
-    max_subset = RunConfig().max_subset
     starts = round_start_trees(m, monkeypatch, 2)
     assert len(starts) == 2 and len(starts[1]) > len(starts[0]) == len(m)
     for trees in starts:
         for free in range(m.P):
             eligible = [i for i, t in enumerate(trees) if t.trunk_party != free]
-            brute = {frozenset(c) for k in range(1, max_subset + 1)
+            brute = {frozenset(c) for k in range(1, len(eligible) + 1)
                      for c in itertools.combinations(eligible, k)
                      if _class_feasible(trees, c, free, m, SynthesisStats(),
                                         None, LP_TOL)}
@@ -289,13 +288,13 @@ def test_feasible_family_matches_brute_force(name, monkeypatch):
 
             monkeypatch.setattr(synthesis, "_class_feasible", spy)
             family = _feasible_family(trees, eligible, free, m, {},
-                                      SynthesisStats(), None, max_subset, LP_TOL)
+                                      SynthesisStats(), None, LP_TOL)
             monkeypatch.undo()
             assert len(set(family)) == len(family)
             assert set(map(frozenset, family)) == brute
             # only the family and its negative border reach _class_feasible:
             # the infeasible sets whose one-smaller subsets are all feasible
-            border = {frozenset(c) for k in range(1, max_subset + 1)
+            border = {frozenset(c) for k in range(1, len(eligible) + 1)
                       for c in itertools.combinations(eligible, k)
                       if frozenset(c) not in brute
                       and all(len(c) == 1 or frozenset(c) - {i} in brute
@@ -345,6 +344,20 @@ def test_locc_random_trees_are_never_proved_impossible():
     for s, m in ms.items():
         kind = synthesize(m, RunConfig(max_lps=2000)).kind
         assert kind in ("Protocol", "BudgetExhausted"), s
+
+
+def test_locc_random_tree_protocols_get_their_weights():
+    """Every protocol found for the LOCC random trees weighs each leaf against
+    the operator it names and completes to the identity, the leaves at the
+    delta floor included."""
+    found = set()
+    for s, m in locc_random_measurements().items():
+        v = synthesize(m, RunConfig(max_lps=2000))
+        if v.kind == "Protocol":
+            found.add(s)
+            _, residual = align_weights(v.tree, m, v.assignment)
+            assert residual <= 1e-9, s
+    assert {12, 29, 54, 59} <= found
 
 
 def test_round_budget():
