@@ -12,7 +12,7 @@ import json
 import pathlib
 import sys
 
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import InfeasibleError, LoccForgeError
 from .io import (
     _encode_matrix,
@@ -45,14 +45,15 @@ def _emit(payload: dict, lines: list, fmt: str, out) -> None:
 
 
 def _cmd_validate(args, out) -> int:
+    cfg = load_config(args.config)
     doc = parse_document(_read(args.measurement))
     m = doc.to_measurement()
-    diags = validate(m)
+    diags = validate(m, cfg.tol.psd)
     complete = False
     residual = None
     if not diags:
         try:
-            cert = completeness_certificate(m)
+            cert = completeness_certificate(m, cfg.delta, cfg.tol.lp)
             complete = True
             residual = float(cert.residual)
         except InfeasibleError:
@@ -88,7 +89,7 @@ def _cmd_check_nogo(args, out) -> int:
     cfg = load_config(args.config, {
         "partition_exhaustive_n": args.max_exhaustive,
     })
-    m = parse_measurement(_read(args.measurement))
+    m = parse_measurement(_read(args.measurement), cfg.tol.psd)
     # both scans share one set of cones and same-ray tables; a single
     # operator needs none, as neither scan reads them then
     tables = party_tables(m, cfg.tol.lp) if len(m) > 1 else None
@@ -140,7 +141,7 @@ def _cmd_synthesize(args, out) -> int:
         "max_trees": args.max_trees,
         "mode": "exhaustive" if args.exhaustive else None,
     })
-    m = parse_measurement(_read(args.measurement))
+    m = parse_measurement(_read(args.measurement), cfg.tol.psd)
     verdict = synthesize(m, cfg)
     payload = {
         "command": "synthesize",
@@ -186,15 +187,17 @@ def _cmd_synthesize(args, out) -> int:
 
 
 def _cmd_lift(args, out) -> int:
-    m = parse_measurement(_read(args.measurement))
+    cfg = load_config(args.config)
+    m = parse_measurement(_read(args.measurement), cfg.tol.psd)
     doc = parse_protocol(_read(args.protocol))
     if doc.tree is None or doc.assignment is None:
         raise LoccForgeError("protocol document carries no tree to lift")
     if doc.measurement_digest != measurement_digest(m):
         raise LoccForgeError("protocol was synthesized for a different measurement")
-    if not validate_assignment(doc.tree, m, doc.assignment, pin_identities=True):
+    if not validate_assignment(doc.tree, m, doc.assignment, pin_identities=True,
+                               tol=cfg.tol.lp):
         raise LoccForgeError("saved protocol fails revalidation on this measurement")
-    lifted = lift(doc.tree, doc.assignment, m)
+    lifted = lift(doc.tree, doc.assignment, m, cfg.tol.lp)
     payload = {
         "command": "lift",
         "extra_round": lifted.extra_round,

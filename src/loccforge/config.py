@@ -20,7 +20,6 @@ ENV_CONFIG = "LOCCFORGE_CONFIG"
 class Tolerances:
     """Numeric tolerances used throughout validation and search."""
 
-    herm: float = 1e-10   # max |M - M^dagger| entry allowed
     psd: float = 1e-9     # eigenvalue floor, relative to spectral radius
     lp: float = 1e-8      # residual tolerance on linear systems / LP checks
 

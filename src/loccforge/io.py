@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import LoccForgeError, ParseError
-from .hermitian import psd_sqrt
+from .hermitian import PSD_TOL, psd_sqrt
 from .measurement import (
     KrausProduct,
     SeparableMeasurement,
@@ -160,14 +160,14 @@ def parse_document(text: str) -> MeasurementDocument:
     return MeasurementDocument(tuple(pt), tuple(ops), meta)
 
 
-def parse_measurement(text: str) -> SeparableMeasurement:
+def parse_measurement(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
     """Parse and fully validate; raises ParseError with a kind on any defect."""
     doc = parse_document(text)
     try:
         m = doc.to_measurement()
     except (LoccForgeError, ValueError) as e:
         raise ParseError(str(e), kind="shape") from e
-    diags = validate(m)
+    diags = validate(m, tol)
     if diags:
         d = diags[0]
         raise ParseError(f"{d.where}: {d.detail}",

@@ -22,6 +22,12 @@ the subset's. A subset with an infeasible one-smaller subset is therefore
 infeasible without an LP, and the maximal classes, the mergers and the
 no-new-class test see the same family.
 
+Each round extends the last one's search: a round only adds trees, and a
+fixed set's feasibility never changes, so every subset of last round's trees
+was tested, merged and counted then. A new class holds a tree born in the
+last round, and so do its one-larger supersets; only such subsets get an LP
+or a merge, and their maximality is decided among themselves.
+
 Most class LPs, "is there an x >= 1 with A x = 0?", are answered by one of
 two certificates on r = A @ 1 before the simplex; each gives the answer the
 simplex would. If r is exactly zero, x = 1 is a solution: the shifted rhs
@@ -155,9 +161,11 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
     return x is not None
 
 
-def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
-                     tol):
-    """All feasible subsets of the ascending eligible ids, level by level.
+def _feasible_family(trees, eligible, free_party, m, known, start, stats,
+                     max_lps, tol):
+    """The feasible subsets of the ascending eligible ids that hold an id >=
+    start, level by level; `known` must hold this free party's feasible
+    subsets of the ids below start, and gains every feasible subset found.
 
     Level k+1 joins two feasible level-k tuples that share their first k-1
     ids; a candidate gets an LP only when every one-smaller subset is
@@ -165,17 +173,15 @@ def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
     order of its tuples.
     """
 
-    def check(ids):
-        key = (free_party, ids)
-        if key not in cache:
-            cache[key] = _class_feasible(trees, ids, free_party, m, stats,
-                                         max_lps, tol)
-        return cache[key]
+    def check(c):
+        if c[-1] >= start and _class_feasible(trees, c, free_party, m, stats,
+                                              max_lps, tol):
+            known.add(c)
+        return c in known
 
     level = [(i,) for i in eligible if check((i,))]
     family = list(level)
     while level:
-        feasible = set(level)
         nxt = []
         for n, a in enumerate(level):
             for b in level[n + 1:]:
@@ -183,30 +189,27 @@ def _feasible_family(trees, eligible, free_party, m, cache, stats, max_lps,
                     break
                 c = a + b[-1:]
                 # dropping c[-1] gives a and dropping c[-2] gives b
-                if (all(c[:k] + c[k + 1:] in feasible for k in range(len(c) - 2))
+                if (all(c[:k] + c[k + 1:] in known for k in range(len(c) - 2))
                         and check(c)):
                     nxt.append(c)
         family += nxt
         level = nxt
-    return family
+    return [c for c in family if c[-1] >= start]
 
 
-def build_classes(trees, eligible, free, m, cache, stats, max_lps, tol):
-    """Mergeable classes of the eligible trees with free party `free`.
+def build_classes(trees, eligible, free, m, known, start, stats, max_lps, tol):
+    """Mergeable classes of the eligible trees with free party `free` that
+    hold an id >= start (`known` as in `_feasible_family`).
 
-    Returns (mergers, maximal): every feasible subset of size >= 2 in merge
-    order (size, then ids), and the subsets among them that no further
-    eligible tree extends.
+    Returns (mergers, maximal): every such feasible subset of size >= 2 in
+    merge order (size, then ids), and the subsets among them that no further
+    eligible tree extends; such a superset holds an id >= start too.
     """
-    family = _feasible_family(trees, eligible, free, m, cache, stats, max_lps,
-                              tol)
-    in_family = set(map(frozenset, family))
-    mergers = sorted((s for s in family if len(s) >= 2),
-                     key=lambda s: (len(s), s))
-    maximal = [s for s in mergers
-               if not any(frozenset(s + (j,)) in in_family
-                          for j in eligible if j not in s)]
-    return mergers, maximal
+    new = _feasible_family(trees, eligible, free, m, known, start, stats,
+                           max_lps, tol)
+    extended = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
+    mergers = [s for s in new if len(s) >= 2]
+    return mergers, [s for s in mergers if s not in extended]
 
 
 def feasibility(t: ProtocolTree, m: SeparableMeasurement, *,
@@ -264,10 +267,9 @@ def synthesize(m: SeparableMeasurement,
         return SynthesisVerdict("ProvedImpossible", None, None, stats,
                                 reason="single operator cannot pin to the identity")
 
-    # keyed by (free party, ascending id tuple), as the family lists subsets
-    cache = {}
-    merged = set()
-    seen_classes = set()
+    # per free party, the feasible subsets found so far (ascending id tuples)
+    known = [set() for _ in range(m.P)]
+    start = 0
     round_idx = 0
     while True:
         if cfg.rounds is not None and round_idx >= cfg.rounds:
@@ -284,17 +286,11 @@ def synthesize(m: SeparableMeasurement,
                 eligible = [i for i in range(snapshot)
                             if trees[i].trunk_party != free]
                 mergers, maximal = build_classes(
-                    trees, eligible, free, m, cache, stats, cfg.max_lps,
-                    cfg.tol.lp)
-                fresh = {(free, s) for s in maximal} - seen_classes
-                seen_classes |= fresh
-                new_classes += len(fresh)
-                stats.classes_found += len(fresh)
+                    trees, eligible, free, m, known[free], start, stats,
+                    cfg.max_lps, cfg.tol.lp)
+                new_classes += len(maximal)
+                stats.classes_found += len(maximal)
                 for s in mergers:
-                    mkey = (free, s)
-                    if mkey in merged:
-                        continue
-                    merged.add(mkey)
                     tnew = merge_and_extend([trees[i] for i in s], free, memo)
                     ck = canonical_key(tnew, memo)
                     if ck in keys:
@@ -328,6 +324,7 @@ def synthesize(m: SeparableMeasurement,
             return SynthesisVerdict(
                 "ProvedImpossible", None, None, stats,
                 reason=f"round {round_idx} produced no new equivalence classes")
+        start = snapshot
 
 
 def orderings(protocols, party_names=None) -> list:

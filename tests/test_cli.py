@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -335,3 +336,55 @@ def test_max_subset_is_an_unknown_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"max_subset": 6}))
     code, out, err = run(capsys, "synthesize", fx("cascade5"), "--config", str(cfg))
     assert (code, out, err) == (1, "", "error: unknown config keys: ['max_subset']\n")
+
+
+def test_herm_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"herm": 0.5}))
+    code, out, err = run(capsys, "check-nogo", fx("cascade5"), "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: unknown config keys: ['herm']\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "lift"])
+def test_missing_config_file_is_a_reported_error(tmp_path, capsys, command):
+    argv = [command, fx("krausdemo"), "--config", str(tmp_path / "missing.json")]
+    if command == "lift":
+        argv += ["--protocol", str(tmp_path / "protocol.json")]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read config file")
+
+
+def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"psd": 2e-9, "lp": 3e-8, "delta": 2e-7}))
+    proto = tmp_path / "protocol.json"
+    assert run(capsys, "synthesize", fx("krausdemo"), "--save", str(proto))[0] == 0
+    seen = {}
+
+    def spy(real):
+        def wrapped(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen[real.__name__] = {k: v for k, v in bound.arguments.items()
+                                   if k in ("tol", "delta")}
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("parse_measurement", "validate", "completeness_certificate",
+                 "validate_assignment", "lift"):
+        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    psd = {"tol": 2e-9}
+    for argv, expected in [
+        (("validate", fx("krausdemo")),
+         {"validate": psd,
+          "completeness_certificate": {"delta": 2e-7, "tol": 3e-8}}),
+        (("lift", fx("krausdemo"), "--protocol", str(proto)),
+         {"parse_measurement": psd, "validate_assignment": {"tol": 3e-8},
+          "lift": {"tol": 3e-8}}),
+        (("synthesize", fx("krausdemo")), {"parse_measurement": psd}),
+        (("check-nogo", fx("krausdemo")), {"parse_measurement": psd}),
+    ]:
+        seen.clear()
+        assert run(capsys, *argv, "--config", str(cfg))[0] == 0, argv
+        assert seen == expected, argv

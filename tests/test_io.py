@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loccforge.errors import ParseError
+from loccforge.fixtures import write_all
 from loccforge.io import (
     MEASUREMENT_FORMAT,
     export_dot,
@@ -21,6 +22,15 @@ from conftest import FIXTURE_DIR, load_fixture
 
 ALL_FIXTURES = ["cascade5", "domino9", "fourparty_aligned", "fourparty_mismatch",
                 "productbasis4", "singularpair3", "krausdemo"]
+
+
+def test_fixtures_are_regenerated_byte_for_byte(tmp_path):
+    """fixtures/ holds exactly what loccforge.fixtures writes, byte for byte."""
+    written = write_all(tmp_path)
+    assert sorted(p.name for p in written) == \
+        sorted(p.name for p in FIXTURE_DIR.glob("*.json"))
+    for p in written:
+        assert p.read_bytes() == (FIXTURE_DIR / p.name).read_bytes(), p.name
 
 
 def make_doc(**kw):

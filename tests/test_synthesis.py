@@ -111,15 +111,17 @@ def test_productbasis_exhaustive_mode():
         assert validate_assignment(t, m, x, pin_identities=True)
 
 
-def classes_by_party(trees, m, cache=None, stats=None):
-    """build_classes for every free party over all trees: {free: (mergers, maximal)}."""
-    cache = {} if cache is None else cache
+def classes_by_party(trees, m, known=None, start=0, stats=None):
+    """build_classes for every free party over all trees: {free: (mergers,
+    maximal)}; known is one set of feasible subsets per party, empty by
+    default, so with start 0 every class is searched from scratch."""
+    known = [set() for _ in range(m.P)] if known is None else known
     stats = SynthesisStats() if stats is None else stats
     out = {}
     for free in range(m.P):
         eligible = [i for i, t in enumerate(trees) if t.trunk_party != free]
-        out[free] = build_classes(trees, eligible, free, m, cache, stats, None,
-                                  LP_TOL)
+        out[free] = build_classes(trees, eligible, free, m, known[free], start,
+                                  stats, None, LP_TOL)
     return out
 
 
@@ -228,15 +230,18 @@ def test_determinism_across_runs():
         [canonical_key(t) for t, _ in e2.protocols]
 
 
-def test_build_classes_shares_lp_cache():
+def test_build_classes_extends_known_subsets():
+    """A call with start past every tree only looks up the known subsets: it
+    solves no LP and finds no class."""
     m = load_fixture("productbasis4")
     trees = [leaf_tree(m, j) for j in range(len(m))]
-    cache = {}
+    known = [set() for _ in range(m.P)]
     stats = SynthesisStats()
-    first = classes_by_party(trees, m, cache, stats)
+    first = classes_by_party(trees, m, known, 0, stats)
     solved = stats.lps_solved
-    assert solved > 0
-    assert classes_by_party(trees, m, cache, stats) == first
+    assert solved > 0 and any(mergers for mergers, _ in first.values())
+    again = classes_by_party(trees, m, known, len(trees), stats)
+    assert again == {free: ([], []) for free in range(m.P)}
     assert stats.lps_solved == solved
 
 
@@ -287,7 +292,7 @@ def test_feasible_family_matches_brute_force(name, monkeypatch):
                 return _class_feasible(trees, ids, *args)
 
             monkeypatch.setattr(synthesis, "_class_feasible", spy)
-            family = _feasible_family(trees, eligible, free, m, {},
+            family = _feasible_family(trees, eligible, free, m, set(), 0,
                                       SynthesisStats(), None, LP_TOL)
             monkeypatch.undo()
             assert len(set(family)) == len(family)
@@ -301,6 +306,97 @@ def test_feasible_family_matches_brute_force(name, monkeypatch):
                               for i in c)}
             assert len(set(solved)) == len(solved)
             assert set(solved) == brute | border
+
+
+def scratch_classes(trees, eligible, free, m, answers):
+    """Every mergeable class of the eligible trees, searched from scratch:
+    (mergers in (size, ids) order, maximal ones). answers memoizes
+    _class_feasible by (free, ids), as the trees a tuple names never change."""
+
+    def feasible(c):
+        if (free, c) not in answers:
+            answers[free, c] = _class_feasible(trees, c, free, m,
+                                               SynthesisStats(), None, LP_TOL)
+        return answers[free, c]
+
+    family = set()
+    level = [(i,) for i in eligible if feasible((i,))]
+    while level:
+        family |= set(level)
+        level = [a + b[-1:] for n, a in enumerate(level) for b in level[n + 1:]
+                 if b[:-1] == a[:-1]
+                 and all(a[:k] + a[k + 1:] + b[-1:] in family
+                         for k in range(len(a)))
+                 and feasible(a + b[-1:])]
+    mergers = sorted((s for s in family if len(s) >= 2), key=lambda s: (len(s), s))
+    maximal = [s for s in mergers
+               if not any(tuple(sorted(s + (j,))) in family
+                          for j in eligible if j not in s)]
+    return mergers, maximal
+
+
+def search_cases():
+    cases = [(load_fixture(name), RunConfig())
+             for name in ("productbasis4", "cascade5", "domino9")]
+    return cases + [(m, RunConfig(max_lps=2000))
+                    for m in locc_random_measurements().values()]
+
+
+def test_rounds_return_only_new_classes(monkeypatch):
+    """Each build_classes call of a run returns what a from-scratch search of
+    its round finds beyond the earlier rounds: the mergers the last round did
+    not have, and the maximal classes no earlier round had."""
+    calls = []
+    real = synthesis.build_classes
+
+    def spy(trees, eligible, free, m, *args):
+        got = real(trees, eligible, free, m, *args)
+        calls.append((free, scratch_classes(trees, eligible, free, m, answers),
+                      got))
+        return got
+
+    monkeypatch.setattr(synthesis, "build_classes", spy)
+    rounds_extended = 0
+    for m, cfg in search_cases():
+        calls.clear()
+        answers = {}
+        last_mergers = {free: set() for free in range(m.P)}
+        seen = {free: set() for free in range(m.P)}
+        synthesize(m, cfg)
+        for free, (mergers, maximal), got in calls:
+            assert got == ([s for s in mergers if s not in last_mergers[free]],
+                           [s for s in maximal if s not in seen[free]])
+            rounds_extended += bool(last_mergers[free])
+            last_mergers[free] = set(mergers)
+            seen[free] |= set(maximal)
+    assert rounds_extended > 0
+
+
+def test_no_subset_is_tested_or_merged_twice(monkeypatch):
+    """Within one run, no (free party, trees) reaches _class_feasible or
+    merge_and_extend a second time."""
+    tested, merged = [], []
+    real_class, real_merge = synthesis._class_feasible, synthesis.merge_and_extend
+
+    def class_spy(trees, ids, free, *args):
+        tested.append((free, ids))
+        return real_class(trees, ids, free, *args)
+
+    def merge_spy(cs, free, memo):
+        merged.append((free, tuple(map(id, cs))))
+        return real_merge(cs, free, memo)
+
+    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
+    runs = 0
+    for m, cfg in search_cases():
+        tested.clear()
+        merged.clear()
+        v = synthesize(m, cfg)
+        assert len(set(tested)) == len(tested)
+        assert len(set(merged)) == len(merged)
+        runs += v.stats.rounds > 1 and bool(merged)
+    assert runs > 0
 
 
 def test_intern_table_keeps_keys_and_trees(monkeypatch):
