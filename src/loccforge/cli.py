@@ -46,8 +46,7 @@ def _emit(payload: dict, lines: list, fmt: str, out) -> None:
 
 def _cmd_validate(args, out) -> int:
     cfg = load_config(args.config)
-    doc = parse_document(_read(args.measurement))
-    m = doc.to_measurement()
+    m = parse_document(_read(args.measurement)).to_measurement(cfg.tol.psd)
     diags = validate(m, cfg.tol.psd)
     complete = False
     residual = None

@@ -12,14 +12,9 @@ import json
 
 import numpy as np
 
-from .errors import LoccForgeError, ParseError
-from .hermitian import PSD_TOL, psd_sqrt
-from .measurement import (
-    KrausProduct,
-    SeparableMeasurement,
-    measurement_from_parts,
-    validate,
-)
+from .errors import InvalidOperatorError, LoccForgeError, ParseError
+from .hermitian import PSD_TOL, HermitianOperator, psd_sqrt
+from .measurement import KrausProduct, SeparableMeasurement, validate
 from .synthesis import SynthesisStats, SynthesisVerdict
 from .tree import Constraint, Node, ProtocolTree, Term, root_for
 
@@ -75,23 +70,31 @@ class MeasurementDocument:
     operators: tuple   # (label, parts tuple of ndarray, kraus tuple|None)
     meta: dict
 
-    def to_measurement(self) -> SeparableMeasurement:
-        names = tuple(n for n, _ in self.parties)
-        labels = tuple(label for label, _, _ in self.operators)
-        parts_lists = [parts for _, parts, _ in self.operators]
+    def to_measurement(self, tol: float = PSD_TOL) -> SeparableMeasurement:
+        """The measurement; a non-Hermitian part raises a located ParseError.
+        Missing Kraus factors beside given ones are the parts' square roots;
+        if a part has none at `tol`, validate reports it, so none are kept."""
+        ops = tuple(tuple(_hermitian(p, f"operators[{j}].parts[{a}]")
+                          for a, p in enumerate(parts))
+                    for j, (_, parts, _) in enumerate(self.operators))
+        groups = None
         if any(kr is not None for _, _, kr in self.operators):
-            groups = []
-            for _, parts, kr in self.operators:
-                if kr is None:
-                    kr = ((tuple(psd_sqrt(p) for p in parts)),)
-                groups.append(tuple(KrausProduct(tuple(np.asarray(k, dtype=complex)
-                                                       for k in prod))
-                                    for prod in kr))
-            groups = tuple(groups)
-        else:
-            groups = None
-        return measurement_from_parts(parts_lists, labels=labels,
-                                      party_names=names, kraus_groups=groups)
+            try:
+                groups = tuple(tuple(map(KrausProduct, kr or (
+                    tuple(psd_sqrt(p, tol) for p in parts),)))
+                    for _, parts, kr in self.operators)
+            except InvalidOperatorError:
+                pass
+        return SeparableMeasurement(
+            ops, labels=tuple(label for label, _, _ in self.operators),
+            party_names=tuple(n for n, _ in self.parties), kraus_groups=groups)
+
+
+def _hermitian(mat, where):
+    try:
+        return HermitianOperator(mat)
+    except InvalidOperatorError as e:
+        raise ParseError(f"{where}: {e}", kind="shape") from e
 
 
 def parse_document(text: str) -> MeasurementDocument:
@@ -164,7 +167,7 @@ def parse_measurement(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
     """Parse and fully validate; raises ParseError with a kind on any defect."""
     doc = parse_document(text)
     try:
-        m = doc.to_measurement()
+        m = doc.to_measurement(tol)
     except (LoccForgeError, ValueError) as e:
         raise ParseError(str(e), kind="shape") from e
     diags = validate(m, tol)

@@ -11,7 +11,8 @@ party: for each operator j, the mask of operators i != j whose part at that
 party is proportional to j's, `proportional(g_i, g_j)`. `party_tables`
 builds both; a caller running both scans builds them once and passes them
 to each. The singular-pair scan calls part j singular when its mask is
-empty, exactly as `is_singular_ray` would.
+empty, exactly as `is_singular_ray` would, and extreme when the cone of the
+other parts misses it, as `is_extreme_ray` would with no same-ray part.
 
 The partition scan skips two kinds of intersection LP whose answer is known.
 A split that puts two operators with proportional parts at party a on
@@ -28,7 +29,7 @@ import dataclasses
 import itertools
 from typing import NamedTuple
 
-from .cones import Cone, _intersection_point, is_extreme_ray
+from .cones import Cone, _intersection_point, member
 from .hermitian import LP_TOL, proportional
 from .measurement import SeparableMeasurement
 
@@ -100,9 +101,11 @@ def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
         return None
     _, cones, same = _tables_for(m, tol, tables)
     for j in range(len(m.ops)):
+        others = [i for i in range(len(m.ops)) if i != j]
         bad = []
         for a in range(m.P):
-            if not same[a][j] and is_extreme_ray(j, cones[a], tol):
+            if not same[a][j] and member(cones[a].generators[j],
+                                         cones[a].subcone(others), tol) is None:
                 bad.append(a)
                 if len(bad) == 2:
                     return NoGoWitness("singular-pair", j, None, (bad[0], bad[1]),

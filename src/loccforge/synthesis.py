@@ -28,6 +28,15 @@ was tested, merged and counted then. A new class holds a tree born in the
 last round, and so do its one-larger supersets; only such subsets get an LP
 or a merge, and their maximality is decided among themselves.
 
+A run never builds a tree twice, so it keeps no table of trees. It merges each
+(free party f, subset S) once, and the canonical key of merge(S, f) names f,
+the party of the only root with children, and each member's key: branch i
+holds member i's f-root groups and trunk children; a leaf's groups name its
+operator, a merged member's trunk value sums its branches' values and its
+other roots stack its members'. All terms have scale 1.0, so the group
+`_group_sort_key` puts first depends only on the key. By induction keys
+differ. A repeat would be harmless: the impossibility proof needs every class.
+
 Most class LPs, "is there an x >= 1 with A x = 0?", are answered by one of
 two certificates on r = A @ 1 before the simplex; each gives the answer the
 simplex would. If r is exactly zero, x = 1 is a solution: the shifted rhs
@@ -51,7 +60,6 @@ from .tree import (
     Constraint,
     ProtocolTree,
     Term,
-    canonical_key,
     compact_same_party,
     coverage,
     leaf_tree,
@@ -249,10 +257,9 @@ def synthesize(m: SeparableMeasurement,
     stats = SynthesisStats()
     trees = [leaf_tree(m, j) for j in range(N)]
     stats.trees_built = N
-    # One intern table per run shares repeated terms, renamed groups and key
-    # subtuples between trees; its kinds of entry never compare equal.
+    # One intern table per run shares repeated terms and renamed groups
+    # between trees; its kinds of entry never compare equal.
     memo = {}
-    keys = {canonical_key(t, memo) for t in trees}
     full = set(range(N))
 
     if N == 1:
@@ -291,14 +298,10 @@ def synthesize(m: SeparableMeasurement,
                 new_classes += len(maximal)
                 stats.classes_found += len(maximal)
                 for s in mergers:
-                    tnew = merge_and_extend([trees[i] for i in s], free, memo)
-                    ck = canonical_key(tnew, memo)
-                    if ck in keys:
-                        continue
                     if len(trees) >= cfg.max_trees:
                         raise _BudgetHit("tree budget exhausted")
+                    tnew = merge_and_extend([trees[i] for i in s], free, memo)
                     trees.append(tnew)
-                    keys.add(ck)
                     stats.trees_built += 1
                     if coverage(tnew) == full:
                         _count_lp(stats, cfg.max_lps)

@@ -367,27 +367,18 @@ def align_weights(t: ProtocolTree, m: SeparableMeasurement, assignment,
     return w, residual
 
 
-def canonical_key(t: ProtocolTree, memo: dict | None = None):
+def canonical_key(t: ProtocolTree):
     """Structural identity: party-tagged shape with sorted (op, scale) term sets.
 
     Invariant under root storage order, sibling order, group order, term order,
-    and variable renaming. `memo` is an intern table for the key's subtuples;
-    pass one dict to every call of a search so that the keys of trees with
-    common subtrees share them.
+    and variable renaming.
     """
-    memo = {} if memo is None else memo
-
-    def intern(k):
-        return memo.setdefault(k, k)
-
     def gkey(g):
-        return intern(tuple(sorted(intern((term.op, round(term.scale, 9)))
-                                   for term in g)))
+        return tuple(sorted((term.op, round(term.scale, 9)) for term in g))
 
     def nkey(n):
-        return intern((n.party,
-                       intern(tuple(sorted(gkey(g) for g in n.groups))),
-                       intern(tuple(sorted(nkey(c) for c in n.children)))))
+        return (n.party, tuple(sorted(gkey(g) for g in n.groups)),
+                tuple(sorted(nkey(c) for c in n.children)))
 
     return (t.P, tuple(sorted(nkey(r) for r in t.roots)))
 

@@ -1,12 +1,19 @@
 import inspect
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from loccforge import cli, cones, nogo, simplex
 from loccforge.cli import main
-from loccforge.io import measurement_digest, parse_protocol, serialize_measurement
+from loccforge.errors import ParseError
+from loccforge.io import (
+    measurement_digest,
+    parse_measurement,
+    parse_protocol,
+    serialize_measurement,
+)
 from loccforge.measurement import measurement_from_parts
 
 from conftest import (
@@ -76,6 +83,50 @@ def test_validate_names_a_duplicate_of_a_tiny_part(tmp_path, capsys):
             "operators[0]") in out.splitlines()
 
 
+EYE2 = [[1, 0], [0, 1]]
+
+
+def write_document(tmp_path, operators):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps({
+        "parties": [{"name": "A", "dim": 2}, {"name": "B", "dim": 2}],
+        "operators": operators}))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["validate", "check-nogo"])
+def test_non_hermitian_part_is_located(tmp_path, capsys, command):
+    doc = write_document(tmp_path, [{"parts": [[[1, 1], [0, 1]], EYE2]},
+                                    {"parts": [EYE2, EYE2]}])
+    code, out, err = run(capsys, command, doc)
+    assert (code, out) == (1, "")
+    assert err == ("error: operators[0].parts[0]: matrix is not Hermitian "
+                   "within tolerance\n")
+    with pytest.raises(ParseError) as e:
+        parse_measurement(pathlib.Path(doc).read_text())
+    assert e.value.kind == "shape"
+
+
+@pytest.mark.parametrize("command", ["validate", "check-nogo"])
+def test_kraus_backfill_keeps_the_not_psd_diagnostic(tmp_path, capsys,
+                                                     command):
+    """A part with no square root is reported where it is, whether or not
+    another operator carries Kraus factors."""
+    reports = []
+    for kraus in ({"kraus": [[EYE2, EYE2]]}, {}):
+        doc = write_document(tmp_path, [{"parts": [EYE2, EYE2], **kraus},
+                                        {"parts": [[[1, 0], [0, -1]], EYE2]}])
+        reports.append(run(capsys, command, doc))
+    assert reports[0] == reports[1]
+    code, out, err = reports[0]
+    assert code == 1
+    located = "operators[1].parts[0]: local part has a negative eigenvalue"
+    if command == "validate":
+        assert f"  [not-psd] {located}" in out.splitlines() and err == ""
+    else:
+        assert err == f"error: {located}\n"
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/m.json")
     assert code == 1 and "error:" in err
@@ -120,14 +171,14 @@ def test_check_nogo_config_tolerance_reaches_both_scans(tmp_path, capsys,
 
     spy(cli, "find_singular_pair_witness")
     spy(cli, "find_partition_witness")
-    spy(nogo, "is_extreme_ray")
+    spy(nogo, "member")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lp": 1e-6}))
     code, _, _ = run(capsys, "check-nogo", fx("domino9"), "--config", str(cfg))
     assert code == 2
     names = {name for name, _ in seen}
     assert names == {"find_singular_pair_witness", "find_partition_witness",
-                     "is_extreme_ray"}
+                     "member"}
     assert all(tol == 1e-6 for _, tol in seen)
 
 

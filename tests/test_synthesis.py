@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -399,17 +400,61 @@ def test_no_subset_is_tested_or_merged_twice(monkeypatch):
     assert runs > 0
 
 
-def test_intern_table_keeps_keys_and_trees(monkeypatch):
-    """synthesize shares one intern table per run between merge_and_extend and
-    canonical_key; the keys and trees equal those built without one."""
-    tables = []
-    real_key, real_merge = synthesis.canonical_key, synthesis.merge_and_extend
+def test_merged_trees_never_repeat_a_key(monkeypatch):
+    """No merged tree of a run has the key of a leaf or of another merged
+    tree, so the search needs no table of the trees it has built."""
+    merged = []
+    real_merge = synthesis.merge_and_extend
 
-    def key_spy(t, memo):
-        k = real_key(t, memo)
-        assert k == canonical_key(t) and hash(k) == hash(canonical_key(t))
-        tables.append(memo)
-        return k
+    def merge_spy(cs, free, memo):
+        t = real_merge(cs, free, memo)
+        merged.append(t)
+        return t
+
+    monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
+    one_sided = measurement_from_parts([[I2, np.diag(np.eye(7)[i])]
+                                        for i in range(7)])
+    cases = search_cases()
+    cases += [(m, dataclasses.replace(cfg, mode="exhaustive"))
+              for m, cfg in search_cases()]
+    cases.append((one_sided, RunConfig()))
+    merges = 0
+    for m, cfg in cases:
+        merged.clear()
+        v = synthesize(m, cfg)
+        leaf_keys = {canonical_key(leaf_tree(m, j)) for j in range(len(m))}
+        keys = [canonical_key(t) for t in merged]
+        assert len(set(keys)) == len(keys)
+        assert not leaf_keys & set(keys)
+        assert v.stats.trees_built == len(m) + len(merged)
+        merges += len(merged)
+    assert merges > 0
+
+
+def test_tree_budget_is_checked_before_merging(monkeypatch):
+    """A run that hits max_trees stops before it builds the tree it cannot
+    keep."""
+    calls = []
+    real_merge = synthesis.merge_and_extend
+
+    def merge_spy(cs, free, memo):
+        calls.append(free)
+        return real_merge(cs, free, memo)
+
+    monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
+    v = synthesize(product_basis(3, 3), RunConfig(max_trees=20))
+    assert (v.kind, v.reason) == ("BudgetExhausted", "tree budget exhausted")
+    assert v.stats.as_dict() == {"rounds": 1, "trees_built": 20,
+                                 "lps_solved": 39, "classes_found": 3}
+    assert len(calls) == 11
+
+
+def test_intern_table_keeps_keys_and_trees(monkeypatch):
+    """synthesize passes one intern table per run, a fresh one for each run,
+    to every merge_and_extend call; the trees and the protocols' keys equal
+    those built without one."""
+    tables = []
+    real_merge = synthesis.merge_and_extend
 
     def merge_spy(cs, free, memo):
         t = real_merge(cs, free, memo)
@@ -417,14 +462,14 @@ def test_intern_table_keeps_keys_and_trees(monkeypatch):
         tables.append(memo)
         return t
 
-    monkeypatch.setattr(synthesis, "canonical_key", key_spy)
     monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
     for m in (load_fixture("cascade5"), product_basis(3, 3)):
         runs = []
         for _ in range(2):
             tables.clear()
             v = synthesize(m)
-            assert v.kind == "Protocol" and len(tables) > len(m)
+            assert v.kind == "Protocol"
+            assert len(tables) == v.stats.trees_built - len(m) > 0
             assert all(memo is tables[0] for memo in tables)
             runs.append((v.stats.as_dict(),
                          [canonical_key(t) for t, _ in v.protocols], tables[0]))
