@@ -142,12 +142,13 @@ def _cmd_synthesize(args, out) -> int:
     })
     m = parse_measurement(_read(args.measurement), cfg.tol.psd)
     verdict = synthesize(m, cfg)
+    orders = orderings(verdict, m.party_names)
     payload = {
         "command": "synthesize",
         "verdict": verdict.kind,
         "reason": verdict.reason,
         "stats": verdict.stats.as_dict(),
-        "orderings": [list(s) for s in orderings(verdict, m.party_names)],
+        "orderings": [list(s) for s in orders],
         "alternates": max(0, len(verdict.protocols) - 1),
     }
     lines = ["verdict: %s" % verdict.kind, "reason: %s" % verdict.reason,
@@ -164,7 +165,7 @@ def _cmd_synthesize(args, out) -> int:
                      % (payload["leaves"], payload["depth"]))
         lines.append("orderings: " + "; ".join(
             ",".join(s) if s else "(none)"
-            for s in orderings(verdict, m.party_names)))
+            for s in orders))
         lines.append("weights: " + "  ".join(
             "%s %.6g" % (m.labels[j], float(w[j])) for j in range(len(m))))
         if payload["alternates"]:

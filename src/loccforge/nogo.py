@@ -115,16 +115,14 @@ def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
 
 def _bipartitions(n: int, small_side_max: int | None):
     """Splits (S1, S2) with 0 in S1, ordered by |S1| then lexicographically."""
-    rest = list(range(1, n))
+    rest = range(1, n)
     for extra in range(0, n - 1):
         if small_side_max is not None and min(extra + 1, n - 1 - extra) > small_side_max:
             continue
         for combo in itertools.combinations(rest, extra):
-            s1 = (0,) + combo
-            s2 = tuple(j for j in range(n) if j not in s1)
-            if not s2:
-                continue
-            yield s1, s2
+            # the complement of S1; never empty, as |S1| <= n - 1
+            s2 = itertools.filterfalse(set(combo).__contains__, rest)
+            yield (0,) + combo, tuple(s2)
 
 
 def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
@@ -149,9 +147,9 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
     # operators that share a ray at a party, in either order of the test
     linked = [[row[j] | sum(1 << i for i in range(n) if row[i] >> j & 1)
                for j in range(n)] for row in same]
-    everyone = (1 << n) - 1
+    bit = [1 << j for j in range(n)]
     for s1, s2 in _bipartitions(n, small_side_max):
-        other = everyone ^ sum(1 << j for j in s1)
+        other = sum(map(bit.__getitem__, s2))
         blocked = []
         for a in range(m.P):
             c = cones[a]

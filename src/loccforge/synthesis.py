@@ -44,6 +44,24 @@ simplex would. If r is exactly zero, x = 1 is a solution: the shifted rhs
 a row of A has entries of one sign and |r_i| > 2 tol, no x >= 1 passes the
 residual check: the row sums same-signed terms, so |(A x)_i| >= |r_i| > tol
 with room for roundoff. Either way the LP is still counted in `lps_solved`.
+
+Both certificates are read without building the LP. Its columns are (tree
+id, var) pairs, so two trees never share a column, and each row holds the
+entries of one constraint: at each party but the free one, a tree's alias
+rows (group k against group k+1 of its root) or the chain rows (group 0 of
+one tree against group 0 of the next). Row sums and "one-signed" are
+properties of single rows, so the LP's certificate combines its blocks':
+False if a block has a one-signed row with |r| > 2 tol, True if every
+block sums to exactly zero, and otherwise the LP is built and goes to the
+simplex. An alias block depends only on (tree, party). A chain block
+depends only on the two value groups: with g the row sums of a value
+group's column block and pos, neg its masks of rows with entries all >= 0
+and all <= 0, the chain rows sum to g_a - g_b and are one-signed where
+(pos_a & neg_b) | (neg_a & pos_b). A run keeps these per (tree, party).
+The blocks' sums add each row in another order than A @ 1 does, so the
+exact-zero test can differ from the full matrix's only where A @ 1 is zero
+up to roundoff; a True still means that, so x = 1 passes the simplex's
+residual check. The False test keeps tol of room for roundoff in either order.
 """
 from __future__ import annotations
 
@@ -103,6 +121,14 @@ def _count_lp(stats: SynthesisStats, max_lps):
         raise _BudgetHit("lp budget exhausted")
 
 
+def _fill(block, lhs, rhs, V):
+    """Add the columns of lhs - rhs to block, one column per term var; V is
+    the party's `m.columns` table."""
+    for group, sign in ((lhs, 1.0), (rhs, -1.0)):
+        for t in group:
+            block[:, t.var] += sign * t.scale * V[t.op]
+
+
 def _equations_to_lp(constraints, m, ncols, pins=()):
     """LP rows for lhs - rhs = 0 per Constraint, then group = identity per
     (party, group) pin, one block of d*d rows each, in input order (Bland's
@@ -112,37 +138,95 @@ def _equations_to_lp(constraints, m, ncols, pins=()):
     A = np.zeros((sum(sizes), ncols))
     start = 0
     for (party, lhs, rhs), size in zip(constraints, sizes):
-        V = m.columns(party)
-        block = A[start:start + size]
-        for group, sign in ((lhs, 1.0), (rhs, -1.0)):
-            for t in group:
-                block[:, t.var] += sign * t.scale * V[t.op]
+        _fill(A[start:start + size], lhs, rhs, m.columns(party))
         start += size
     eyes = [vectorize(np.eye(m.dims[a], dtype=complex)) for a, _ in pins]
     b = np.concatenate([np.zeros(A.shape[0] - sum(e.size for e in eyes))] + eyes)
     return A, b
 
 
-def _class_certificate(A, tol):
-    """True or False when the class LP A x = 0, x >= 1 is decided by a
-    certificate of the module docstring, None when it needs the simplex."""
+def _block_signs(B):
+    """(row sums, rows with entries all >= 0, rows with entries all <= 0) of
+    the column block B."""
     # the product feasible_point forms for its shift to x >= 1
-    r = A @ (np.zeros(A.shape[1]) + 1.0)
+    r = B @ (np.zeros(B.shape[1]) + 1.0)
+    return r, (B >= 0.0).all(axis=1), (B <= 0.0).all(axis=1)
+
+
+def _certificate(r, one_sign, tol):
+    """The two certificates on row sums r and the mask of one-signed rows."""
     if not r.any():
         return True
-    one_sign = (A >= 0.0).all(axis=1) | (A <= 0.0).all(axis=1)
     if (one_sign & (np.abs(r) > 2.0 * tol)).any():
         return False
     return None
 
 
-def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
-    """Can the listed trees' roots share one strictly positive common value on
-    every party except free_party?"""
+def _class_certificate(A, tol):
+    """True or False when the class LP A x = 0, x >= 1 is decided by a
+    certificate of the module docstring, None when it needs the simplex."""
+    r, pos, neg = _block_signs(A)
+    return _certificate(r, pos | neg, tol)
+
+
+def _chain_certificate(a, b, tol):
+    """`_class_certificate` of the chain rows [G_a, -G_b], from the
+    `_block_signs` of the two value-group blocks G_a and G_b."""
+    (ga, pos_a, neg_a), (gb, pos_b, neg_b) = a, b
+    return _certificate(ga - gb, (pos_a & neg_b) | (neg_a & pos_b), tol)
+
+
+def _root_rows(t, beta, m, tol):
+    """The per-tree data of the class LPs at party beta, over t's own
+    variables: `_class_certificate` of its root's alias rows, and the
+    `_block_signs` of its value group's column block."""
+    V = m.columns(beta)
+    cols = {}
+    gs = [tuple(Term(u.op, cols.setdefault(u.var, len(cols)), u.scale)
+                for u in g) for g in root_for(t, beta).groups]
+    size = V.shape[1]
+    alias = np.zeros((size * (len(gs) - 1), len(cols)))
+    for k, (ga, gb) in enumerate(zip(gs, gs[1:])):
+        _fill(alias[k * size:(k + 1) * size], ga, gb, V)
+    value = np.zeros((size, len(cols)))
+    _fill(value, gs[0], (), V)
+    return _class_certificate(alias, tol), _block_signs(value)
+
+
+def _composed_certificate(trees, ids, free_party, m, tol, rows):
+    """`_class_certificate` of the class LP of ids, composed from its blocks
+    (module docstring) without building the LP. rows caches the blocks for
+    the run: (tid, beta) maps to `_root_rows`, (ta, tb, beta) to the chain
+    certificate of consecutive trees ta, tb."""
+    undecided = False
+    for beta in range(trees[ids[0]].P):
+        if beta == free_party:
+            continue
+        for tid in ids:
+            if (tid, beta) not in rows:
+                rows[tid, beta] = _root_rows(trees[tid], beta, m, tol)
+            known = rows[tid, beta][0]
+            if known is False:
+                return False
+            undecided = undecided or known is None
+        for ta, tb in zip(ids, ids[1:]):
+            key = ta, tb, beta
+            if key not in rows:
+                rows[key] = _chain_certificate(rows[ta, beta][1],
+                                               rows[tb, beta][1], tol)
+            if rows[key] is False:
+                return False
+            undecided = undecided or rows[key] is None
+    return None if undecided else True
+
+
+def _class_lp(trees, ids, free_party, m):
+    """(A, b) of the class LP of ids: per party but free_party, each tree's
+    alias rows, then the chain rows of consecutive trees; a column is a
+    (tree id, var) pair, numbered by first use, lhs before rhs."""
     cols = {}
 
     def renamed(tid, g):
-        # columns are numbered by first use, lhs before rhs, in constraint order
         return tuple(Term(t.op, cols.setdefault((tid, t.var), len(cols)), t.scale)
                      for t in g)
 
@@ -158,22 +242,33 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol):
             ga = root_for(trees[ta], beta).groups[0]
             gb = root_for(trees[tb], beta).groups[0]
             constraints.append(Constraint(beta, renamed(ta, ga), renamed(tb, gb)))
-    if not constraints:
-        return True
-    A, b = _equations_to_lp(constraints, m, len(cols))
+    return _equations_to_lp(constraints, m, len(cols))
+
+
+def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol, rows=None):
+    """Can the listed trees' roots share one strictly positive common value on
+    every party except free_party? rows is the run's block cache of
+    `_composed_certificate`, a fresh one when None; the LP is built only when
+    the certificate leaves it undecided."""
+    if all(len(ids) == 1 and len(root_for(trees[ids[0]], beta).groups) == 1
+           for beta in range(trees[ids[0]].P) if beta != free_party):
+        return True  # no constraint rows
     _count_lp(stats, max_lps)
-    known = _class_certificate(A, tol)
+    known = _composed_certificate(trees, ids, free_party, m, tol,
+                                  {} if rows is None else rows)
     if known is not None:
         return known
-    x = feasible_point(A, b, tol=tol, lower=np.ones(len(cols)))
+    A, b = _class_lp(trees, ids, free_party, m)
+    x = feasible_point(A, b, tol=tol, lower=np.ones(A.shape[1]))
     return x is not None
 
 
 def _feasible_family(trees, eligible, free_party, m, known, start, stats,
-                     max_lps, tol):
+                     max_lps, tol, rows=None):
     """The feasible subsets of the ascending eligible ids that hold an id >=
     start, level by level; `known` must hold this free party's feasible
     subsets of the ids below start, and gains every feasible subset found.
+    rows is passed to `_class_feasible`.
 
     Level k+1 joins two feasible level-k tuples that share their first k-1
     ids; a candidate gets an LP only when every one-smaller subset is
@@ -183,7 +278,7 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
 
     def check(c):
         if c[-1] >= start and _class_feasible(trees, c, free_party, m, stats,
-                                              max_lps, tol):
+                                              max_lps, tol, rows):
             known.add(c)
         return c in known
 
@@ -205,16 +300,17 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     return [c for c in family if c[-1] >= start]
 
 
-def build_classes(trees, eligible, free, m, known, start, stats, max_lps, tol):
+def build_classes(trees, eligible, free, m, known, start, stats, max_lps, tol,
+                  rows=None):
     """Mergeable classes of the eligible trees with free party `free` that
-    hold an id >= start (`known` as in `_feasible_family`).
+    hold an id >= start (`known` and rows as in `_feasible_family`).
 
     Returns (mergers, maximal): every such feasible subset of size >= 2 in
     merge order (size, then ids), and the subsets among them that no further
     eligible tree extends; such a superset holds an id >= start too.
     """
     new = _feasible_family(trees, eligible, free, m, known, start, stats,
-                           max_lps, tol)
+                           max_lps, tol, rows)
     extended = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
     mergers = [s for s in new if len(s) >= 2]
     return mergers, [s for s in mergers if s not in extended]
@@ -276,6 +372,9 @@ def synthesize(m: SeparableMeasurement,
 
     # per free party, the feasible subsets found so far (ascending id tuples)
     known = [set() for _ in range(m.P)]
+    # the class LPs' blocks per (tree id, party), read by every free party;
+    # tree ids are stable, as trees are only appended
+    rows = {}
     start = 0
     round_idx = 0
     while True:
@@ -294,7 +393,7 @@ def synthesize(m: SeparableMeasurement,
                             if trees[i].trunk_party != free]
                 mergers, maximal = build_classes(
                     trees, eligible, free, m, known[free], start, stats,
-                    cfg.max_lps, cfg.tol.lp)
+                    cfg.max_lps, cfg.tol.lp, rows)
                 new_classes += len(maximal)
                 stats.classes_found += len(maximal)
                 for s in mergers:

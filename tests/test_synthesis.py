@@ -542,30 +542,43 @@ def kernel_answer(A, tol):
 
 
 def test_class_certificates_agree_with_the_simplex(monkeypatch):
-    """Every class LP built on the product bases, the fixtures and the LOCC
-    random trees: a certificate's answer is the simplex's answer."""
-    built = {}
-    real = synthesis._class_certificate
+    """Every class LP the searches reach on the product bases, the fixtures
+    and the LOCC random trees: the certificate composed from per-tree blocks
+    is the full matrix's, and a decided answer is the simplex's. The two add
+    each row in another order, so they may differ on the zero test, and only
+    where the full row sums are within summation roundoff of zero (one LP of
+    cascade5)."""
+    reached = []
+    real = synthesis._class_feasible
 
-    def spy(A, tol):
-        built.setdefault((A.shape, A.tobytes(), tol), (A, tol))
-        return real(A, tol)
+    def spy(trees, ids, free, m, stats, max_lps, tol, *rest):
+        reached.append((trees, ids, free, m, tol))
+        return real(trees, ids, free, m, stats, max_lps, tol, *rest)
 
-    monkeypatch.setattr(synthesis, "_class_certificate", spy)
+    monkeypatch.setattr(synthesis, "_class_feasible", spy)
     cases = [(product_basis(3, 3), RunConfig()),
              (product_basis(2, 2, 2), RunConfig()),
              (load_fixture("cascade5"), RunConfig()),
              (load_fixture("domino9"), RunConfig())]
     cases += [(m, RunConfig(max_lps=2000))
               for m in locc_random_measurements().values()]
-    for m, cfg in cases:
-        synthesize(m, cfg)
     answers = {True: 0, False: 0, None: 0}
-    for A, tol in built.values():
-        known = real(A, tol)
-        answers[known] += 1
-        if known is not None:
-            assert known == kernel_answer(A, tol)
+    for m, cfg in cases:
+        reached.clear()
+        synthesize(m, cfg)
+        rows = {}
+        for trees, ids, free, m, tol in reached:
+            A, _ = synthesis._class_lp(trees, ids, free, m)
+            known = synthesis._composed_certificate(trees, ids, free, m, tol, rows)
+            full = synthesis._class_certificate(A, tol)
+            if known != full:
+                assert {known, full} == {True, None}
+                r = A @ np.ones(A.shape[1])
+                eps = np.finfo(float).eps
+                assert (np.abs(r) <= A.shape[1] * eps * np.abs(A).sum(axis=1)).all()
+            answers[known] += 1
+            if known is not None:
+                assert known == kernel_answer(A, tol)
     # both certificates fire, and some LPs still need the simplex
     assert min(answers.values()) > 0
 
@@ -589,6 +602,35 @@ def test_class_certificate_margins():
     # A @ 1 == 0, a zero row included: x = 1 solves it
     A = np.array([[1.0, -1.0, 0.0], [0.0, 2.0, -2.0], [0.0, 0.0, 0.0]])
     assert cert(A, tol) is True and kernel_answer(A, tol) is True
+
+    # the chain rows [G_a, -G_b] of two trees' value-group blocks, decided
+    # from each block's row sums and signs as the full rows are
+    def chain(Ga, Gb):
+        Ga, Gb = np.array(Ga), np.array(Gb)
+        known = synthesis._chain_certificate(synthesis._block_signs(Ga),
+                                             synthesis._block_signs(Gb), tol)
+        A = np.hstack([Ga, -Gb])
+        assert known == synthesis._class_certificate(A, tol)
+        return known, A
+
+    # g_a - g_b at 1.9 tol on a one-signed row is left to the simplex ...
+    known, _ = chain([[0.95 * tol, 0.95 * tol], [1.0, 0.0]], [[0.0], [1.0]])
+    assert known is None
+    # ... and at 2.1 tol no x >= 1 passes the residual check
+    known, A = chain([[1.05 * tol, 1.05 * tol], [1.0, 0.0]], [[0.0], [1.0]])
+    assert known is False and kernel_answer(A, tol) is False
+    # one-signed only across the pair: a's entries >= 0 and b's <= 0 ...
+    known, A = chain([[1.0, 2.0]], [[-3.0]])
+    assert known is False and kernel_answer(A, tol) is False
+    # ... or a's <= 0 and b's >= 0
+    known, A = chain([[-1.0, -2.0]], [[3.0]])
+    assert known is False and kernel_answer(A, tol) is False
+    # same signs on both sides make a mixed row: x = (1, 1, 3) solves it
+    known, A = chain([[1.0, 2.0]], [[1.0]])
+    assert known is None and kernel_answer(A, tol) is True
+    # equal row sums: x = 1 solves it
+    known, A = chain([[1.0, 2.0]], [[3.0]])
+    assert known is True and kernel_answer(A, tol) is True
 
 
 def test_product_basis_class_lps_need_no_pivots(monkeypatch):
@@ -616,3 +658,31 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
     assert v.kind == "Protocol"
     assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (257, 49, 2)
     assert calls and pivoted == []
+
+
+def test_product_basis_class_lps_are_never_assembled(monkeypatch):
+    """On the 3x3 and 4x4 bases the certificates, read from per-tree blocks,
+    decide every class LP, so _class_feasible never assembles one."""
+    inside, calls, assembled = [], [], []
+    real_class, real_lp = synthesis._class_feasible, synthesis._equations_to_lp
+
+    def class_spy(*args):
+        inside.append(True)
+        calls.append(args[1])
+        try:
+            return real_class(*args)
+        finally:
+            inside.pop()
+
+    def lp_spy(*args):
+        if inside:
+            assembled.append(args)
+        return real_lp(*args)
+
+    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    monkeypatch.setattr(synthesis, "_equations_to_lp", lp_spy)
+    v3 = synthesize(product_basis(3, 3))
+    v4 = synthesize(product_basis(4, 4))
+    assert v3.kind == v4.kind == "Protocol"
+    assert (v3.stats.lps_solved, v3.stats.trees_built, v3.stats.rounds) == (257, 49, 2)
+    assert calls and assembled == []
