@@ -54,7 +54,6 @@ from .measurement import (
     KrausProduct,
     ProductOperator,
     SeparableMeasurement,
-    affine_rank_report,
     completeness_certificate,
     from_kraus,
     measurement_from_parts,

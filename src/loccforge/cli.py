@@ -37,6 +37,13 @@ def _read(path: str) -> str:
         raise LoccForgeError(f"cannot read {path}: {e}") from e
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        pathlib.Path(path).write_text(text)
+    except OSError as e:
+        raise LoccForgeError(f"cannot write {path}: {e}") from e
+
+
 def _emit(payload: dict, lines: list, fmt: str, out) -> None:
     if fmt == "json":
         out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -176,11 +183,10 @@ def _cmd_synthesize(args, out) -> int:
         payload["weights"] = None
         payload["weight_residual"] = None
     if args.dot and verdict.tree is not None:
-        pathlib.Path(args.dot).write_text(
-            export_dot(verdict.tree, m, verdict.assignment))
+        _write(args.dot, export_dot(verdict.tree, m, verdict.assignment))
         lines.append("dot: %s" % args.dot)
     if args.save:
-        pathlib.Path(args.save).write_text(serialize_protocol(verdict, m))
+        _write(args.save, serialize_protocol(verdict, m))
         lines.append("saved: %s" % args.save)
     _emit(payload, lines, args.format, out)
     return {"Protocol": 0, "ProvedImpossible": 2, "BudgetExhausted": 3}[verdict.kind]

@@ -45,7 +45,7 @@ class RunConfig:
 
     rounds: int | None = None        # max merge rounds; None = run to a verdict
     delta: float = 1e-7              # strict-positivity floor for LP variables
-    max_trees: int = 20000           # cap on live trees across the search
+    max_trees: int = 20000           # cap on trees built across the search
     max_lps: int | None = 50000      # cap on LP solves across the search; None = no cap
     partition_exhaustive_n: int = 16 # above this, partition no-go only tries small S1
     mode: str = "first"              # "first" stops at the first protocol; "exhaustive" keeps going

@@ -243,24 +243,6 @@ def completeness_certificate(m: SeparableMeasurement, delta: float = 1e-7,
     return CompletenessCertificate(w, residual)
 
 
-def affine_rank_report(m: SeparableMeasurement) -> dict:
-    """Rank structure of the stacked vectorized parts, per party and for full products.
-
-    Fixture authors use this to confirm an instance carries no linear
-    constraints beyond the intended ones; the synthesis algorithm itself never
-    reads it.
-    """
-    party_ranks = []
-    for a in range(m.P):
-        party_ranks.append(int(np.linalg.matrix_rank(m.columns(a), tol=1e-9)))
-    prod_rows = np.array([vectorize(op.product()) for op in m.ops])
-    return {
-        "n_operators": len(m.ops),
-        "party_ranks": party_ranks,
-        "product_rank": int(np.linalg.matrix_rank(prod_rows, tol=1e-9)),
-    }
-
-
 def measurement_from_parts(parts_lists, labels=None, party_names=None,
                            kraus_groups=None) -> SeparableMeasurement:
     """Convenience: build from [[party matrices] per operator] without wrapping."""

@@ -22,11 +22,41 @@ the subset's. A subset with an infeasible one-smaller subset is therefore
 infeasible without an LP, and the maximal classes, the mergers and the
 no-new-class test see the same family.
 
+The same restriction certifies many subsets with one LP (MaxMiner's
+look-ahead, Bayardo 1998). Every later candidate grown from a group of level
+tuples with one prefix p is a subset of the group's union u = p plus the
+group's last ids, so before the group is expanded u gets one counted LP. If
+u is feasible, a later candidate inside u (a bitmask test) joins `known`
+without an LP; if not, u's answer is kept and u is never tested again. The
+family returned is the same set, so only `lps_solved` moves. A look-ahead
+runs for groups of at least LOOKAHEAD_GROUP = 3 tuples, because a group of
+two grows one candidate, which is u itself; and for unions of at most
+LOOKAHEAD_TREES = 8 trees. The cap keeps every certified family within 2^8
+subsets per counted LP, so `max_lps` still bounds a search: uncapped, the
+look-ahead on random-tree seed 51 certified a family of millions of sets
+without spending the LP budget and ran past 200 s instead of about 15 s. It
+also bounds the size of a look-ahead LP, which the simplex pivots through by
+Bland's rule, to that of a class of 8 trees.
+
 Each round extends the last one's search: a round only adds trees, and a
 fixed set's feasibility never changes, so every subset of last round's trees
 was tested, merged and counted then. A new class holds a tree born in the
 last round, and so do its one-larger supersets; only such subsets get an LP
 or a merge, and their maximality is decided among themselves.
+
+A round merges lazily. The operators a merged tree covers are the union of
+its members' (its leaves are theirs), so a run keeps one coverage bitmask per
+tree id and knows which mergers cover every operator before building any.
+Per free party it builds and tests only those, in the (size, ids) order of
+the mergers: a protocol is read off them alone, and the impossibility test
+reads classes, not trees. The other mergers are built only when the round
+ends without a protocol, and then every tree of the round is appended in
+(free, size, ids) order. Tree ids thus follow the round's merge order, so
+the next round sees the same tree list as if every merger had been built at
+once, and the protocol returned is the first feasible full-coverage merger in
+that order. `max_trees` counts the trees built and is checked before each
+merge, so a round that holds a protocol returns it even when building all of
+its mergers would pass the budget.
 
 A run never builds a tree twice, so it keeps no table of trees. It merges each
 (free party f, subset S) once, and the canonical key of merge(S, f) names f,
@@ -66,6 +96,7 @@ residual check. The False test keeps tol of room for roundoff in either order.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -79,13 +110,18 @@ from .tree import (
     ProtocolTree,
     Term,
     compact_same_party,
-    coverage,
     leaf_tree,
     merge_and_extend,
     prune_unitary_rounds,
     root_for,
     validate_assignment,
 )
+
+# A look-ahead LP tests the union of a group of at least LOOKAHEAD_GROUP
+# level tuples when it has at most LOOKAHEAD_TREES trees; the module
+# docstring gives the reasons for both.
+LOOKAHEAD_GROUP = 3
+LOOKAHEAD_TREES = 8
 
 
 @dataclasses.dataclass
@@ -273,28 +309,48 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     Level k+1 joins two feasible level-k tuples that share their first k-1
     ids; a candidate gets an LP only when every one-smaller subset is
     feasible (the family is downward closed). Each level is in ascending
-    order of its tuples.
+    order of its tuples. Before a group of at least LOOKAHEAD_GROUP tuples
+    with one prefix is expanded, the union of the group gets one look-ahead
+    LP when it has at most LOOKAHEAD_TREES trees (module docstring).
     """
+    refuted = set()  # the infeasible look-ahead unions
+    certified = []   # bitmasks of the feasible look-ahead unions
+
+    def covered(c):
+        bits = sum(1 << i for i in c)
+        return any(bits & u == bits for u in certified)
 
     def check(c):
-        if c[-1] >= start and _class_feasible(trees, c, free_party, m, stats,
-                                              max_lps, tol, rows):
+        if (c[-1] >= start and c not in refuted
+                and (covered(c) or _class_feasible(trees, c, free_party, m,
+                                                   stats, max_lps, tol, rows))):
             known.add(c)
         return c in known
+
+    def look_ahead(u):
+        if (len(u) <= LOOKAHEAD_TREES and u[-1] >= start and u not in refuted
+                and not covered(u)):
+            if _class_feasible(trees, u, free_party, m, stats, max_lps, tol,
+                               rows):
+                certified.append(sum(1 << i for i in u))
+            else:
+                refuted.add(u)
 
     level = [(i,) for i in eligible if check((i,))]
     family = list(level)
     while level:
         nxt = []
-        for n, a in enumerate(level):
-            for b in level[n + 1:]:
-                if b[:-1] != a[:-1]:
-                    break
-                c = a + b[-1:]
-                # dropping c[-1] gives a and dropping c[-2] gives b
-                if (all(c[:k] + c[k + 1:] in known for k in range(len(c) - 2))
-                        and check(c)):
-                    nxt.append(c)
+        for prefix, group in itertools.groupby(level, key=lambda c: c[:-1]):
+            group = list(group)
+            if len(group) >= LOOKAHEAD_GROUP:
+                look_ahead(prefix + tuple(c[-1] for c in group))
+            for n, a in enumerate(group):
+                for b in group[n + 1:]:
+                    c = a + b[-1:]
+                    # dropping c[-1] gives a and dropping c[-2] gives b
+                    if (all(c[:k] + c[k + 1:] in known
+                            for k in range(len(c) - 2)) and check(c)):
+                        nxt.append(c)
         family += nxt
         level = nxt
     return [c for c in family if c[-1] >= start]
@@ -356,7 +412,6 @@ def synthesize(m: SeparableMeasurement,
     # One intern table per run shares repeated terms and renamed groups
     # between trees; its kinds of entry never compare equal.
     memo = {}
-    full = set(range(N))
 
     if N == 1:
         _count_lp(stats, cfg.max_lps)
@@ -375,8 +430,18 @@ def synthesize(m: SeparableMeasurement,
     # the class LPs' blocks per (tree id, party), read by every free party;
     # tree ids are stable, as trees are only appended
     rows = {}
+    # per tree id, the bitmask of the operators its leaves cover
+    covers = [1 << j for j in range(N)]
+    full = (1 << N) - 1
     start = 0
     round_idx = 0
+
+    def merge(s, free):
+        if stats.trees_built >= cfg.max_trees:
+            raise _BudgetHit("tree budget exhausted")
+        stats.trees_built += 1
+        return merge_and_extend([trees[i] for i in s], free, memo)
+
     while True:
         if cfg.rounds is not None and round_idx >= cfg.rounds:
             return SynthesisVerdict("BudgetExhausted", None, None, stats,
@@ -387,6 +452,8 @@ def synthesize(m: SeparableMeasurement,
         round_protocols = []
         # one round = one parallel layer: trees born here only merge next round
         snapshot = len(trees)
+        # (free, subset, coverage, tree or None) per merger, in merge order
+        merges = []
         try:
             for free in range(m.P):
                 eligible = [i for i in range(snapshot)
@@ -397,12 +464,12 @@ def synthesize(m: SeparableMeasurement,
                 new_classes += len(maximal)
                 stats.classes_found += len(maximal)
                 for s in mergers:
-                    if len(trees) >= cfg.max_trees:
-                        raise _BudgetHit("tree budget exhausted")
-                    tnew = merge_and_extend([trees[i] for i in s], free, memo)
-                    trees.append(tnew)
-                    stats.trees_built += 1
-                    if coverage(tnew) == full:
+                    cover = 0
+                    for i in s:
+                        cover |= covers[i]
+                    tnew = None
+                    if cover == full:
+                        tnew = merge(s, free)
                         _count_lp(stats, cfg.max_lps)
                         x = feasibility(tnew, m, pin_identities=True,
                                         delta=cfg.delta, tol=cfg.tol.lp)
@@ -414,18 +481,22 @@ def synthesize(m: SeparableMeasurement,
                                     protocols=(emitted,),
                                     reason=f"protocol found in round {round_idx}")
                             round_protocols.append(emitted)
+                    merges.append((free, s, cover, tnew))
+            if round_protocols:
+                first = round_protocols[0]
+                return SynthesisVerdict("Protocol", first[0], first[1], stats,
+                                        protocols=tuple(round_protocols),
+                                        reason=f"protocols found in round {round_idx}")
+            if new_classes == 0:
+                return SynthesisVerdict(
+                    "ProvedImpossible", None, None, stats,
+                    reason=f"round {round_idx} produced no new equivalence classes")
+            for free, s, cover, tnew in merges:
+                trees.append(merge(s, free) if tnew is None else tnew)
+                covers.append(cover)
         except _BudgetHit as e:
             return SynthesisVerdict("BudgetExhausted", None, None, stats,
                                     reason=e.reason)
-        if round_protocols:
-            first = round_protocols[0]
-            return SynthesisVerdict("Protocol", first[0], first[1], stats,
-                                    protocols=tuple(round_protocols),
-                                    reason=f"protocols found in round {round_idx}")
-        if new_classes == 0:
-            return SynthesisVerdict(
-                "ProvedImpossible", None, None, stats,
-                reason=f"round {round_idx} produced no new equivalence classes")
         start = snapshot
 
 

@@ -197,7 +197,7 @@ def synthesize_json(tmp_path, capsys, m, *flags):
     return code, json.loads(out)
 
 
-@pytest.mark.parametrize("n, lps", [(7, 142), (8, 276)])
+@pytest.mark.parametrize("n, lps", [(7, 24), (8, 31)])
 def test_one_sided_measurement_is_a_protocol(tmp_path, capsys, n, lps):
     """A holds the identity and B measures an n-outcome basis, so B alone
     implements it in one round; no subset size cuts the class family that
@@ -277,6 +277,24 @@ def test_synthesize_save_dot_and_lift(tmp_path, capsys):
     assert by_label["M1"]["coin_round"]
     probs = sorted(e["probability"] for e in by_label["M1"]["entries"])
     assert np.allclose(probs, [0.5, 0.5])
+
+
+def test_save_into_a_missing_directory_is_a_reported_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "proto.json"
+    code, out, err = run(capsys, "synthesize", fx("krausdemo"),
+                         "--save", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+def test_dot_into_a_missing_directory_is_a_reported_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "proto.dot"
+    code, out, err = run(capsys, "synthesize", fx("krausdemo"),
+                         "--dot", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_lift_digest_mismatch(tmp_path, capsys):

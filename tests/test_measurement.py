@@ -10,7 +10,6 @@ from loccforge.errors import (
 from loccforge.hermitian import psd_sqrt, tensor, vectorize
 from loccforge.measurement import (
     SeparableMeasurement,
-    affine_rank_report,
     completeness_certificate,
     from_kraus,
     measurement_from_parts,
@@ -140,6 +139,19 @@ def test_completeness_random_povm(rng):
         s_isqrt = (u / np.sqrt(w)) @ u.conj().T
         ops = [[s_isqrt @ b @ s_isqrt, np.eye(2)] for b in blocks]
         completeness_certificate(measurement_from_parts(ops))
+
+
+def affine_rank_report(m):
+    """Rank structure of the stacked vectorized parts, per party and for full
+    products: confirms a fixture carries no linear constraints beyond the
+    intended ones."""
+    return {
+        "n_operators": len(m.ops),
+        "party_ranks": [int(np.linalg.matrix_rank(m.columns(a), tol=1e-9))
+                        for a in range(m.P)],
+        "product_rank": int(np.linalg.matrix_rank(
+            np.array([vectorize(op.product()) for op in m.ops]), tol=1e-9)),
+    }
 
 
 def test_affine_rank_report_cascade5():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -23,6 +24,7 @@ from loccforge.tree import (
     align_weights,
     canonical_key,
     compact_same_party,
+    coverage,
     group_value,
     leaf_tree,
     leaves,
@@ -44,7 +46,7 @@ def test_cascade5_protocol_shape():
     assert v.kind == "Protocol"
     assert v.reason == "protocol found in round 4"
     assert v.stats.as_dict() == {"rounds": 4, "trees_built": 12,
-                                 "lps_solved": 62, "classes_found": 5}
+                                 "lps_solved": 65, "classes_found": 5}
     assert len(leaves(v.tree)) == 5
     assert len(walk_nodes(v.tree)) == 9
     assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
@@ -128,10 +130,10 @@ def classes_by_party(trees, m, known=None, start=0, stats=None):
 
 @pytest.mark.parametrize("name, kind, reason, stats", [
     ("fourparty_aligned", "Protocol", "protocol found in round 1", (1, 3, 2, 1)),
-    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 10, 2)),
-    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 22, 5)),
+    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 13, 2)),
+    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 25, 5)),
     ("singularpair3", "ProvedImpossible",
-     "round 1 produced no new equivalence classes", (1, 3, 6, 0)),
+     "round 1 produced no new equivalence classes", (1, 3, 8, 0)),
     ("fourparty_mismatch", InvalidMeasurementError, "not complete", None),
 ])
 def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
@@ -150,11 +152,11 @@ def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
 
 
 @pytest.mark.parametrize("dims, stats", [
-    ((3, 3), (257, 49, 2)),
-    ((2, 2, 2), (558, 41, 3)),
+    ((3, 3), (257, 34, 2)),
+    ((2, 2, 2), (557, 33, 3)),
 ])
 def test_product_basis_search_counts(dims, stats):
-    """stats: (lps_solved, trees_built, rounds), as bench/corpus.json records."""
+    """stats: (lps_solved, trees_built, rounds)."""
     v = synthesize(product_basis(*dims))
     assert v.kind == "Protocol"
     assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == stats
@@ -273,11 +275,17 @@ def round_start_trees(m, monkeypatch, rounds):
     return starts
 
 
-@pytest.mark.parametrize("name", ["productbasis4", "cascade5", "domino9"])
-def test_feasible_family_matches_brute_force(name, monkeypatch):
+@pytest.mark.parametrize("name, looks_ahead", [
+    pytest.param("productbasis4", True, id="productbasis4"),
+    pytest.param("cascade5", True, id="cascade5"),
+    # domino9's only groups of 3 or more level tuples are its 9 and 11
+    # feasible singletons, past the cap of 8 trees
+    pytest.param("domino9", False, id="domino9")])
+def test_feasible_family_matches_brute_force(name, looks_ahead, monkeypatch):
     m = load_fixture(name)
     starts = round_start_trees(m, monkeypatch, 2)
     assert len(starts) == 2 and len(starts[1]) > len(starts[0]) == len(m)
+    unions = 0
     for trees in starts:
         for free in range(m.P):
             eligible = [i for i, t in enumerate(trees) if t.trunk_party != free]
@@ -289,8 +297,9 @@ def test_feasible_family_matches_brute_force(name, monkeypatch):
             solved = []
 
             def spy(trees, ids, *args):
-                solved.append(frozenset(ids))
-                return _class_feasible(trees, ids, *args)
+                ok = _class_feasible(trees, ids, *args)
+                solved.append((ids, ok))
+                return ok
 
             monkeypatch.setattr(synthesis, "_class_feasible", spy)
             family = _feasible_family(trees, eligible, free, m, set(), 0,
@@ -298,15 +307,43 @@ def test_feasible_family_matches_brute_force(name, monkeypatch):
             monkeypatch.undo()
             assert len(set(family)) == len(family)
             assert set(map(frozenset, family)) == brute
-            # only the family and its negative border reach _class_feasible:
-            # the infeasible sets whose one-smaller subsets are all feasible
+            # the negative border: the infeasible sets whose one-smaller
+            # subsets are all feasible
             border = {frozenset(c) for k in range(1, len(eligible) + 1)
                       for c in itertools.combinations(eligible, k)
                       if frozenset(c) not in brute
                       and all(len(c) == 1 or frozenset(c) - {i} in brute
                               for i in c)}
-            assert len(set(solved)) == len(solved)
-            assert set(solved) == brute | border
+            fam = set(family)
+
+            def is_union(c):
+                """c is prefix p plus the last ids E of the family tuples
+                p + (e,), at least LOOKAHEAD_GROUP of them."""
+                return len(c) <= synthesis.LOOKAHEAD_TREES and any(
+                    (k == 0 or c[:k] in fam)
+                    and len(c) - k >= synthesis.LOOKAHEAD_GROUP
+                    and list(c[k:]) == [e for e in eligible
+                                        if e > (c[k - 1] if k else -1)
+                                        and c[:k] + (e,) in fam]
+                    for k in range(len(c)))
+
+            # each set reaching _class_feasible is a look-ahead union or a
+            # family or border set, none is inside an earlier feasible
+            # look-ahead union, and none reaches it twice
+            certified = []
+            for ids, ok in solved:
+                assert not any(set(ids) <= u for u in certified)
+                assert is_union(ids) or frozenset(ids) in brute | border
+                if ok and is_union(ids):
+                    certified.append(set(ids))
+                unions += is_union(ids)
+            reached = {frozenset(ids) for ids, _ in solved}
+            assert len(reached) == len(solved)
+            # what is not reached lies inside a feasible look-ahead union
+            assert border <= reached
+            assert all(c in reached or any(c <= u for u in certified)
+                       for c in brute)
+    assert (unions > 0) == looks_ahead
 
 
 def scratch_classes(trees, eligible, free, m, answers):
@@ -445,8 +482,126 @@ def test_tree_budget_is_checked_before_merging(monkeypatch):
     v = synthesize(product_basis(3, 3), RunConfig(max_trees=20))
     assert (v.kind, v.reason) == ("BudgetExhausted", "tree budget exhausted")
     assert v.stats.as_dict() == {"rounds": 1, "trees_built": 20,
-                                 "lps_solved": 39, "classes_found": 3}
+                                 "lps_solved": 78, "classes_found": 6}
     assert len(calls) == 11
+
+
+def test_tree_budget_spares_a_round_that_holds_a_protocol():
+    """Only the full-coverage mergers are built before a round's answer is
+    known: random-tree seed 59 finds its protocol in round 1 with 10 trees
+    built, where building all 502 mergers of the round would pass a budget
+    of 20 trees."""
+    m = locc_random_measurements()[59]
+    v = synthesize(m, RunConfig(max_trees=20))
+    assert (v.kind, v.reason) == ("Protocol", "protocol found in round 1")
+    assert (v.stats.trees_built, v.stats.lps_solved) == (10, 127)
+
+
+def test_merged_coverage_is_the_union_of_its_members(monkeypatch):
+    """On every merge of the runs, the operators a merged tree covers are
+    those its members cover, and the trees tested for a protocol are exactly
+    the merged ones that cover every operator."""
+    merged, tested = [], []
+    real_merge, real_feasibility = (synthesis.merge_and_extend,
+                                    synthesis.feasibility)
+
+    def merge_spy(cs, free, memo):
+        t = real_merge(cs, free, memo)
+        assert coverage(t) == set().union(*map(coverage, cs))
+        merged.append(t)
+        return t
+
+    def feasibility_spy(t, *args, **kwargs):
+        tested.append(t)
+        return real_feasibility(t, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
+    monkeypatch.setattr(synthesis, "feasibility", feasibility_spy)
+    for m, cfg in search_cases():
+        merged.clear()
+        tested.clear()
+        synthesize(m, cfg)
+        full = set(range(len(m)))
+        if len(m) > 1:
+            assert list(map(id, tested)) == [
+                id(t) for t in merged if coverage(t) == full]
+    assert merged
+
+
+def protocol_digest(tree):
+    """A short digest of the tree's canonical_key."""
+    return hashlib.sha256(repr(canonical_key(tree)).encode()).hexdigest()[:16]
+
+
+# verdict, reason and protocol digest of each run, as the eager search
+# without look-ahead found them
+PINNED_PROTOCOLS = {
+    "cascade5": ("Protocol", "protocol found in round 4", "22fac4057ec55170"),
+    "domino9": ("ProvedImpossible",
+                "round 2 produced no new equivalence classes", None),
+    "fourparty_aligned": ("Protocol", "protocol found in round 1",
+                          "d77fb80978b1b232"),
+    "krausdemo": ("Protocol", "protocol found in round 2", "fc82d472505a3219"),
+    "productbasis4": ("Protocol", "protocol found in round 2",
+                      "49e3c4941f25d70c"),
+    "singularpair3": ("ProvedImpossible",
+                      "round 1 produced no new equivalence classes", None),
+    2: ("Protocol", "protocol found in round 3", "3aa4a8742d0dfc99"),
+    5: ("Protocol", "protocol found in round 2", "21e87b02ffee9c65"),
+    7: ("Protocol", "protocol found in round 1", "50c42dc8ae10b2cb"),
+    10: ("Protocol", "protocol found in round 3", "0cc819c6f4e6b540"),
+    12: ("Protocol", "protocol found in round 2", "6a9c667a7abf68af"),
+    16: ("Protocol", "protocol found in round 2", "7058db30a456f227"),
+    20: ("Protocol", "single operator pins to the identity", "8115cfda3e9e7325"),
+    24: ("Protocol", "protocol found in round 1", "efcca15420add068"),
+    29: ("Protocol", "protocol found in round 2", "09969ec9b7cf4151"),
+    35: ("Protocol", "single operator pins to the identity", "795cad728e79584f"),
+    43: ("Protocol", "protocol found in round 3", "f1690f4ded7549b8"),
+    46: ("Protocol", "single operator pins to the identity", "8115cfda3e9e7325"),
+    51: ("BudgetExhausted", "lp budget exhausted", None),
+    53: ("Protocol", "protocol found in round 1", "26bc27b4c4b911a4"),
+    54: ("Protocol", "protocol found in round 1", "88e73f9d3472f3d1"),
+    59: ("Protocol", "protocol found in round 1", "dd307841d4d23aec"),
+}
+
+
+def test_returned_protocols_are_pinned():
+    """Look-ahead and lazy merges change only the LP and tree counts: the
+    fixtures under the default config and the LOCC random trees under
+    max_lps=2000 keep their verdict, reason and protocol."""
+    cases = {name: (load_fixture(name), RunConfig())
+             for name in PINNED_PROTOCOLS if isinstance(name, str)}
+    cases.update((s, (m, RunConfig(max_lps=2000)))
+                 for s, m in locc_random_measurements().items())
+    assert cases.keys() == PINNED_PROTOCOLS.keys()
+    for name, (m, cfg) in cases.items():
+        v = synthesize(m, cfg)
+        got = (v.kind, v.reason, None if v.tree is None else protocol_digest(v.tree))
+        assert got == PINNED_PROTOCOLS[name], name
+
+
+def test_look_ahead_lps_stay_small_on_seed_51(monkeypatch):
+    """Random-tree seed 51 makes wide groups: the union of a group of its
+    level tuples spans up to 137 trees. Yet no class it tests or LP it
+    assembles, look-ahead unions included, spans more than 8 trees, and the
+    simplex never trips its pivot guard (the error would propagate)."""
+    tested, assembled = [], []
+    real_class, real_lp = synthesis._class_feasible, synthesis._class_lp
+
+    def class_spy(trees, ids, *args):
+        tested.append(len(ids))
+        return real_class(trees, ids, *args)
+
+    def lp_spy(trees, ids, *args):
+        assembled.append(len(ids))
+        return real_lp(trees, ids, *args)
+
+    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
+    v = synthesize(locc_random_measurements()[51], RunConfig(max_lps=5000))
+    assert (v.kind, v.reason) == ("BudgetExhausted", "lp budget exhausted")
+    assert assembled
+    assert max(tested + assembled) <= 8
 
 
 def test_intern_table_keeps_keys_and_trees(monkeypatch):
@@ -656,7 +811,7 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
     monkeypatch.setattr(simplex, "_phase1", phase1_spy)
     v = synthesize(product_basis(3, 3))
     assert v.kind == "Protocol"
-    assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (257, 49, 2)
+    assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (257, 34, 2)
     assert calls and pivoted == []
 
 
@@ -684,5 +839,5 @@ def test_product_basis_class_lps_are_never_assembled(monkeypatch):
     v3 = synthesize(product_basis(3, 3))
     v4 = synthesize(product_basis(4, 4))
     assert v3.kind == v4.kind == "Protocol"
-    assert (v3.stats.lps_solved, v3.stats.trees_built, v3.stats.rounds) == (257, 49, 2)
+    assert (v3.stats.lps_solved, v3.stats.trees_built, v3.stats.rounds) == (257, 34, 2)
     assert calls and assembled == []
