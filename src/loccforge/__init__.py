@@ -2,14 +2,7 @@
 measurements, or prove that none exists."""
 
 from .config import RunConfig, Tolerances, load_config
-from .cones import (
-    Cone,
-    FeasibilityWitness,
-    is_extreme_ray,
-    is_singular_ray,
-    member,
-    nontrivial_intersection,
-)
+from .cones import Cone, member
 from .errors import (
     ConfigError,
     DimMismatchError,

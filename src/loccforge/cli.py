@@ -2,8 +2,8 @@
 
 Exit codes: synthesize returns 0 for a protocol, 2 for a proven impossibility,
 3 when a budget ran out, 1 on bad input. check-nogo returns 2 when a witness
-was found, 0 when none. validate returns 0 only for a clean, complete
-measurement. lift returns 0 on success.
+was found, 0 when none, and 1 for an incomplete measurement. validate returns
+0 only for a clean, complete measurement. lift returns 0 on success.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pathlib
 import sys
 
 from .config import load_config
-from .errors import InfeasibleError, LoccForgeError
+from .errors import InfeasibleError, InvalidMeasurementError, LoccForgeError
 from .io import (
     _encode_matrix,
     export_dot,
@@ -96,6 +96,12 @@ def _cmd_check_nogo(args, out) -> int:
         "partition_exhaustive_n": args.max_exhaustive,
     })
     m = parse_measurement(_read(args.measurement), cfg.tol.psd)
+    # a witness speaks of a measurement; an incomplete one is refused as
+    # synthesize refuses it
+    try:
+        completeness_certificate(m, cfg.delta, cfg.tol.lp)
+    except InfeasibleError as e:
+        raise InvalidMeasurementError(f"measurement is not complete: {e}") from e
     # both scans share one set of cones and same-ray tables; a single
     # operator needs none, as neither scan reads them then
     tables = party_tables(m, cfg.tol.lp) if len(m) > 1 else None

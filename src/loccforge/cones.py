@@ -1,20 +1,17 @@
 """Convex cones generated by finite sets of PSD operators.
 
-All tests reduce to LP feasibility over nonnegative combination coefficients:
-membership, non-trivial pairwise intersection (witnessed), extreme rays, and
-singular rays. The intersection test excludes the origin by normalizing one
-side's coefficients to sum to 1, which is valid because the generators are
-PSD and nonzero: a nonnegative combination vanishes only if all coefficients
-do.
+Both tests reduce to LP feasibility over nonnegative combination
+coefficients: membership, and a common nonzero point of two cones. The
+intersection test excludes the origin by normalizing one side's coefficients
+to sum to 1, which is valid because the generators are PSD and nonzero: a
+nonnegative combination vanishes only if all coefficients do.
 """
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 from .errors import DimMismatchError, InvalidOperatorError, ZeroOperatorError
-from .hermitian import LP_TOL, asmat, devectorize, is_psd, proportional, vectorize
+from .hermitian import LP_TOL, asmat, is_psd, vectorize
 from .simplex import feasible_point
 
 
@@ -65,16 +62,6 @@ class Cone:
         return f"Cone(dim={self.dim}, generators={len(self.generators)})"
 
 
-@dataclasses.dataclass(frozen=True)
-class FeasibilityWitness:
-    """A common nonzero point of two cones: sum(a_i A_i) = sum(b_j B_j) = point."""
-
-    coefficients_a: np.ndarray
-    coefficients_b: np.ndarray
-    point: np.ndarray
-    residual: float
-
-
 def member(X, C: Cone, tol: float = LP_TOL) -> np.ndarray | None:
     """Nonnegative c with sum(c_i G_i) = X within tolerance, or None."""
     x = asmat(X)
@@ -95,40 +82,3 @@ def _intersection_point(A: Cone, B: Cone, tol: float = LP_TOL) -> np.ndarray | N
     rhs = np.zeros(M.shape[0])
     rhs[-1] = 1.0
     return feasible_point(M, rhs, tol=tol)
-
-
-def nontrivial_intersection(A: Cone, B: Cone, tol: float = LP_TOL) -> FeasibilityWitness | None:
-    """Witness a common nonzero point of two cones, or None if only 0 is shared."""
-    sol = _intersection_point(A, B, tol)
-    if sol is None:
-        return None
-    ka = len(A)
-    a, b = sol[:ka], sol[ka:]
-    pa = A._vecs @ a
-    pb = B._vecs @ b
-    residual = float(np.abs(pa - pb).max(initial=0.0))
-    return FeasibilityWitness(a, b, devectorize(pa, A.dim), residual)
-
-
-def is_singular_ray(k: int, generators, tol: float = LP_TOL) -> bool:
-    """True iff generator k is proportional to no other generator in the list."""
-    mats = [asmat(g) for g in generators]
-    gk = mats[k]
-    for i, g in enumerate(mats):
-        if i != k and proportional(g, gk, tol) is not None:
-            return False
-    return True
-
-
-def is_extreme_ray(k: int, C: Cone, tol: float = LP_TOL) -> bool:
-    """True iff generator k is not a combination of the generators off its ray.
-
-    Generators proportional to G_k are excluded from the test set; they lie on
-    the same ray and would make the membership test vacuous.
-    """
-    gk = C.generators[k]
-    rest = [i for i, g in enumerate(C.generators)
-            if i != k and proportional(g, gk, tol) is None]
-    if not rest:
-        return True
-    return member(gk, C.subcone(rest), tol) is None

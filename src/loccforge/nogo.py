@@ -9,10 +9,11 @@ reconcile. Finding nothing proves nothing; only synthesis can.
 Both scans read one validated `Cone` per party and one same-ray table per
 party: for each operator j, the mask of operators i != j whose part at that
 party is proportional to j's, `proportional(g_i, g_j)`. `party_tables`
-builds both; a caller running both scans builds them once and passes them
-to each. The singular-pair scan calls part j singular when its mask is
-empty, exactly as `is_singular_ray` would, and extreme when the cone of the
-other parts misses it, as `is_extreme_ray` would with no same-ray part.
+builds both, the table with one broadcast over all (i, j) per party that
+applies `proportional`'s own tests in its own order of operations; a caller
+running both scans builds them once and passes them to each. The
+singular-pair scan calls part j singular when its mask is empty, and extreme
+when the cone of the other parts misses it.
 
 The partition scan skips two kinds of intersection LP whose answer is known.
 A split that puts two operators with proportional parts at party a on
@@ -22,6 +23,21 @@ LP. And once the parties left cannot bring the blocked count to two, the
 split is abandoned. Both rules only ever count a party as not blocked, which
 could hide a witness but never invent one: every reported witness still
 rests on two LPs that found the two cone pairs disjoint.
+
+The first rule also decides which splits are visited at all. Call two
+operators linked at party a when either part is proportional to the other
+there. A split passes a's same-ray test exactly when no linked pair crosses
+it, that is when S1 is a union of connected components of a's link graph.
+A witness needs two parties a < b that pass, so its S1 is a union of
+components of the union of a's and b's graphs, and holds operator 0 as every
+S1 does. The scan enumerates these unions per party pair, merges them, and
+visits them in the order of a scan over all bipartitions (|S1|, then S1
+lexicographically). A split outside them passes at most one party, so it
+can block at most one and the full scan would find nothing there: the first
+witness, its parties and the exhaustive flag are those of the full scan.
+A capped scan enumerates only the unions that leave a side of at most two
+operators, which is a union of at most two components, so it never forms
+the 2^(c-1) unions of c components.
 """
 from __future__ import annotations
 
@@ -29,8 +45,10 @@ import dataclasses
 import itertools
 from typing import NamedTuple
 
+import numpy as np
+
 from .cones import Cone, _intersection_point, member
-from .hermitian import LP_TOL, proportional
+from .hermitian import LP_TOL
 from .measurement import SeparableMeasurement
 
 
@@ -72,15 +90,32 @@ class PartyTables(NamedTuple):
 def party_tables(m: SeparableMeasurement, tol: float = LP_TOL) -> PartyTables:
     """One validated Cone per party and the same-ray table built from them:
     per party, per operator j, the bitmask of i != j with part i
-    proportional to part j, tested as `proportional(g_i, g_j)`."""
+    proportional to part j, as `proportional(g_i, g_j)` would find."""
     cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
-    same = []
-    for c in cones:
-        gens = c.generators
-        same.append([sum(1 << i for i, g in enumerate(gens)
-                         if i != j and proportional(g, gj, tol) is not None)
-                     for j, gj in enumerate(gens)])
-    return PartyTables(tol, cones, same)
+    return PartyTables(tol, cones, [_same_ray_masks(c.generators, tol) for c in cones])
+
+
+def _same_ray_masks(gens, tol: float) -> list:
+    """`proportional`'s tests on every pair (i, j) of one party's parts at once.
+
+    lam = tr_i / tr_j must have a trace tr_j clear of zero and be positive,
+    and max|g_i - lam g_j| must be at most tol * max(1, |lam|) * max(1,
+    max|g_j|). The generators were validated nonzero, so `proportional`'s
+    zero check never fires here.
+    """
+    g = np.stack(gens)
+    # one trace per part, summed as `proportional` sums it
+    tr = np.array([np.trace(x).real for x in gens])
+    scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = tr[:, None] / tr[None, :]
+        err = np.abs(g[:, None] - lam[:, :, None, None] * g[None, :]).max(axis=(2, 3))
+        ok = ((np.abs(tr) > tol * scale)[None, :] & (lam > 0)
+              & (err <= tol * np.maximum(1.0, np.abs(lam)) * scale[None, :]))
+    np.fill_diagonal(ok, False)
+    # column j as the little-endian bitmask of its rows
+    bits = np.packbits(ok, axis=0, bitorder="little")
+    return [int.from_bytes(bits[:, j].tobytes(), "little") for j in range(len(gens))]
 
 
 def _tables_for(m, tol, tables):
@@ -113,16 +148,66 @@ def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
     return None
 
 
-def _bipartitions(n: int, small_side_max: int | None):
-    """Splits (S1, S2) with 0 in S1, ordered by |S1| then lexicographically."""
-    rest = range(1, n)
-    for extra in range(0, n - 1):
-        if small_side_max is not None and min(extra + 1, n - 1 - extra) > small_side_max:
+def _components(link) -> list:
+    """Connected components of the graph with neighbour masks `link`, as
+    bitmasks in order of their lowest operator."""
+    comps, seen = [], 0
+    for j in range(len(link)):
+        if seen >> j & 1:
             continue
-        for combo in itertools.combinations(rest, extra):
-            # the complement of S1; never empty, as |S1| <= n - 1
-            s2 = itertools.filterfalse(set(combo).__contains__, rest)
-            yield (0,) + combo, tuple(s2)
+        comp = frontier = 1 << j
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = link[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        seen |= comp
+    return comps
+
+
+def _unions_up_to(comps, k: int) -> list:
+    """The unions of `comps` that hold 1 to k operators."""
+    out = []
+    stack = [(0, 0, 0)]          # (next component, union, its size)
+    while stack:
+        start, union, size = stack.pop()
+        for i in range(start, len(comps)):
+            s = size + comps[i].bit_count()
+            if s <= k:
+                out.append(union | comps[i])
+                stack.append((i + 1, union | comps[i], s))
+    return out
+
+
+def _candidate_splits(linked, n: int, small_side_max: int | None) -> list:
+    """S1 bitmasks of the splits where two parties have no linked pair across,
+    in bipartition order: |S1|, then S1 lexicographically.
+
+    Per party pair, S1 is operator 0's component plus any union of the other
+    components of the pair's joint link graph. With `small_side_max` only the
+    unions that leave S1 or S2 at most that many operators are formed.
+    """
+    full = (1 << n) - 1
+    found = set()
+    for la, lb in itertools.combinations(linked, 2):
+        c0, *rest = _components([x | y for x, y in zip(la, lb)])
+        if small_side_max is None:
+            unions = [c0]
+            for c in rest:
+                unions += [u | c for u in unions]
+        else:
+            unions = [full ^ u for u in _unions_up_to(rest, small_side_max)]
+            k = small_side_max - c0.bit_count()
+            if k >= 0:
+                unions += [c0] + [c0 | u for u in _unions_up_to(rest, k)]
+        found.update(unions)
+    found.discard(full)
+    # among equal sizes S1 comes first iff it holds the lowest operator that
+    # only one of the two holds; with its bits reversed, its mask is larger
+    return sorted(found, key=lambda u: (u.bit_count(),
+                                        -int(format(u, f"0{n}b")[::-1], 2)))
 
 
 def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
@@ -131,6 +216,7 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
                            ) -> PartitionScanResult:
     """Scan bipartitions for two parties whose local cone pairs never meet.
 
+    Only splits that two parties' same-ray tests let through are visited.
     Beyond max_exhaustive_n operators only splits with a side of at most two
     are tried, and a miss is reported as non-exhaustive. A party where the
     split separates two proportional parts gets no LP, and a split stops once
@@ -147,9 +233,11 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
     # operators that share a ray at a party, in either order of the test
     linked = [[row[j] | sum(1 << i for i in range(n) if row[i] >> j & 1)
                for j in range(n)] for row in same]
-    bit = [1 << j for j in range(n)]
-    for s1, s2 in _bipartitions(n, small_side_max):
-        other = sum(map(bit.__getitem__, s2))
+    full = (1 << n) - 1
+    for mask in _candidate_splits(linked, n, small_side_max):
+        s1 = tuple(j for j in range(n) if mask >> j & 1)
+        s2 = tuple(j for j in range(n) if not mask >> j & 1)
+        other = full ^ mask
         blocked = []
         for a in range(m.P):
             c = cones[a]

@@ -13,7 +13,7 @@ import numpy as np
 
 from loccforge.cli import main
 from loccforge.config import RunConfig
-from loccforge.cones import Cone, nontrivial_intersection
+from loccforge.cones import Cone
 from loccforge.errors import InfeasibleError, InvalidMeasurementError
 from loccforge.hermitian import proportional, tensor
 from loccforge.lifting import lift
@@ -42,7 +42,7 @@ from conftest import (
     random_valid_tree,
     random_witness_measurement,
 )
-from test_cones import random_cone, sampling_oracle
+from test_cones import nontrivial_intersection, random_cone, sampling_oracle
 from test_passes import same_extraction
 from test_synthesis import classes_by_party
 

@@ -149,6 +149,15 @@ def test_check_nogo_clean(capsys):
     assert "no-witness" in out
 
 
+def test_check_nogo_refuses_an_incomplete_measurement(capsys):
+    """check-nogo runs synthesize's completeness LP and fails the same way."""
+    nogo_run = run(capsys, "check-nogo", fx("fourparty_mismatch"))
+    synth_run = run(capsys, "synthesize", fx("fourparty_mismatch"))
+    assert nogo_run == synth_run
+    assert nogo_run[:2] == (1, "")
+    assert nogo_run[2].startswith("error: measurement is not complete: ")
+
+
 def test_check_nogo_partial_scan_flag(capsys):
     code, out, _ = run(capsys, "check-nogo", fx("domino9"),
                        "--max-exhaustive", "4", "--format", "json")
@@ -452,7 +461,9 @@ def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch
          {"parse_measurement": psd, "validate_assignment": {"tol": 3e-8},
           "lift": {"tol": 3e-8}}),
         (("synthesize", fx("krausdemo")), {"parse_measurement": psd}),
-        (("check-nogo", fx("krausdemo")), {"parse_measurement": psd}),
+        (("check-nogo", fx("krausdemo")),
+         {"parse_measurement": psd,
+          "completeness_certificate": {"delta": 2e-7, "tol": 3e-8}}),
     ]:
         seen.clear()
         assert run(capsys, *argv, "--config", str(cfg))[0] == 0, argv

@@ -1,19 +1,62 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from loccforge.cones import (
-    Cone,
-    is_extreme_ray,
-    is_singular_ray,
-    member,
-    nontrivial_intersection,
-)
+from loccforge.cones import Cone, _intersection_point, member
 from loccforge.errors import DimMismatchError, InvalidOperatorError
+from loccforge.hermitian import LP_TOL, asmat, devectorize, proportional
 
 from conftest import random_psd
 
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
+
+
+@dataclasses.dataclass(frozen=True)
+class FeasibilityWitness:
+    """A common nonzero point of two cones: sum(a_i A_i) = sum(b_j B_j) = point."""
+
+    coefficients_a: np.ndarray
+    coefficients_b: np.ndarray
+    point: np.ndarray
+    residual: float
+
+
+def nontrivial_intersection(A, B, tol=LP_TOL):
+    """Witness a common nonzero point of two cones, or None if only 0 is
+    shared: the point and residual behind the scans' `_intersection_point`."""
+    sol = _intersection_point(A, B, tol)
+    if sol is None:
+        return None
+    ka = len(A)
+    a, b = sol[:ka], sol[ka:]
+    pa = A._vecs @ a
+    pb = B._vecs @ b
+    residual = float(np.abs(pa - pb).max(initial=0.0))
+    return FeasibilityWitness(a, b, devectorize(pa, A.dim), residual)
+
+
+def is_singular_ray(k, generators, tol=LP_TOL):
+    """True iff generator k is proportional to no other generator in the list."""
+    mats = [asmat(g) for g in generators]
+    gk = mats[k]
+    return all(i == k or proportional(g, gk, tol) is None
+               for i, g in enumerate(mats))
+
+
+def is_extreme_ray(k, C, tol=LP_TOL):
+    """True iff generator k is not a combination of the generators off its ray.
+
+    Generators proportional to G_k are excluded from the test set; they lie on
+    the same ray and would make the membership test vacuous.
+    """
+    gk = C.generators[k]
+    rest = [i for i, g in enumerate(C.generators)
+            if i != k and proportional(g, gk, tol) is None]
+    if not rest:
+        return True
+    return member(gk, C.subcone(rest), tol) is None
 
 
 def random_cone(rng, d):

@@ -1,24 +1,29 @@
+import itertools
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from loccforge import cones, nogo
 from loccforge.cones import Cone
 from loccforge.errors import InvalidOperatorError
-from loccforge.hermitian import LP_TOL
+from loccforge.hermitian import LP_TOL, proportional
+from loccforge.io import measurement_digest
 from loccforge.measurement import measurement_from_parts
-from loccforge.nogo import (
-    _bipartitions,
-    find_partition_witness,
-    find_singular_pair_witness,
-)
+from loccforge.nogo import find_partition_witness, find_singular_pair_witness
 
 from conftest import (
     load_fixture,
     locc_random_measurements,
     product_basis,
+    random_psd,
     random_valid_tree,
     random_witness_measurement,
 )
+from test_cones import is_extreme_ray, is_singular_ray
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
@@ -69,13 +74,21 @@ def test_cascade5_has_no_witness():
 
 
 def test_partition_scan_builds_no_witness_points(monkeypatch):
-    """The scan only asks whether two cones meet; it never builds the point."""
-    def fail(*args):
-        raise AssertionError("partition scan built a FeasibilityWitness")
+    """The scan only asks whether two cones meet; it never reads the point.
+    Each common point is handed back as a bare object that supports no use,
+    and every answer stays the same."""
+    m = corpus_measurement("tree10")
+    expected = find_partition_witness(m)
+    met = []
 
-    monkeypatch.setattr(cones, "FeasibilityWitness", fail)
-    res = find_partition_witness(load_fixture("cascade5"))
-    assert res.witness is None and res.exhaustive
+    def opaque(*args):
+        sol = cones._intersection_point(*args)
+        met.append(sol is not None)
+        return None if sol is None else object()
+
+    monkeypatch.setattr(nogo, "_intersection_point", opaque)
+    assert find_partition_witness(m) == expected
+    assert any(met)
 
 
 def test_one_sided_refinement_is_clean():
@@ -128,6 +141,18 @@ def test_single_operator_scan_is_trivial():
     assert res.witness is None and res.exhaustive
 
 
+def _bipartitions(n, small_side_max):
+    """Splits (S1, S2) with 0 in S1, ordered by |S1| then lexicographically."""
+    rest = range(1, n)
+    for extra in range(0, n - 1):
+        if small_side_max is not None and min(extra + 1, n - 1 - extra) > small_side_max:
+            continue
+        for combo in itertools.combinations(rest, extra):
+            # the complement of S1; never empty, as |S1| <= n - 1
+            s2 = itertools.filterfalse(set(combo).__contains__, rest)
+            yield (0,) + combo, tuple(s2)
+
+
 def reference_partition_scan(m, max_exhaustive_n=16, tol=LP_TOL):
     """The scan without skipping: one LP per party per split, in order.
 
@@ -157,8 +182,8 @@ def reference_singular_pair(m, tol=LP_TOL):
     cs = [Cone(m.party_parts(a), tol) for a in range(m.P)]
     for j in range(len(m.ops)):
         bad = [a for a in range(m.P)
-               if cones.is_singular_ray(j, cs[a].generators, tol)
-               and cones.is_extreme_ray(j, cs[a], tol)]
+               if is_singular_ray(j, cs[a].generators, tol)
+               and is_extreme_ray(j, cs[a], tol)]
         if len(bad) >= 2:
             return j, tuple(bad[:2])
     return None
@@ -170,9 +195,8 @@ def scan_answer(m, max_exhaustive_n=16):
     return (None if w is None else (w.partition, w.parties)), res.exhaustive
 
 
-def test_scans_match_reference_scans():
-    """Skipping same-ray parties and hopeless splits, and reading the
-    same-ray table for singular parts, change no answer."""
+def scan_cases():
+    """(measurement, max_exhaustive_n) pairs the scans are checked on."""
     cases = [(load_fixture(name), 16) for name in
              ["cascade5", "domino9", "fourparty_aligned", "fourparty_mismatch",
               "krausdemo", "productbasis4", "singularpair3"]]
@@ -182,6 +206,13 @@ def test_scans_match_reference_scans():
               for s in range(40)]
     rng = np.random.default_rng(7)
     cases += [(random_witness_measurement(rng), 16) for _ in range(20)]
+    return cases
+
+
+def test_scans_match_reference_scans():
+    """Skipping same-ray parties and hopeless splits, and reading the
+    same-ray table for singular parts, change no answer."""
+    cases = scan_cases()
     witnesses = pairs = 0
     for m, cap in cases:
         expected = reference_partition_scan(m, cap)
@@ -195,14 +226,37 @@ def test_scans_match_reference_scans():
     assert (witnesses, pairs) == (23, 23)
 
 
-@pytest.mark.parametrize("dims, lps", [
-    ((3, 3), 3),
-    ((3, 4), 3),
-    ((2, 2, 2), 2),
-    ((2, 2, 3), 2),
-    ((4, 4), 7),       # N = 16: the whole exhaustive scan
-])
-def test_partition_scan_lp_counts(dims, lps, monkeypatch):
+def corpus_measurement(name):
+    """A document of the benchmark corpus, checked against its pinned digest."""
+    source = json.loads((BENCH / "corpus.json").read_text())["instances"][name]
+    if "fixture" in source:
+        m = load_fixture(pathlib.Path(source["fixture"]).stem)
+    elif source["generator"] == "product_basis":
+        m = product_basis(*source["dims"])
+    else:
+        m = random_valid_tree(np.random.default_rng(source["seed"]),
+                              **source["args"])[1]
+    assert measurement_digest(m) == source["digest"]
+    return m
+
+
+LP_COUNTS = [
+    # (corpus document, intersection LPs, exhaustive, witness found)
+    ("basis3x3", 0, True, False),
+    ("basis3x4", 0, True, False),
+    ("basis2x2x2", 0, True, False),
+    ("basis2x2x3", 0, True, False),
+    ("basis4x4", 0, True, False),      # N = 16: no split passes two parties
+    ("domino9", 2, True, True),
+    ("tree02", 3, True, False),
+    ("tree10", 5, True, False),
+    ("tree51", 3, False, False),       # N = 17: the capped scan
+]
+
+
+@pytest.mark.parametrize("name, lps, exhaustive, found", LP_COUNTS,
+                         ids=[case[0] for case in LP_COUNTS])
+def test_partition_scan_lp_counts(name, lps, exhaustive, found, monkeypatch):
     calls = []
 
     def spy(*args):
@@ -210,9 +264,112 @@ def test_partition_scan_lp_counts(dims, lps, monkeypatch):
         return cones._intersection_point(*args)
 
     monkeypatch.setattr(nogo, "_intersection_point", spy)
-    res = find_partition_witness(product_basis(*dims))
-    assert res.witness is None and res.exhaustive
+    res = find_partition_witness(corpus_measurement(name))
+    assert (res.witness is not None, res.exhaustive) == (found, exhaustive)
     assert len(calls) == lps
+
+
+def linked_by_reference(m, tol=LP_TOL):
+    """Per party, per operator j, the mask of i != j with either part
+    proportional to the other, from the pairwise `proportional` loop."""
+    out = []
+    for a in range(m.P):
+        gens = Cone(m.party_parts(a), tol).generators
+        same = reference_same_ray_masks(gens, tol)
+        out.append([same[j] | sum(1 << i for i in range(len(gens))
+                                  if same[i] >> j & 1)
+                    for j in range(len(gens))])
+    return out
+
+
+def visited_splits(m, cap, monkeypatch):
+    """The splits the partition scan would visit, in its order, as (S1, S2)."""
+    seen = []
+    real = nogo._candidate_splits
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(nogo, "_candidate_splits", spy)
+    find_partition_witness(m, cap)
+    monkeypatch.undo()
+    n = len(m.ops)
+    return [(tuple(j for j in range(n) if u >> j & 1),
+             tuple(j for j in range(n) if not u >> j & 1))
+            for u in (seen[0] if seen else [])]
+
+
+def test_scan_visits_exactly_the_splits_two_parties_let_through(monkeypatch):
+    """The component unions are the bipartitions (in their order, under the
+    same cap) where at least two parties have no linked pair across."""
+    for m, cap in scan_cases():
+        n = len(m.ops)
+        linked = linked_by_reference(m)
+        expected = [(s1, s2) for s1, s2 in _bipartitions(n, None if n <= cap else 2)
+                    if sum(not any(row[j] >> i & 1 for j in s1 for i in s2)
+                           for row in linked) >= 2]
+        assert visited_splits(m, cap, monkeypatch) == expected
+
+
+def test_capped_scan_of_distinct_parts_stays_small(monkeypatch):
+    """40 operators with pairwise distinct rank-1 parts: every part is its
+    own component, so the capped scan visits the splits with a side of at
+    most two and never forms the 2^39 unions."""
+    rng = np.random.default_rng(11)
+    m = measurement_from_parts([[random_psd(rng, 2, rank=1) for _ in range(2)]
+                                for _ in range(40)])
+    visited = []
+
+    def meets(*args):
+        # with two parties, one meeting pair ends the split: one call each
+        visited.append(args)
+        return np.ones(1)
+
+    monkeypatch.setattr(nogo, "_intersection_point", meets)
+    res = find_partition_witness(m)
+    assert res.witness is None and not res.exhaustive
+    assert len(visited) <= sum(1 for _ in _bipartitions(40, 2)) == 820
+
+
+def reference_same_ray_masks(gens, tol=LP_TOL):
+    """The same-ray table as a pairwise `proportional(g_i, g_j)` loop."""
+    return [sum(1 << i for i, g in enumerate(gens)
+                if i != j and proportional(g, gj, tol) is not None)
+            for j, gj in enumerate(gens)]
+
+
+def test_same_ray_masks_match_the_proportional_loop():
+    ms = [load_fixture(name) for name in
+          ["cascade5", "domino9", "fourparty_aligned", "fourparty_mismatch",
+           "krausdemo", "productbasis4", "singularpair3"]]
+    ms += [random_valid_tree(np.random.default_rng(s))[1] for s in range(40)]
+    rng = np.random.default_rng(7)
+    ms += [random_witness_measurement(rng) for _ in range(20)]
+    linked = 0
+    for m in ms:
+        for c, same in zip(*nogo.party_tables(m)[1:]):
+            assert same == reference_same_ray_masks(c.generators)
+            linked += sum(map(bool, same))
+    assert linked > 0
+    # pairs at the edge of each of `proportional`'s three tests
+    tol = LP_TOL
+    g = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    off = g.copy()
+    off[1, 1] += 2 * tol
+    floor = np.diag([1.0, 1e-9])
+    edge_cases = [
+        [g, (1 + tol / 2) * g, 3 * g],            # the same ray, rescaled
+        [g, off, g + np.diag([0.0, tol / 4])],    # one entry off by 2 tol
+        [floor, np.diag([1.0, 0.0]), np.diag([2.0, 3e-9]), 2e-8 * np.eye(2)],
+        [np.diag([1.0, -1.0]), np.diag([2.0, -2.0]), np.diag([2 * tol, -tol]),
+         np.diag([2.0, -1.0]), -g, g],            # traces at or below the floor
+    ]
+    for gens in edge_cases:
+        assert (nogo._same_ray_masks(gens, tol)
+                == reference_same_ray_masks(gens, tol)), gens
+    assert nogo._same_ray_masks(edge_cases[0], tol) == [6, 5, 3]
+    assert nogo._same_ray_masks(edge_cases[1], tol)[1] & 1 == 0
 
 
 def test_locc_random_trees_have_no_witness():
