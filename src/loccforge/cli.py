@@ -8,6 +8,7 @@ was found, 0 when none, and 1 for an incomplete measurement. validate returns
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import pathlib
 import sys
@@ -102,9 +103,10 @@ def _cmd_check_nogo(args, out) -> int:
         completeness_certificate(m, cfg.delta, cfg.tol.lp)
     except InfeasibleError as e:
         raise InvalidMeasurementError(f"measurement is not complete: {e}") from e
-    # both scans share one set of cones and same-ray tables; a single
-    # operator needs none, as neither scan reads them then
-    tables = party_tables(m, cfg.tol.lp) if len(m) > 1 else None
+    # both scans share one set of cones, checked at the tolerance the
+    # document was validated with, and same-ray tables; a single operator
+    # needs none, as neither scan reads them then
+    tables = party_tables(m, cfg.tol.lp, cfg.tol.psd) if len(m) > 1 else None
     sp = find_singular_pair_witness(m, cfg.tol.lp, tables=tables)
     scan = find_partition_witness(m, max_exhaustive_n=cfg.partition_exhaustive_n,
                                   tol=cfg.tol.lp, tables=tables)
@@ -245,7 +247,10 @@ def _add_common(p):
                    help="JSON config file (default: $LOCCFORGE_CONFIG if set)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on first use and shared by every
+    `main` call; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="loccforge",
         description="Synthesize finite local measurement protocols for "

@@ -11,16 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatchError, InvalidOperatorError, ZeroOperatorError
-from .hermitian import LP_TOL, asmat, is_psd, vectorize
+from .hermitian import LP_TOL, PSD_TOL, asmat, is_psd, vectorize
 from .simplex import feasible_point
 
 
 class Cone:
-    """Cone of nonnegative combinations of validated PSD, nonzero generators."""
+    """Cone of nonnegative combinations of validated PSD, nonzero generators.
+
+    `tol` is the tolerance of both checks, as `measurement.validate` applies
+    them to a part: PSD by `is_psd(g, tol)`, nonzero by max|g| > tol.
+    """
 
     __slots__ = ("dim", "generators", "_vecs")
 
-    def __init__(self, generators, tol: float = LP_TOL):
+    def __init__(self, generators, tol: float = PSD_TOL):
         mats = [asmat(g) for g in generators]
         if not mats:
             raise InvalidOperatorError("a cone needs at least one generator")
@@ -29,7 +33,7 @@ class Cone:
         for g in mats:
             if g.shape != (d, d):
                 raise DimMismatchError("cone generators must share one dimension")
-            if not is_psd(g):
+            if not is_psd(g, tol):
                 raise InvalidOperatorError("cone generator is not PSD")
             if float(np.abs(g).max(initial=0.0)) <= tol:
                 raise ZeroOperatorError("cone generator is numerically zero")

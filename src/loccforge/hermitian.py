@@ -104,6 +104,34 @@ def proportional(m, n, tol: float = LP_TOL) -> float | None:
     return None
 
 
+def same_ray_masks(mats, tol: float = LP_TOL) -> list[int]:
+    """Per j, the bitmask of i != j with `proportional(mats[i], mats[j], tol)`.
+
+    One broadcast over all pairs of same-shape matrices applies
+    `proportional`'s tests in its order of operations: the trace tr_j clear
+    of tol * max(1, max|M_j|), lam = tr_i / tr_j > 0, and max|M_i - lam M_j|
+    <= tol * max(1, |lam|) * max(1, max|M_j|). So bit i of mask j equals
+    `proportional(mats[i], mats[j], tol) is not None` for every pair on which
+    `proportional` does not raise. Numerically zero matrices are not
+    rejected: a pair holding one is decided by the same three tests.
+    """
+    if not len(mats):
+        return []
+    g = np.stack([asmat(x) for x in mats])
+    # one trace per matrix, summed as `proportional` sums it
+    tr = np.array([np.trace(x).real for x in g])
+    scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = tr[:, None] / tr[None, :]
+        err = np.abs(g[:, None] - lam[:, :, None, None] * g[None, :]).max(axis=(2, 3))
+        ok = ((np.abs(tr) > tol * scale)[None, :] & (lam > 0)
+              & (err <= tol * np.maximum(1.0, np.abs(lam)) * scale[None, :]))
+    np.fill_diagonal(ok, False)
+    # column j as the little-endian bitmask of its rows
+    return [int.from_bytes(col.tobytes(), "little")
+            for col in np.packbits(ok, axis=0, bitorder="little").T]
+
+
 def tensor(parts) -> np.ndarray:
     """Kronecker product of the given operators, in order."""
     mats = [asmat(p) for p in parts]

@@ -217,24 +217,55 @@ def _node_doc(n: Node):
             "children": [_node_doc(c) for c in n.children]}
 
 
+_REQUIRED = object()
+
+
+def _field(d, key, where, kind, default=_REQUIRED):
+    """d[key] as `kind` (int, float, list or dict), or `default` when the key
+    is missing or null. A ParseError names the field when d is not an
+    object, a required key is missing, or the value is of another type."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(d, dict):
+        raise ParseError(f"{where} must be an object", kind="shape")
+    if d.get(key) is None and default is not _REQUIRED:
+        return default
+    if key not in d:
+        raise ParseError(f"{name} is missing", kind="shape")
+    return _typed(d[key], name, kind)
+
+
+def _typed(v, name, kind):
+    if kind in (list, dict):
+        if isinstance(v, kind):
+            return v
+        expected = "a list" if kind is list else "an object"
+    else:
+        try:
+            return kind(v)
+        except (TypeError, ValueError, OverflowError):
+            expected = "a number"
+    raise ParseError(f"{name} must be {expected}, got {v!r}", kind="shape")
+
+
 def _term_from(d, where):
-    try:
-        return Term(int(d["op"]), int(d["var"]), float(d.get("scale", 1.0)))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{where}: bad term: {e}", kind="shape") from e
+    return Term(_field(d, "op", where, int), _field(d, "var", where, int),
+                _field(d, "scale", where, float, 1.0))
+
+
+def _group_from(g, where):
+    return tuple(_term_from(t, f"{where}[{i}]")
+                 for i, t in enumerate(_typed(g, where, list)))
 
 
 def _node_from(d, where):
-    if not isinstance(d, dict):
-        raise ParseError(f"{where} must be an object", kind="shape")
-    groups = tuple(tuple(_term_from(t, f"{where}.groups[{i}]") for t in g)
-                   for i, g in enumerate(d.get("groups", [])))
+    groups = tuple(_group_from(g, f"{where}.groups[{i}]")
+                   for i, g in enumerate(_field(d, "groups", where, list, [])))
     children = tuple(_node_from(c, f"{where}.children[{i}]")
-                     for i, c in enumerate(d.get("children", [])))
+                     for i, c in enumerate(_field(d, "children", where, list, [])))
     if "party" not in d or not groups:
         raise ParseError(f"{where} needs a party and at least one group",
                          kind="shape")
-    return Node(int(d["party"]), groups, children)
+    return Node(_field(d, "party", where, int), groups, children)
 
 
 def _tree_doc(t: ProtocolTree):
@@ -250,12 +281,15 @@ def _tree_doc(t: ProtocolTree):
 
 def _tree_from(d):
     roots = tuple(_node_from(r, f"tree.roots[{i}]")
-                  for i, r in enumerate(d.get("roots", [])))
-    cs = tuple(Constraint(int(c["party"]),
-                          tuple(_term_from(x, "tree.constraints") for x in c["lhs"]),
-                          tuple(_term_from(x, "tree.constraints") for x in c["rhs"]))
-               for c in d.get("constraints", []))
-    return ProtocolTree(int(d["P"]), roots, cs, int(d["nvars"]), int(d["depth"]))
+                  for i, r in enumerate(_field(d, "roots", "tree", list, [])))
+    cs = []
+    for i, c in enumerate(_field(d, "constraints", "tree", list, [])):
+        where = f"tree.constraints[{i}]"
+        cs.append(Constraint(_field(c, "party", where, int),
+                             _group_from(_field(c, "lhs", where, list), f"{where}.lhs"),
+                             _group_from(_field(c, "rhs", where, list), f"{where}.rhs")))
+    return ProtocolTree(_field(d, "P", "tree", int), roots, tuple(cs),
+                        _field(d, "nvars", "tree", int), _field(d, "depth", "tree", int))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -296,23 +330,26 @@ def parse_protocol(text: str) -> ProtocolDocument:
                          kind="syntax") from e
     if not isinstance(raw, dict) or raw.get("format") != PROTOCOL_FORMAT:
         raise ParseError("not a protocol document", kind="syntax")
-    stats_raw = raw.get("stats", {})
+    stats_raw = _field(raw, "stats", "", dict, {})
     stats = SynthesisStats(
-        rounds=int(stats_raw.get("rounds", raw.get("rounds", 0))),
-        trees_built=int(stats_raw.get("trees_built", 0)),
-        lps_solved=int(stats_raw.get("lps_solved", 0)),
-        classes_found=int(stats_raw.get("classes_found", 0)))
+        rounds=_field(stats_raw, "rounds", "stats", int,
+                      _field(raw, "rounds", "", int, 0)),
+        trees_built=_field(stats_raw, "trees_built", "stats", int, 0),
+        lps_solved=_field(stats_raw, "lps_solved", "stats", int, 0),
+        classes_found=_field(stats_raw, "classes_found", "stats", int, 0))
     tree = raw.get("tree")
-    assignment = raw.get("assignment")
+    assignment = _field(raw, "assignment", "", list, None)
     return ProtocolDocument(
         verdict=str(raw.get("verdict", "")),
         reason=str(raw.get("reason", "")),
-        parties=tuple(raw.get("parties", [])),
-        dims=tuple(int(d) for d in raw.get("dims", [])),
+        parties=tuple(_field(raw, "parties", "", list, [])),
+        dims=tuple(_typed(d, f"dims[{i}]", int)
+                   for i, d in enumerate(_field(raw, "dims", "", list, []))),
         measurement_digest=str(raw.get("measurement_digest", "")),
         stats=stats,
         tree=_tree_from(tree) if tree is not None else None,
-        assignment=(np.asarray([float(x) for x in assignment])
+        assignment=(np.asarray([_typed(x, f"assignment[{i}]", float)
+                                for i, x in enumerate(assignment)])
                     if assignment is not None else None))
 
 

@@ -23,6 +23,7 @@ from .hermitian import (
     HermitianOperator,
     asmat,
     proportional,
+    same_ray_masks,
     tensor,
     vectorize,
 )
@@ -147,38 +148,41 @@ class SeparableMeasurement:
 
 
 def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
-    """All violated invariants as structured diagnostics; empty iff valid."""
+    """All violated invariants as structured diagnostics; empty iff valid.
+
+    Operator jp > j duplicates j when every part of jp is proportional to
+    j's, `proportional(part(jp, a), part(j, a), tol)`. Only operators whose
+    parts all passed are compared, so no part is zero at `tol` and one
+    `same_ray_masks` per party answers every pair as `proportional` would.
+    """
     out: list[Diagnostic] = []
     if len(m.ops) == 0:
         return [Diagnostic("no-operators", "operators", "empty operator list")]
-    usable = [True] * len(m.ops)
+    idx = []    # the operators with no diagnostic, compared for duplicates
     for j, op in enumerate(m.ops):
         if len(op.parts) != m.P:
             out.append(Diagnostic("bad-part-count", f"operators[{j}]",
                                   f"expected {m.P} parts, found {len(op.parts)}"))
-            usable[j] = False
             continue
+        before = len(out)
         for a, p in enumerate(op.parts):
             where = f"operators[{j}].parts[{a}]"
             if p.dim != m.dims[a]:
                 out.append(Diagnostic("dim-mismatch", where,
                                       f"dim {p.dim} != party dim {m.dims[a]}"))
-                usable[j] = False
             elif float(np.abs(p.mat).max(initial=0.0)) <= tol:
                 out.append(Diagnostic("zero-part", where, "local part is numerically zero"))
-                usable[j] = False
             elif not p.is_psd(tol):
                 out.append(Diagnostic("not-psd", where, "local part has a negative eigenvalue"))
-                usable[j] = False
-    for j in range(len(m.ops)):
-        if not usable[j]:
-            continue
-        for jp in range(j + 1, len(m.ops)):
-            if not usable[jp]:
-                continue
-            if all(proportional(m.part(jp, a), m.part(j, a), tol) is not None
-                   for a in range(m.P)):
-                out.append(Diagnostic("duplicate-product", f"operators[{jp}]",
+        if len(out) == before:
+            idx.append(j)
+    same = [-1] * len(idx)
+    for a in range(m.P):
+        same = [s & t for s, t in zip(same, same_ray_masks([m.part(j, a) for j in idx], tol))]
+    for k, j in enumerate(idx):
+        for kp in range(k + 1, len(idx)):
+            if same[k] >> kp & 1:
+                out.append(Diagnostic("duplicate-product", f"operators[{idx[kp]}]",
                                       f"product proportional to operators[{j}]"))
     return out
 

@@ -8,12 +8,14 @@ reconcile. Finding nothing proves nothing; only synthesis can.
 
 Both scans read one validated `Cone` per party and one same-ray table per
 party: for each operator j, the mask of operators i != j whose part at that
-party is proportional to j's, `proportional(g_i, g_j)`. `party_tables`
-builds both, the table with one broadcast over all (i, j) per party that
-applies `proportional`'s own tests in its own order of operations; a caller
-running both scans builds them once and passes them to each. The
-singular-pair scan calls part j singular when its mask is empty, and extreme
-when the cone of the other parts misses it.
+party is proportional to j's. `party_tables` builds both; the table is
+`hermitian.same_ray_masks` of the party's parts, the routine `validate` also
+reads, and a caller running both scans builds them once and passes them to
+each. The cones check their parts at the PSD tolerance `validate` uses, so
+a part may lie below the scans' `tol`; `same_ray_masks` decides it by
+`proportional`'s tests instead of raising. The singular-pair scan calls part
+j singular when its mask is empty, and extreme when the cone of the other
+parts misses it.
 
 The partition scan skips two kinds of intersection LP whose answer is known.
 A split that puts two operators with proportional parts at party a on
@@ -45,10 +47,8 @@ import dataclasses
 import itertools
 from typing import NamedTuple
 
-import numpy as np
-
 from .cones import Cone, _intersection_point, member
-from .hermitian import LP_TOL
+from .hermitian import LP_TOL, PSD_TOL, same_ray_masks
 from .measurement import SeparableMeasurement
 
 
@@ -87,35 +87,13 @@ class PartyTables(NamedTuple):
     same: list        # per party, per operator j: the mask of its same-ray parts
 
 
-def party_tables(m: SeparableMeasurement, tol: float = LP_TOL) -> PartyTables:
-    """One validated Cone per party and the same-ray table built from them:
-    per party, per operator j, the bitmask of i != j with part i
-    proportional to part j, as `proportional(g_i, g_j)` would find."""
-    cones = [Cone(m.party_parts(a), tol) for a in range(m.P)]
-    return PartyTables(tol, cones, [_same_ray_masks(c.generators, tol) for c in cones])
-
-
-def _same_ray_masks(gens, tol: float) -> list:
-    """`proportional`'s tests on every pair (i, j) of one party's parts at once.
-
-    lam = tr_i / tr_j must have a trace tr_j clear of zero and be positive,
-    and max|g_i - lam g_j| must be at most tol * max(1, |lam|) * max(1,
-    max|g_j|). The generators were validated nonzero, so `proportional`'s
-    zero check never fires here.
-    """
-    g = np.stack(gens)
-    # one trace per part, summed as `proportional` sums it
-    tr = np.array([np.trace(x).real for x in gens])
-    scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = tr[:, None] / tr[None, :]
-        err = np.abs(g[:, None] - lam[:, :, None, None] * g[None, :]).max(axis=(2, 3))
-        ok = ((np.abs(tr) > tol * scale)[None, :] & (lam > 0)
-              & (err <= tol * np.maximum(1.0, np.abs(lam)) * scale[None, :]))
-    np.fill_diagonal(ok, False)
-    # column j as the little-endian bitmask of its rows
-    bits = np.packbits(ok, axis=0, bitorder="little")
-    return [int.from_bytes(bits[:, j].tobytes(), "little") for j in range(len(gens))]
+def party_tables(m: SeparableMeasurement, tol: float = LP_TOL,
+                 psd: float = PSD_TOL) -> PartyTables:
+    """One Cone per party, its parts checked PSD and nonzero at `psd` as
+    `validate` checks them, and per party the `same_ray_masks` of its parts
+    at `tol`."""
+    cones = [Cone(m.party_parts(a), psd) for a in range(m.P)]
+    return PartyTables(tol, cones, [same_ray_masks(c.generators, tol) for c in cones])
 
 
 def _tables_for(m, tol, tables):

@@ -1,6 +1,7 @@
 import inspect
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,29 @@ def test_kraus_backfill_keeps_the_not_psd_diagnostic(tmp_path, capsys,
         assert f"  [not-psd] {located}" in out.splitlines() and err == ""
     else:
         assert err == f"error: {located}\n"
+
+
+@pytest.mark.parametrize("config, operators", [
+    # not PSD at the default 1e-9, PSD at the configured 1e-7
+    ({"psd": 1e-7}, [[np.diag([1.0, -5e-9]), np.eye(2)],
+                     [np.diag([0.0, 1.0 + 5e-9]), np.eye(2)]]),
+    # above the default psd tolerance, below the default lp one
+    ({}, [[np.diag([1.0, 0.0]), np.eye(2)],
+          [np.diag([0.0, 1.0]), 5e-9 * np.eye(2)]]),
+], ids=["configured-psd", "tiny-part"])
+def test_check_nogo_accepts_what_validate_accepts(tmp_path, capsys, config,
+                                                  operators):
+    """check-nogo's cones check the parts at the tolerance validate used."""
+    doc = tmp_path / "m.json"
+    doc.write_text(serialize_measurement(measurement_from_parts(operators)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    flags = ("--config", str(cfg))
+    assert run(capsys, "validate", str(doc), *flags)[0] == 0
+    assert run(capsys, "synthesize", str(doc), *flags)[0] == 0
+    code, out, err = run(capsys, "check-nogo", str(doc), *flags)
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict: no-witness\n")
 
 
 def test_validate_missing_file(capsys):
@@ -324,6 +348,55 @@ def test_lift_rejects_protocol_without_tree(tmp_path, capsys):
     assert "no tree" in err
 
 
+MALFORMED_PROTOCOLS = [
+    ({"tree": {"roots": []}, "assignment": [1.0]}, "tree.P is missing"),
+    ({"tree": {"P": "two", "nvars": 1, "depth": 0}},
+     "tree.P must be a number, got 'two'"),
+    ({"tree": {"P": 2, "depth": 0}}, "tree.nvars is missing"),
+    ({"tree": {"P": 2, "nvars": 1}}, "tree.depth is missing"),
+    ({"tree": [1, 2]}, "tree must be an object"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0, "roots": {}}},
+     "tree.roots must be a list, got {}"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": 5}]}},
+     "tree.roots[0].groups must be a list, got 5"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": [7]}]}},
+     "tree.roots[0].groups[0] must be a list, got 7"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": [[{"op": 0}]]}]}},
+     "tree.roots[0].groups[0][0].var is missing"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": [[{"op": 0, "var": 0}]],
+                          "children": "none"}]}},
+     "tree.roots[0].children must be a list, got 'none'"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": "A", "groups": [[{"op": 0, "var": 0}]]}]}},
+     "tree.roots[0].party must be a number, got 'A'"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0, "constraints": [{"party": 0}]}},
+     "tree.constraints[0].lhs is missing"),
+    ({"stats": {"rounds": "x"}}, "stats.rounds must be a number, got 'x'"),
+    ({"stats": [1]}, "stats must be an object, got [1]"),
+    ({"rounds": [2]}, "rounds must be a number, got [2]"),
+    ({"assignment": 1.0}, "assignment must be a list, got 1.0"),
+    ({"assignment": [1.0, "half"]}, "assignment[1] must be a number, got 'half'"),
+    ({"dims": [2, None]}, "dims[1] must be a number, got None"),
+]
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED_PROTOCOLS,
+                         ids=[m.split()[0] + ("-missing" if "missing" in m else "-type")
+                              for _, m in MALFORMED_PROTOCOLS])
+def test_malformed_protocol_is_a_reported_error(tmp_path, capsys, fields,
+                                                message):
+    proto = tmp_path / "proto.json"
+    proto.write_text(json.dumps({"format": "loccforge.protocol/1", **fields}))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_protocol(proto.read_text())
+    code, out, err = run(capsys, "lift", fx("krausdemo"), "--protocol", str(proto))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_config_file_flag(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rounds": 1}))
@@ -452,6 +525,8 @@ def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch
     for name in ("parse_measurement", "validate", "completeness_certificate",
                  "validate_assignment", "lift"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    # the scans' cones check their parts as validate does
+    monkeypatch.setattr(nogo, "Cone", spy(nogo.Cone))
     psd = {"tol": 2e-9}
     for argv, expected in [
         (("validate", fx("krausdemo")),
@@ -462,7 +537,7 @@ def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch
           "lift": {"tol": 3e-8}}),
         (("synthesize", fx("krausdemo")), {"parse_measurement": psd}),
         (("check-nogo", fx("krausdemo")),
-         {"parse_measurement": psd,
+         {"parse_measurement": psd, "Cone": psd,
           "completeness_certificate": {"delta": 2e-7, "tol": 3e-8}}),
     ]:
         seen.clear()

@@ -3,17 +3,25 @@ import pytest
 
 from loccforge.errors import InvalidOperatorError, ZeroOperatorError
 from loccforge.hermitian import (
+    LP_TOL,
     HermitianOperator,
     devectorize,
     is_hermitian,
     is_psd,
     proportional,
     psd_sqrt,
+    same_ray_masks,
     tensor,
     vectorize,
 )
 
-from conftest import random_hermitian, random_psd
+from conftest import (
+    load_fixture,
+    random_hermitian,
+    random_psd,
+    random_valid_tree,
+    random_witness_measurement,
+)
 
 
 def char_poly_min_root(m):
@@ -77,6 +85,70 @@ def test_proportional_zero_raises():
         proportional(np.zeros((2, 2)), np.eye(2))
     with pytest.raises(ZeroOperatorError):
         proportional(np.eye(2), np.zeros((2, 2)))
+
+
+def reference_same_ray_masks(gens, tol=LP_TOL):
+    """The same-ray table as a pairwise `proportional(g_i, g_j)` loop."""
+    return [sum(1 << i for i, g in enumerate(gens)
+                if i != j and proportional(g, gj, tol) is not None)
+            for j, gj in enumerate(gens)]
+
+
+def test_same_ray_masks_match_the_proportional_loop():
+    ms = [load_fixture(name) for name in
+          ["cascade5", "domino9", "fourparty_aligned", "fourparty_mismatch",
+           "krausdemo", "productbasis4", "singularpair3"]]
+    ms += [random_valid_tree(np.random.default_rng(s))[1] for s in range(40)]
+    rng = np.random.default_rng(7)
+    ms += [random_witness_measurement(rng) for _ in range(20)]
+    linked = 0
+    for m in ms:
+        for a in range(m.P):
+            gens = m.party_parts(a)
+            same = same_ray_masks(gens)
+            assert same == reference_same_ray_masks(gens)
+            linked += sum(map(bool, same))
+    assert linked > 0
+    # pairs at the edge of each of `proportional`'s three tests
+    tol = LP_TOL
+    g = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    off = g.copy()
+    off[1, 1] += 2 * tol
+    floor = np.diag([1.0, 1e-9])
+    edge_cases = [
+        [g, (1 + tol / 2) * g, 3 * g],            # the same ray, rescaled
+        [g, off, g + np.diag([0.0, tol / 4])],    # one entry off by 2 tol
+        [floor, np.diag([1.0, 0.0]), np.diag([2.0, 3e-9]), 2e-8 * np.eye(2)],
+        [np.diag([1.0, -1.0]), np.diag([2.0, -2.0]), np.diag([2 * tol, -tol]),
+         np.diag([2.0, -1.0]), -g, g],            # traces at or below the floor
+    ]
+    for gens in edge_cases:
+        assert same_ray_masks(gens, tol) == reference_same_ray_masks(gens, tol), gens
+    assert same_ray_masks(edge_cases[0], tol) == [6, 5, 3]
+    assert same_ray_masks(edge_cases[1], tol)[1] & 1 == 0
+    assert same_ray_masks([], tol) == []
+
+
+def test_same_ray_masks_do_not_raise_on_tiny_parts():
+    """Parts at or below `tol`, where `proportional` raises, are decided by
+    its three tests; every other pair agrees with `proportional`."""
+    tol = LP_TOL
+    gens = [np.eye(2), 5e-9 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0]),
+            np.diag([5e-9, 0.0])]
+    same = same_ray_masks(gens, tol)
+    for j, gj in enumerate(gens):
+        for i, g in enumerate(gens):
+            if i == j:
+                assert not same[j] >> i & 1
+                continue
+            try:
+                expected = proportional(g, gj, tol) is not None
+            except ZeroOperatorError:
+                continue
+            assert bool(same[j] >> i & 1) == expected, (i, j)
+    # both tiny parts lie within tol of every ray whose trace clears the
+    # floor, a zero part lies on none, and no part lies on a tiny one's ray
+    assert same == [0b10010, 0, 0, 0b10010, 0]
 
 
 def test_tensor_matches_kron(rng):

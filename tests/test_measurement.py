@@ -7,7 +7,7 @@ from loccforge.errors import (
     InvalidOperatorError,
     ZeroOperatorError,
 )
-from loccforge.hermitian import psd_sqrt, tensor, vectorize
+from loccforge.hermitian import proportional, psd_sqrt, tensor, vectorize
 from loccforge.measurement import (
     SeparableMeasurement,
     completeness_certificate,
@@ -16,7 +16,13 @@ from loccforge.measurement import (
     validate,
 )
 
-from conftest import load_fixture, random_psd
+from conftest import (
+    load_fixture,
+    product_basis,
+    random_psd,
+    random_valid_tree,
+    random_witness_measurement,
+)
 
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
@@ -76,6 +82,47 @@ def test_validate_compares_tiny_parts_at_its_own_tolerance():
     m = measurement_from_parts([[P0, (1 - 5e-9) * I2], [P0, 5e-9 * I2], [P1, I2]])
     assert [(d.kind, d.where) for d in validate(m)] == [
         ("duplicate-product", "operators[1]")]
+
+
+def reference_duplicates(m, diags, tol):
+    """The duplicate-product diagnostics of a pairwise `proportional` loop
+    over the operators no other diagnostic names, in (j, jp) order."""
+    named = {d.where.split("]")[0] + "]" for d in diags}
+    usable = [f"operators[{j}]" not in named for j in range(len(m.ops))]
+    out = []
+    for j in range(len(m.ops)):
+        for jp in range(j + 1, len(m.ops)):
+            if usable[j] and usable[jp] and all(
+                    proportional(m.part(jp, a), m.part(j, a), tol) is not None
+                    for a in range(m.P)):
+                out.append(("duplicate-product", f"operators[{jp}]",
+                            f"product proportional to operators[{j}]"))
+    return out
+
+
+def test_validate_duplicates_match_the_pairwise_loop():
+    ms = [load_fixture(name) for name in
+          ["cascade5", "domino9", "fourparty_aligned", "fourparty_mismatch",
+           "krausdemo", "productbasis4", "singularpair3"]]
+    ms += [random_valid_tree(np.random.default_rng(s))[1] for s in range(60)]
+    rng = np.random.default_rng(7)
+    ms += [random_witness_measurement(rng) for _ in range(20)]
+    ms += [product_basis(3, 3), product_basis(2, 2, 2)]
+    ms.append(measurement_from_parts(
+        [[P0, (1 - 5e-9) * I2], [P0, 5e-9 * I2], [P1, I2]]))
+    # duplicates beside parts that are not PSD at the tighter tolerances
+    ms.append(measurement_from_parts(
+        [[P0, P1], [2 * P0, 0.5 * P1], [np.diag([1.0, -5e-9]), P1],
+         [P1, np.diag([1.0, -0.2])], [P1, P0], [3 * P1, P0], [P0, 2 * P1]]))
+    dups = 0
+    for m in ms:
+        for tol in (1e-9, 1e-8, 1e-6):
+            diags = validate(m, tol)
+            rest = [d for d in diags if d.kind != "duplicate-product"]
+            expected = reference_duplicates(m, rest, tol)
+            assert [(d.kind, d.where, d.detail) for d in diags[len(rest):]] == expected
+            dups += len(expected)
+    assert dups > 0
 
 
 def test_validate_flags_part_count_and_dims():

@@ -8,7 +8,7 @@ import pytest
 from loccforge import cones, nogo
 from loccforge.cones import Cone
 from loccforge.errors import InvalidOperatorError
-from loccforge.hermitian import LP_TOL, proportional
+from loccforge.hermitian import LP_TOL
 from loccforge.io import measurement_digest
 from loccforge.measurement import measurement_from_parts
 from loccforge.nogo import find_partition_witness, find_singular_pair_witness
@@ -22,6 +22,7 @@ from conftest import (
     random_witness_measurement,
 )
 from test_cones import is_extreme_ray, is_singular_ray
+from test_hermitian import reference_same_ray_masks
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
@@ -330,46 +331,6 @@ def test_capped_scan_of_distinct_parts_stays_small(monkeypatch):
     res = find_partition_witness(m)
     assert res.witness is None and not res.exhaustive
     assert len(visited) <= sum(1 for _ in _bipartitions(40, 2)) == 820
-
-
-def reference_same_ray_masks(gens, tol=LP_TOL):
-    """The same-ray table as a pairwise `proportional(g_i, g_j)` loop."""
-    return [sum(1 << i for i, g in enumerate(gens)
-                if i != j and proportional(g, gj, tol) is not None)
-            for j, gj in enumerate(gens)]
-
-
-def test_same_ray_masks_match_the_proportional_loop():
-    ms = [load_fixture(name) for name in
-          ["cascade5", "domino9", "fourparty_aligned", "fourparty_mismatch",
-           "krausdemo", "productbasis4", "singularpair3"]]
-    ms += [random_valid_tree(np.random.default_rng(s))[1] for s in range(40)]
-    rng = np.random.default_rng(7)
-    ms += [random_witness_measurement(rng) for _ in range(20)]
-    linked = 0
-    for m in ms:
-        for c, same in zip(*nogo.party_tables(m)[1:]):
-            assert same == reference_same_ray_masks(c.generators)
-            linked += sum(map(bool, same))
-    assert linked > 0
-    # pairs at the edge of each of `proportional`'s three tests
-    tol = LP_TOL
-    g = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
-    off = g.copy()
-    off[1, 1] += 2 * tol
-    floor = np.diag([1.0, 1e-9])
-    edge_cases = [
-        [g, (1 + tol / 2) * g, 3 * g],            # the same ray, rescaled
-        [g, off, g + np.diag([0.0, tol / 4])],    # one entry off by 2 tol
-        [floor, np.diag([1.0, 0.0]), np.diag([2.0, 3e-9]), 2e-8 * np.eye(2)],
-        [np.diag([1.0, -1.0]), np.diag([2.0, -2.0]), np.diag([2 * tol, -tol]),
-         np.diag([2.0, -1.0]), -g, g],            # traces at or below the floor
-    ]
-    for gens in edge_cases:
-        assert (nogo._same_ray_masks(gens, tol)
-                == reference_same_ray_masks(gens, tol)), gens
-    assert nogo._same_ray_masks(edge_cases[0], tol) == [6, 5, 3]
-    assert nogo._same_ray_masks(edge_cases[1], tol)[1] & 1 == 0
 
 
 def test_locc_random_trees_have_no_witness():
