@@ -16,7 +16,7 @@ from .errors import InvalidOperatorError, LoccForgeError, ParseError
 from .hermitian import PSD_TOL, HermitianOperator, psd_sqrt
 from .measurement import KrausProduct, SeparableMeasurement, validate
 from .synthesis import SynthesisStats, SynthesisVerdict
-from .tree import Constraint, Node, ProtocolTree, Term, root_for
+from .tree import Constraint, Node, ProtocolTree, Term, descend, root_for
 
 MEASUREMENT_FORMAT = "loccforge.measurement/1"
 PROTOCOL_FORMAT = "loccforge.protocol/1"
@@ -385,24 +385,15 @@ def export_dot(tree: ProtocolTree, m: SeparableMeasurement | None = None,
                  + "; }")
     for a in range(tree.P - 1):
         lines.append(f"  r{a} -> r{a + 1} [style=dotted, arrowhead=none];")
-    trunk = tree.trunk_party
-    counter = 0
-    if trunk is not None:
-        names = {}
-
-        def visit(n, parent_id):
-            nonlocal counter
-            nid = f"n{counter}"
-            counter += 1
-            names[id(n)] = nid
-            cap = _caption(n, m, assignment, party_names)
-            shape = "ellipse" if n.children else "plaintext"
-            lines.append(f'  {nid} [shape={shape}, label="{cap}"];')
-            lines.append(f"  {parent_id} -> {nid};")
-            for c in n.children:
-                visit(c, nid)
-
-        for c in root_for(tree, trunk).children:
-            visit(c, f"r{trunk}")
+    names = {}
+    for k, (n, path) in enumerate(descend(tree)):
+        if not path:
+            names[id(n)] = f"r{n.party}"
+            continue
+        nid = names[id(n)] = f"n{k - 1}"
+        cap = _caption(n, m, assignment, party_names)
+        shape = "ellipse" if n.children else "plaintext"
+        lines.append(f'  {nid} [shape={shape}, label="{cap}"];')
+        lines.append(f"  {names[id(path[-1])]} -> {nid};")
     lines.append("}")
     return "\n".join(lines) + "\n"

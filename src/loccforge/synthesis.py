@@ -109,10 +109,9 @@ from .tree import (
     Constraint,
     ProtocolTree,
     Term,
-    compact_same_party,
+    descend,
     leaf_tree,
     merge_and_extend,
-    prune_unitary_rounds,
     root_for,
     validate_assignment,
 )
@@ -387,10 +386,19 @@ def feasibility(t: ProtocolTree, m: SeparableMeasurement, *,
 
 
 def _emit(tree, assignment, m, tol):
-    out = prune_unitary_rounds(compact_same_party(tree))
-    if not validate_assignment(out, m, assignment, pin_identities=True, tol=tol):
-        raise TreeStructureError("normalized protocol failed revalidation")
-    return out, assignment
+    """(tree, assignment) once the tree revalidates under the assignment.
+
+    A synthesized tree is already normal: `compact_same_party` and
+    `prune_unitary_rounds` would return it unchanged, by induction over the
+    merges. A branch of free party f adopts the trunk children of a member
+    whose trunk party is not f, as a tree with trunk party f is not eligible
+    for free party f; so no round is followed at once by a round of its own
+    party, and nothing is folded. Every merge has at least two members, so
+    every round has at least two outcomes, and nothing is spliced.
+    """
+    if not validate_assignment(tree, m, assignment, pin_identities=True, tol=tol):
+        raise TreeStructureError("synthesized protocol failed revalidation")
+    return tree, assignment
 
 
 def synthesize(m: SeparableMeasurement,
@@ -512,20 +520,10 @@ def orderings(protocols, party_names=None) -> list:
         items = [p[0] if isinstance(p, tuple) else p for p in protocols]
     seqs = set()
     for t in items:
-        trunk = t.trunk_party
-        if trunk is None:
+        if t.trunk_party is None:
             seqs.add(())
-            continue
-
-        def rec(n, seq):
-            if not n.children:
-                seqs.add(seq)
-                return
-            step = seq + (n.children[0].party,)
-            for c in n.children:
-                rec(c, step)
-
-        rec(root_for(t, trunk), ())
+        seqs.update(tuple(n.party for n in path[1:] + (leaf,))
+                    for leaf, path in descend(t) if not leaf.children)
     if party_names is not None:
         seqs = {tuple(party_names[p] for p in s) for s in seqs}
     return sorted(seqs)

@@ -8,6 +8,11 @@ local operator parts. Multiple groups on one node are aliases and must agree
 numerically. Walking the trunk top-down while carrying each party's current
 value reproduces the branching-consistency rule: at every node, the children's
 values sum to the carried value of the children's party.
+
+`descend` is the one read-only walk: it yields each node in preorder with the
+path of nodes above it, and the checks, leaf readings and exports read the
+carried values off that path. Only the passes that rebuild a tree recurse on
+their own.
 """
 from __future__ import annotations
 
@@ -175,6 +180,32 @@ def _close(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return float(np.abs(a - b).max(initial=0.0)) <= tol * scale
 
 
+def descend(t: ProtocolTree, starts=None):
+    """Each node under `starts` in preorder, with the tuple of nodes above it
+    (its start first). `starts` defaults to the trunk root, so a one-outcome
+    tree yields nothing; `t.roots` gives the whole forest."""
+    if starts is None:
+        trunk = t.trunk_party
+        starts = () if trunk is None else (root_for(t, trunk),)
+    stack = [(n, ()) for n in reversed(tuple(starts))]
+    while stack:
+        n, path = stack.pop()
+        yield n, path
+        stack.extend((c, path + (n,)) for c in reversed(n.children))
+
+
+def _check_index(what, value, bound):
+    if not 0 <= value < bound:
+        raise TreeStructureError(f"{what} {value} out of range [0, {bound})")
+
+
+def _check_terms(groups, t: ProtocolTree, m: SeparableMeasurement):
+    for g in groups:
+        for term in g:
+            _check_index("term op", term.op, len(m.ops))
+            _check_index("term var", term.var, t.nvars)
+
+
 def _check_shape(t: ProtocolTree, m: SeparableMeasurement):
     if t.P != m.P:
         raise TreeStructureError("tree and measurement disagree on party count")
@@ -182,19 +213,31 @@ def _check_shape(t: ProtocolTree, m: SeparableMeasurement):
         raise TreeStructureError("roots must cover each party exactly once")
     if sum(1 for r in t.roots if r.children) > 1:
         raise TreeStructureError("more than one branching root")
-
-    def rec(n):
+    for n, _ in descend(t, t.roots):
+        _check_index("node party", n.party, t.P)
         if not n.groups or any(len(g) == 0 for g in n.groups):
             raise TreeStructureError("node with empty label")
-        if n.children:
-            p = n.children[0].party
-            if any(c.party != p for c in n.children):
-                raise TreeStructureError("children of one node must share a party")
-            for c in n.children:
-                rec(c)
+        _check_terms(n.groups, t, m)
+        if any(c.party != n.children[0].party for c in n.children):
+            raise TreeStructureError("children of one node must share a party")
+    for c in t.constraints:
+        _check_index("constraint party", c.party, t.P)
+        _check_terms((c.lhs, c.rhs), t, m)
 
-    for r in t.roots:
-        rec(r)
+
+def _node_values(t: ProtocolTree, m: SeparableMeasurement, assignment) -> dict:
+    """Per node id, the value of the node's value group, each computed once."""
+    return {id(n): group_value(n.groups[0], m, n.party, assignment)
+            for n, _ in descend(t, t.roots)}
+
+
+def _carried(t: ProtocolTree, values: dict, nodes) -> list:
+    """Per party, the value it carries below `nodes`: that of the last of
+    them it measured, else its root's."""
+    out = [values[id(root_for(t, a))] for a in range(t.P)]
+    for n in nodes:
+        out[n.party] = values[id(n)]
+    return out
 
 
 def validate_assignment(t: ProtocolTree, m: SeparableMeasurement, assignment,
@@ -206,59 +249,24 @@ def validate_assignment(t: ProtocolTree, m: SeparableMeasurement, assignment,
         raise UnboundVariableError(
             f"assignment binds {assignment.size} variables, tree uses {t.nvars}")
     _check_shape(t, m)
-
-    ok = True
-
-    def aliases(n):
-        base = group_value(n.groups[0], m, n.party, assignment)
-        for g in n.groups[1:]:
-            if not _close(group_value(g, m, n.party, assignment), base, tol):
-                return False
-        return all(aliases(c) for c in n.children)
-
-    for r in t.roots:
-        ok = ok and aliases(r)
-
-    values = {r.party: group_value(r.groups[0], m, r.party, assignment)
-              for r in t.roots}
-
-    def down(n, values):
-        values = dict(values)
-        values[n.party] = group_value(n.groups[0], m, n.party, assignment)
-        if not n.children:
-            return True
-        p = n.children[0].party
-        total = sum(group_value(c.groups[0], m, p, assignment) for c in n.children)
-        if not _close(total, values[p], tol):
+    values = _node_values(t, m, assignment)
+    for n, path in descend(t, t.roots):
+        base = values[id(n)]
+        if not all(_close(group_value(g, m, n.party, assignment), base, tol)
+                   for g in n.groups[1:]):
             return False
-        return all(down(c, values) for c in n.children)
-
-    trunk = t.trunk_party
-    if trunk is not None:
-        ok = ok and down(root_for(t, trunk), values)
-
-    if pin_identities:
-        for a in range(t.P):
-            eye = np.eye(m.dims[a], dtype=complex)
-            if not _close(values[a], eye, tol):
-                ok = False
-    return ok
+        if n.children and not _close(
+                sum(values[id(c)] for c in n.children),
+                _carried(t, values, path + (n,))[n.children[0].party], tol):
+            return False
+    return not pin_identities or all(
+        _close(v, np.eye(m.dims[a], dtype=complex), tol)
+        for a, v in enumerate(_carried(t, values, ())))
 
 
 def walk_nodes(t: ProtocolTree):
     """Trunk-subtree nodes in preorder; empty for a one-outcome tree."""
-    trunk = t.trunk_party
-    if trunk is None:
-        return []
-    out = []
-
-    def rec(n):
-        out.append(n)
-        for c in n.children:
-            rec(c)
-
-    rec(root_for(t, trunk))
-    return out
+    return [n for n, _ in descend(t)]
 
 
 def leaves(t: ProtocolTree):
@@ -274,25 +282,11 @@ def coverage(t: ProtocolTree) -> set:
 
 def leaf_products(t: ProtocolTree, m: SeparableMeasurement, assignment):
     """Per leaf, the tuple of carried party values (the realized local parts)."""
-    assignment = np.asarray(assignment, dtype=float)
-    values = {r.party: group_value(r.groups[0], m, r.party, assignment)
-              for r in t.roots}
-    trunk = t.trunk_party
-    if trunk is None:
-        return [(None, tuple(values[a] for a in range(t.P)))]
-    out = []
-
-    def rec(n, values):
-        values = dict(values)
-        values[n.party] = group_value(n.groups[0], m, n.party, assignment)
-        if not n.children:
-            out.append((n, tuple(values[a] for a in range(t.P))))
-            return
-        for c in n.children:
-            rec(c, values)
-
-    rec(root_for(t, trunk), values)
-    return out
+    values = _node_values(t, m, np.asarray(assignment, dtype=float))
+    if t.trunk_party is None:
+        return [(None, tuple(_carried(t, values, ())))]
+    return [(n, tuple(_carried(t, values, path + (n,))))
+            for n, path in descend(t) if not n.children]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -383,31 +377,14 @@ def canonical_key(t: ProtocolTree):
     return (t.P, tuple(sorted(nkey(r) for r in t.roots)))
 
 
-def _structural_depth(roots) -> int:
-    def rec(n):
-        if not n.children:
-            return 0
-        return 1 + max(rec(c) for c in n.children)
-
-    return max(rec(r) for r in roots)
-
-
 def _refresh(t: ProtocolTree, roots) -> ProtocolTree:
     roots = tuple(roots)
-    used = set()
-
-    def collect(n):
-        for g in n.groups:
-            for term in g:
-                used.add(term.var)
-        for c in n.children:
-            collect(c)
-
-    for r in roots:
-        collect(r)
+    nodes = list(descend(t, roots))
+    used = {term.var for n, _ in nodes for g in n.groups for term in g}
     cons = tuple(c for c in t.constraints
                  if all(term.var in used for term in c.lhs + c.rhs))
-    return ProtocolTree(t.P, roots, cons, t.nvars, _structural_depth(roots))
+    return ProtocolTree(t.P, roots, cons, t.nvars,
+                        max(len(path) for _, path in nodes))
 
 
 def prune_unitary_rounds(t: ProtocolTree) -> ProtocolTree:

@@ -397,6 +397,57 @@ def test_malformed_protocol_is_a_reported_error(tmp_path, capsys, fields,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def _set(path, key, value):
+    """An edit of a tree document: set key to value in the object that path
+    leads to, or in each object of the list it leads to."""
+    def edit(tree):
+        target = tree
+        for step in path:
+            target = target[step]
+        targets = target if isinstance(target, list) else [target]
+        for t in targets:
+            t[key] = value
+    return edit
+
+
+# edits of a saved krausdemo protocol (3 operators, 2 parties, 6 variables)
+# whose indices fall outside the measurement or the tree
+OUT_OF_RANGE_EDITS = [
+    pytest.param(_set(("roots", 0, "groups", 0, 0), "op", 99),
+                 "term op 99 out of range [0, 3)", id="root-op-99"),
+    pytest.param(_set(("roots", 0, "groups", 0, 0), "op", -1),
+                 "term op -1 out of range [0, 3)", id="root-op-negative"),
+    pytest.param(_set(("roots", 0, "groups", 0, 0), "var", -1),
+                 "term var -1 out of range [0, 6)", id="root-var-negative"),
+    pytest.param(_set(("roots", 1, "groups", 1, 1), "var", 6),
+                 "term var 6 out of range [0, 6)", id="alias-var-nvars"),
+    pytest.param(_set(("constraints", 0, "lhs", 0), "op", 99),
+                 "term op 99 out of range [0, 3)", id="constraint-op-99"),
+    pytest.param(_set(("constraints", 1, "rhs", 1), "var", -2),
+                 "term var -2 out of range [0, 6)", id="constraint-var-negative"),
+    pytest.param(_set(("constraints", 0), "party", 2),
+                 "constraint party 2 out of range [0, 2)", id="constraint-party-P"),
+    pytest.param(_set(("roots", 0, "children", 1, "children"), "party", 9),
+                 "node party 9 out of range [0, 2)", id="node-party-9"),
+    pytest.param(_set(("roots", 0, "children", 1, "children"), "party", -1),
+                 "node party -1 out of range [0, 2)", id="node-party-negative"),
+]
+
+
+@pytest.mark.parametrize("edit, message", OUT_OF_RANGE_EDITS)
+def test_out_of_range_index_is_a_reported_error(tmp_path, capsys, edit, message):
+    proto = tmp_path / "proto.json"
+    code, _, _ = run(capsys, "synthesize", fx("krausdemo"), "--save", str(proto))
+    assert code == 0
+    doc = json.loads(proto.read_text())
+    edit(doc["tree"])
+    proto.write_text(json.dumps(doc))
+    for fmt in ((), ("--format", "json")):
+        code, out, err = run(capsys, "lift", fx("krausdemo"), "--protocol",
+                             str(proto), *fmt)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_config_file_flag(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"rounds": 1}))

@@ -841,3 +841,28 @@ def test_product_basis_class_lps_are_never_assembled(monkeypatch):
     assert v3.kind == v4.kind == "Protocol"
     assert (v3.stats.lps_solved, v3.stats.trees_built, v3.stats.rounds) == (257, 34, 2)
     assert calls and assembled == []
+
+
+def synthesis_inputs():
+    """Every fixture synthesize accepts, the computational product bases and
+    the LOCC random trees."""
+    yield from (load_fixture(name) for name in (
+        "cascade5", "domino9", "fourparty_aligned", "krausdemo",
+        "productbasis4", "singularpair3"))
+    yield from (product_basis(*d) for d in (
+        (3, 3), (2, 4), (3, 4), (4, 4), (2, 2, 2), (2, 2, 3)))
+    yield from locc_random_measurements().values()
+
+
+@pytest.mark.parametrize("mode", ["first", "exhaustive"])
+def test_synthesized_protocols_are_normal(mode):
+    """compact_same_party and prune_unitary_rounds return every protocol
+    synthesize emits unchanged, so _emit need not apply them."""
+    count = 0
+    for m in synthesis_inputs():
+        v = synthesize(m, RunConfig(mode=mode, max_lps=2000))
+        for t, _ in v.protocols:
+            assert compact_same_party(t) == t
+            assert prune_unitary_rounds(t) == t
+            count += 1
+    assert count >= 20

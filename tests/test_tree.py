@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loccforge.config import RunConfig
 from loccforge.errors import (
     DimMismatchError,
     SubsetTooSmallError,
@@ -14,7 +15,10 @@ from loccforge.tree import (
     align_weights,
     canonical_key,
     coverage,
+    descend,
     extract_measurement,
+    group_value,
+    leaf_products,
     leaf_tree,
     leaves,
     merge_and_extend,
@@ -22,6 +26,8 @@ from loccforge.tree import (
     validate_assignment,
     walk_nodes,
 )
+from loccforge.io import _caption, export_dot
+from loccforge.synthesis import orderings, synthesize
 
 from conftest import load_fixture, random_valid_tree
 
@@ -230,3 +236,129 @@ def test_coverage_modes(rng):
     assert coverage(leaf_tree(m, 3)) == {3}
     t = merge_and_extend([leaf_tree(m, 1), leaf_tree(m, 4)], 0)
     assert coverage(t) == {1, 4}
+
+
+# Recursive walks kept as references for `descend`: each visits the trunk
+# subtree in preorder, carrying each party's value down the path.
+
+def reference_walk_nodes(t):
+    trunk = t.trunk_party
+    if trunk is None:
+        return []
+    out = []
+
+    def rec(n):
+        out.append(n)
+        for c in n.children:
+            rec(c)
+
+    rec(root_for(t, trunk))
+    return out
+
+
+def reference_leaf_products(t, m, assignment):
+    assignment = np.asarray(assignment, dtype=float)
+    values = {r.party: group_value(r.groups[0], m, r.party, assignment)
+              for r in t.roots}
+    trunk = t.trunk_party
+    if trunk is None:
+        return [(None, tuple(values[a] for a in range(t.P)))]
+    out = []
+
+    def rec(n, values):
+        values = dict(values)
+        values[n.party] = group_value(n.groups[0], m, n.party, assignment)
+        if not n.children:
+            out.append((n, tuple(values[a] for a in range(t.P))))
+            return
+        for c in n.children:
+            rec(c, values)
+
+    rec(root_for(t, trunk), values)
+    return out
+
+
+def reference_orderings(t):
+    trunk = t.trunk_party
+    if trunk is None:
+        return [()]
+    seqs = set()
+
+    def rec(n, seq):
+        if not n.children:
+            seqs.add(seq)
+            return
+        step = seq + (n.children[0].party,)
+        for c in n.children:
+            rec(c, step)
+
+    rec(root_for(t, trunk), ())
+    return sorted(seqs)
+
+
+def reference_export_dot(tree, m=None, assignment=None):
+    party_names = (m.party_names if m is not None
+                   else tuple(str(a) for a in range(tree.P)))
+    lines = ["digraph protocol {", "  rankdir=LR;", "  node [fontsize=10];"]
+    for a in range(tree.P):
+        cap = _caption(root_for(tree, a), m, assignment, party_names)
+        lines.append(f'  r{a} [shape=box, label="{cap}"];')
+    lines.append("  { rank=same; " + "; ".join(f"r{a}" for a in range(tree.P))
+                 + "; }")
+    for a in range(tree.P - 1):
+        lines.append(f"  r{a} -> r{a + 1} [style=dotted, arrowhead=none];")
+    trunk = tree.trunk_party
+    counter = 0
+    if trunk is not None:
+
+        def visit(n, parent_id):
+            nonlocal counter
+            nid = f"n{counter}"
+            counter += 1
+            cap = _caption(n, m, assignment, party_names)
+            shape = "ellipse" if n.children else "plaintext"
+            lines.append(f'  {nid} [shape={shape}, label="{cap}"];')
+            lines.append(f"  {parent_id} -> {nid};")
+            for c in n.children:
+                visit(c, nid)
+
+        for c in root_for(tree, trunk).children:
+            visit(c, f"r{trunk}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def walk_cases():
+    rng = np.random.default_rng(1414)
+    for _ in range(40):
+        yield random_valid_tree(rng, max_parties=3, max_dim=3, depth=4)
+    for name in ("cascade5", "fourparty_aligned", "krausdemo", "productbasis4"):
+        m = load_fixture(name)
+        for t, x in synthesize(m, RunConfig(mode="exhaustive")).protocols:
+            yield t, m, x
+    m = load_fixture("cascade5")
+    yield leaf_tree(m, 2), m, np.ones(m.P)
+
+
+def test_descend_matches_the_recursive_walks():
+    """Node order and identity, leaf values, orderings and DOT text, which
+    `lift`'s leaf ids and the DOT node names expose, equal the recursions'."""
+    for t, m, x in walk_cases():
+        nodes = walk_nodes(t)
+        ref = reference_walk_nodes(t)
+        assert len(nodes) == len(ref)
+        assert all(a is b for a, b in zip(nodes, ref))
+        got, want = leaf_products(t, m, x), reference_leaf_products(t, m, x)
+        assert len(got) == len(want)
+        for (leaf, parts), (ref_leaf, ref_parts) in zip(got, want):
+            assert leaf is ref_leaf
+            assert all(np.array_equal(a, b) for a, b in zip(parts, ref_parts))
+        assert orderings([t]) == reference_orderings(t)
+        assert export_dot(t, m, x) == reference_export_dot(t, m, x)
+        assert export_dot(t) == reference_export_dot(t)
+        # over the whole forest, each path leads from a root to the node
+        for n, path in descend(t, t.roots):
+            chain = path + (n,)
+            assert any(chain[0] is r for r in t.roots)
+            assert all(any(b is c for c in a.children)
+                       for a, b in zip(chain, chain[1:]))
