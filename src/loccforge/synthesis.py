@@ -35,8 +35,9 @@ LOOKAHEAD_TREES = 8 trees. The cap keeps every certified family within 2^8
 subsets per counted LP, so `max_lps` still bounds a search: uncapped, the
 look-ahead on random-tree seed 51 certified a family of millions of sets
 without spending the LP budget and ran past 200 s instead of about 15 s. It
-also bounds the size of a look-ahead LP, which the simplex pivots through by
-Bland's rule, to that of a class of 8 trees.
+also bounds what the simplex pivots through by Bland's rule: a look-ahead
+LP, like every class LP, is solved one party at a time (below), so each LP
+it solves has the columns of at most 8 trees at one party.
 
 Each round extends the last one's search: a round only adds trees, and a
 fixed set's feasibility never changes, so every subset of last round's trees
@@ -67,31 +68,66 @@ other roots stack its members'. All terms have scale 1.0, so the group
 `_group_sort_key` puts first depends only on the key. By induction keys
 differ. A repeat would be harmless: the impossibility proof needs every class.
 
-Most class LPs, "is there an x >= 1 with A x = 0?", are answered by one of
-two certificates on r = A @ 1 before the simplex; each gives the answer the
-simplex would. If r is exactly zero, x = 1 is a solution: the shifted rhs
--r is all zero, so phase 1 ends at objective 0 and x = 1 has residual 0. If
-a row of A has entries of one sign and |r_i| > 2 tol, no x >= 1 passes the
-residual check: the row sums same-signed terms, so |(A x)_i| >= |r_i| > tol
-with room for roundoff. Either way the LP is still counted in `lps_solved`.
+A class LP, "is there an x >= 1 with A x = 0?", splits by party. Every
+tree variable labels nodes of one party only: `leaf_tree` gives operator
+j's tree var a at party a, and `merge_and_extend` only offsets its members'
+vars. A row at party beta thus holds columns of party beta only, A is
+block-diagonal with one block per party but the free one, and the LP is
+feasible iff every block's LP is. `_class_feasible` counts one LP in
+`lps_solved`, reads each block's certificate (below) in ascending party
+order and returns False at the first that refutes; a certified block is
+skipped, and the undecided ones go to the simplex one at a time, in the
+same order, until one is infeasible. A block does not depend on the free
+party, so a run keeps each solved block's answer under (ids, party): with
+three or more parties, two free parties can ask for the same block.
 
-Both certificates are read without building the LP. Its columns are (tree
+The simplex answers the blocks as it answers the joint LP, but for two
+margins. Phase 1 on the joint LP minimizes a sum of per-block objectives
+over a product of per-block sets, so its optimum is zero iff every block's
+is, and the final residual check bounds every row by the same tol, so a
+point passes it iff its part on each block does. Two thresholds grow with
+the whole matrix, though: a row is dropped as zero relative to the
+matrix's largest entry, and the phase-1 objective is compared with
+1e-9 (1 + rows). A block's answer can differ from the joint LP's only where
+a row or the objective falls between the block's threshold and the joint
+one; the tests compare the two on every class LP of their searches.
+
+Most blocks are answered by one of two certificates on r = A @ 1 before the
+simplex, A now the block; each gives the answer the simplex would. If r is
+exactly zero, x = 1 is a solution: the shifted rhs -r is all zero, so
+phase 1 ends at objective 0 and x = 1 has residual 0. If a row of A has
+entries of one sign and |r_i| > 2 tol, no x >= 1 passes the residual check:
+the row sums same-signed terms, so |(A x)_i| >= |r_i| > tol with room for
+roundoff.
+
+Both certificates are read without building a block. Its columns are (tree
 id, var) pairs, so two trees never share a column, and each row holds the
-entries of one constraint: at each party but the free one, a tree's alias
-rows (group k against group k+1 of its root) or the chain rows (group 0 of
-one tree against group 0 of the next). Row sums and "one-signed" are
-properties of single rows, so the LP's certificate combines its blocks':
-False if a block has a one-signed row with |r| > 2 tol, True if every
-block sums to exactly zero, and otherwise the LP is built and goes to the
-simplex. An alias block depends only on (tree, party). A chain block
-depends only on the two value groups: with g the row sums of a value
-group's column block and pos, neg its masks of rows with entries all >= 0
-and all <= 0, the chain rows sum to g_a - g_b and are one-signed where
-(pos_a & neg_b) | (neg_a & pos_b). A run keeps these per (tree, party).
-The blocks' sums add each row in another order than A @ 1 does, so the
-exact-zero test can differ from the full matrix's only where A @ 1 is zero
-up to roundoff; a True still means that, so x = 1 passes the simplex's
-residual check. The False test keeps tol of room for roundoff in either order.
+entries of one constraint: a tree's alias rows (group k against group k+1
+of its root) or the chain rows (group 0 of one tree against group 0 of the
+next). Row sums and "one-signed" are properties of single rows, so the
+block's certificate combines its trees' and chains': False if one has a
+one-signed row with |r| > 2 tol, True if every one sums to exactly zero,
+and otherwise the block is assembled and goes to the simplex. A tree's
+alias rows depend only on (tree, party). A chain depends only on the two
+value groups: with g the row sums of a value group's column block and pos,
+neg its masks of rows with entries all >= 0 and all <= 0, the chain rows
+sum to g_a - g_b and are one-signed where (pos_a & neg_b) | (neg_a & pos_b).
+A run keeps these per (tree, party). The parts' sums add each row in
+another order than A @ 1 does, so the exact-zero test can differ from the
+full block's only where A @ 1 is zero up to roundoff; a True still means
+that, so x = 1 passes the simplex's residual check. The False test keeps
+tol of room for roundoff in either order.
+
+An undecided block is assembled from the same per-tree data, not renamed
+from the trees' terms. `_root_rows` numbers a tree's variables at party
+beta in order of first use over its root's groups and keeps its alias rows
+and its value group's column block V over them. The block's columns follow
+the first-use order of renaming the constraints one by one: alias rows
+come before every chain row, so the trees with alias rows come first, in id
+order, then the single-group trees, whose vars first occur in the chain
+rows, in id order. Its rows are each tree's alias rows, then the chain rows
+[V_a | -V_b]. They equal the renamed constraints' rows bit for bit, so
+Bland's rule, which pivots by column and row order, makes the same pivots.
 """
 from __future__ import annotations
 
@@ -198,8 +234,8 @@ def _certificate(r, one_sign, tol):
 
 
 def _class_certificate(A, tol):
-    """True or False when the class LP A x = 0, x >= 1 is decided by a
-    certificate of the module docstring, None when it needs the simplex."""
+    """True or False when the LP A x = 0, x >= 1 is decided by a certificate
+    of the module docstring, None when it needs the simplex."""
     r, pos, neg = _block_signs(A)
     return _certificate(r, pos | neg, tol)
 
@@ -213,8 +249,9 @@ def _chain_certificate(a, b, tol):
 
 def _root_rows(t, beta, m, tol):
     """The per-tree data of the class LPs at party beta, over t's own
-    variables: `_class_certificate` of its root's alias rows, and the
-    `_block_signs` of its value group's column block."""
+    variables numbered by first use: `_class_certificate` of its root's alias
+    rows, the `_block_signs` of its value group's column block, the alias
+    rows and that block."""
     V = m.columns(beta)
     cols = {}
     gs = [tuple(Term(u.op, cols.setdefault(u.var, len(cols)), u.scale)
@@ -225,77 +262,92 @@ def _root_rows(t, beta, m, tol):
         _fill(alias[k * size:(k + 1) * size], ga, gb, V)
     value = np.zeros((size, len(cols)))
     _fill(value, gs[0], (), V)
-    return _class_certificate(alias, tol), _block_signs(value)
+    return _class_certificate(alias, tol), _block_signs(value), alias, value
 
 
-def _composed_certificate(trees, ids, free_party, m, tol, rows):
-    """`_class_certificate` of the class LP of ids, composed from its blocks
-    (module docstring) without building the LP. rows caches the blocks for
-    the run: (tid, beta) maps to `_root_rows`, (ta, tb, beta) to the chain
+def _tree_rows(trees, tid, beta, m, tol, rows):
+    """`_root_rows` of tree tid at party beta, cached in rows under (tid, beta)."""
+    if (tid, beta) not in rows:
+        rows[tid, beta] = _root_rows(trees[tid], beta, m, tol)
+    return rows[tid, beta]
+
+
+def _block_certificate(trees, ids, beta, m, tol, rows):
+    """`_class_certificate` of the block of the class LP of ids at party beta,
+    composed from its trees' and chains' (module docstring) without building
+    it. Beside `_tree_rows`, rows caches (ta, tb, beta), the chain
     certificate of consecutive trees ta, tb."""
     undecided = False
-    for beta in range(trees[ids[0]].P):
-        if beta == free_party:
-            continue
-        for tid in ids:
-            if (tid, beta) not in rows:
-                rows[tid, beta] = _root_rows(trees[tid], beta, m, tol)
-            known = rows[tid, beta][0]
-            if known is False:
-                return False
-            undecided = undecided or known is None
-        for ta, tb in zip(ids, ids[1:]):
-            key = ta, tb, beta
-            if key not in rows:
-                rows[key] = _chain_certificate(rows[ta, beta][1],
-                                               rows[tb, beta][1], tol)
-            if rows[key] is False:
-                return False
-            undecided = undecided or rows[key] is None
+    for tid in ids:
+        known = _tree_rows(trees, tid, beta, m, tol, rows)[0]
+        if known is False:
+            return False
+        undecided = undecided or known is None
+    for ta, tb in zip(ids, ids[1:]):
+        key = ta, tb, beta
+        if key not in rows:
+            rows[key] = _chain_certificate(rows[ta, beta][1],
+                                           rows[tb, beta][1], tol)
+        if rows[key] is False:
+            return False
+        undecided = undecided or rows[key] is None
     return None if undecided else True
 
 
-def _class_lp(trees, ids, free_party, m):
-    """(A, b) of the class LP of ids: per party but free_party, each tree's
-    alias rows, then the chain rows of consecutive trees; a column is a
-    (tree id, var) pair, numbered by first use, lhs before rhs."""
-    cols = {}
-
-    def renamed(tid, g):
-        return tuple(Term(t.op, cols.setdefault((tid, t.var), len(cols)), t.scale)
-                     for t in g)
-
-    constraints = []
-    for beta in range(trees[ids[0]].P):
-        if beta == free_party:
-            continue
-        for tid in ids:
-            gs = root_for(trees[tid], beta).groups
-            for ga, gb in zip(gs, gs[1:]):
-                constraints.append(Constraint(beta, renamed(tid, ga), renamed(tid, gb)))
-        for ta, tb in zip(ids, ids[1:]):
-            ga = root_for(trees[ta], beta).groups[0]
-            gb = root_for(trees[tb], beta).groups[0]
-            constraints.append(Constraint(beta, renamed(ta, ga), renamed(tb, gb)))
-    return _equations_to_lp(constraints, m, len(cols))
+def _class_lp(trees, ids, beta, m, tol, rows):
+    """The block A of the class LP of ids at party beta, assembled from the
+    trees' `_tree_rows`: each tree's alias rows, then the chain rows
+    [V_a | -V_b] of consecutive trees. The columns are the trees' vars in
+    order of first use: the trees with alias rows in id order, then the
+    others in id order (module docstring)."""
+    data = [_tree_rows(trees, tid, beta, m, tol, rows) for tid in ids]
+    cols, n = [None] * len(ids), 0
+    for k in sorted(range(len(ids)), key=lambda k: not len(data[k][2])):
+        width = data[k][3].shape[1]
+        cols[k] = slice(n, n + width)
+        n += width
+    size = data[0][3].shape[0]
+    A = np.zeros((sum(len(d[2]) for d in data) + size * (len(ids) - 1), n))
+    r = 0
+    for c, (_, _, alias, _) in zip(cols, data):
+        A[r:r + len(alias), c] = alias
+        r += len(alias)
+    for k in range(len(ids) - 1):
+        A[r:r + size, cols[k]] = data[k][3]
+        A[r:r + size, cols[k + 1]] -= data[k + 1][3]
+        r += size
+    return A
 
 
 def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol, rows=None):
     """Can the listed trees' roots share one strictly positive common value on
-    every party except free_party? rows is the run's block cache of
-    `_composed_certificate`, a fresh one when None; the LP is built only when
-    the certificate leaves it undecided."""
+    every party except free_party? One counted LP, solved one party's block
+    at a time (module docstring): a block decided by its certificate is not
+    built, and rows, the run's cache of `_block_certificate` (a fresh one when
+    None), also keeps each solved block's answer under (ids, party)."""
     if all(len(ids) == 1 and len(root_for(trees[ids[0]], beta).groups) == 1
            for beta in range(trees[ids[0]].P) if beta != free_party):
         return True  # no constraint rows
     _count_lp(stats, max_lps)
-    known = _composed_certificate(trees, ids, free_party, m, tol,
-                                  {} if rows is None else rows)
-    if known is not None:
-        return known
-    A, b = _class_lp(trees, ids, free_party, m)
-    x = feasible_point(A, b, tol=tol, lower=np.ones(A.shape[1]))
-    return x is not None
+    rows = {} if rows is None else rows
+    undecided = []
+    for beta in range(trees[ids[0]].P):
+        if beta == free_party:
+            continue
+        known = _block_certificate(trees, ids, beta, m, tol, rows)
+        if known is False:
+            return False
+        if known is None:
+            undecided.append(beta)
+    for beta in undecided:
+        if (ids, beta) not in rows:
+            A = _class_lp(trees, ids, beta, m, tol, rows)
+            x = feasible_point(A, np.zeros(A.shape[0]), tol=tol,
+                               lower=np.ones(A.shape[1]))
+            rows[ids, beta] = x is not None
+        if not rows[ids, beta]:
+            return False
+    return True
 
 
 def _feasible_family(trees, eligible, free_party, m, known, start, stats,
@@ -435,8 +487,9 @@ def synthesize(m: SeparableMeasurement,
 
     # per free party, the feasible subsets found so far (ascending id tuples)
     known = [set() for _ in range(m.P)]
-    # the class LPs' blocks per (tree id, party), read by every free party;
-    # tree ids are stable, as trees are only appended
+    # the class LPs' data per (tree id, party) and the solved blocks' answers
+    # per (ids, party), read by every free party; tree ids are stable, as
+    # trees are only appended
     rows = {}
     # per tree id, the bitmask of the operators its leaves cover
     covers = [1 << j for j in range(N)]

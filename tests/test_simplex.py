@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from loccforge import simplex
+from loccforge import simplex, synthesis
+from loccforge.config import RunConfig
+from loccforge.hermitian import LP_TOL
 from loccforge.simplex import feasible_point
+from loccforge.synthesis import synthesize
+
+from conftest import load_fixture, locc_random_measurements
 
 
 def test_recovers_known_feasible_systems(rng):
@@ -106,6 +111,38 @@ def test_feasible_point_agrees_with_highs(rng):
             assert np.abs(a @ x - b).max() <= 1e-8 * (1 + np.abs(b).max())
         verdicts.append(x is not None)
     assert 0.2 < np.mean(verdicts) < 0.8
+
+
+def test_class_blocks_agree_with_highs(monkeypatch):
+    """The per-party class LP blocks that reach the simplex in the searches
+    on cascade5, domino9 and the LOCC random trees 10, 12 and 29: A x = 0,
+    x >= 1 is feasible for the simplex exactly when it is for HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    blocks = []
+    real = synthesis._class_lp
+
+    def spy(*args):
+        blocks.append(real(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(synthesis, "_class_lp", spy)
+    seeds = locc_random_measurements()
+    for m, cfg in [(load_fixture("cascade5"), RunConfig()),
+                   (load_fixture("domino9"), RunConfig())] + [
+            (seeds[s], RunConfig(max_lps=2000)) for s in (10, 12, 29)]:
+        synthesize(m, cfg)
+    verdicts = []
+    for a in blocks:
+        n = a.shape[1]
+        ref = linprog(np.zeros(n), A_eq=a, b_eq=np.zeros(a.shape[0]),
+                      method="highs", bounds=[(1.0, None)] * n)
+        assert ref.status in (0, 2), ref.message
+        x = feasible_point(a, np.zeros(a.shape[0]), tol=LP_TOL,
+                           lower=np.ones(n))
+        assert (x is not None) == (ref.status == 0), a
+        verdicts.append(x is not None)
+    # both answers occur
+    assert 0 < np.mean(verdicts) < 1
 
 
 def _loop_scaling(A, b, tol, lower):

@@ -21,10 +21,13 @@ from loccforge.synthesis import (
     synthesize,
 )
 from loccforge.tree import (
+    Constraint,
+    Term,
     align_weights,
     canonical_key,
     compact_same_party,
     coverage,
+    descend,
     group_value,
     leaf_tree,
     leaves,
@@ -696,45 +699,160 @@ def kernel_answer(A, tol):
     return x is not None
 
 
-def test_class_certificates_agree_with_the_simplex(monkeypatch):
-    """Every class LP the searches reach on the product bases, the fixtures
-    and the LOCC random trees: the certificate composed from per-tree blocks
-    is the full matrix's, and a decided answer is the simplex's. The two add
-    each row in another order, so they may differ on the zero test, and only
-    where the full row sums are within summation roundoff of zero (one LP of
-    cascade5)."""
+def reference_class_lp(trees, ids, free_party, m):
+    """The joint class LP (A, b) of ids over every party but free_party, as
+    one matrix: per party, each tree's alias rows, then the chain rows of
+    consecutive trees; a column is a (tree id, var) pair, numbered by first
+    use, lhs before rhs. The per-party blocks replace this construction."""
+    cols = {}
+
+    def renamed(tid, g):
+        return tuple(Term(t.op, cols.setdefault((tid, t.var), len(cols)), t.scale)
+                     for t in g)
+
+    constraints = []
+    for beta in range(trees[ids[0]].P):
+        if beta == free_party:
+            continue
+        for tid in ids:
+            gs = root_for(trees[tid], beta).groups
+            for ga, gb in zip(gs, gs[1:]):
+                constraints.append(Constraint(beta, renamed(tid, ga), renamed(tid, gb)))
+        for ta, tb in zip(ids, ids[1:]):
+            ga = root_for(trees[ta], beta).groups[0]
+            gb = root_for(trees[tb], beta).groups[0]
+            constraints.append(Constraint(beta, renamed(ta, ga), renamed(tb, gb)))
+    return synthesis._equations_to_lp(constraints, m, len(cols))
+
+
+def joint_blocks(trees, ids, free_party, m):
+    """(party, row slice, column slice) of each party's block of
+    `reference_class_lp`, in party order; a party without rows has no
+    columns there either."""
+    out, r, c = [], 0, 0
+    for beta in range(trees[ids[0]].P):
+        if beta == free_party:
+            continue
+        gs = [root_for(trees[tid], beta).groups for tid in ids]
+        nrows = m.dims[beta] ** 2 * (sum(len(g) - 1 for g in gs) + len(ids) - 1)
+        ncols = sum(len({u.var for g in groups for u in g})
+                    for groups in gs) if nrows else 0
+        out.append((beta, slice(r, r + nrows), slice(c, c + ncols)))
+        r, c = r + nrows, c + ncols
+    return out
+
+
+def class_lp_cases():
+    return [(product_basis(3, 3), RunConfig()),
+            (product_basis(2, 2, 2), RunConfig()),
+            (load_fixture("cascade5"), RunConfig()),
+            (load_fixture("domino9"), RunConfig())] + [
+        (m, RunConfig(max_lps=2000)) for m in locc_random_measurements().values()]
+
+
+def reached_class_lps(monkeypatch):
+    """Per search of `class_lp_cases`, the (trees, ids, free, m, tol, answer)
+    of every `_class_feasible` call it makes."""
     reached = []
     real = synthesis._class_feasible
 
     def spy(trees, ids, free, m, stats, max_lps, tol, *rest):
-        reached.append((trees, ids, free, m, tol))
-        return real(trees, ids, free, m, stats, max_lps, tol, *rest)
+        answer = real(trees, ids, free, m, stats, max_lps, tol, *rest)
+        reached.append((trees, ids, free, m, tol, answer))
+        return answer
 
     monkeypatch.setattr(synthesis, "_class_feasible", spy)
-    cases = [(product_basis(3, 3), RunConfig()),
-             (product_basis(2, 2, 2), RunConfig()),
-             (load_fixture("cascade5"), RunConfig()),
-             (load_fixture("domino9"), RunConfig())]
-    cases += [(m, RunConfig(max_lps=2000))
-              for m in locc_random_measurements().values()]
-    answers = {True: 0, False: 0, None: 0}
-    for m, cfg in cases:
+    for m, cfg in class_lp_cases():
         reached.clear()
         synthesize(m, cfg)
+        yield list(reached)
+
+
+def test_variables_label_one_party(monkeypatch):
+    """Every tree variable occurs in the groups of one party only, across
+    roots, descendants and constraints: leaf_tree creates var a at party a,
+    and merge_and_extend only offsets vars. The class LP splits into one
+    block per party on this."""
+    built = []
+    real = synthesis.merge_and_extend
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(synthesis, "merge_and_extend", spy)
+    merged = 0
+    for m, cfg in class_lp_cases():
+        built.clear()
+        synthesize(m, cfg)
+        merged += len(built)
+        for t in [leaf_tree(m, j) for j in range(len(m))] + built:
+            parties = {}
+            for n, _ in descend(t, t.roots):
+                for g in n.groups:
+                    for u in g:
+                        parties.setdefault(u.var, set()).add(n.party)
+            for c in t.constraints:
+                for u in c.lhs + c.rhs:
+                    parties.setdefault(u.var, set()).add(c.party)
+            assert all(len(p) == 1 for p in parties.values())
+    assert merged > 0
+
+
+def test_class_blocks_match_the_joint_lp(monkeypatch):
+    """Every class LP the searches reach: the joint matrix is block-diagonal
+    by party, each block `_class_lp` assembles from the cached per-tree
+    blocks is that party's rows and columns of it, bit for bit, and
+    `_class_feasible` answers as the simplex does on the joint LP."""
+    blocks = 0
+    for reached in reached_class_lps(monkeypatch):
         rows = {}
-        for trees, ids, free, m, tol in reached:
-            A, _ = synthesis._class_lp(trees, ids, free, m)
-            known = synthesis._composed_certificate(trees, ids, free, m, tol, rows)
-            full = synthesis._class_certificate(A, tol)
-            if known != full:
-                assert {known, full} == {True, None}
-                r = A @ np.ones(A.shape[1])
-                eps = np.finfo(float).eps
-                assert (np.abs(r) <= A.shape[1] * eps * np.abs(A).sum(axis=1)).all()
-            answers[known] += 1
-            if known is not None:
-                assert known == kernel_answer(A, tol)
-    # both certificates fire, and some LPs still need the simplex
+        for trees, ids, free, m, tol, answer in reached:
+            A, b = reference_class_lp(trees, ids, free, m)
+            assert not b.any()
+            assert answer == kernel_answer(A, tol)
+            inside = np.zeros(A.shape, dtype=bool)
+            parts = joint_blocks(trees, ids, free, m)
+            assert (parts[-1][1].stop, parts[-1][2].stop) == A.shape
+            for beta, rs, cs in parts:
+                inside[rs, cs] = True
+                if rs.stop > rs.start:
+                    block = synthesis._class_lp(trees, ids, beta, m, tol, rows)
+                    # bit for bit, so Bland's rule pivots alike on both
+                    assert block.shape == A[rs, cs].shape
+                    assert block.tobytes() == A[rs, cs].tobytes()
+                    blocks += 1
+            assert not A[~inside].any()
+    assert blocks > 0
+
+
+def test_class_certificates_agree_with_the_simplex(monkeypatch):
+    """Every block of every class LP the searches reach on the product bases,
+    the fixtures and the LOCC random trees: the certificate composed from
+    per-tree blocks is the block's own, and a decided answer is the
+    simplex's. The two add each row in another order, so they may differ on
+    the zero test, and only where the block's row sums are within summation
+    roundoff of zero (one block of cascade5)."""
+    answers = {True: 0, False: 0, None: 0}
+    for reached in reached_class_lps(monkeypatch):
+        rows = {}
+        for trees, ids, free, m, tol, _ in reached:
+            A, _ = reference_class_lp(trees, ids, free, m)
+            for beta, rs, cs in joint_blocks(trees, ids, free, m):
+                block = A[rs, cs]
+                known = synthesis._block_certificate(trees, ids, beta, m, tol,
+                                                     rows)
+                full = synthesis._class_certificate(block, tol)
+                if known != full:
+                    assert {known, full} == {True, None}
+                    r = block @ np.ones(block.shape[1])
+                    eps = np.finfo(float).eps
+                    assert (np.abs(r) <= block.shape[1] * eps
+                            * np.abs(block).sum(axis=1)).all()
+                answers[known] += 1
+                if known is not None:
+                    assert known == kernel_answer(block, tol)
+    # both certificates fire, and some blocks still need the simplex
     assert min(answers.values()) > 0
 
 
@@ -817,9 +935,10 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
 
 def test_product_basis_class_lps_are_never_assembled(monkeypatch):
     """On the 3x3 and 4x4 bases the certificates, read from per-tree blocks,
-    decide every class LP, so _class_feasible never assembles one."""
+    decide every block of every class LP, so _class_feasible never assembles
+    one."""
     inside, calls, assembled = [], [], []
-    real_class, real_lp = synthesis._class_feasible, synthesis._equations_to_lp
+    real_class, real_lp = synthesis._class_feasible, synthesis._class_lp
 
     def class_spy(*args):
         inside.append(True)
@@ -835,7 +954,7 @@ def test_product_basis_class_lps_are_never_assembled(monkeypatch):
         return real_lp(*args)
 
     monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
-    monkeypatch.setattr(synthesis, "_equations_to_lp", lp_spy)
+    monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
     v3 = synthesize(product_basis(3, 3))
     v4 = synthesize(product_basis(4, 4))
     assert v3.kind == v4.kind == "Protocol"
