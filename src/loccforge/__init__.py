@@ -67,7 +67,6 @@ from .synthesis import (
     synthesize,
 )
 from .tree import (
-    Constraint,
     ExtractionResult,
     Node,
     ProtocolTree,

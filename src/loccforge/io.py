@@ -16,7 +16,7 @@ from .errors import InvalidOperatorError, LoccForgeError, ParseError
 from .hermitian import PSD_TOL, HermitianOperator, psd_sqrt
 from .measurement import KrausProduct, SeparableMeasurement, validate
 from .synthesis import SynthesisStats, SynthesisVerdict
-from .tree import Constraint, Node, ProtocolTree, Term, descend, root_for
+from .tree import Node, ProtocolTree, Term, descend, root_for
 
 MEASUREMENT_FORMAT = "loccforge.measurement/1"
 PROTOCOL_FORMAT = "loccforge.protocol/1"
@@ -274,21 +274,16 @@ def _tree_doc(t: ProtocolTree):
         "nvars": t.nvars,
         "depth": t.depth,
         "roots": [_node_doc(r) for r in t.roots],
-        "constraints": [{"party": c.party, "lhs": _group_doc(c.lhs),
-                         "rhs": _group_doc(c.rhs)} for c in t.constraints],
     }
 
 
 def _tree_from(d):
+    """The tree of a protocol document. Its equalities are its nodes' alias
+    groups; a `constraints` list, which older documents carry and which only
+    restated those groups, is ignored."""
     roots = tuple(_node_from(r, f"tree.roots[{i}]")
                   for i, r in enumerate(_field(d, "roots", "tree", list, [])))
-    cs = []
-    for i, c in enumerate(_field(d, "constraints", "tree", list, [])):
-        where = f"tree.constraints[{i}]"
-        cs.append(Constraint(_field(c, "party", where, int),
-                             _group_from(_field(c, "lhs", where, list), f"{where}.lhs"),
-                             _group_from(_field(c, "rhs", where, list), f"{where}.rhs")))
-    return ProtocolTree(_field(d, "P", "tree", int), roots, tuple(cs),
+    return ProtocolTree(_field(d, "P", "tree", int), roots,
                         _field(d, "nvars", "tree", int), _field(d, "depth", "tree", int))
 
 

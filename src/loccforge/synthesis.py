@@ -68,29 +68,58 @@ other roots stack its members'. All terms have scale 1.0, so the group
 `_group_sort_key` puts first depends only on the key. By induction keys
 differ. A repeat would be harmless: the impossibility proof needs every class.
 
-A class LP, "is there an x >= 1 with A x = 0?", splits by party. Every
-tree variable labels nodes of one party only: `leaf_tree` gives operator
-j's tree var a at party a, and `merge_and_extend` only offsets its members'
-vars. A row at party beta thus holds columns of party beta only, A is
-block-diagonal with one block per party but the free one, and the LP is
-feasible iff every block's LP is. `_class_feasible` counts one LP in
-`lps_solved`, reads each block's certificate (below) in ascending party
-order and returns False at the first that refutes; a certified block is
-skipped, and the undecided ones go to the simplex one at a time, in the
-same order, until one is infeasible. A block does not depend on the free
-party, so a run keeps each solved block's answer under (ids, party): with
-three or more parties, two free parties can ask for the same block.
+Both LPs of a run split by party. Every tree variable labels nodes of one
+party only: `leaf_tree` gives operator j's tree var a at party a, and
+`merge_and_extend` only offsets its members' vars. A row that equates two
+groups of party beta, or pins one to the identity, thus holds columns of
+party beta only, so each LP is block-diagonal with one block per party and
+is feasible iff every block's LP is.
 
-The simplex answers the blocks as it answers the joint LP, but for two
-margins. Phase 1 on the joint LP minimizes a sum of per-block objectives
-over a product of per-block sets, so its optimum is zero iff every block's
-is, and the final residual check bounds every row by the same tol, so a
-point passes it iff its part on each block does. Two thresholds grow with
-the whole matrix, though: a row is dropped as zero relative to the
-matrix's largest entry, and the phase-1 objective is compared with
-1e-9 (1 + rows). A block's answer can differ from the joint LP's only where
-a row or the objective falls between the block's threshold and the joint
-one; the tests compare the two on every class LP of their searches.
+A class LP, "is there an x >= 1 with A x = 0?", has a block for every party
+but the free one. `_class_feasible` counts one LP in `lps_solved`, reads
+each block's certificate (below) in ascending party order and returns False
+at the first that refutes; a certified block is skipped, and the undecided
+ones go to the simplex one at a time, in the same order, until one is
+infeasible. A block does not depend on the free party, so a run keeps each
+solved block's answer under (ids, party): with three or more parties, two
+free parties can ask for the same block.
+
+The pinned LP of a full-coverage tree, "is there an x >= delta under which
+every node's groups agree and every root's value group is the identity?",
+has a block for every party. A tree states each of its equalities once, as
+the groups of one node: `merge_and_extend` stacks the members' roots of a
+non-free party as the alias groups of the new root, and keeps every other
+node as it was. Party a's block holds, per node of a in `descend` order,
+the rows of each group against the next, then the rows of a's root's value
+group against the identity, over a's vars in ascending order.
+`feasibility` counts one LP and solves the blocks in party order until one
+is infeasible.
+
+The simplex answers a block as it answers the joint LP that stacks the
+blocks in party order, up to roundoff and three margins; the argument is
+the same for class and pinned blocks. Phase 1 on the joint LP minimizes a
+sum of per-block objectives over a product of per-block sets, so its
+optimum is zero iff every block's is. Restricted to one block, its pivots
+are the block's own, in the same order: Bland's rule enters the column of
+lowest index with a negative reduced cost and breaks ratio ties by the
+lowest basis index, both orders keep each block's columns and rows in
+their order, the ratio test reads only the entering block's rows, and a
+pivot changes neither the rows nor the reduced costs of another block.
+The final residual check bounds every row by tol (1 + max |b|), and max |b|
+is also each block's (0 in a class LP, 1 in a pinned one), so a point
+passes it iff its part on each block does. Three thresholds grow with the
+whole matrix, though: a row is dropped as zero relative to the matrix's
+largest entry, the phase-1 objective is compared with 1e-9 (1 + rows), and
+the iteration guard allows _ITER_FACTOR (columns + rows + 10) pivots. And
+equal rows do not make bit-equal pivots: `feasible_point` shifts to
+x >= lower with the product A @ lower, which BLAS sums in an order that
+depends on the matrix's shape, so the shifted rhs, and every pivot after
+it, can differ in the last bits. A block's answer can differ from the
+joint LP's only where a row, the objective or the pivot count falls
+between the block's threshold and the joint one, or where that roundoff
+crosses a pivot or drop threshold. The tests compare the two on every
+class LP and every pinned LP of their searches; the pinned LPs' points
+agree within 1e-12 relative.
 
 Most blocks are answered by one of two certificates on r = A @ 1 before the
 simplex, A now the block; each gives the answer the simplex would. If r is
@@ -102,7 +131,7 @@ roundoff.
 
 Both certificates are read without building a block. Its columns are (tree
 id, var) pairs, so two trees never share a column, and each row holds the
-entries of one constraint: a tree's alias rows (group k against group k+1
+entries of one equality: a tree's alias rows (group k against group k+1
 of its root) or the chain rows (group 0 of one tree against group 0 of the
 next). Row sums and "one-signed" are properties of single rows, so the
 block's certificate combines its trees' and chains': False if one has a
@@ -121,13 +150,13 @@ tol of room for roundoff in either order.
 An undecided block is assembled from the same per-tree data, not renamed
 from the trees' terms. `_root_rows` numbers a tree's variables at party
 beta in order of first use over its root's groups and keeps its alias rows
-and its value group's column block V over them. The block's columns follow
-the first-use order of renaming the constraints one by one: alias rows
-come before every chain row, so the trees with alias rows come first, in id
-order, then the single-group trees, whose vars first occur in the chain
-rows, in id order. Its rows are each tree's alias rows, then the chain rows
-[V_a | -V_b]. They equal the renamed constraints' rows bit for bit, so
-Bland's rule, which pivots by column and row order, makes the same pivots.
+and its value group's column block V over them. The block's rows are each
+tree's alias rows, then the chain rows [V_a | -V_b]. Its columns follow
+the first-use order of renaming the trees' terms into those rows one pair
+at a time: alias rows come before every chain row, so the trees with alias
+rows come first, in id order, then the single-group trees, whose vars
+first occur in the chain rows, in id order. The block equals that renamed
+LP's rows bit for bit (the tests keep the renaming).
 """
 from __future__ import annotations
 
@@ -142,7 +171,6 @@ from .hermitian import LP_TOL, vectorize
 from .measurement import SeparableMeasurement, completeness_certificate, validate
 from .simplex import feasible_point
 from .tree import (
-    Constraint,
     ProtocolTree,
     Term,
     descend,
@@ -192,28 +220,18 @@ def _count_lp(stats: SynthesisStats, max_lps):
         raise _BudgetHit("lp budget exhausted")
 
 
-def _fill(block, lhs, rhs, V):
-    """Add the columns of lhs - rhs to block, one column per term var; V is
-    the party's `m.columns` table."""
-    for group, sign in ((lhs, 1.0), (rhs, -1.0)):
-        for t in group:
-            block[:, t.var] += sign * t.scale * V[t.op]
-
-
-def _equations_to_lp(constraints, m, ncols, pins=()):
-    """LP rows for lhs - rhs = 0 per Constraint, then group = identity per
-    (party, group) pin, one block of d*d rows each, in input order (Bland's
-    rule pivots by row and column order); returns (A, b)."""
-    constraints = list(constraints) + [Constraint(a, g, ()) for a, g in pins]
-    sizes = [m.dims[c.party] ** 2 for c in constraints]
-    A = np.zeros((sum(sizes), ncols))
-    start = 0
-    for (party, lhs, rhs), size in zip(constraints, sizes):
-        _fill(A[start:start + size], lhs, rhs, m.columns(party))
-        start += size
-    eyes = [vectorize(np.eye(m.dims[a], dtype=complex)) for a, _ in pins]
-    b = np.concatenate([np.zeros(A.shape[0] - sum(e.size for e in eyes))] + eyes)
-    return A, b
+def _rows(pairs, V, ncols):
+    """The LP rows of lhs - rhs = 0 over ncols columns, one per term var: one
+    block of d*d rows per (lhs, rhs) group pair, in order (Bland's rule
+    pivots by row and column order); V is the party's `m.columns` table."""
+    size = V.shape[1]
+    A = np.zeros((size * len(pairs), ncols))
+    for k, pair in enumerate(pairs):
+        block = A[k * size:(k + 1) * size]
+        for group, sign in zip(pair, (1.0, -1.0)):
+            for t in group:
+                block[:, t.var] += sign * t.scale * V[t.op]
+    return A
 
 
 def _block_signs(B):
@@ -256,12 +274,8 @@ def _root_rows(t, beta, m, tol):
     cols = {}
     gs = [tuple(Term(u.op, cols.setdefault(u.var, len(cols)), u.scale)
                 for u in g) for g in root_for(t, beta).groups]
-    size = V.shape[1]
-    alias = np.zeros((size * (len(gs) - 1), len(cols)))
-    for k, (ga, gb) in enumerate(zip(gs, gs[1:])):
-        _fill(alias[k * size:(k + 1) * size], ga, gb, V)
-    value = np.zeros((size, len(cols)))
-    _fill(value, gs[0], (), V)
+    alias = _rows(list(zip(gs, gs[1:])), V, len(cols))
+    value = _rows([(gs[0], ())], V, len(cols))
     return _class_certificate(alias, tol), _block_signs(value), alias, value
 
 
@@ -424,17 +438,29 @@ def build_classes(trees, eligible, free, m, known, start, stats, max_lps, tol,
 
 
 def feasibility(t: ProtocolTree, m: SeparableMeasurement, *,
-                pin_identities: bool = True, delta: float = 1e-7,
-                tol: float = LP_TOL):
-    """A strictly positive assignment satisfying the tree's recorded equalities
-    (and identity pins), or None."""
-    lower = np.full(t.nvars, delta)
-    pins = ([(a, root_for(t, a).groups[0]) for a in range(t.P)]
-            if pin_identities else [])
-    if not t.constraints and not pins:
-        return lower.copy()
-    A, b = _equations_to_lp(t.constraints, m, t.nvars, pins)
-    return feasible_point(A, b, tol=tol, lower=lower)
+                delta: float = 1e-7, tol: float = LP_TOL):
+    """An assignment >= delta under which every node's groups agree and every
+    root's value group is the identity, or None. Solved one party at a time
+    (module docstring): party a's rows are the consecutive group pairs of
+    each of its nodes in `descend` order, then its root's value group against
+    the identity, over its vars in ascending order; the first infeasible
+    party ends the search."""
+    x = np.full(t.nvars, delta)
+    nodes = [n for n, _ in descend(t, t.roots)]
+    for a in range(t.P):
+        mine = [n for n in nodes if n.party == a]
+        pairs = [p for n in mine for p in zip(n.groups, n.groups[1:])]
+        pairs.append((root_for(t, a).groups[0], ()))
+        cols = sorted({u.var for n in mine for g in n.groups for u in g})
+        V = m.columns(a)
+        A = _rows(pairs, V, t.nvars)[:, cols]
+        b = np.zeros(A.shape[0])
+        b[-V.shape[1]:] = vectorize(np.eye(m.dims[a], dtype=complex))
+        xa = feasible_point(A, b, tol=tol, lower=x[cols])
+        if xa is None:
+            return None
+        x[cols] = xa
+    return x
 
 
 def _emit(tree, assignment, m, tol):
@@ -475,8 +501,7 @@ def synthesize(m: SeparableMeasurement,
 
     if N == 1:
         _count_lp(stats, cfg.max_lps)
-        x = feasibility(trees[0], m, pin_identities=True, delta=cfg.delta,
-                        tol=cfg.tol.lp)
+        x = feasibility(trees[0], m, delta=cfg.delta, tol=cfg.tol.lp)
         if x is not None:
             tree, x = _emit(trees[0], x, m, cfg.tol.lp)
             return SynthesisVerdict("Protocol", tree, x, stats,
@@ -532,8 +557,8 @@ def synthesize(m: SeparableMeasurement,
                     if cover == full:
                         tnew = merge(s, free)
                         _count_lp(stats, cfg.max_lps)
-                        x = feasibility(tnew, m, pin_identities=True,
-                                        delta=cfg.delta, tol=cfg.tol.lp)
+                        x = feasibility(tnew, m, delta=cfg.delta,
+                                        tol=cfg.tol.lp)
                         if x is not None:
                             emitted = _emit(tnew, x, m, cfg.tol.lp)
                             if cfg.mode == "first":

@@ -5,9 +5,10 @@ most one, the trunk root, whose party measured first; its children are the
 first-round outcomes. Node labels are groups of (op, var, scale) terms; a
 group's numeric value under an assignment is the weighted sum of that party's
 local operator parts. Multiple groups on one node are aliases and must agree
-numerically. Walking the trunk top-down while carrying each party's current
-value reproduces the branching-consistency rule: at every node, the children's
-values sum to the carried value of the children's party.
+numerically; they are the only place a tree states an equality. Walking the
+trunk top-down while carrying each party's current value reproduces the
+branching-consistency rule: at every node, the children's values sum to the
+carried value of the children's party.
 
 `descend` is the one read-only walk: it yields each node in preorder with the
 path of nodes above it, and the checks, leaf readings and exports read the
@@ -42,12 +43,6 @@ class Term(NamedTuple):
 Group = tuple
 
 
-class Constraint(NamedTuple):
-    party: int
-    lhs: Group
-    rhs: Group
-
-
 @dataclasses.dataclass(frozen=True)
 class Node:
     party: int
@@ -59,7 +54,6 @@ class Node:
 class ProtocolTree:
     P: int
     roots: tuple         # one Node per party, any storage order
-    constraints: tuple
     nvars: int
     depth: int
 
@@ -83,7 +77,7 @@ def leaf_tree(m: SeparableMeasurement, j: int) -> ProtocolTree:
     if not 0 <= j < len(m.ops):
         raise TreeStructureError(f"operator index {j} out of range")
     roots = tuple(Node(a, ((Term(j, a, 1.0),),), ()) for a in range(m.P))
-    return ProtocolTree(m.P, roots, (), m.P, 0)
+    return ProtocolTree(m.P, roots, m.P, 0)
 
 
 def _rename_group(g: Group, offset: int, memo: dict) -> Group:
@@ -133,14 +127,8 @@ def merge_and_extend(constituents, free_party: int,
         offsets.append(total)
         total += c.nvars
 
-    renamed_roots = []   # per constituent: {party: Node}
-    constraints = []
-    for c, off in zip(cs, offsets):
-        renamed_roots.append({r.party: _rename_node(r, off, memo) for r in c.roots})
-        for con in c.constraints:
-            constraints.append(Constraint(con.party,
-                                          _rename_group(con.lhs, off, memo),
-                                          _rename_group(con.rhs, off, memo)))
+    renamed_roots = [{r.party: _rename_node(r, off, memo) for r in c.roots}
+                     for c, off in zip(cs, offsets)]   # per constituent
 
     roots = []
     for beta in range(P):
@@ -149,8 +137,6 @@ def merge_and_extend(constituents, free_party: int,
         stacked = [g for rr in renamed_roots for g in rr[beta].groups]
         stacked.sort(key=_group_sort_key)
         roots.append(Node(beta, tuple(stacked), ()))
-        for ra, rb in zip(renamed_roots, renamed_roots[1:]):
-            constraints.append(Constraint(beta, ra[beta].groups[0], rb[beta].groups[0]))
 
     branches = []
     for c, rr in zip(cs, renamed_roots):
@@ -162,7 +148,7 @@ def merge_and_extend(constituents, free_party: int,
     roots.insert(free_party, Node(free_party, (value,), tuple(branches)))
 
     depth = 1 + max(c.depth for c in cs)
-    return ProtocolTree(P, tuple(roots), tuple(constraints), total, depth)
+    return ProtocolTree(P, tuple(roots), total, depth)
 
 
 def group_value(g: Group, m: SeparableMeasurement, party: int,
@@ -199,13 +185,6 @@ def _check_index(what, value, bound):
         raise TreeStructureError(f"{what} {value} out of range [0, {bound})")
 
 
-def _check_terms(groups, t: ProtocolTree, m: SeparableMeasurement):
-    for g in groups:
-        for term in g:
-            _check_index("term op", term.op, len(m.ops))
-            _check_index("term var", term.var, t.nvars)
-
-
 def _check_shape(t: ProtocolTree, m: SeparableMeasurement):
     if t.P != m.P:
         raise TreeStructureError("tree and measurement disagree on party count")
@@ -217,12 +196,11 @@ def _check_shape(t: ProtocolTree, m: SeparableMeasurement):
         _check_index("node party", n.party, t.P)
         if not n.groups or any(len(g) == 0 for g in n.groups):
             raise TreeStructureError("node with empty label")
-        _check_terms(n.groups, t, m)
+        for term in (u for g in n.groups for u in g):
+            _check_index("term op", term.op, len(m.ops))
+            _check_index("term var", term.var, t.nvars)
         if any(c.party != n.children[0].party for c in n.children):
             raise TreeStructureError("children of one node must share a party")
-    for c in t.constraints:
-        _check_index("constraint party", c.party, t.P)
-        _check_terms((c.lhs, c.rhs), t, m)
 
 
 def _node_values(t: ProtocolTree, m: SeparableMeasurement, assignment) -> dict:
@@ -379,12 +357,8 @@ def canonical_key(t: ProtocolTree):
 
 def _refresh(t: ProtocolTree, roots) -> ProtocolTree:
     roots = tuple(roots)
-    nodes = list(descend(t, roots))
-    used = {term.var for n, _ in nodes for g in n.groups for term in g}
-    cons = tuple(c for c in t.constraints
-                 if all(term.var in used for term in c.lhs + c.rhs))
-    return ProtocolTree(t.P, roots, cons, t.nvars,
-                        max(len(path) for _, path in nodes))
+    return ProtocolTree(t.P, roots, t.nvars,
+                        max(len(path) for _, path in descend(t, roots)))
 
 
 def prune_unitary_rounds(t: ProtocolTree) -> ProtocolTree:

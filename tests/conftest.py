@@ -141,7 +141,7 @@ def random_valid_tree(rng, max_parties=3, max_dim=3, depth=3):
         return 0 if not n.children else 1 + max(levels(c) for c in n.children)
 
     nvars = next(vc)
-    t = ProtocolTree(P, tuple(roots), (), nvars, levels(trunk_root))
+    t = ProtocolTree(P, tuple(roots), nvars, levels(trunk_root))
     return t, m, np.ones(nvars)
 
 

@@ -49,7 +49,7 @@ def rewire_trunk(t, new_children):
             roots.append(Node(r.party, r.groups, tuple(new_children)))
         else:
             roots.append(r)
-    return ProtocolTree(t.P, tuple(roots), t.constraints, t.nvars, t.depth + 1)
+    return ProtocolTree(t.P, tuple(roots), t.nvars, t.depth + 1)
 
 
 def test_prune_splices_single_child():
@@ -150,7 +150,7 @@ def test_coin_bias_moves_into_next_party():
     cb = Node(1, ((Term(1, 1, 0.6),),), ())
     trunk = Node(1, ((Term(2, 1, 1.0),),), (ca, cb))
     r0 = Node(0, ((Term(2, 0, 1.0),),), ())
-    t = ProtocolTree(2, (r0, trunk), (), 2, 2)
+    t = ProtocolTree(2, (r0, trunk), 2, 2)
     x = np.ones(2)
     assert validate_assignment(t, m, x)
     out = eliminate_coin_flips(t, m, x)

@@ -145,6 +145,55 @@ def test_class_blocks_agree_with_highs(monkeypatch):
     assert 0 < np.mean(verdicts) < 1
 
 
+def test_feasibility_blocks_agree_with_highs(monkeypatch):
+    """The per-party pinned LP blocks that `feasibility` solves in the
+    searches on cascade5, krausdemo and the LOCC random trees 10 and 12, in
+    first and exhaustive mode: A x = b, x >= delta is feasible for the
+    simplex exactly when it is for HiGHS, and a point found passes the bound
+    and the residual check."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    inside, blocks = [], []
+    real_feasibility = synthesis.feasibility
+
+    def feasibility_spy(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_feasibility(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def point_spy(A, b, *, tol, lower):
+        if inside:
+            blocks.append((A, b, tol, lower))
+        return feasible_point(A, b, tol=tol, lower=lower)
+
+    monkeypatch.setattr(synthesis, "feasibility", feasibility_spy)
+    monkeypatch.setattr(synthesis, "feasible_point", point_spy)
+    seeds = locc_random_measurements()
+    for m, max_lps in [(load_fixture("cascade5"), None),
+                       (load_fixture("krausdemo"), None),
+                       (seeds[10], 2000), (seeds[12], 2000)]:
+        for mode in ("first", "exhaustive"):
+            synthesize(m, RunConfig(mode=mode, max_lps=max_lps))
+    verdicts = []
+    for a, b, tol, lower in blocks:
+        # HiGHS's default primal tolerance, 1e-7, is the size of the delta
+        # floor: on a cascade5 block that forces a variable to 0 it accepts
+        # x = delta with a residual of 4e-8, so it is held to 1e-10 here
+        ref = linprog(np.zeros(a.shape[1]), A_eq=a, b_eq=b, method="highs",
+                      bounds=[(float(v), None) for v in lower],
+                      options={"primal_feasibility_tolerance": 1e-10})
+        assert ref.status in (0, 2), ref.message
+        x = feasible_point(a, b, tol=tol, lower=lower)
+        assert (x is not None) == (ref.status == 0), a
+        if x is not None:
+            assert (x >= lower).all()
+            assert np.abs(a @ x - b).max() <= tol * (1 + np.abs(b).max())
+        verdicts.append(x is not None)
+    # both answers occur
+    assert 0 < np.mean(verdicts) < 1
+
+
 def _loop_scaling(A, b, tol, lower):
     """The row-by-row scaling feasible_point vectorizes: None for a zero row
     with a nonzero rhs, else the (rows, rhs) handed to _phase1."""

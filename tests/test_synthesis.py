@@ -8,7 +8,7 @@ import pytest
 from loccforge import simplex, synthesis
 from loccforge.config import RunConfig
 from loccforge.errors import InvalidMeasurementError
-from loccforge.hermitian import LP_TOL
+from loccforge.hermitian import LP_TOL, vectorize
 from loccforge.measurement import measurement_from_parts
 from loccforge.simplex import feasible_point
 from loccforge.synthesis import (
@@ -21,7 +21,6 @@ from loccforge.synthesis import (
     synthesize,
 )
 from loccforge.tree import (
-    Constraint,
     Term,
     align_weights,
     canonical_key,
@@ -189,12 +188,16 @@ def test_fourparty_aligned_single_class_and_protocol():
 
 
 def test_feasibility_pins_reject_partial_coverage():
+    """Two of four outcomes satisfy their alias equalities but cannot pin the
+    roots to the identity; the protocol over all four can."""
     m = load_fixture("productbasis4")
     t = merge_and_extend([leaf_tree(m, 0), leaf_tree(m, 1)], 1)
-    assert feasibility(t, m, pin_identities=True) is None
-    x = feasibility(t, m, pin_identities=False)
+    assert validate_assignment(t, m, np.ones(t.nvars))
+    assert feasibility(t, m) is None
+    full = synthesize(m).tree
+    x = feasibility(full, m)
     assert x is not None and (x >= 1e-7 - 1e-12).all()
-    assert validate_assignment(t, m, x)
+    assert validate_assignment(full, m, x, pin_identities=True)
 
 
 def test_single_operator_identity():
@@ -710,19 +713,22 @@ def reference_class_lp(trees, ids, free_party, m):
         return tuple(Term(t.op, cols.setdefault((tid, t.var), len(cols)), t.scale)
                      for t in g)
 
-    constraints = []
+    pairs = {}
     for beta in range(trees[ids[0]].P):
         if beta == free_party:
             continue
+        pairs[beta] = []
         for tid in ids:
             gs = root_for(trees[tid], beta).groups
-            for ga, gb in zip(gs, gs[1:]):
-                constraints.append(Constraint(beta, renamed(tid, ga), renamed(tid, gb)))
+            pairs[beta] += [(renamed(tid, ga), renamed(tid, gb))
+                            for ga, gb in zip(gs, gs[1:])]
         for ta, tb in zip(ids, ids[1:]):
             ga = root_for(trees[ta], beta).groups[0]
             gb = root_for(trees[tb], beta).groups[0]
-            constraints.append(Constraint(beta, renamed(ta, ga), renamed(tb, gb)))
-    return synthesis._equations_to_lp(constraints, m, len(cols))
+            pairs[beta].append((renamed(ta, ga), renamed(tb, gb)))
+    A = np.vstack([synthesis._rows(p, m.columns(beta), len(cols))
+                   for beta, p in pairs.items()])
+    return A, np.zeros(A.shape[0])
 
 
 def joint_blocks(trees, ids, free_party, m):
@@ -770,9 +776,9 @@ def reached_class_lps(monkeypatch):
 
 def test_variables_label_one_party(monkeypatch):
     """Every tree variable occurs in the groups of one party only, across
-    roots, descendants and constraints: leaf_tree creates var a at party a,
-    and merge_and_extend only offsets vars. The class LP splits into one
-    block per party on this."""
+    roots and descendants: leaf_tree creates var a at party a, and
+    merge_and_extend only offsets vars. The class LP and the pinned LP split
+    into one block per party on this."""
     built = []
     real = synthesis.merge_and_extend
 
@@ -792,9 +798,6 @@ def test_variables_label_one_party(monkeypatch):
                 for g in n.groups:
                     for u in g:
                         parties.setdefault(u.var, set()).add(n.party)
-            for c in t.constraints:
-                for u in c.lhs + c.rhs:
-                    parties.setdefault(u.var, set()).add(c.party)
             assert all(len(p) == 1 for p in parties.values())
     assert merged > 0
 
@@ -824,6 +827,54 @@ def test_class_blocks_match_the_joint_lp(monkeypatch):
                     blocks += 1
             assert not A[~inside].any()
     assert blocks > 0
+
+
+def reference_pinned_lp(t, m):
+    """The pinned LP of t as one matrix (A, b, cols): per party in order, the
+    consecutive group pairs of each of its nodes, then its root's value group
+    against the identity. The columns are party 0's vars in ascending order,
+    then party 1's, and so on; cols lists the var of each column."""
+    nodes = [n for n, _ in descend(t, t.roots)]
+    blocks, rhs, cols = [], [], []
+    for a in range(t.P):
+        mine = [n for n in nodes if n.party == a]
+        pairs = [p for n in mine for p in zip(n.groups, n.groups[1:])]
+        pairs.append((root_for(t, a).groups[0], ()))
+        blocks.append(synthesis._rows(pairs, m.columns(a), t.nvars))
+        eye = vectorize(np.eye(m.dims[a], dtype=complex))
+        rhs += [np.zeros(blocks[-1].shape[0] - eye.size), eye]
+        cols += sorted({u.var for n in mine for g in n.groups for u in g})
+    return np.vstack(blocks)[:, cols], np.concatenate(rhs), cols
+
+
+def test_pinned_blocks_match_the_joint_lp(monkeypatch):
+    """Every pinned LP the searches of `class_lp_cases` reach, in first and
+    exhaustive mode: solving it one party at a time answers as the simplex
+    does on the joint LP stacked from the same pairs, and finds the same
+    assignment up to roundoff in the shift to x >= delta (module docstring
+    of synthesis)."""
+    reached = []
+    real = synthesis.feasibility
+
+    def spy(t, m, **kw):
+        reached.append((t, m, kw, real(t, m, **kw)))
+        return reached[-1][-1]
+
+    monkeypatch.setattr(synthesis, "feasibility", spy)
+    for m, cfg in class_lp_cases():
+        for mode in ("first", "exhaustive"):
+            synthesize(m, dataclasses.replace(cfg, mode=mode))
+    answers = {True: 0, False: 0}
+    for t, m, kw, x in reached:
+        A, b, cols = reference_pinned_lp(t, m)
+        joint = feasible_point(A, b, tol=kw["tol"],
+                               lower=np.full(len(cols), kw["delta"]))
+        assert (x is None) == (joint is None)
+        answers[x is not None] += 1
+        if x is not None:
+            assert np.abs(x[cols] - joint).max() <= 1e-12 * np.abs(joint).max()
+    # both answers occur
+    assert min(answers.values()) > 0
 
 
 def test_class_certificates_agree_with_the_simplex(monkeypatch):

@@ -63,10 +63,6 @@ def test_merge_two_leaves_shape():
     other = root_for(t, 0)
     assert not other.children
     assert other.groups == ((Term(0, 0, 1.0),), (Term(1, 2, 1.0),))
-    assert len(t.constraints) == 1
-    con = t.constraints[0]
-    assert con.party == 0
-    assert con.lhs == (Term(0, 0, 1.0),) and con.rhs == (Term(1, 2, 1.0),)
     assert coverage(t) == {0, 1}
     assert len(walk_nodes(t)) == 3 and len(leaves(t)) == 2
 
@@ -118,7 +114,7 @@ def test_validate_rejects_two_branching_roots():
     kid = Node(0, ((Term(0, 0, 1.0),),), ())
     r0 = Node(0, ((Term(0, 0, 1.0),),), (kid,))
     r1 = Node(1, ((Term(0, 1, 1.0),),), (Node(1, ((Term(0, 1, 1.0),),), ()),))
-    t = ProtocolTree(2, (r0, r1), (), 2, 1)
+    t = ProtocolTree(2, (r0, r1), 2, 1)
     with pytest.raises(TreeStructureError):
         validate_assignment(t, m, np.ones(2))
 
@@ -145,8 +141,8 @@ def test_canonical_key_invariances(rng):
     k = canonical_key(t)
 
     # root storage order
-    flipped = ProtocolTree(t.P, tuple(reversed(t.roots)), t.constraints,
-                           t.nvars, t.depth)
+    flipped = ProtocolTree(t.P, tuple(reversed(t.roots)), t.nvars,
+                           t.depth)
     assert canonical_key(flipped) == k
 
     # constituent (= sibling) order
@@ -156,7 +152,7 @@ def test_canonical_key_invariances(rng):
     # variable renaming
     from loccforge.tree import _rename_node
     shifted = ProtocolTree(t.P, tuple(_rename_node(r, 11) for r in t.roots),
-                           t.constraints, t.nvars + 11, t.depth)
+                           t.nvars + 11, t.depth)
     assert canonical_key(shifted) == k
 
     # distinct structures separate
@@ -171,15 +167,15 @@ def test_canonical_key_random_invariance(rng):
         k = canonical_key(t)
         perm = rng.permutation(t.P)
         roots = tuple(t.roots[i] for i in perm)
-        assert canonical_key(ProtocolTree(t.P, roots, t.constraints,
-                                          t.nvars, t.depth)) == k
+        assert canonical_key(ProtocolTree(t.P, roots, t.nvars,
+                                          t.depth)) == k
 
         def rev(n):
             return Node(n.party, n.groups, tuple(rev(c) for c in reversed(n.children)))
 
         roots2 = tuple(rev(r) for r in t.roots)
-        assert canonical_key(ProtocolTree(t.P, roots2, t.constraints,
-                                          t.nvars, t.depth)) == k
+        assert canonical_key(ProtocolTree(t.P, roots2, t.nvars,
+                                          t.depth)) == k
 
 
 def test_extract_measurement_t01():
