@@ -30,7 +30,6 @@ from .hermitian import (
     vectorize,
 )
 from .io import (
-    MeasurementDocument,
     ProtocolDocument,
     export_dot,
     measurement_digest,

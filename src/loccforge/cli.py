@@ -34,7 +34,7 @@ from .tree import align_weights, leaves, validate_assignment
 def _read(path: str) -> str:
     try:
         return pathlib.Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise LoccForgeError(f"cannot read {path}: {e}") from e
 
 
@@ -54,7 +54,7 @@ def _emit(payload: dict, lines: list, fmt: str, out) -> None:
 
 def _cmd_validate(args, out) -> int:
     cfg = load_config(args.config)
-    m = parse_document(_read(args.measurement)).to_measurement(cfg.tol.psd)
+    m = parse_document(_read(args.measurement), cfg.tol.psd)
     diags = validate(m, cfg.tol.psd)
     complete = False
     residual = None

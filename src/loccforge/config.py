@@ -87,8 +87,10 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
                 data = json.load(fh)
         except OSError as e:
             raise ConfigError(f"cannot read config file {path}: {e}") from e
-        except json.JSONDecodeError as e:
+        except ValueError as e:     # bad JSON or bad UTF-8
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+        except RecursionError as e:
+            raise ConfigError(f"config file {path} is nested too deeply") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
     merged = dict(data)

@@ -9,10 +9,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 
-from .errors import InvalidOperatorError, LoccForgeError, ParseError
+from .errors import InvalidOperatorError, ParseError
 from .hermitian import PSD_TOL, HermitianOperator, psd_sqrt
 from .measurement import KrausProduct, SeparableMeasurement, validate
 from .synthesis import SynthesisStats, SynthesisVerdict
@@ -39,55 +40,102 @@ def _encode_matrix(mat: np.ndarray):
     return [[_encode_complex(complex(z)) for z in row] for row in np.asarray(mat)]
 
 
+_REQUIRED = object()
+
+
+def _field(d, key, where, kind, default=_REQUIRED):
+    """d[key] checked by `_typed`, or `default` when the key is missing or
+    null. A ParseError names the field when d is not an object, a required
+    key is missing, or the value is of another type."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(d, dict):
+        raise ParseError(f"{where} must be an object", kind="shape")
+    if d.get(key) is None and default is not _REQUIRED:
+        return default
+    if key not in d:
+        raise ParseError(f"{name} is missing", kind="shape")
+    return _typed(d[key], name, kind)
+
+
+_EXPECTED = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _typed(v, name, kind):
+    """v if it is a `kind`: a list, dict or str, or else a number by
+    `_number`, and an integer when `kind` is int."""
+    if kind in _EXPECTED:
+        if isinstance(v, kind):
+            return v
+        raise ParseError(f"{name} must be {_EXPECTED[kind]}, got {v!r}",
+                         kind="shape")
+    v = _number(v, name)
+    if kind is int and not isinstance(v, int):
+        raise ParseError(f"{name} must be an integer, got {v!r}", kind="shape")
+    return kind(v)
+
+
+def _number(v, name):
+    """v if it is an int or float, not a bool, and finite as a float."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ParseError(f"{name} must be a number, got {v!r}", kind="shape")
+    try:
+        if math.isfinite(v):
+            return v
+    except OverflowError:   # an int beyond the float range
+        pass
+    raise ParseError(f"{name} must be a finite number, got {v!r}", kind="shape")
+
+
+def _nonempty(d, key, where, default=_REQUIRED):
+    """A list field that, when given, has an entry."""
+    v = _field(d, key, where, list, default)
+    if v == []:
+        name = f"{where}.{key}" if where else key
+        raise ParseError(f"{name} must not be empty", kind="shape")
+    return v
+
+
+def _load(text, read, *args):
+    """read(the JSON value of text, *args). Bad JSON, and nesting too deep
+    for the stack in the JSON or in `read`, are a ParseError of kind syntax."""
+    try:
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
+                             kind="syntax") from e
+        except ValueError as e:     # an int literal past the digit limit
+            raise ParseError(str(e), kind="syntax") from e
+        return read(raw, *args)
+    except RecursionError as e:
+        raise ParseError("document is nested too deeply", kind="syntax") from e
+
+
 def _decode_entry(v, where):
-    if isinstance(v, (int, float)):
-        return complex(v, 0.0)
-    if (isinstance(v, list) and len(v) == 2
-            and all(isinstance(x, (int, float)) for x in v)):
-        return complex(v[0], v[1])
-    raise ParseError(f"{where}: matrix entry must be a number or [re, im] pair",
-                     kind="shape")
+    """A matrix entry: a number, or an [re, im] pair of numbers."""
+    re, im = v if isinstance(v, list) and len(v) == 2 else (v, 0.0)
+    return complex(_number(re, where), _number(im, where))
+
+
+def _entries(v, n, name):
+    """v if it is a list of n entries."""
+    if len(_typed(v, name, list)) != n:
+        raise ParseError(f"{name} must have {n} entries, got {len(v)}",
+                         kind="shape")
+    return v
 
 
 def _decode_matrix(rows, dim, where):
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise ParseError(f"{where}: expected a {dim}x{dim} matrix", kind="shape")
-    out = np.zeros((dim, dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{where}: row {i} must have {dim} entries",
-                             kind="shape")
-        for k, v in enumerate(row):
-            out[i, k] = _decode_entry(v, f"{where}[{i}][{k}]")
-    return out
+    return np.array([[_decode_entry(v, f"{where}[{i}][{k}]")
+                      for k, v in enumerate(_entries(row, dim, f"{where}[{i}]"))]
+                     for i, row in enumerate(_entries(rows, dim, where))],
+                    dtype=complex)
 
 
-@dataclasses.dataclass(frozen=True)
-class MeasurementDocument:
-    """Parsed form of a measurement file, prior to numerical validation."""
-
-    parties: tuple     # (name, dim) pairs
-    operators: tuple   # (label, parts tuple of ndarray, kraus tuple|None)
-    meta: dict
-
-    def to_measurement(self, tol: float = PSD_TOL) -> SeparableMeasurement:
-        """The measurement; a non-Hermitian part raises a located ParseError.
-        Missing Kraus factors beside given ones are the parts' square roots;
-        if a part has none at `tol`, validate reports it, so none are kept."""
-        ops = tuple(tuple(_hermitian(p, f"operators[{j}].parts[{a}]")
-                          for a, p in enumerate(parts))
-                    for j, (_, parts, _) in enumerate(self.operators))
-        groups = None
-        if any(kr is not None for _, _, kr in self.operators):
-            try:
-                groups = tuple(tuple(map(KrausProduct, kr or (
-                    tuple(psd_sqrt(p, tol) for p in parts),)))
-                    for _, parts, kr in self.operators)
-            except InvalidOperatorError:
-                pass
-        return SeparableMeasurement(
-            ops, labels=tuple(label for label, _, _ in self.operators),
-            party_names=tuple(n for n, _ in self.parties), kraus_groups=groups)
+def _decode_parts(mats, dims, where):
+    """One matrix per party, of that party's dimension."""
+    return tuple(_decode_matrix(mat, d, f"{where}[{a}]") for a, (mat, d)
+                 in enumerate(zip(_entries(mats, len(dims), where), dims)))
 
 
 def _hermitian(mat, where):
@@ -97,79 +145,61 @@ def _hermitian(mat, where):
         raise ParseError(f"{where}: {e}", kind="shape") from e
 
 
-def parse_document(text: str) -> MeasurementDocument:
-    """Syntax and shape checks only; no positivity or duplicate scanning."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
-                         kind="syntax") from e
+def _measurement_from(raw, tol):
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object", kind="syntax")
     fmt = raw.get("format", MEASUREMENT_FORMAT)
     if fmt != MEASUREMENT_FORMAT:
         raise ParseError(f"unsupported format tag {fmt!r}", kind="syntax")
-    parties = raw.get("parties")
-    if not isinstance(parties, list) or not parties:
-        raise ParseError("'parties' must be a non-empty list", kind="shape")
-    pt = []
-    for i, p in enumerate(parties):
-        if (not isinstance(p, dict) or not isinstance(p.get("name"), str)
-                or not isinstance(p.get("dim"), int) or p["dim"] < 1):
-            raise ParseError(f"parties[{i}] needs a string 'name' and a "
-                             f"positive integer 'dim'", kind="shape")
-        pt.append((p["name"], p["dim"]))
-    if len({n for n, _ in pt}) != len(pt):
+    names, dims = [], []
+    for i, p in enumerate(_nonempty(raw, "parties", "")):
+        names.append(_field(p, "name", f"parties[{i}]", str))
+        dims.append(_field(p, "dim", f"parties[{i}]", int))
+        if dims[-1] < 1:
+            raise ParseError(f"parties[{i}].dim must be positive, got {dims[-1]}",
+                             kind="shape")
+    if len(set(names)) != len(names):
         raise ParseError("party names must be distinct", kind="shape")
-    dims = [d for _, d in pt]
-    operators = raw.get("operators")
-    if not isinstance(operators, list) or not operators:
-        raise ParseError("'operators' must be a non-empty list", kind="shape")
-    ops = []
-    for j, op in enumerate(operators):
+    labels, parts, kraus = [], [], []
+    for j, op in enumerate(_nonempty(raw, "operators", "")):
         where = f"operators[{j}]"
-        if not isinstance(op, dict):
-            raise ParseError(f"{where} must be an object", kind="shape")
-        label = op.get("label", f"M{j + 1}")
-        if not isinstance(label, str):
-            raise ParseError(f"{where}.label must be a string", kind="shape")
-        parts = op.get("parts")
-        if not isinstance(parts, list) or len(parts) != len(pt):
-            raise ParseError(f"{where}.parts must list one matrix per party "
-                             f"({len(pt)} expected)", kind="shape")
-        mats = tuple(_decode_matrix(mat, dims[a], f"{where}.parts[{a}]")
-                     for a, mat in enumerate(parts))
-        kraus = op.get("kraus")
-        if kraus is not None:
-            if not isinstance(kraus, list) or not kraus:
-                raise ParseError(f"{where}.kraus must be a non-empty list",
-                                 kind="shape")
-            prods = []
-            for g, prod in enumerate(kraus):
-                if not isinstance(prod, list) or len(prod) != len(pt):
-                    raise ParseError(f"{where}.kraus[{g}] must list one matrix "
-                                     f"per party", kind="shape")
-                prods.append(tuple(
-                    _decode_matrix(kmat, dims[a], f"{where}.kraus[{g}][{a}]")
-                    for a, kmat in enumerate(prod)))
-            kraus = tuple(prods)
-        ops.append((label, mats, kraus))
-    labels = [label for label, _, _ in ops]
+        labels.append(_field(op, "label", where, str, f"M{j + 1}"))
+        parts.append(_decode_parts(_field(op, "parts", where, list), dims,
+                                   f"{where}.parts"))
+        kr = _nonempty(op, "kraus", where, None)
+        kraus.append(kr and tuple(
+            _decode_parts(prod, dims, f"{where}.kraus[{g}]")
+            for g, prod in enumerate(kr)))
     if len(set(labels)) != len(labels):
         raise ParseError("operator labels must be distinct", kind="shape")
-    meta = raw.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ParseError("'meta' must be an object", kind="shape")
-    return MeasurementDocument(tuple(pt), tuple(ops), meta)
+    _field(raw, "meta", "", dict, None)
+    ops = tuple(tuple(_hermitian(p, f"operators[{j}].parts[{a}]")
+                      for a, p in enumerate(mats))
+                for j, mats in enumerate(parts))
+    # missing Kraus factors beside given ones are the parts' square roots; if
+    # a part has none at `tol`, validate reports it, so none are kept
+    groups = None
+    if any(kraus):
+        try:
+            groups = tuple(tuple(map(KrausProduct, kr or (
+                tuple(psd_sqrt(p, tol) for p in mats),)))
+                for mats, kr in zip(parts, kraus))
+        except InvalidOperatorError:
+            pass
+    return SeparableMeasurement(ops, labels=tuple(labels),
+                                party_names=tuple(names), kraus_groups=groups)
+
+
+def parse_document(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
+    """The measurement a document describes, unvalidated: syntax and shape
+    are checked, positivity and duplicates are left to `validate`. A part
+    that is not Hermitian is a ParseError naming it."""
+    return _load(text, _measurement_from, tol)
 
 
 def parse_measurement(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
     """Parse and fully validate; raises ParseError with a kind on any defect."""
-    doc = parse_document(text)
-    try:
-        m = doc.to_measurement(tol)
-    except (LoccForgeError, ValueError) as e:
-        raise ParseError(str(e), kind="shape") from e
+    m = parse_document(text, tol)
     diags = validate(m, tol)
     if diags:
         d = diags[0]
@@ -215,36 +245,6 @@ def _node_doc(n: Node):
     return {"party": n.party,
             "groups": [_group_doc(g) for g in n.groups],
             "children": [_node_doc(c) for c in n.children]}
-
-
-_REQUIRED = object()
-
-
-def _field(d, key, where, kind, default=_REQUIRED):
-    """d[key] as `kind` (int, float, list or dict), or `default` when the key
-    is missing or null. A ParseError names the field when d is not an
-    object, a required key is missing, or the value is of another type."""
-    name = f"{where}.{key}" if where else key
-    if not isinstance(d, dict):
-        raise ParseError(f"{where} must be an object", kind="shape")
-    if d.get(key) is None and default is not _REQUIRED:
-        return default
-    if key not in d:
-        raise ParseError(f"{name} is missing", kind="shape")
-    return _typed(d[key], name, kind)
-
-
-def _typed(v, name, kind):
-    if kind in (list, dict):
-        if isinstance(v, kind):
-            return v
-        expected = "a list" if kind is list else "an object"
-    else:
-        try:
-            return kind(v)
-        except (TypeError, ValueError, OverflowError):
-            expected = "a number"
-    raise ParseError(f"{name} must be {expected}, got {v!r}", kind="shape")
 
 
 def _term_from(d, where):
@@ -317,12 +317,7 @@ def serialize_protocol(verdict: SynthesisVerdict, m: SeparableMeasurement) -> st
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def parse_protocol(text: str) -> ProtocolDocument:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
-                         kind="syntax") from e
+def _protocol_from(raw):
     if not isinstance(raw, dict) or raw.get("format") != PROTOCOL_FORMAT:
         raise ParseError("not a protocol document", kind="syntax")
     stats_raw = _field(raw, "stats", "", dict, {})
@@ -335,17 +330,22 @@ def parse_protocol(text: str) -> ProtocolDocument:
     tree = raw.get("tree")
     assignment = _field(raw, "assignment", "", list, None)
     return ProtocolDocument(
-        verdict=str(raw.get("verdict", "")),
-        reason=str(raw.get("reason", "")),
-        parties=tuple(_field(raw, "parties", "", list, [])),
+        verdict=_field(raw, "verdict", "", str, ""),
+        reason=_field(raw, "reason", "", str, ""),
+        parties=tuple(_typed(n, f"parties[{i}]", str)
+                      for i, n in enumerate(_field(raw, "parties", "", list, []))),
         dims=tuple(_typed(d, f"dims[{i}]", int)
                    for i, d in enumerate(_field(raw, "dims", "", list, []))),
-        measurement_digest=str(raw.get("measurement_digest", "")),
+        measurement_digest=_field(raw, "measurement_digest", "", str, ""),
         stats=stats,
         tree=_tree_from(tree) if tree is not None else None,
         assignment=(np.asarray([_typed(x, f"assignment[{i}]", float)
                                 for i, x in enumerate(assignment)])
                     if assignment is not None else None))
+
+
+def parse_protocol(text: str) -> ProtocolDocument:
+    return _load(text, _protocol_from)
 
 
 def _caption(node: Node, m: SeparableMeasurement, assignment, party_names):
@@ -365,6 +365,11 @@ def _caption(node: Node, m: SeparableMeasurement, assignment, party_names):
     return f"{name}: " + " = ".join(parts)
 
 
+def _quoted(text):
+    """text as a DOT string literal."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(tree: ProtocolTree, m: SeparableMeasurement | None = None,
                assignment=None, party_names=None) -> str:
     """Left-to-right digraph; P root boxes at the same rank, then the branchings."""
@@ -374,8 +379,8 @@ def export_dot(tree: ProtocolTree, m: SeparableMeasurement | None = None,
     lines = ["digraph protocol {", "  rankdir=LR;", "  node [fontsize=10];"]
     for a in range(tree.P):
         r = root_for(tree, a)
-        cap = _caption(r, m, assignment, party_names)
-        lines.append(f'  r{a} [shape=box, label="{cap}"];')
+        cap = _quoted(_caption(r, m, assignment, party_names))
+        lines.append(f"  r{a} [shape=box, label={cap}];")
     lines.append("  { rank=same; " + "; ".join(f"r{a}" for a in range(tree.P))
                  + "; }")
     for a in range(tree.P - 1):
@@ -386,9 +391,9 @@ def export_dot(tree: ProtocolTree, m: SeparableMeasurement | None = None,
             names[id(n)] = f"r{n.party}"
             continue
         nid = names[id(n)] = f"n{k - 1}"
-        cap = _caption(n, m, assignment, party_names)
+        cap = _quoted(_caption(n, m, assignment, party_names))
         shape = "ellipse" if n.children else "plaintext"
-        lines.append(f'  {nid} [shape={shape}, label="{cap}"];')
+        lines.append(f"  {nid} [shape={shape}, label={cap}];")
         lines.append(f"  {names[id(path[-1])]} -> {nid};")
     lines.append("}")
     return "\n".join(lines) + "\n"

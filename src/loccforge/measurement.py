@@ -236,13 +236,14 @@ def from_kraus(kraus_ops, labels=None, party_names=None) -> SeparableMeasurement
 def completeness_certificate(m: SeparableMeasurement, delta: float = 1e-7,
                              tol: float = LP_TOL) -> CompletenessCertificate:
     """Strictly positive weights with sum_j w_j K_j = I, or InfeasibleError."""
-    cols = np.column_stack([vectorize(op.product()) for op in m.ops])
+    products = [op.product() for op in m.ops]
+    cols = np.column_stack([vectorize(k) for k in products])
     target = vectorize(m.identity())
     w = feasible_point(cols, target, tol=tol, lower=delta)
     if w is None:
         raise InfeasibleError(
             "no strictly positive weights complete this measurement to the identity")
-    total = sum(float(wj) * op.product() for wj, op in zip(w, m.ops))
+    total = sum(float(wj) * k for wj, k in zip(w, products))
     residual = float(np.abs(total - m.identity()).max(initial=0.0))
     return CompletenessCertificate(w, residual)
 

@@ -412,6 +412,30 @@ MALFORMED_PROTOCOLS = [
     ({"assignment": 1.0}, "assignment must be a list, got 1.0"),
     ({"assignment": [1.0, "half"]}, "assignment[1] must be a number, got 'half'"),
     ({"dims": [2, None]}, "dims[1] must be a number, got None"),
+    # a number is a finite int or float, never a bool or a string, and an
+    # int field takes no float
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": [[{"op": 1.5, "var": 0}]]}]}},
+     "tree.roots[0].groups[0][0].op must be an integer, got 1.5"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": [[{"op": 0, "var": "2"}]]}]}},
+     "tree.roots[0].groups[0][0].var must be a number, got '2'"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": [[{"op": 0, "var": 0}]]},
+                         {"party": True, "groups": [[{"op": 1, "var": 0}]]}]}},
+     "tree.roots[1].party must be a number, got True"),
+    ({"assignment": ["0.5"]}, "assignment[0] must be a number, got '0.5'"),
+    ({"tree": {"P": 2, "nvars": 1, "depth": 0,
+               "roots": [{"party": 0, "groups": [[{"op": 0, "var": 0,
+                                                   "scale": float("nan")}]]}]}},
+     "tree.roots[0].groups[0][0].scale must be a finite number, got nan"),
+    # 1,000 levels: json.loads stops before Python 3.13, the tree reader
+    # from 3.13 on, and both give this message
+    ('{"format": "loccforge.protocol/1", "tree": {"P": 2, "nvars": 1, '
+     '"depth": 1000, "roots": ['
+     + '{"party": 0, "groups": [[{"op": 0, "var": 0}]], "children": [' * 1000
+     + '{"party": 0, "groups": [[{"op": 0, "var": 0}]]}' + "]}" * 1000 + "]}}",
+     "document is nested too deeply"),
 ]
 
 
@@ -421,7 +445,9 @@ MALFORMED_PROTOCOLS = [
 def test_malformed_protocol_is_a_reported_error(tmp_path, capsys, fields,
                                                 message):
     proto = tmp_path / "proto.json"
-    proto.write_text(json.dumps({"format": "loccforge.protocol/1", **fields}))
+    # a document too deep for json.dumps is given as its text
+    proto.write_text(fields if isinstance(fields, str)
+                     else json.dumps({"format": "loccforge.protocol/1", **fields}))
     with pytest.raises(ParseError, match=re.escape(message)):
         parse_protocol(proto.read_text())
     code, out, err = run(capsys, "lift", fx("krausdemo"), "--protocol", str(proto))
@@ -580,6 +606,24 @@ def test_missing_config_file_is_a_reported_error(tmp_path, capsys, command):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: cannot read config file")
+
+
+def test_deep_config_file_is_a_reported_error(tmp_path, capsys):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"a": ' * 100_000 + "1" + "}" * 100_000)
+    code, out, err = run(capsys, "synthesize", fx("krausdemo"), "--config", str(cfg))
+    assert (code, out, err) == (1, "", f"error: config file {cfg} is nested too deeply\n")
+
+
+def test_undecodable_files_are_reported_errors(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out, err) == (1, "", f"error: cannot read {bad}: {reason}\n")
+    code, out, err = run(capsys, "validate", fx("krausdemo"), "--config", str(bad))
+    assert (code, out, err) == (1, "", f"error: config file {bad} is not valid JSON: "
+                                       f"{reason}\n")
 
 
 def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch):

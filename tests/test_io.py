@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from loccforge.errors import ParseError
 from loccforge.fixtures import write_all
 from loccforge.io import (
     MEASUREMENT_FORMAT,
+    PROTOCOL_FORMAT,
+    _caption,
     export_dot,
     measurement_digest,
     parse_document,
@@ -16,7 +20,8 @@ from loccforge.io import (
     serialize_protocol,
 )
 from loccforge.synthesis import synthesize
-from loccforge.tree import canonical_key, leaf_tree
+from loccforge.measurement import SeparableMeasurement
+from loccforge.tree import canonical_key, descend, leaf_tree, root_for
 
 from conftest import FIXTURE_DIR, load_fixture
 
@@ -64,11 +69,75 @@ def test_digest_ignores_meta():
     assert measurement_digest(load_fixture("domino9")) != measurement_digest(m)
 
 
-def test_meta_round_trips_through_document():
+def test_meta_is_checked_but_not_read_back():
     m = load_fixture("cascade5")
     doc = parse_document(serialize_measurement(m, meta={"note": "x"}))
-    assert doc.meta == {"note": "x"}
-    assert [n for n, _ in doc.parties] == list(m.party_names)
+    assert doc.party_names == m.party_names
+    with pytest.raises(ParseError, match=r"^meta must be an object, got \[1\]$"):
+        parse_document(make_doc(meta=[1]))
+
+
+def test_null_label_and_meta_read_as_absent():
+    text = make_doc(meta=None, operators=[
+        {"label": None, "parts": [[[1, 0], [0, 0]], [[1, 0], [0, 1]]]},
+        {"label": "M1", "parts": [[[0, 0], [0, 1]], [[1, 0], [0, 1]]]}])
+    with pytest.raises(ParseError, match="^operator labels must be distinct$"):
+        parse_measurement(text)
+    assert parse_measurement(text.replace('"M1"', '"M2"')).labels == ("M1", "M2")
+
+
+DEEP = '{"a": ' * 100_000 + "1" + "}" * 100_000
+
+# (JSON text put where an "@" string stands in the document, the message)
+REJECTED_VALUES = [
+    ({"operators": [{"parts": [[["@", 0], [0, 0]], [[1, 0], [0, 1]]]}]}, "true",
+     "operators[0].parts[0][0][0] must be a number, got True"),
+    ({"operators": [{"parts": [[[[1, "@"], 0], [0, 0]], [[1, 0], [0, 1]]]}]},
+     "false", "operators[0].parts[0][0][0] must be a number, got False"),
+    ({"parties": [{"name": "A", "dim": "@"}, {"name": "B", "dim": 2}]}, "true",
+     "parties[0].dim must be a number, got True"),
+    ({"parties": [{"name": "A", "dim": "@"}, {"name": "B", "dim": 2}]}, "2.0",
+     "parties[0].dim must be an integer, got 2.0"),
+    ({"parties": [{"name": "@", "dim": 2}, {"name": "B", "dim": 2}]}, "1",
+     "parties[0].name must be a string, got 1"),
+    ({"operators": [{"parts": [[["@", 0], [0, 0]], [[1, 0], [0, 1]]]}]}, "NaN",
+     "operators[0].parts[0][0][0] must be a finite number, got nan"),
+    ({"operators": [{"parts": [[["@", 0], [0, 0]], [[1, 0], [0, 1]]]}]},
+     "Infinity", "operators[0].parts[0][0][0] must be a finite number, got inf"),
+    ({"operators": [{"parts": [[["@", 0], [0, 0]], [[1, 0], [0, 1]]]}]},
+     "1e400", "operators[0].parts[0][0][0] must be a finite number, got inf"),
+    ({"operators": [{"parts": [[["@", 0], [0, 0]], [[1, 0], [0, 1]]]}]},
+     "1" + "0" * 399,
+     f"operators[0].parts[0][0][0] must be a finite number, got {10 ** 399}"),
+    ({"parties": [{"name": "A"}]}, "0", "parties[0].dim is missing"),
+    ({"meta": "@"}, DEEP, "document is nested too deeply"),
+]
+
+
+@pytest.mark.parametrize("fields, literal, message", REJECTED_VALUES,
+                         ids=["true-entry", "false-imaginary-part", "true-dim",
+                              "float-dim", "number-name", "nan", "infinity",
+                              "1e400", "400-digit-int", "missing-dim",
+                              "deep-meta"])
+def test_document_values_are_checked(fields, literal, message):
+    text = make_doc(**fields).replace('"@"', literal)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as e:
+        parse_measurement(text)
+    assert e.value.kind == ("syntax" if literal == DEEP else "shape")
+
+
+def test_tree_reader_reports_deep_nesting(monkeypatch):
+    """Python 3.13's json.loads takes trees deeper than the stack lets
+    the tree reader go; the reader then fails as the decoder does."""
+    node = {"party": 0, "groups": [[{"op": 0, "var": 0}]]}
+    for _ in range(sys.getrecursionlimit()):
+        node = {"party": 0, "groups": [[{"op": 0, "var": 0}]], "children": [node]}
+    doc = {"format": PROTOCOL_FORMAT,
+           "tree": {"P": 1, "nvars": 1, "depth": 0, "roots": [node]}}
+    monkeypatch.setattr(json, "loads", lambda text: doc)
+    with pytest.raises(ParseError, match="^document is nested too deeply$") as e:
+        parse_protocol("{}")
+    assert e.value.kind == "syntax"
 
 
 def test_parse_accepts_bare_real_entries():
@@ -211,3 +280,17 @@ def test_export_dot_symbolic_labels():
     assert "x0*M1" in dot and "x1*M1" in dot
     bare = export_dot(t)
     assert "x0*op0" in bare
+
+
+def test_export_dot_escapes_labels_and_party_names():
+    m = load_fixture("productbasis4")
+    odd = SeparableMeasurement(m.ops, labels=[f'M"{j}\\' for j in range(len(m))],
+                               party_names=["A\\", 'B"'])
+    v = synthesize(odd)
+    dot = export_dot(v.tree, odd, v.assignment)
+    literals = re.findall(r'label="((?:[^"\\]|\\.)*)"\]', dot)
+    assert len(literals) == dot.count("label=")
+    nodes = [root_for(v.tree, a) for a in range(v.tree.P)]
+    nodes += [n for n, path in descend(v.tree) if path]
+    assert [re.sub(r"\\(.)", r"\1", s) for s in literals] == \
+        [_caption(n, odd, v.assignment, odd.party_names) for n in nodes]
