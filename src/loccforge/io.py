@@ -58,6 +58,14 @@ def _field(d, key, where, kind, default=_REQUIRED):
 
 
 _EXPECTED = {list: "a list", dict: "an object", str: "a string"}
+# a rejected value is quoted up to this many characters
+_QUOTED = 40
+
+
+def _shown(v):
+    """repr(v), cut to _QUOTED characters ending in an ellipsis."""
+    text = repr(v)
+    return text if len(text) <= _QUOTED else text[:_QUOTED - 3] + "..."
 
 
 def _typed(v, name, kind):
@@ -66,24 +74,27 @@ def _typed(v, name, kind):
     if kind in _EXPECTED:
         if isinstance(v, kind):
             return v
-        raise ParseError(f"{name} must be {_EXPECTED[kind]}, got {v!r}",
+        raise ParseError(f"{name} must be {_EXPECTED[kind]}, got {_shown(v)}",
                          kind="shape")
     v = _number(v, name)
     if kind is int and not isinstance(v, int):
-        raise ParseError(f"{name} must be an integer, got {v!r}", kind="shape")
+        raise ParseError(f"{name} must be an integer, got {_shown(v)}",
+                         kind="shape")
     return kind(v)
 
 
 def _number(v, name):
     """v if it is an int or float, not a bool, and finite as a float."""
     if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ParseError(f"{name} must be a number, got {v!r}", kind="shape")
+        raise ParseError(f"{name} must be a number, got {_shown(v)}",
+                         kind="shape")
     try:
         if math.isfinite(v):
             return v
     except OverflowError:   # an int beyond the float range
         pass
-    raise ParseError(f"{name} must be a finite number, got {v!r}", kind="shape")
+    raise ParseError(f"{name} must be a finite number, got {_shown(v)}",
+                     kind="shape")
 
 
 def _nonempty(d, key, where, default=_REQUIRED):
@@ -105,7 +116,7 @@ def _load(text, read, *args):
             raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}",
                              kind="syntax") from e
         except ValueError as e:     # an int literal past the digit limit
-            raise ParseError(str(e), kind="syntax") from e
+            raise ParseError("integer literal is too long", kind="syntax") from e
         return read(raw, *args)
     except RecursionError as e:
         raise ParseError("document is nested too deeply", kind="syntax") from e

@@ -1,11 +1,12 @@
 """The synthesis loop: classes, mergers, feasibility, verdicts.
 
 Starting from one-outcome trees, each round groups trees whose roots on all
-parties but one can carry a common strictly positive value (an LP question),
-merges every such subset with that remaining party measuring first, and tests
-full-coverage trees for an assignment that pins every root to the identity.
-No new maximal class in a round means no tree can ever be built that was not
-already buildable, which proves impossibility.
+parties but one can carry a common strictly positive value (an LP question)
+and merges every such subset with that remaining party measuring first. A
+merged tree that covers every operator is a protocol when an assignment pins
+every root to the identity; a round searches those first (the cover search,
+below). No new maximal class in a round means no tree can ever be built that
+was not already buildable, which proves impossibility.
 
 That proof needs the whole family of mergeable subsets of each round, so no
 subset size cuts it: only the budgets (`max_lps`, `max_trees`, `rounds`) stop
@@ -32,11 +33,13 @@ family returned is the same set, so only `lps_solved` moves. A look-ahead
 runs for groups of at least LOOKAHEAD_GROUP = 3 tuples, because a group of
 two grows one candidate, which is u itself; and for unions of at most
 LOOKAHEAD_TREES = 8 trees. The cap keeps every certified family within 2^8
-subsets per counted LP, so `max_lps` still bounds a search: uncapped, the
-look-ahead on random-tree seed 51 certified a family of millions of sets
-without spending the LP budget and ran past 200 s instead of about 15 s. It
-also bounds what the simplex pivots through by Bland's rule: a look-ahead
-LP, like every class LP, is solved one party at a time (below), so each LP
+subsets per counted LP, so `max_lps` still bounds a search. Uncapped, the
+look-ahead certified a family of millions of sets on random-tree seed 51
+without spending the LP budget: a search that built every family before
+testing a merger ran past 200 s there, against about 15 s with the cap (the
+cover search now finds seed 51's protocol in 2,508 LPs). The cap also
+bounds what the simplex pivots through by Bland's rule: a look-ahead LP,
+like every class LP, is solved one party at a time (below), so each LP
 it solves has the columns of at most 8 trees at one party.
 
 Each round extends the last one's search: a round only adds trees, and a
@@ -45,19 +48,70 @@ was tested, merged and counted then. A new class holds a tree born in the
 last round, and so do its one-larger supersets; only such subsets get an LP
 or a merge, and their maximality is decided among themselves.
 
-A round merges lazily. The operators a merged tree covers are the union of
-its members' (its leaves are theirs), so a run keeps one coverage bitmask per
-tree id and knows which mergers cover every operator before building any.
-Per free party it builds and tests only those, in the (size, ids) order of
-the mergers: a protocol is read off them alone, and the impossibility test
-reads classes, not trees. The other mergers are built only when the round
-ends without a protocol, and then every tree of the round is appended in
-(free, size, ids) order. Tree ids thus follow the round's merge order, so
-the next round sees the same tree list as if every merger had been built at
-once, and the protocol returned is the first feasible full-coverage merger in
-that order. `max_trees` counts the trees built and is checked before each
-merge, so a round that holds a protocol returns it even when building all of
-its mergers would pass the budget.
+A round searches for a protocol before it builds any family. The operators
+a merged tree covers are the union of its members' (its leaves are theirs),
+so a run keeps one coverage bitmask per tree id and knows which mergers cover
+every operator before building any. For each free party in order,
+`_cover_search` yields the feasible subsets of size >= 2 of its eligible
+trees that cover every operator and hold an id >= start, in (size, ids)
+order, and each is merged and its pinned LP solved at once. The families
+(`build_classes`) are built only when no free party's search found a
+protocol; exhaustive mode runs every party's search and returns the round's
+protocols in that order. So `classes_found` counts only the classes of
+rounds that built their families.
+
+The first protocol is the one a family-first round returns. That round
+built a free party's family, then tested its full-coverage mergers in
+(size, ids) order, party after party, and returned the first feasible
+pinned LP. The family is exactly the set of feasible subsets (above), and
+the search yields exactly its full-coverage members of size >= 2 holding an
+id >= start, by the same `_class_feasible` answers and in the same order; so
+the candidates, and the pinned LPs, come in the same (free, size, ids) order.
+
+The search runs a depth-first search for each size k = 2, 3, ... over
+ascending positions of the eligible list, and extends a prefix only if it is
+feasible: a feasible set's prefixes are feasible. A set gets no LP when it
+is in `known` or in the round's `refuted` set, when it holds only ids below
+start and is not in `known` (every feasible set of such ids is), or when a
+one-smaller subset is refuted, or holds only such ids and is not in `known`
+(downward closure). Two bounds end the loop over the next position q. Each
+skips only sets that cannot cover every operator, so the search is
+complete, and each only tightens as q grows:
+- the coverage bound: the prefix's cover with the covers of all trees at
+  positions >= q is not every operator;
+- the count bound: with `need` trees still to add and `missing` the
+  operators the prefix lacks, need times the most operators of `missing`
+  that one tree at a position >= q covers is below |missing|.
+In a prototype the looser count bound, need times the largest remaining
+cover, spent 745 prefix LPs in seed 51's third round.
+
+The sizes stop after a size whose search extended no prefix one tree short
+of it and cut nothing by the count bound. The next size visits only what
+this one did: feasibility and the coverage bound do not depend on the size,
+the range of positions narrows as the size grows, and the count bound, which
+weakens as `need` grows, cut nothing here. So it extends no prefix one tree
+short of this size, yields nothing and cuts nothing by the count bound
+either; by induction no larger size yields a set.
+
+Prefixes are tested eagerly, before their candidates. In prototypes, testing
+only the full-coverage candidates spent the 50,000-LP budget on the 2x2x3
+product basis, and testing a prefix only once one of its candidates failed
+took that basis to 5,200 LPs, against 2,774 for the family-first search and
+1,630 for this one.
+
+The two passes share every answer: a set the search finds feasible joins
+`known`, and one it finds infeasible joins `refuted`, which the family pass
+reads for its candidates and look-ahead unions; so no (free party, set) gets
+two LPs in a run. Where a round holds no protocol the search still tests
+sets the family never would, those with an infeasible subset that is not a
+prefix, as on the products of domino9 with a product basis. Every set the
+search merges is a full-coverage member of the family, and when the round
+builds its families that tree is reused at its place in the round's (free,
+size, ids) merge list. Tree ids thus follow the round's merge order, so the
+next round sees the same tree list as if every merger had been built at
+once, and no tree is built twice. `max_trees` counts the trees built and is
+checked before each merge, so a round that holds a protocol returns it even
+when building all of its mergers would pass the budget.
 
 A run never builds a tree twice, so it keeps no table of trees. It merges each
 (free party f, subset S) once, and the canonical key of merge(S, f) names f,
@@ -141,20 +195,24 @@ alias rows depend only on (tree, party). A chain depends only on the two
 value groups: with g the row sums of a value group's column block and pos,
 neg its masks of rows with entries all >= 0 and all <= 0, the chain rows
 sum to g_a - g_b and are one-signed where (pos_a & neg_b) | (neg_a & pos_b).
-A run keeps these per (tree, party). The parts' sums add each row in
-another order than A @ 1 does, so the exact-zero test can differ from the
-full block's only where A @ 1 is zero up to roundoff; a True still means
-that, so x = 1 passes the simplex's residual check. The False test keeps
-tol of room for roundoff in either order.
+A run keeps only these per (tree, party): the certificate of its alias
+rows and the row sums and sign masks of its value group. The rows are built
+again when a block first needs them (below), which on the 3x3 and 4x4
+product bases is never. The parts' sums add each row in another order than
+A @ 1 does, so the exact-zero test can differ from the full block's only
+where A @ 1 is zero up to roundoff; a True still means that, so x = 1
+passes the simplex's residual check. The False test keeps tol of room for
+roundoff in either order.
 
-An undecided block is assembled from the same per-tree data, not renamed
-from the trees' terms. `_root_rows` numbers a tree's variables at party
-beta in order of first use over its root's groups and keeps its alias rows
-and its value group's column block V over them. The block's rows are each
-tree's alias rows, then the chain rows [V_a | -V_b]. Its columns follow
-the first-use order of renaming the trees' terms into those rows one pair
-at a time: alias rows come before every chain row, so the trees with alias
-rows come first, in id order, then the single-group trees, whose vars
+An undecided block is assembled from per-tree blocks, not renamed from the
+trees' terms. `_root_blocks` numbers a tree's variables at party beta in
+order of first use over its root's groups and builds its alias rows and its
+value group's column block V over them, the rows the certificates were
+read from; a run keeps them once a block has needed them. The block's rows
+are each tree's alias rows, then the chain rows [V_a | -V_b]. Its columns
+follow the first-use order of renaming the trees' terms into those rows one
+pair at a time: alias rows come before every chain row, so the trees with
+alias rows come first, in id order, then the single-group trees, whose vars
 first occur in the chain rows, in id order. The block equals that renamed
 LP's rows bit for bit (the tests keep the renaming).
 """
@@ -265,24 +323,24 @@ def _chain_certificate(a, b, tol):
     return _certificate(ga - gb, (pos_a & neg_b) | (neg_a & pos_b), tol)
 
 
-def _root_rows(t, beta, m, tol):
-    """The per-tree data of the class LPs at party beta, over t's own
-    variables numbered by first use: `_class_certificate` of its root's alias
-    rows, the `_block_signs` of its value group's column block, the alias
-    rows and that block."""
+def _root_blocks(t, beta, m):
+    """t's alias rows at party beta and its value group's column block, over
+    t's own variables numbered by first use over its root's groups."""
     V = m.columns(beta)
     cols = {}
     gs = [tuple(Term(u.op, cols.setdefault(u.var, len(cols)), u.scale)
                 for u in g) for g in root_for(t, beta).groups]
-    alias = _rows(list(zip(gs, gs[1:])), V, len(cols))
-    value = _rows([(gs[0], ())], V, len(cols))
-    return _class_certificate(alias, tol), _block_signs(value), alias, value
+    return (_rows(list(zip(gs, gs[1:])), V, len(cols)),
+            _rows([(gs[0], ())], V, len(cols)))
 
 
 def _tree_rows(trees, tid, beta, m, tol, rows):
-    """`_root_rows` of tree tid at party beta, cached in rows under (tid, beta)."""
+    """The certificates' data of tree tid at party beta, cached in rows under
+    (tid, beta): `_class_certificate` of its root's alias rows and the
+    `_block_signs` of its value group's column block (`_root_blocks`)."""
     if (tid, beta) not in rows:
-        rows[tid, beta] = _root_rows(trees[tid], beta, m, tol)
+        alias, value = _root_blocks(trees[tid], beta, m)
+        rows[tid, beta] = _class_certificate(alias, tol), _block_signs(value)
     return rows[tid, beta]
 
 
@@ -310,25 +368,29 @@ def _block_certificate(trees, ids, beta, m, tol, rows):
 
 def _class_lp(trees, ids, beta, m, tol, rows):
     """The block A of the class LP of ids at party beta, assembled from the
-    trees' `_tree_rows`: each tree's alias rows, then the chain rows
+    trees' `_root_blocks`, cached in rows under ("lp", tid, beta) once a
+    block needs them: each tree's alias rows, then the chain rows
     [V_a | -V_b] of consecutive trees. The columns are the trees' vars in
     order of first use: the trees with alias rows in id order, then the
     others in id order (module docstring)."""
-    data = [_tree_rows(trees, tid, beta, m, tol, rows) for tid in ids]
+    for tid in ids:
+        if ("lp", tid, beta) not in rows:
+            rows["lp", tid, beta] = _root_blocks(trees[tid], beta, m)
+    data = [rows["lp", tid, beta] for tid in ids]
     cols, n = [None] * len(ids), 0
-    for k in sorted(range(len(ids)), key=lambda k: not len(data[k][2])):
-        width = data[k][3].shape[1]
+    for k in sorted(range(len(ids)), key=lambda k: not len(data[k][0])):
+        width = data[k][1].shape[1]
         cols[k] = slice(n, n + width)
         n += width
-    size = data[0][3].shape[0]
-    A = np.zeros((sum(len(d[2]) for d in data) + size * (len(ids) - 1), n))
+    size = data[0][1].shape[0]
+    A = np.zeros((sum(len(d[0]) for d in data) + size * (len(ids) - 1), n))
     r = 0
-    for c, (_, _, alias, _) in zip(cols, data):
+    for c, (alias, _) in zip(cols, data):
         A[r:r + len(alias), c] = alias
         r += len(alias)
     for k in range(len(ids) - 1):
-        A[r:r + size, cols[k]] = data[k][3]
-        A[r:r + size, cols[k + 1]] -= data[k + 1][3]
+        A[r:r + size, cols[k]] = data[k][1]
+        A[r:r + size, cols[k + 1]] -= data[k + 1][1]
         r += size
     return A
 
@@ -365,10 +427,12 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol, rows=None):
 
 
 def _feasible_family(trees, eligible, free_party, m, known, start, stats,
-                     max_lps, tol, rows=None):
+                     max_lps, tol, rows=None, refuted=None):
     """The feasible subsets of the ascending eligible ids that hold an id >=
     start, level by level; `known` must hold this free party's feasible
     subsets of the ids below start, and gains every feasible subset found.
+    refuted holds sets known to be infeasible (`_cover_search`'s) and gains
+    the infeasible look-ahead unions; a set in known or refuted gets no LP.
     rows is passed to `_class_feasible`.
 
     Level k+1 joins two feasible level-k tuples that share their first k-1
@@ -378,7 +442,7 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     with one prefix is expanded, the union of the group gets one look-ahead
     LP when it has at most LOOKAHEAD_TREES trees (module docstring).
     """
-    refuted = set()  # the infeasible look-ahead unions
+    refuted = set() if refuted is None else refuted
     certified = []   # bitmasks of the feasible look-ahead unions
 
     def covered(c):
@@ -386,7 +450,7 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
         return any(bits & u == bits for u in certified)
 
     def check(c):
-        if (c[-1] >= start and c not in refuted
+        if (c not in known and c[-1] >= start and c not in refuted
                 and (covered(c) or _class_feasible(trees, c, free_party, m,
                                                    stats, max_lps, tol, rows))):
             known.add(c)
@@ -395,8 +459,8 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     def look_ahead(u):
         if (len(u) <= LOOKAHEAD_TREES and u[-1] >= start and u not in refuted
                 and not covered(u)):
-            if _class_feasible(trees, u, free_party, m, stats, max_lps, tol,
-                               rows):
+            if u in known or _class_feasible(trees, u, free_party, m, stats,
+                                             max_lps, tol, rows):
                 certified.append(sum(1 << i for i in u))
             else:
                 refuted.add(u)
@@ -422,19 +486,101 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
 
 
 def build_classes(trees, eligible, free, m, known, start, stats, max_lps, tol,
-                  rows=None):
+                  rows=None, refuted=None):
     """Mergeable classes of the eligible trees with free party `free` that
-    hold an id >= start (`known` and rows as in `_feasible_family`).
+    hold an id >= start (`known`, rows and refuted as in `_feasible_family`).
 
     Returns (mergers, maximal): every such feasible subset of size >= 2 in
     merge order (size, then ids), and the subsets among them that no further
     eligible tree extends; such a superset holds an id >= start too.
     """
     new = _feasible_family(trees, eligible, free, m, known, start, stats,
-                           max_lps, tol, rows)
+                           max_lps, tol, rows, refuted)
     extended = {c[:k] + c[k + 1:] for c in new for k in range(len(c))}
     mergers = [s for s in new if len(s) >= 2]
     return mergers, [s for s in mergers if s not in extended]
+
+
+def _cover_search(trees, eligible, free, m, known, refuted, start, covers,
+                  stats, max_lps, tol, rows=None):
+    """Yield the feasible subsets of size >= 2 of the ascending eligible ids
+    that cover every operator and hold an id >= start, in (size, ids) order;
+    covers[i] is the bitmask of the operators tree i covers.
+
+    For each size a depth-first search extends a prefix over ascending
+    positions of eligible, and only when the prefix is feasible. Every set it
+    tests joins known (as in `_feasible_family`) when feasible and refuted
+    when not. A set gets no LP when it is in either, when it holds only ids
+    below start, or when a one-smaller subset is refuted or holds only ids
+    below start and is not known. Two coverage bounds end a loop, and the
+    sizes stop after one that reached no prefix one tree short and cut
+    nothing by the count bound (module docstring).
+    """
+    full = (1 << len(m.ops)) - 1
+    cov = [covers[i] for i in eligible]
+    n = len(cov)
+    rest = [0] * (n + 1)  # rest[q]: the operators covered at positions >= q
+    for q in range(n - 1, -1, -1):
+        rest[q] = rest[q + 1] | cov[q]
+    reached = cut = False
+
+    def feasible(c):
+        if c in known:
+            return True
+        if c in refuted or c[-1] < start:
+            return False
+        smaller = [c[:k] + c[k + 1:] for k in range(len(c))] if len(c) > 1 else []
+        ok = (not any(s in refuted or (s[-1] < start and s not in known)
+                      for s in smaller)
+              and _class_feasible(trees, c, free, m, stats, max_lps, tol, rows))
+        (known if ok else refuted).add(c)
+        return ok
+
+    def candidates(prefix, cover, pos, size):
+        """(c, its cover, its position) for each next position q >= pos that
+        the bounds leave: c is a feasible prefix, or a feasible full-coverage
+        set of the size that holds an id >= start."""
+        nonlocal reached, cut
+        need = size - len(prefix)
+        missing = full & ~cover
+        # the count bound: past position last no tree adds `least` of the
+        # missing operators, so need more trees cannot cover them; for
+        # least <= 1 the coverage bound below implies it
+        least = -(-missing.bit_count() // need)
+        last = n - 1
+        if least > 1:
+            while last >= pos and (cov[last] & missing).bit_count() < least:
+                last -= 1
+        for q in range(pos, n - need + 1):
+            if cover | rest[q] != full:
+                break
+            if q > last:
+                cut = True
+                break
+            c = prefix + (eligible[q],)
+            if need == 1:
+                if cover | cov[q] == full and c[-1] >= start and feasible(c):
+                    yield c, full, q
+            elif feasible(c):
+                reached = reached or need == 2
+                yield c, cover | cov[q], q
+
+    # depth first with a stack of loops, not recursion: a recursive closure
+    # would hold the run's trees in a reference cycle after it returns
+    for size in range(2, n + 1):
+        reached = cut = False
+        stack = [candidates((), 0, 0, size)]
+        while stack:
+            for c, cover, q in stack[-1]:
+                if len(c) == size:
+                    yield c
+                else:
+                    stack.append(candidates(c, cover, q + 1, size))
+                    break
+            else:
+                stack.pop()
+        if not (reached or cut):
+            return
 
 
 def feasibility(t: ProtocolTree, m: SeparableMeasurement, *,
@@ -518,7 +664,6 @@ def synthesize(m: SeparableMeasurement,
     rows = {}
     # per tree id, the bitmask of the operators its leaves cover
     covers = [1 << j for j in range(N)]
-    full = (1 << N) - 1
     start = 0
     round_idx = 0
 
@@ -538,47 +683,53 @@ def synthesize(m: SeparableMeasurement,
         round_protocols = []
         # one round = one parallel layer: trees born here only merge next round
         snapshot = len(trees)
-        # (free, subset, coverage, tree or None) per merger, in merge order
+        eligible = [[i for i in range(snapshot) if trees[i].trunk_party != free]
+                    for free in range(m.P)]
+        # per free party, the sets the cover search found infeasible
+        refuted = [set() for _ in range(m.P)]
+        # the trees the cover search merged, per (free, subset)
+        built = {}
+        # (free, subset) per merger, in merge order
         merges = []
         try:
             for free in range(m.P):
-                eligible = [i for i in range(snapshot)
-                            if trees[i].trunk_party != free]
-                mergers, maximal = build_classes(
-                    trees, eligible, free, m, known[free], start, stats,
-                    cfg.max_lps, cfg.tol.lp, rows)
-                new_classes += len(maximal)
-                stats.classes_found += len(maximal)
-                for s in mergers:
-                    cover = 0
-                    for i in s:
-                        cover |= covers[i]
-                    tnew = None
-                    if cover == full:
-                        tnew = merge(s, free)
-                        _count_lp(stats, cfg.max_lps)
-                        x = feasibility(tnew, m, delta=cfg.delta,
-                                        tol=cfg.tol.lp)
-                        if x is not None:
-                            emitted = _emit(tnew, x, m, cfg.tol.lp)
-                            if cfg.mode == "first":
-                                return SynthesisVerdict(
-                                    "Protocol", emitted[0], emitted[1], stats,
-                                    protocols=(emitted,),
-                                    reason=f"protocol found in round {round_idx}")
-                            round_protocols.append(emitted)
-                    merges.append((free, s, cover, tnew))
+                for s in _cover_search(trees, eligible[free], free, m,
+                                       known[free], refuted[free], start,
+                                       covers, stats, cfg.max_lps, cfg.tol.lp,
+                                       rows):
+                    tnew = built[free, s] = merge(s, free)
+                    _count_lp(stats, cfg.max_lps)
+                    x = feasibility(tnew, m, delta=cfg.delta, tol=cfg.tol.lp)
+                    if x is not None:
+                        emitted = _emit(tnew, x, m, cfg.tol.lp)
+                        if cfg.mode == "first":
+                            return SynthesisVerdict(
+                                "Protocol", emitted[0], emitted[1], stats,
+                                protocols=(emitted,),
+                                reason=f"protocol found in round {round_idx}")
+                        round_protocols.append(emitted)
             if round_protocols:
                 first = round_protocols[0]
                 return SynthesisVerdict("Protocol", first[0], first[1], stats,
                                         protocols=tuple(round_protocols),
                                         reason=f"protocols found in round {round_idx}")
+            for free in range(m.P):
+                mergers, maximal = build_classes(
+                    trees, eligible[free], free, m, known[free], start, stats,
+                    cfg.max_lps, cfg.tol.lp, rows, refuted[free])
+                new_classes += len(maximal)
+                stats.classes_found += len(maximal)
+                merges += [(free, s) for s in mergers]
             if new_classes == 0:
                 return SynthesisVerdict(
                     "ProvedImpossible", None, None, stats,
                     reason=f"round {round_idx} produced no new equivalence classes")
-            for free, s, cover, tnew in merges:
-                trees.append(merge(s, free) if tnew is None else tnew)
+            for free, s in merges:
+                t = built.get((free, s))
+                trees.append(merge(s, free) if t is None else t)
+                cover = 0
+                for i in s:
+                    cover |= covers[i]
                 covers.append(cover)
         except _BudgetHit as e:
             return SynthesisVerdict("BudgetExhausted", None, None, stats,

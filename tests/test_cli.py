@@ -230,10 +230,10 @@ def synthesize_json(tmp_path, capsys, m, *flags):
     return code, json.loads(out)
 
 
-@pytest.mark.parametrize("n, lps", [(7, 24), (8, 31)])
+@pytest.mark.parametrize("n, lps", [(7, 8), (8, 9)])
 def test_one_sided_measurement_is_a_protocol(tmp_path, capsys, n, lps):
     """A holds the identity and B measures an n-outcome basis, so B alone
-    implements it in one round; no subset size cuts the class family that
+    implements it in one round; no subset size cuts the cover search that
     finds it."""
     m = measurement_from_parts([[np.eye(2), np.diag(np.eye(n)[i])]
                                 for i in range(n)])

@@ -108,7 +108,13 @@ REJECTED_VALUES = [
      "1e400", "operators[0].parts[0][0][0] must be a finite number, got inf"),
     ({"operators": [{"parts": [[["@", 0], [0, 0]], [[1, 0], [0, 1]]]}]},
      "1" + "0" * 399,
-     f"operators[0].parts[0][0][0] must be a finite number, got {10 ** 399}"),
+     "operators[0].parts[0][0][0] must be a finite number, got "
+     + "1" + "0" * 36 + "..."),
+    ({"parties": [{"name": "A", "dim": "@"}, {"name": "B", "dim": 2}]},
+     json.dumps(list(range(1000))),
+     "parties[0].dim must be a number, got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11..."),
+    ({"parties": [{"name": "A", "dim": "@"}, {"name": "B", "dim": 2}]},
+     "2" * 5000, "integer literal is too long"),
     ({"parties": [{"name": "A"}]}, "0", "parties[0].dim is missing"),
     ({"meta": "@"}, DEEP, "document is nested too deeply"),
 ]
@@ -117,13 +123,14 @@ REJECTED_VALUES = [
 @pytest.mark.parametrize("fields, literal, message", REJECTED_VALUES,
                          ids=["true-entry", "false-imaginary-part", "true-dim",
                               "float-dim", "number-name", "nan", "infinity",
-                              "1e400", "400-digit-int", "missing-dim",
-                              "deep-meta"])
+                              "1e400", "400-digit-int", "long-list",
+                              "5000-digit-int", "missing-dim", "deep-meta"])
 def test_document_values_are_checked(fields, literal, message):
     text = make_doc(**fields).replace('"@"', literal)
     with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as e:
         parse_measurement(text)
-    assert e.value.kind == ("syntax" if literal == DEEP else "shape")
+    syntax = literal == DEEP or message.startswith("integer literal")
+    assert e.value.kind == ("syntax" if syntax else "shape")
 
 
 def test_tree_reader_reports_deep_nesting(monkeypatch):

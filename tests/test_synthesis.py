@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 
@@ -48,7 +49,7 @@ def test_cascade5_protocol_shape():
     assert v.kind == "Protocol"
     assert v.reason == "protocol found in round 4"
     assert v.stats.as_dict() == {"rounds": 4, "trees_built": 12,
-                                 "lps_solved": 65, "classes_found": 5}
+                                 "lps_solved": 58, "classes_found": 3}
     assert len(leaves(v.tree)) == 5
     assert len(walk_nodes(v.tree)) == 9
     assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
@@ -131,9 +132,9 @@ def classes_by_party(trees, m, known=None, start=0, stats=None):
 
 
 @pytest.mark.parametrize("name, kind, reason, stats", [
-    ("fourparty_aligned", "Protocol", "protocol found in round 1", (1, 3, 2, 1)),
-    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 13, 2)),
-    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 25, 5)),
+    ("fourparty_aligned", "Protocol", "protocol found in round 1", (1, 3, 2, 0)),
+    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 10, 1)),
+    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 17, 4)),
     ("singularpair3", "ProvedImpossible",
      "round 1 produced no new equivalence classes", (1, 3, 8, 0)),
     ("fourparty_mismatch", InvalidMeasurementError, "not complete", None),
@@ -154,8 +155,8 @@ def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
 
 
 @pytest.mark.parametrize("dims, stats", [
-    ((3, 3), (257, 34, 2)),
-    ((2, 2, 2), (557, 33, 3)),
+    ((3, 3), (82, 34, 2)),
+    ((2, 2, 2), (460, 33, 3)),
 ])
 def test_product_basis_search_counts(dims, stats):
     """stats: (lps_solved, trees_built, rounds)."""
@@ -264,21 +265,31 @@ def test_build_classes_merge_order_and_maximal():
         assert not any(set(a) < set(b) for a in maximal for b in mergers)
 
 
+def round_searches(m, monkeypatch, rounds):
+    """Per `_cover_search` call of the first `rounds` rounds of an exhaustive
+    synthesize run, which covers every free party of every round: (trees,
+    eligible, free, known, start, covers), each list and set copied at the
+    call, before the search runs."""
+    calls = []
+    real = synthesis._cover_search
+
+    def spy(trees, eligible, free, m, known, refuted, start, covers, *args):
+        calls.append((list(trees), list(eligible), free, set(known), start,
+                      list(covers)))
+        return real(trees, eligible, free, m, known, refuted, start, covers,
+                    *args)
+
+    monkeypatch.setattr(synthesis, "_cover_search", spy)
+    synthesize(m, RunConfig(rounds=rounds, mode="exhaustive"))
+    monkeypatch.undo()
+    return calls
+
+
 def round_start_trees(m, monkeypatch, rounds):
     """The tree list at the start of each of the first `rounds` rounds of
-    synthesize, captured at its first build_classes call of the round."""
-    starts = []
-    real = synthesis.build_classes
-
-    def spy(trees, eligible, free, *args):
-        if free == 0:
-            starts.append(list(trees))
-        return real(trees, eligible, free, *args)
-
-    monkeypatch.setattr(synthesis, "build_classes", spy)
-    synthesize(m, RunConfig(rounds=rounds))
-    monkeypatch.undo()
-    return starts
+    synthesize."""
+    return [trees for trees, _, free, *_ in round_searches(m, monkeypatch, rounds)
+            if free == 0]
 
 
 @pytest.mark.parametrize("name, looks_ahead", [
@@ -352,6 +363,126 @@ def test_feasible_family_matches_brute_force(name, looks_ahead, monkeypatch):
     assert (unions > 0) == looks_ahead
 
 
+@pytest.mark.parametrize("name, rounds", [
+    ("productbasis4", 2), ("cascade5", 4), ("domino9", 2)])
+def test_cover_search_matches_brute_force(name, rounds, monkeypatch):
+    """Each free party's cover search in every round of the run yields
+    exactly the feasible subsets of size >= 2 of its eligible trees that
+    cover every operator and hold an id >= start, as an LP for each finds
+    them, in (size, ids) order."""
+    m = load_fixture(name)
+    calls = round_searches(m, monkeypatch, rounds)
+    assert len({start for *_, start, _ in calls}) == rounds
+    full = set(range(len(m)))
+    found = 0
+    for trees, eligible, free, known, start, covers in calls:
+        cov = [coverage(t) for t in trees]
+        assert covers == [sum(1 << j for j in c) for c in cov]
+        brute = [c for k in range(2, len(eligible) + 1)
+                 for c in itertools.combinations(eligible, k)
+                 if c[-1] >= start and set().union(*(cov[i] for i in c)) == full
+                 and _class_feasible(trees, c, free, m, SynthesisStats(), None,
+                                     LP_TOL)]
+        got = list(synthesis._cover_search(trees, eligible, free, m, set(known),
+                                           set(), start, covers,
+                                           SynthesisStats(), None, LP_TOL))
+        assert got == brute
+        found += len(got)
+    # domino9 has no feasible full-coverage subset in either round
+    assert (found > 0) == (name != "domino9")
+
+
+def test_a_round_without_a_protocol_keeps_the_searched_trees(monkeypatch):
+    """A round whose full-coverage mergers all fail the pinned LP, which no
+    corpus instance has, so every pinned LP is made to fail here: the round
+    builds its families, keeps each tree the cover search merged, builds no
+    merger twice, and the next round's tree list adds every merger in
+    (free, size, ids) order."""
+    merged, tested, starts = [], [], []
+    real_merge, real_search = synthesis.merge_and_extend, synthesis._cover_search
+
+    def merge_spy(cs, free, memo):
+        merged.append((free, tuple(map(id, cs))))
+        return real_merge(cs, free, memo)
+
+    def search_spy(trees, eligible, free, *args):
+        if free == 0:
+            starts.append(list(trees))
+        return real_search(trees, eligible, free, *args)
+
+    def no_protocol(t, *args, **kwargs):
+        tested.append((len(starts), t))
+
+    monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
+    monkeypatch.setattr(synthesis, "_cover_search", search_spy)
+    monkeypatch.setattr(synthesis, "feasibility", no_protocol)
+    m = load_fixture("productbasis4")
+    v = synthesize(m, RunConfig(rounds=3))
+    monkeypatch.undo()
+    assert (v.kind, v.stats.rounds) == ("BudgetExhausted", 3)
+    assert len(set(merged)) == len(merged)
+    assert v.stats.trees_built == len(m) + len(merged)
+    # round 2 searched full-coverage mergers, and round 3 starts with them
+    before, after = starts[1], starts[2]
+    searched = [t for r, t in tested if r == 2]
+    assert searched and all(any(t is u for u in after) for t in searched)
+    answers, expected = {}, list(before)
+    for free in range(m.P):
+        eligible = [i for i, t in enumerate(before) if t.trunk_party != free]
+        mergers, _ = scratch_classes(before, eligible, free, m, answers)
+        expected += [merge_and_extend([before[i] for i in s], free)
+                     for s in mergers if s[-1] >= len(starts[0])]
+    assert list(map(canonical_key, after)) == list(map(canonical_key, expected))
+
+
+def test_a_run_leaves_no_reference_cycle():
+    """synthesize frees its trees and caches as it returns, not when the
+    cycle collector next runs, so repeated runs in one process do not pile
+    them up: a run leaves nothing in a reference cycle."""
+    ms = locc_random_measurements()
+    gc.collect()
+    gc.disable()
+    try:
+        for m, cfg in [(load_fixture("cascade5"), RunConfig()),
+                       (product_basis(3, 3), RunConfig()),
+                       (ms[12], RunConfig(max_lps=2000)),
+                       (ms[51], RunConfig(max_lps=2000))]:
+            for mode in ("first", "exhaustive"):
+                synthesize(m, dataclasses.replace(cfg, mode=mode))
+                assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# per instance, the number of protocols exhaustive mode returns and a digest
+# of their canonical keys in order, as the search that built every class
+# family before testing a merger returned them
+EXHAUSTIVE_PROTOCOLS = {
+    "basis3x3": (2, "ffc62d94a77eb52e"),
+    "basis2x2x2": (27, "b5d07d76c9b09e0d"),
+    "cascade5": (1, "e39fe99c2bdfd700"),
+    5: (5, "0bea6c0fb6bfa40c"),
+    29: (25, "1e55cf7826e492de"),
+}
+
+
+def test_exhaustive_protocols_are_pinned():
+    """Exhaustive mode returns the same protocols in the same order: the
+    cover search tests a round's full-coverage mergers in (free, size, ids)
+    order, the order in which the family pass tested them."""
+    ms = locc_random_measurements()
+    cases = {"basis3x3": (product_basis(3, 3), RunConfig()),
+             "basis2x2x2": (product_basis(2, 2, 2), RunConfig()),
+             "cascade5": (load_fixture("cascade5"), RunConfig()),
+             5: (ms[5], RunConfig(max_lps=2000)),
+             29: (ms[29], RunConfig(max_lps=2000))}
+    for name, (m, cfg) in cases.items():
+        v = synthesize(m, dataclasses.replace(cfg, mode="exhaustive"))
+        keys = [canonical_key(t) for t, _ in v.protocols]
+        digest = hashlib.sha256(repr(keys).encode()).hexdigest()[:16]
+        assert (len(keys), digest) == EXHAUSTIVE_PROTOCOLS[name], name
+
+
 def scratch_classes(trees, eligible, free, m, answers):
     """Every mergeable class of the eligible trees, searched from scratch:
     (mergers in (size, ids) order, maximal ones). answers memoizes
@@ -417,30 +548,58 @@ def test_rounds_return_only_new_classes(monkeypatch):
 
 
 def test_no_subset_is_tested_or_merged_twice(monkeypatch):
-    """Within one run, no (free party, trees) reaches _class_feasible or
-    merge_and_extend a second time."""
-    tested, merged = [], []
+    """Within one run, in first and exhaustive mode, no (free party, trees)
+    reaches _class_feasible or merge_and_extend a second time, across the
+    cover search and the family pass of a round and across rounds; the
+    family passes read what the cover searches refuted and merge sets whose
+    LP the searches solved."""
+    tested, merged, phase, families = [], [], [None], []
     real_class, real_merge = synthesis._class_feasible, synthesis.merge_and_extend
+    real_search, real_classes = synthesis._cover_search, synthesis.build_classes
 
     def class_spy(trees, ids, free, *args):
-        tested.append((free, ids))
+        tested.append((phase[0], free, ids))
         return real_class(trees, ids, free, *args)
 
     def merge_spy(cs, free, memo):
         merged.append((free, tuple(map(id, cs))))
         return real_merge(cs, free, memo)
 
+    def search_spy(*args):
+        phase[0] = "cover"
+        return real_search(*args)
+
+    def classes_spy(trees, eligible, free, m, known, start, stats, max_lps,
+                    tol, rows, refuted):
+        phase[0] = "family"
+        shared = len(refuted)
+        got = real_classes(trees, eligible, free, m, known, start, stats,
+                           max_lps, tol, rows, refuted)
+        families.append((free, got[0], shared))
+        return got
+
     monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
     monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
-    runs = 0
-    for m, cfg in search_cases():
-        tested.clear()
-        merged.clear()
-        v = synthesize(m, cfg)
-        assert len(set(tested)) == len(tested)
-        assert len(set(merged)) == len(merged)
-        runs += v.stats.rounds > 1 and bool(merged)
-    assert runs > 0
+    monkeypatch.setattr(synthesis, "_cover_search", search_spy)
+    monkeypatch.setattr(synthesis, "build_classes", classes_spy)
+    cases = search_cases() + [(product_basis(*d), RunConfig())
+                              for d in ((3, 3), (2, 2, 2))]
+    runs = read = reused = 0
+    for m, cfg in cases:
+        for mode in ("first", "exhaustive"):
+            tested.clear()
+            merged.clear()
+            families.clear()
+            v = synthesize(m, dataclasses.replace(cfg, mode=mode))
+            pairs = [(free, ids) for _, free, ids in tested]
+            assert len(set(pairs)) == len(pairs)
+            assert len(set(merged)) == len(merged)
+            runs += v.stats.rounds > 1 and bool(merged)
+            found = {(free, ids) for p, free, ids in tested if p == "cover"}
+            read += sum(shared > 0 for *_, shared in families)
+            reused += sum((free, s) in found
+                          for free, mergers, _ in families for s in mergers)
+    assert runs > 0 and read > 0 and reused > 0
 
 
 def test_merged_trees_never_repeat_a_key(monkeypatch):
@@ -488,7 +647,7 @@ def test_tree_budget_is_checked_before_merging(monkeypatch):
     v = synthesize(product_basis(3, 3), RunConfig(max_trees=20))
     assert (v.kind, v.reason) == ("BudgetExhausted", "tree budget exhausted")
     assert v.stats.as_dict() == {"rounds": 1, "trees_built": 20,
-                                 "lps_solved": 78, "classes_found": 6}
+                                 "lps_solved": 79, "classes_found": 6}
     assert len(calls) == 11
 
 
@@ -500,7 +659,7 @@ def test_tree_budget_spares_a_round_that_holds_a_protocol():
     m = locc_random_measurements()[59]
     v = synthesize(m, RunConfig(max_trees=20))
     assert (v.kind, v.reason) == ("Protocol", "protocol found in round 1")
-    assert (v.stats.trees_built, v.stats.lps_solved) == (10, 127)
+    assert (v.stats.trees_built, v.stats.lps_solved) == (10, 9)
 
 
 def test_merged_coverage_is_the_union_of_its_members(monkeypatch):
@@ -590,7 +749,8 @@ def test_look_ahead_lps_stay_small_on_seed_51(monkeypatch):
     """Random-tree seed 51 makes wide groups: the union of a group of its
     level tuples spans up to 137 trees. Yet no class it tests or LP it
     assembles, look-ahead unions included, spans more than 8 trees, and the
-    simplex never trips its pivot guard (the error would propagate)."""
+    simplex never trips its pivot guard (the error would propagate). The
+    cover search of its third round finds its protocol after 2,508 LPs."""
     tested, assembled = [], []
     real_class, real_lp = synthesis._class_feasible, synthesis._class_lp
 
@@ -605,7 +765,8 @@ def test_look_ahead_lps_stay_small_on_seed_51(monkeypatch):
     monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
     monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
     v = synthesize(locc_random_measurements()[51], RunConfig(max_lps=5000))
-    assert (v.kind, v.reason) == ("BudgetExhausted", "lp budget exhausted")
+    assert (v.kind, v.reason) == ("Protocol", "protocol found in round 3")
+    assert v.stats.lps_solved == 2508
     assert assembled
     assert max(tested + assembled) <= 8
 
@@ -980,7 +1141,7 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
     monkeypatch.setattr(simplex, "_phase1", phase1_spy)
     v = synthesize(product_basis(3, 3))
     assert v.kind == "Protocol"
-    assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (257, 34, 2)
+    assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (82, 34, 2)
     assert calls and pivoted == []
 
 
@@ -1009,7 +1170,7 @@ def test_product_basis_class_lps_are_never_assembled(monkeypatch):
     v3 = synthesize(product_basis(3, 3))
     v4 = synthesize(product_basis(4, 4))
     assert v3.kind == v4.kind == "Protocol"
-    assert (v3.stats.lps_solved, v3.stats.trees_built, v3.stats.rounds) == (257, 34, 2)
+    assert (v3.stats.lps_solved, v3.stats.trees_built, v3.stats.rounds) == (82, 34, 2)
     assert calls and assembled == []
 
 
