@@ -11,7 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatchError, InvalidOperatorError, ZeroOperatorError
-from .hermitian import LP_TOL, PSD_TOL, asmat, is_psd, vectorize
+from .hermitian import (
+    LP_TOL,
+    PSD_TOL,
+    asmat,
+    hermitian_stack,
+    psd_mask,
+    vectorize,
+)
 from .simplex import feasible_point
 
 
@@ -19,7 +26,10 @@ class Cone:
     """Cone of nonnegative combinations of validated PSD, nonzero generators.
 
     `tol` is the tolerance of both checks, as `measurement.validate` applies
-    them to a part: PSD by `is_psd(g, tol)`, nonzero by max|g| > tol.
+    them to a part: PSD by `is_psd(g, tol)`, nonzero by max|g| > tol. Each
+    runs once over the stack of generators; the error raised is that of the
+    first generator that fails, for the first check it fails in the order
+    shape, hermiticity, PSD, zero.
     """
 
     __slots__ = ("dim", "generators", "_vecs")
@@ -29,20 +39,28 @@ class Cone:
         if not mats:
             raise InvalidOperatorError("a cone needs at least one generator")
         d = mats[0].shape[0]
-        frozen = []
-        for g in mats:
-            if g.shape != (d, d):
-                raise DimMismatchError("cone generators must share one dimension")
-            if not is_psd(g, tol):
-                raise InvalidOperatorError("cone generator is not PSD")
-            if float(np.abs(g).max(initial=0.0)) <= tol:
+        # the generators before the first of another shape are checked
+        n = next((i for i, g in enumerate(mats) if g.shape != (d, d)), len(mats))
+        g = np.array(mats[:n]).reshape(n, d, d)
+        g.flags.writeable = False
+        herm, sym = hermitian_stack(g)
+        # eigvalsh runs on the generators before the first non-Hermitian one
+        h = n if herm.all() else int(herm.argmin())
+        zero = np.abs(g[:h]).max(axis=(1, 2)) <= tol
+        psd = psd_mask(sym[:h], tol)
+        bad = zero | ~psd
+        if bad.any():
+            if psd[bad.argmax()]:
                 raise ZeroOperatorError("cone generator is numerically zero")
-            g = g.copy()
-            g.flags.writeable = False
-            frozen.append(g)
+            raise InvalidOperatorError("cone generator is not PSD")
+        if h < n:
+            raise InvalidOperatorError("is_psd needs a square Hermitian matrix")
+        if n < len(mats):
+            raise DimMismatchError("cone generators must share one dimension")
         self.dim = int(d)
-        self.generators = tuple(frozen)
-        self._vecs = np.column_stack([vectorize(g) for g in frozen])
+        self.generators = tuple(g)
+        # one column per generator, C-contiguous as the LP layer expects
+        self._vecs = np.ascontiguousarray(vectorize(g).T)
 
     def subcone(self, indices) -> Cone:
         """The cone of the generators at `indices`, in that order.

@@ -5,6 +5,12 @@ conventions: tolerance semantics for PSD tests, proportionality up to a
 positive scalar, Kronecker products, matrix square roots, and the real
 vectorization that turns operator equalities into LP rows.
 
+The hermiticity and PSD tests are written once, over an (N, d, d) stack
+(`hermitian_stack`, `psd_mask`), so a caller holding many same-shape matrices
+tests them in one numpy call; `is_hermitian`, `is_psd` and the
+`HermitianOperator` constructor apply them to a stack of one. `tensor` and
+`vectorize` take stacks too.
+
 Vectorization basis order for a d x d Hermitian M: the d diagonal entries in
 row order, then Re M[i,j] for i < j (row-major), then Im M[i,j] for i < j.
 Off-diagonal slots are scaled by sqrt(2), which makes the map an isometry for
@@ -33,12 +39,36 @@ def asmat(x) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
+NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
+
+
+def hermitian_stack(mats, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, stack) for same-shape square matrices: per matrix, whether
+    max|M - M^H| <= tol * (1 + max|M|), and the read-only stack of the
+    symmetrized (M + M^H) / 2, whose entries satisfy S[i][j] == conj(S[j][i])
+    exactly."""
+    g = np.array(mats, dtype=complex)
+    adj = g.conj().swapaxes(1, 2)
+    scale = 1.0 + np.abs(g).max(axis=(1, 2), initial=0.0)
+    ok = np.abs(g - adj).max(axis=(1, 2), initial=0.0) <= tol * scale
+    stack = (g + adj) / 2.0
+    stack.flags.writeable = False
+    return ok, stack
+
+
+def psd_mask(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """Per matrix of an exactly Hermitian (N, d, d) stack, one `eigvalsh`
+    for all: the smallest eigenvalue is >= -tol * max(1, spectral radius)."""
+    w = np.linalg.eigvalsh(stack)
+    radius = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
+    return w[:, 0] >= -tol * np.maximum(1.0, radius)
+
+
 def is_hermitian(m, tol: float = HERM_TOL) -> bool:
     m = asmat(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    scale = 1.0 + float(np.abs(m).max(initial=0.0))
-    return float(np.abs(m - m.conj().T).max(initial=0.0)) <= tol * scale
+    return bool(hermitian_stack(m[None], tol)[0][0])
 
 
 class HermitianOperator:
@@ -54,28 +84,44 @@ class HermitianOperator:
         m = np.asarray(mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidOperatorError(f"expected a square matrix, got shape {m.shape}")
-        if not is_hermitian(m, tol):
-            raise InvalidOperatorError("matrix is not Hermitian within tolerance")
-        m = (m + m.conj().T) / 2.0
-        m.flags.writeable = False
-        self.mat = m
+        ok, stack = hermitian_stack(m[None], tol)
+        if not ok[0]:
+            raise InvalidOperatorError(NOT_HERMITIAN)
+        self.mat = stack[0]
         self.dim = int(m.shape[0])
 
+    @classmethod
+    def rows(cls, stack: np.ndarray) -> tuple[HermitianOperator, ...]:
+        """One operator per matrix of a read-only stack from `hermitian_stack`
+        whose matrices all passed: each views its row, unchecked again."""
+        out = []
+        for mat in stack:
+            op = object.__new__(cls)
+            op.mat = mat
+            op.dim = int(mat.shape[0])
+            out.append(op)
+        return tuple(out)
+
     def is_psd(self, tol: float = PSD_TOL) -> bool:
-        return is_psd(self.mat, tol)
+        return is_psd(self, tol)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
 
 
 def is_psd(m, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * max(1, spectral radius)."""
+    """True iff the smallest eigenvalue is >= -tol * max(1, spectral radius).
+
+    A HermitianOperator is exactly Hermitian, so only other input is checked
+    Hermitian and symmetrized first."""
+    if isinstance(m, HermitianOperator):
+        return bool(psd_mask(m.mat[None], tol)[0])
     m = asmat(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not is_hermitian(m):
-        raise InvalidOperatorError("is_psd needs a square Hermitian matrix")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    radius = max(abs(float(w[0])), abs(float(w[-1])))
-    return float(w[0]) >= -tol * max(1.0, radius)
+    if m.ndim == 2 and m.shape[0] == m.shape[1]:
+        ok, stack = hermitian_stack(m[None])
+        if ok[0]:
+            return bool(psd_mask(stack, tol)[0])
+    raise InvalidOperatorError("is_psd needs a square Hermitian matrix")
 
 
 def proportional(m, n, tol: float = LP_TOL) -> float | None:
@@ -133,13 +179,17 @@ def same_ray_masks(mats, tol: float = LP_TOL) -> list[int]:
 
 
 def tensor(parts) -> np.ndarray:
-    """Kronecker product of the given operators, in order."""
+    """Kronecker product of the given operators, in order; of (N, d, d)
+    stacks, the N products matrix by matrix. Each entry is the one product
+    of parts' entries that chained `np.kron` forms, so both agree bit for bit."""
     mats = [asmat(p) for p in parts]
     if not mats:
         raise InvalidOperatorError("tensor of an empty list")
     out = mats[0]
     for p in mats[1:]:
-        out = np.kron(out, p)
+        n = out.shape[-1] * p.shape[-1]
+        out = (out[..., :, None, :, None] * p[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (n, n))
     return out
 
 
@@ -164,10 +214,13 @@ def _triu(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vectorize(m) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in the documented basis order."""
+    """Real coordinates of a Hermitian matrix in the documented basis order;
+    of an (N, d, d) stack, one row per matrix."""
     m = asmat(m)
-    off = m[_triu(m.shape[0])]
-    return np.concatenate([m.diagonal().real, _SQRT2 * off.real, _SQRT2 * off.imag])
+    iu = _triu(m.shape[-1])
+    off = m[..., iu[0], iu[1]]
+    return np.concatenate([m.diagonal(axis1=-2, axis2=-1).real,
+                           _SQRT2 * off.real, _SQRT2 * off.imag], axis=-1)
 
 
 def devectorize(coords, dim: int) -> np.ndarray:

@@ -3,6 +3,11 @@
 Complex entries are written as [re, im] pairs so documents round-trip exactly.
 Serialization is canonical (sorted keys, repr floats), so equal inputs always
 produce byte-identical output.
+
+A measurement document's parts are checked for hermiticity per party: each
+party's parts form one stack, tested and symmetrized in one numpy call, so
+each part is checked once. The first part in document order that fails is
+the error. Positivity and duplicates are `validate`'s.
 """
 from __future__ import annotations
 
@@ -14,7 +19,13 @@ import math
 import numpy as np
 
 from .errors import InvalidOperatorError, ParseError
-from .hermitian import PSD_TOL, HermitianOperator, psd_sqrt
+from .hermitian import (
+    NOT_HERMITIAN,
+    PSD_TOL,
+    HermitianOperator,
+    hermitian_stack,
+    psd_sqrt,
+)
 from .measurement import KrausProduct, SeparableMeasurement, validate
 from .synthesis import SynthesisStats, SynthesisVerdict
 from .tree import Node, ProtocolTree, Term, descend, root_for
@@ -149,11 +160,16 @@ def _decode_parts(mats, dims, where):
                  in enumerate(zip(_entries(mats, len(dims), where), dims)))
 
 
-def _hermitian(mat, where):
-    try:
-        return HermitianOperator(mat)
-    except InvalidOperatorError as e:
-        raise ParseError(f"{where}: {e}", kind="shape") from e
+def _hermitian_parts(parts, P):
+    """Per operator, its parts as HermitianOperators. Each party's parts
+    are checked and symmetrized as one stack; the first part in document
+    order that is not Hermitian is a ParseError naming it."""
+    checked = [hermitian_stack([mats[a] for mats in parts]) for a in range(P)]
+    bad = ~np.array([ok for ok, _ in checked]).T     # (operator, party)
+    if bad.any():
+        j, a = np.argwhere(bad)[0]
+        raise ParseError(f"operators[{j}].parts[{a}]: {NOT_HERMITIAN}", kind="shape")
+    return tuple(zip(*(HermitianOperator.rows(stack) for _, stack in checked)))
 
 
 def _measurement_from(raw, tol):
@@ -184,9 +200,7 @@ def _measurement_from(raw, tol):
     if len(set(labels)) != len(labels):
         raise ParseError("operator labels must be distinct", kind="shape")
     _field(raw, "meta", "", dict, None)
-    ops = tuple(tuple(_hermitian(p, f"operators[{j}].parts[{a}]")
-                      for a, p in enumerate(mats))
-                for j, mats in enumerate(parts))
+    ops = _hermitian_parts(parts, len(dims))
     # missing Kraus factors beside given ones are the parts' square roots; if
     # a part has none at `tol`, validate reports it, so none are kept
     groups = None

@@ -3,6 +3,15 @@
 A measurement is a list of product operators, one PSD part per party, with an
 optional Kraus-level description. Completeness means the products admit
 strictly positive weights summing to the identity; that certificate is an LP.
+
+The checks work per party, on the read-only (N, d, d) stack of its parts
+(`SeparableMeasurement.stack`): `validate` tests every part for zero and
+PSD with one `eigvalsh` per party, and its diagnostics are kept on the
+measurement per tolerance, so each part is checked once per tolerance.
+`SeparableMeasurement.products` forms all Kronecker products as one stacked
+product; each entry is the one product of part entries that `np.kron` forms,
+so the stack, its vectorized columns and the completeness residual are bit
+for bit those of the operators' products taken one at a time.
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ from .hermitian import (
     HermitianOperator,
     asmat,
     proportional,
+    psd_mask,
     same_ray_masks,
     tensor,
     vectorize,
@@ -82,7 +92,7 @@ class SeparableMeasurement:
     """Immutable container for the operators, labels, and Kraus groups."""
 
     __slots__ = ("P", "dims", "ops", "labels", "party_names", "kraus_groups",
-                 "_columns")
+                 "_stacks", "_columns", "_products", "_diagnostics")
 
     def __init__(self, ops, labels=None, party_names=None, kraus_groups=None):
         built = []
@@ -113,7 +123,10 @@ class SeparableMeasurement:
             if len(kraus_groups) != len(self.ops):
                 raise DimMismatchError("kraus group count does not match operator count")
         self.kraus_groups = kraus_groups
+        self._stacks = [None] * P
         self._columns = [None] * P
+        self._products = None
+        self._diagnostics = {}     # tol -> the diagnostics `validate` found
 
     def __len__(self):
         return len(self.ops)
@@ -124,18 +137,36 @@ class SeparableMeasurement:
     def party_parts(self, alpha: int) -> list[np.ndarray]:
         return [op.parts[alpha].mat for op in self.ops]
 
-    def columns(self, alpha: int) -> np.ndarray:
-        """Read-only (N, d*d) table whose row j is vectorize(part(j, alpha)).
+    def stack(self, alpha: int) -> np.ndarray:
+        """Read-only (N, d, d) array whose matrix j is part(j, alpha).
 
-        Built on first use, so a measurement whose parts disagree in
-        dimension can still be constructed and reported by validate.
+        Built on first use, as are `columns` and `products`, so a
+        measurement whose parts disagree in dimension can still be
+        constructed and reported by validate.
         """
+        s = self._stacks[alpha]
+        if s is None:
+            s = np.array(self.party_parts(alpha))
+            s.flags.writeable = False
+            self._stacks[alpha] = s
+        return s
+
+    def columns(self, alpha: int) -> np.ndarray:
+        """Read-only (N, d*d) table whose row j is vectorize(part(j, alpha))."""
         table = self._columns[alpha]
         if table is None:
-            table = np.array([vectorize(p) for p in self.party_parts(alpha)])
+            table = vectorize(self.stack(alpha))
             table.flags.writeable = False
             self._columns[alpha] = table
         return table
+
+    def products(self) -> np.ndarray:
+        """Read-only (N, D, D) array whose matrix j is ops[j].product()."""
+        if self._products is None:
+            prods = tensor([self.stack(a) for a in range(self.P)])
+            prods.flags.writeable = False
+            self._products = prods
+        return self._products
 
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
@@ -150,14 +181,40 @@ class SeparableMeasurement:
 def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
     """All violated invariants as structured diagnostics; empty iff valid.
 
+    Per party, the parts of the operators with P parts, each of its party's
+    dimension, are tested at once: zero when max|part| <= tol, else PSD by
+    `psd_mask`. Diagnostics follow operator order, then party order.
     Operator jp > j duplicates j when every part of jp is proportional to
     j's, `proportional(part(jp, a), part(j, a), tol)`. Only operators whose
     parts all passed are compared, so no part is zero at `tol` and one
     `same_ray_masks` per party answers every pair as `proportional` would.
+
+    The diagnostics are found once per measurement and `tol`; each call
+    returns a new list of them.
     """
-    out: list[Diagnostic] = []
-    if len(m.ops) == 0:
+    found = m._diagnostics.get(tol)
+    if found is None:
+        found = m._diagnostics[tol] = tuple(_diagnose(m, tol))
+    return list(found)
+
+
+def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
+    N = len(m.ops)
+    if N == 0:
         return [Diagnostic("no-operators", "operators", "empty operator list")]
+    whole = [j for j, op in enumerate(m.ops) if len(op.parts) == m.P]
+    # per party and operator: the zero and PSD verdicts of a well-shaped part
+    zero = np.zeros((m.P, N), dtype=bool)
+    psd = np.ones((m.P, N), dtype=bool)
+    for a in range(m.P):
+        # operator 0 sets P and the dims, so it is always among them
+        fits = [j for j in whole if m.ops[j].parts[a].dim == m.dims[a]]
+        g = np.array([m.part(j, a) for j in fits])
+        zero[a, fits] = np.abs(g).max(axis=(1, 2), initial=0.0) <= tol
+        if m.dims[a]:   # 0 x 0 parts are zero, with no eigenvalue to test
+            psd[a, fits] = psd_mask(g, tol)
+    zero, psd = zero.tolist(), psd.tolist()
+    out: list[Diagnostic] = []
     idx = []    # the operators with no diagnostic, compared for duplicates
     for j, op in enumerate(m.ops):
         if len(op.parts) != m.P:
@@ -170,9 +227,9 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
             if p.dim != m.dims[a]:
                 out.append(Diagnostic("dim-mismatch", where,
                                       f"dim {p.dim} != party dim {m.dims[a]}"))
-            elif float(np.abs(p.mat).max(initial=0.0)) <= tol:
+            elif zero[a][j]:
                 out.append(Diagnostic("zero-part", where, "local part is numerically zero"))
-            elif not p.is_psd(tol):
+            elif not psd[a][j]:
                 out.append(Diagnostic("not-psd", where, "local part has a negative eigenvalue"))
         if len(out) == before:
             idx.append(j)
@@ -236,8 +293,11 @@ def from_kraus(kraus_ops, labels=None, party_names=None) -> SeparableMeasurement
 def completeness_certificate(m: SeparableMeasurement, delta: float = 1e-7,
                              tol: float = LP_TOL) -> CompletenessCertificate:
     """Strictly positive weights with sum_j w_j K_j = I, or InfeasibleError."""
-    products = [op.product() for op in m.ops]
-    cols = np.column_stack([vectorize(k) for k in products])
+    products = m.products()
+    # column j is product j's coordinates; the copy keeps the LP matrix
+    # C-contiguous, as BLAS sums the simplex's products in an order that
+    # depends on the layout
+    cols = np.ascontiguousarray(vectorize(products).T)
     target = vectorize(m.identity())
     w = feasible_point(cols, target, tol=tol, lower=delta)
     if w is None:

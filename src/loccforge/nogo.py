@@ -92,7 +92,7 @@ def party_tables(m: SeparableMeasurement, tol: float = LP_TOL,
     """One Cone per party, its parts checked PSD and nonzero at `psd` as
     `validate` checks them, and per party the `same_ray_masks` of its parts
     at `tol`."""
-    cones = [Cone(m.party_parts(a), psd) for a in range(m.P)]
+    cones = [Cone(m.stack(a), psd) for a in range(m.P)]
     return PartyTables(tol, cones, [same_ray_masks(c.generators, tol) for c in cones])
 
 

@@ -329,12 +329,13 @@ def leaf_operator(t: ProtocolTree, leaf, parts, m: SeparableMeasurement,
 def align_weights(t: ProtocolTree, m: SeparableMeasurement, assignment,
                   tol: float = LP_TOL):
     """Weigh each leaf against the operator it names; return per-op weights
-    and the completeness residual of the weighted sum against the identity."""
+    and the completeness residual of the weighted sum against the identity,
+    summed over the measurement's products in operator order."""
     w = np.zeros(len(m.ops))
     for leaf, parts in leaf_products(t, m, assignment):
         j, c = leaf_operator(t, leaf, parts, m, tol)
         w[j] += c
-    total = sum(w[j] * m.ops[j].product() for j in range(len(m.ops)))
+    total = sum(wj * k for wj, k in zip(w, m.products()))
     residual = float(np.abs(total - m.identity()).max(initial=0.0))
     return w, residual
 
