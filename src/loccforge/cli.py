@@ -26,7 +26,7 @@ from .io import (
 )
 from .lifting import lift
 from .measurement import completeness_certificate, validate
-from .nogo import find_partition_witness, find_singular_pair_witness, party_tables
+from .nogo import find_partition_witness, find_singular_pair_witness
 from .synthesis import orderings, synthesize
 from .tree import align_weights, leaves, validate_assignment
 
@@ -103,13 +103,11 @@ def _cmd_check_nogo(args, out) -> int:
         completeness_certificate(m, cfg.delta, cfg.tol.lp)
     except InfeasibleError as e:
         raise InvalidMeasurementError(f"measurement is not complete: {e}") from e
-    # both scans share one set of cones, checked at the tolerance the
-    # document was validated with, and same-ray tables; a single operator
-    # needs none, as neither scan reads them then
-    tables = party_tables(m, cfg.tol.lp, cfg.tol.psd) if len(m) > 1 else None
-    sp = find_singular_pair_witness(m, cfg.tol.lp, tables=tables)
+    # the cones check their parts at the tolerance the document was
+    # validated with
+    sp = find_singular_pair_witness(m, cfg.tol.lp, psd=cfg.tol.psd)
     scan = find_partition_witness(m, max_exhaustive_n=cfg.partition_exhaustive_n,
-                                  tol=cfg.tol.lp, tables=tables)
+                                  tol=cfg.tol.lp, psd=cfg.tol.psd)
     pw = scan.witness
     payload = {"command": "check-nogo", "witness": bool(sp or pw)}
     lines = []

@@ -150,20 +150,17 @@ def proportional(m, n, tol: float = LP_TOL) -> float | None:
     return None
 
 
-def same_ray_masks(mats, tol: float = LP_TOL) -> list[int]:
-    """Per j, the bitmask of i != j with `proportional(mats[i], mats[j], tol)`.
+def same_ray_masks(g: np.ndarray, tol: float = LP_TOL) -> list[int]:
+    """Per j, the bitmask of i != j with `proportional(g[i], g[j], tol)`.
 
-    One broadcast over all pairs of same-shape matrices applies
-    `proportional`'s tests in its order of operations: the trace tr_j clear
-    of tol * max(1, max|M_j|), lam = tr_i / tr_j > 0, and max|M_i - lam M_j|
-    <= tol * max(1, |lam|) * max(1, max|M_j|). So bit i of mask j equals
-    `proportional(mats[i], mats[j], tol) is not None` for every pair on which
-    `proportional` does not raise. Numerically zero matrices are not
-    rejected: a pair holding one is decided by the same three tests.
+    One broadcast over all pairs of an (N, d, d) stack, read as it is,
+    applies `proportional`'s tests in its order of operations: the trace
+    tr_j clear of tol * max(1, max|M_j|), lam = tr_i / tr_j > 0, and
+    max|M_i - lam M_j| <= tol * max(1, |lam|) * max(1, max|M_j|). So bit i
+    of mask j equals `proportional(g[i], g[j], tol) is not None` for every
+    pair on which `proportional` does not raise. Numerically zero matrices
+    are not rejected: a pair holding one is decided by the same three tests.
     """
-    if not len(mats):
-        return []
-    g = np.stack([asmat(x) for x in mats])
     # one trace per matrix, summed as `proportional` sums it
     tr = np.array([np.trace(x).real for x in g])
     scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))

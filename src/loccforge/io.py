@@ -4,10 +4,10 @@ Complex entries are written as [re, im] pairs so documents round-trip exactly.
 Serialization is canonical (sorted keys, repr floats), so equal inputs always
 produce byte-identical output.
 
-A measurement document's parts are checked for hermiticity per party: each
-party's parts form one stack, tested and symmetrized in one numpy call, so
-each part is checked once. The first part in document order that fails is
-the error. Positivity and duplicates are `validate`'s.
+The parser checks a measurement document's syntax and each part's shape;
+`SeparableMeasurement` checks each party's parts for hermiticity as one
+stack, and the first part in document order that fails is the error.
+Positivity and duplicates are `validate`'s.
 """
 from __future__ import annotations
 
@@ -19,13 +19,7 @@ import math
 import numpy as np
 
 from .errors import InvalidOperatorError, ParseError
-from .hermitian import (
-    NOT_HERMITIAN,
-    PSD_TOL,
-    HermitianOperator,
-    hermitian_stack,
-    psd_sqrt,
-)
+from .hermitian import PSD_TOL, psd_sqrt
 from .measurement import KrausProduct, SeparableMeasurement, validate
 from .synthesis import SynthesisStats, SynthesisVerdict
 from .tree import Node, ProtocolTree, Term, descend, root_for
@@ -34,9 +28,6 @@ MEASUREMENT_FORMAT = "loccforge.measurement/1"
 PROTOCOL_FORMAT = "loccforge.protocol/1"
 
 _KIND_MAP = {
-    "bad-part-count": "shape",
-    "dim-mismatch": "shape",
-    "no-operators": "shape",
     "zero-part": "not-psd",
     "not-psd": "not-psd",
     "duplicate-product": "duplicate-product",
@@ -160,18 +151,6 @@ def _decode_parts(mats, dims, where):
                  in enumerate(zip(_entries(mats, len(dims), where), dims)))
 
 
-def _hermitian_parts(parts, P):
-    """Per operator, its parts as HermitianOperators. Each party's parts
-    are checked and symmetrized as one stack; the first part in document
-    order that is not Hermitian is a ParseError naming it."""
-    checked = [hermitian_stack([mats[a] for mats in parts]) for a in range(P)]
-    bad = ~np.array([ok for ok, _ in checked]).T     # (operator, party)
-    if bad.any():
-        j, a = np.argwhere(bad)[0]
-        raise ParseError(f"operators[{j}].parts[{a}]: {NOT_HERMITIAN}", kind="shape")
-    return tuple(zip(*(HermitianOperator.rows(stack) for _, stack in checked)))
-
-
 def _measurement_from(raw, tol):
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object", kind="syntax")
@@ -200,7 +179,6 @@ def _measurement_from(raw, tol):
     if len(set(labels)) != len(labels):
         raise ParseError("operator labels must be distinct", kind="shape")
     _field(raw, "meta", "", dict, None)
-    ops = _hermitian_parts(parts, len(dims))
     # missing Kraus factors beside given ones are the parts' square roots; if
     # a part has none at `tol`, validate reports it, so none are kept
     groups = None
@@ -211,8 +189,11 @@ def _measurement_from(raw, tol):
                 for mats, kr in zip(parts, kraus))
         except InvalidOperatorError:
             pass
-    return SeparableMeasurement(ops, labels=tuple(labels),
-                                party_names=tuple(names), kraus_groups=groups)
+    try:
+        return SeparableMeasurement(parts, labels=tuple(labels),
+                                    party_names=tuple(names), kraus_groups=groups)
+    except InvalidOperatorError as e:   # a part that is not Hermitian
+        raise ParseError(str(e), kind="shape") from e
 
 
 def parse_document(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
@@ -229,7 +210,7 @@ def parse_measurement(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
     if diags:
         d = diags[0]
         raise ParseError(f"{d.where}: {d.detail}",
-                         kind=_KIND_MAP.get(d.kind, "shape"))
+                         kind=_KIND_MAP[d.kind])
     return m
 
 

@@ -5,9 +5,12 @@ optional Kraus-level description. Completeness means the products admit
 strictly positive weights summing to the identity; that certificate is an LP.
 
 The checks work per party, on the read-only (N, d, d) stack of its parts
-(`SeparableMeasurement.stack`): `validate` tests every part for zero and
-PSD with one `eigvalsh` per party, and its diagnostics are kept on the
-measurement per tolerance, so each part is checked once per tolerance.
+(`SeparableMeasurement.stack`). The constructor checks every part's shape
+and hermiticity and keeps the symmetrized stacks, which the operators view,
+so no measurement with a ragged or 0-dim part exists. `validate` tests
+every part for zero and PSD with one `eigvalsh` per party. Its diagnostics,
+each party's same-ray table (`same_ray`) and its cone (`cone`) are kept on
+the measurement per tolerance, so each is found once per tolerance.
 `SeparableMeasurement.products` forms all Kronecker products as one stacked
 product; each entry is the one product of part entries that `np.kron` forms,
 so the stack, its vectorized columns and the completeness residual are bit
@@ -26,11 +29,14 @@ from .errors import (
     InvalidOperatorError,
     ZeroOperatorError,
 )
+from .cones import Cone
 from .hermitian import (
     LP_TOL,
+    NOT_HERMITIAN,
     PSD_TOL,
     HermitianOperator,
     asmat,
+    hermitian_stack,
     proportional,
     psd_mask,
     same_ray_masks,
@@ -66,7 +72,7 @@ class KrausProduct:
 
 @dataclasses.dataclass(frozen=True)
 class Diagnostic:
-    kind: str   # "bad-part-count" | "dim-mismatch" | "not-psd" | "zero-part" | "duplicate-product" | "no-operators"
+    kind: str   # "zero-part" | "not-psd" | "duplicate-product"; shape is the constructor's
     where: str  # e.g. "operators[2].parts[1]"
     detail: str
 
@@ -89,30 +95,50 @@ def default_party_names(P: int) -> tuple[str, ...]:
 
 
 class SeparableMeasurement:
-    """Immutable container for the operators, labels, and Kraus groups."""
+    """Immutable container for the operators, labels, and Kraus groups.
+
+    The constructor is the one place parts are checked. First the shapes:
+    every operator has P parts and its part at party a is dims[a] x dims[a]
+    with dims[a] >= 1, where operator 0 sets P and the dims; else a
+    DimMismatchError names `operators[j]` or `operators[j].parts[a]`. Then
+    each party's parts, stacked, pass `hermitian_stack`; else an
+    InvalidOperatorError names the part. Either names the first failure in
+    operator order, then party order.
+    """
 
     __slots__ = ("P", "dims", "ops", "labels", "party_names", "kraus_groups",
-                 "_stacks", "_columns", "_products", "_diagnostics")
+                 "_stacks", "_columns", "_products", "_diagnostics",
+                 "_same_ray", "_cones")
 
     def __init__(self, ops, labels=None, party_names=None, kraus_groups=None):
-        built = []
-        for op in ops:
-            if isinstance(op, ProductOperator):
-                built.append(op)
-            else:
-                built.append(ProductOperator(tuple(
-                    p if isinstance(p, HermitianOperator) else HermitianOperator(p)
-                    for p in op)))
-        if not built:
+        rows = [[asmat(p) for p in (op.parts if isinstance(op, ProductOperator) else op)]
+                for op in ops]
+        if not rows:
             raise InvalidOperatorError("a measurement needs at least one operator")
-        P = len(built[0].parts)
-        if P < 1 or any(len(op.parts) == 0 for op in built):
+        P = len(rows[0])
+        if P < 1:
             raise InvalidOperatorError("every operator needs at least one party part")
+        dims = tuple(g.shape[0] if g.ndim == 2 and g.shape[0] == g.shape[1] else 0
+                     for g in rows[0])
+        for j, row in enumerate(rows):
+            if len(row) != P:
+                raise DimMismatchError(f"operators[{j}]: expected {P} parts, found {len(row)}")
+            for a, (g, d) in enumerate(zip(row, dims)):
+                if not d or g.shape != (d, d):
+                    need = f"a {d} x {d} matrix" if d else "a square matrix of dim >= 1"
+                    raise DimMismatchError(
+                        f"operators[{j}].parts[{a}]: expected {need}, got shape {g.shape}")
+        checked = [hermitian_stack([row[a] for row in rows]) for a in range(P)]
+        bad = ~np.array([ok for ok, _ in checked]).T     # (operator, party)
+        if bad.any():
+            j, a = np.argwhere(bad)[0]
+            raise InvalidOperatorError(f"operators[{j}].parts[{a}]: {NOT_HERMITIAN}")
         self.P = P
-        self.dims = tuple(p.dim for p in built[0].parts)
-        self.ops = tuple(built)
+        self.dims = dims
+        self._stacks = tuple(stack for _, stack in checked)
+        self.ops = tuple(map(ProductOperator, zip(*map(HermitianOperator.rows, self._stacks))))
         self.labels = tuple(labels) if labels is not None else tuple(
-            f"M{j + 1}" for j in range(len(built)))
+            f"M{j + 1}" for j in range(len(rows)))
         if len(self.labels) != len(self.ops):
             raise InvalidOperatorError("label count does not match operator count")
         self.party_names = tuple(party_names) if party_names is not None else default_party_names(P)
@@ -123,10 +149,11 @@ class SeparableMeasurement:
             if len(kraus_groups) != len(self.ops):
                 raise DimMismatchError("kraus group count does not match operator count")
         self.kraus_groups = kraus_groups
-        self._stacks = [None] * P
         self._columns = [None] * P
         self._products = None
         self._diagnostics = {}     # tol -> the diagnostics `validate` found
+        self._same_ray = {}        # (party, tol) -> its same_ray_masks
+        self._cones = {}           # (party, psd tol) -> its validated Cone
 
     def __len__(self):
         return len(self.ops)
@@ -138,18 +165,23 @@ class SeparableMeasurement:
         return [op.parts[alpha].mat for op in self.ops]
 
     def stack(self, alpha: int) -> np.ndarray:
-        """Read-only (N, d, d) array whose matrix j is part(j, alpha).
+        """Read-only (N, d, d) array whose matrix j is part(j, alpha)."""
+        return self._stacks[alpha]
 
-        Built on first use, as are `columns` and `products`, so a
-        measurement whose parts disagree in dimension can still be
-        constructed and reported by validate.
-        """
-        s = self._stacks[alpha]
-        if s is None:
-            s = np.array(self.party_parts(alpha))
-            s.flags.writeable = False
-            self._stacks[alpha] = s
-        return s
+    def same_ray(self, alpha: int, tol: float = LP_TOL) -> list[int]:
+        """`same_ray_masks(stack(alpha), tol)`, found once per tolerance."""
+        key = (alpha, tol)
+        if key not in self._same_ray:
+            self._same_ray[key] = same_ray_masks(self.stack(alpha), tol)
+        return self._same_ray[key]
+
+    def cone(self, alpha: int, psd: float = PSD_TOL) -> Cone:
+        """The Cone of party alpha's parts, each checked PSD and nonzero at
+        `psd` as `validate` checks them; built once per tolerance."""
+        key = (alpha, psd)
+        if key not in self._cones:
+            self._cones[key] = Cone(self.stack(alpha), psd)
+        return self._cones[key]
 
     def columns(self, alpha: int) -> np.ndarray:
         """Read-only (N, d*d) table whose row j is vectorize(part(j, alpha))."""
@@ -181,13 +213,14 @@ class SeparableMeasurement:
 def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
     """All violated invariants as structured diagnostics; empty iff valid.
 
-    Per party, the parts of the operators with P parts, each of its party's
-    dimension, are tested at once: zero when max|part| <= tol, else PSD by
-    `psd_mask`. Diagnostics follow operator order, then party order.
-    Operator jp > j duplicates j when every part of jp is proportional to
-    j's, `proportional(part(jp, a), part(j, a), tol)`. Only operators whose
-    parts all passed are compared, so no part is zero at `tol` and one
-    `same_ray_masks` per party answers every pair as `proportional` would.
+    The constructor has checked every part's shape and hermiticity, so only
+    positivity and duplicates are left. Per party, the parts of `m.stack`
+    are tested at once: zero when max|part| <= tol, else PSD by `psd_mask`.
+    Diagnostics follow operator order, then party order. Operator jp > j
+    duplicates j when every part of jp is proportional to j's,
+    `proportional(part(jp, a), part(j, a), tol)`. Only operators whose parts
+    all passed are compared, so no part of a compared pair is zero at `tol`
+    and `m.same_ray(a, tol)` answers every such pair as `proportional` would.
 
     The diagnostics are found once per measurement and `tol`; each call
     returns a new list of them.
@@ -199,47 +232,29 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
 
 
 def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
-    N = len(m.ops)
-    if N == 0:
-        return [Diagnostic("no-operators", "operators", "empty operator list")]
-    whole = [j for j, op in enumerate(m.ops) if len(op.parts) == m.P]
-    # per party and operator: the zero and PSD verdicts of a well-shaped part
-    zero = np.zeros((m.P, N), dtype=bool)
-    psd = np.ones((m.P, N), dtype=bool)
-    for a in range(m.P):
-        # operator 0 sets P and the dims, so it is always among them
-        fits = [j for j in whole if m.ops[j].parts[a].dim == m.dims[a]]
-        g = np.array([m.part(j, a) for j in fits])
-        zero[a, fits] = np.abs(g).max(axis=(1, 2), initial=0.0) <= tol
-        if m.dims[a]:   # 0 x 0 parts are zero, with no eigenvalue to test
-            psd[a, fits] = psd_mask(g, tol)
-    zero, psd = zero.tolist(), psd.tolist()
+    # per party and operator: the zero and PSD verdicts of its part
+    zero = [(np.abs(m.stack(a)).max(axis=(1, 2)) <= tol).tolist() for a in range(m.P)]
+    psd = [psd_mask(m.stack(a), tol).tolist() for a in range(m.P)]
     out: list[Diagnostic] = []
     idx = []    # the operators with no diagnostic, compared for duplicates
-    for j, op in enumerate(m.ops):
-        if len(op.parts) != m.P:
-            out.append(Diagnostic("bad-part-count", f"operators[{j}]",
-                                  f"expected {m.P} parts, found {len(op.parts)}"))
-            continue
+    for j in range(len(m)):
         before = len(out)
-        for a, p in enumerate(op.parts):
+        for a in range(m.P):
             where = f"operators[{j}].parts[{a}]"
-            if p.dim != m.dims[a]:
-                out.append(Diagnostic("dim-mismatch", where,
-                                      f"dim {p.dim} != party dim {m.dims[a]}"))
-            elif zero[a][j]:
+            if zero[a][j]:
                 out.append(Diagnostic("zero-part", where, "local part is numerically zero"))
             elif not psd[a][j]:
                 out.append(Diagnostic("not-psd", where, "local part has a negative eigenvalue"))
         if len(out) == before:
             idx.append(j)
-    same = [-1] * len(idx)
+    # masks over all operators; only pairs of clean operators are read
+    same = [-1] * len(m)
     for a in range(m.P):
-        same = [s & t for s, t in zip(same, same_ray_masks([m.part(j, a) for j in idx], tol))]
+        same = [s & t for s, t in zip(same, m.same_ray(a, tol))]
     for k, j in enumerate(idx):
-        for kp in range(k + 1, len(idx)):
-            if same[k] >> kp & 1:
-                out.append(Diagnostic("duplicate-product", f"operators[{idx[kp]}]",
+        for jp in idx[k + 1:]:
+            if same[j] >> jp & 1:
+                out.append(Diagnostic("duplicate-product", f"operators[{jp}]",
                                       f"product proportional to operators[{j}]"))
     return out
 
@@ -272,6 +287,12 @@ def from_kraus(kraus_ops, labels=None, party_names=None) -> SeparableMeasurement
             raise DimMismatchError(f"kraus[{i}] has inconsistent party dimensions")
 
     positives = [e.positive_parts() for e in entries]
+    # proportional refuses a zero operator at this tolerance
+    for i, pos in enumerate(positives):
+        for a, p in enumerate(pos):
+            if float(np.abs(p).max()) <= LP_TOL:
+                raise ZeroOperatorError(f"kraus[{i}].parts[{a}] has a numerically zero "
+                                        "positive part")
     groups: list[list[int]] = []
     for i in range(len(entries)):
         for g in groups:
@@ -282,7 +303,7 @@ def from_kraus(kraus_ops, labels=None, party_names=None) -> SeparableMeasurement
         else:
             groups.append([i])
 
-    ops = [tuple(HermitianOperator(p) for p in positives[g[0]]) for g in groups]
+    ops = [positives[g[0]] for g in groups]
     kraus_groups = [tuple(entries[i] for i in g) for g in groups]
     if labels is None:
         labels = [f"M{j + 1}" for j in range(len(groups))]
@@ -310,7 +331,6 @@ def completeness_certificate(m: SeparableMeasurement, delta: float = 1e-7,
 
 def measurement_from_parts(parts_lists, labels=None, party_names=None,
                            kraus_groups=None) -> SeparableMeasurement:
-    """Convenience: build from [[party matrices] per operator] without wrapping."""
-    ops = [tuple(HermitianOperator(asmat(p)) for p in parts) for parts in parts_lists]
-    return SeparableMeasurement(ops, labels=labels, party_names=party_names,
+    """Convenience: build from [[party matrices] per operator]."""
+    return SeparableMeasurement(parts_lists, labels=labels, party_names=party_names,
                                 kraus_groups=kraus_groups)

@@ -6,16 +6,15 @@ their party cones. The partition scan splits the operator set in two and asks
 whether both local cone pairs have trivial intersection, which no protocol can
 reconcile. Finding nothing proves nothing; only synthesis can.
 
-Both scans read one validated `Cone` per party and one same-ray table per
-party: for each operator j, the mask of operators i != j whose part at that
-party is proportional to j's. `party_tables` builds both; the table is
-`hermitian.same_ray_masks` of the party's parts, the routine `validate` also
-reads, and a caller running both scans builds them once and passes them to
-each. The cones check their parts at the PSD tolerance `validate` uses, so
-a part may lie below the scans' `tol`; `same_ray_masks` decides it by
-`proportional`'s tests instead of raising. The singular-pair scan calls part
-j singular when its mask is empty, and extreme when the cone of the other
-parts misses it.
+Both scans read one validated `Cone` per party, `m.cone(a, psd)`, and one
+same-ray table per party, `m.same_ray(a, tol)`: for each operator j, the
+mask of operators i != j whose part at that party is proportional to j's.
+The measurement keeps both per tolerance, so both scans, and `validate`'s
+duplicate check when its tolerance is `tol`, read the same tables. The cones
+check their parts at the PSD tolerance `validate` uses, so a part may lie
+below the scans' `tol`; `same_ray_masks` decides it by `proportional`'s
+tests instead of raising. The singular-pair scan calls part j singular when
+its mask is empty, and extreme when the cone of the other parts misses it.
 
 The partition scan skips two kinds of intersection LP whose answer is known.
 A split that puts two operators with proportional parts at party a on
@@ -45,10 +44,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import NamedTuple
 
-from .cones import Cone, _intersection_point, member
-from .hermitian import LP_TOL, PSD_TOL, same_ray_masks
+from .cones import _intersection_point, member
+from .hermitian import LP_TOL, PSD_TOL
 from .measurement import SeparableMeasurement
 
 
@@ -79,40 +77,15 @@ class PartitionScanResult:
     exhaustive: bool   # False when only small partitions were tried
 
 
-class PartyTables(NamedTuple):
-    """What both scans read, built with one tolerance (see `party_tables`)."""
-
-    tol: float
-    cones: list       # one validated Cone of the parts per party
-    same: list        # per party, per operator j: the mask of its same-ray parts
-
-
-def party_tables(m: SeparableMeasurement, tol: float = LP_TOL,
-                 psd: float = PSD_TOL) -> PartyTables:
-    """One Cone per party, its parts checked PSD and nonzero at `psd` as
-    `validate` checks them, and per party the `same_ray_masks` of its parts
-    at `tol`."""
-    cones = [Cone(m.stack(a), psd) for a in range(m.P)]
-    return PartyTables(tol, cones, [same_ray_masks(c.generators, tol) for c in cones])
-
-
-def _tables_for(m, tol, tables):
-    if tables is None:
-        return party_tables(m, tol)
-    if tables.tol != tol:
-        raise ValueError(f"tables built with tol {tables.tol}, scan given {tol}")
-    return tables
-
-
 def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
-                               tables: PartyTables | None = None
-                               ) -> NoGoWitness | None:
+                               psd: float = PSD_TOL) -> NoGoWitness | None:
     """First operator (ascending index) with singular extreme parts at two
-    parties. `tables` defaults to `party_tables(m, tol)`."""
+    parties. The cones' parts are checked PSD and nonzero at `psd`."""
     if len(m.ops) < 2:
         # one outcome is always implementable; the conditions hold vacuously
         return None
-    _, cones, same = _tables_for(m, tol, tables)
+    cones = [m.cone(a, psd) for a in range(m.P)]
+    same = [m.same_ray(a, tol) for a in range(m.P)]
     for j in range(len(m.ops)):
         others = [i for i in range(len(m.ops)) if i != j]
         bad = []
@@ -190,16 +163,15 @@ def _candidate_splits(linked, n: int, small_side_max: int | None) -> list:
 
 def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
                            tol: float = LP_TOL, *,
-                           tables: PartyTables | None = None
-                           ) -> PartitionScanResult:
+                           psd: float = PSD_TOL) -> PartitionScanResult:
     """Scan bipartitions for two parties whose local cone pairs never meet.
 
     Only splits that two parties' same-ray tests let through are visited.
     Beyond max_exhaustive_n operators only splits with a side of at most two
     are tried, and a miss is reported as non-exhaustive. A party where the
     split separates two proportional parts gets no LP, and a split stops once
-    too few parties are left to block two (see the module docstring).
-    `tables` defaults to `party_tables(m, tol)`.
+    too few parties are left to block two (see the module docstring). The
+    cones' parts are checked PSD and nonzero at `psd`.
     """
     n = len(m.ops)
     if n < 2:
@@ -207,7 +179,8 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
     exhaustive = n <= max_exhaustive_n
     small_side_max = None if exhaustive else 2
     # each bipartition slices its two sides out of the validated cones
-    _, cones, same = _tables_for(m, tol, tables)
+    cones = [m.cone(a, psd) for a in range(m.P)]
+    same = [m.same_ray(a, tol) for a in range(m.P)]
     # operators that share a ray at a party, in either order of the test
     linked = [[row[j] | sum(1 << i for i in range(n) if row[i] >> j & 1)
                for j in range(n)] for row in same]

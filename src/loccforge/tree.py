@@ -29,8 +29,8 @@ from .errors import (
     UnboundVariableError,
     ZeroOperatorError,
 )
-from .hermitian import HERM_TOL, LP_TOL, HermitianOperator, proportional
-from .measurement import ProductOperator, SeparableMeasurement
+from .hermitian import HERM_TOL, LP_TOL, proportional
+from .measurement import SeparableMeasurement
 
 
 class Term(NamedTuple):
@@ -298,9 +298,7 @@ def extract_measurement(t: ProtocolTree, m: SeparableMeasurement, assignment,
         else:
             reps.append(tuple(normed))
             weights.append(c)
-    ops = [ProductOperator(tuple(HermitianOperator(p) for p in parts))
-           for parts in reps]
-    out = SeparableMeasurement(ops, labels=[f"E{i + 1}" for i in range(len(ops))],
+    out = SeparableMeasurement(reps, labels=[f"E{i + 1}" for i in range(len(reps))],
                                party_names=m.party_names)
     return ExtractionResult(out, np.array(weights))
 

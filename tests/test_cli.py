@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from loccforge import cli, cones, nogo, simplex
+from loccforge import cli, cones, measurement, nogo, simplex
 from loccforge.cli import main
 from loccforge.errors import ParseError
 from loccforge.io import (
@@ -645,8 +645,9 @@ def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch
     for name in ("parse_measurement", "validate", "completeness_certificate",
                  "validate_assignment", "lift"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
-    # the scans' cones check their parts as validate does
-    monkeypatch.setattr(nogo, "Cone", spy(nogo.Cone))
+    # the measurement's cones, which both scans read, check their parts as
+    # validate does
+    monkeypatch.setattr(measurement, "Cone", spy(measurement.Cone))
     psd = {"tol": 2e-9}
     for argv, expected in [
         (("validate", fx("krausdemo")),

@@ -104,7 +104,7 @@ def test_same_ray_masks_match_the_proportional_loop():
     linked = 0
     for m in ms:
         for a in range(m.P):
-            gens = m.party_parts(a)
+            gens = m.stack(a)
             same = same_ray_masks(gens)
             assert same == reference_same_ray_masks(gens)
             linked += sum(map(bool, same))
@@ -122,19 +122,20 @@ def test_same_ray_masks_match_the_proportional_loop():
         [np.diag([1.0, -1.0]), np.diag([2.0, -2.0]), np.diag([2 * tol, -tol]),
          np.diag([2.0, -1.0]), -g, g],            # traces at or below the floor
     ]
+    edge_cases = [np.array(gens, dtype=complex) for gens in edge_cases]
     for gens in edge_cases:
         assert same_ray_masks(gens, tol) == reference_same_ray_masks(gens, tol), gens
     assert same_ray_masks(edge_cases[0], tol) == [6, 5, 3]
     assert same_ray_masks(edge_cases[1], tol)[1] & 1 == 0
-    assert same_ray_masks([], tol) == []
+    assert same_ray_masks(np.empty((0, 2, 2), dtype=complex), tol) == []
 
 
 def test_same_ray_masks_do_not_raise_on_tiny_parts():
     """Parts at or below `tol`, where `proportional` raises, are decided by
     its three tests; every other pair agrees with `proportional`."""
     tol = LP_TOL
-    gens = [np.eye(2), 5e-9 * np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0]),
-            np.diag([5e-9, 0.0])]
+    gens = np.array([np.eye(2), 5e-9 * np.eye(2), np.zeros((2, 2)),
+                     np.diag([1.0, 0.0]), np.diag([5e-9, 0.0])], dtype=complex)
     same = same_ray_masks(gens, tol)
     for j, gj in enumerate(gens):
         for i, g in enumerate(gens):

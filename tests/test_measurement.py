@@ -7,7 +7,13 @@ from loccforge.errors import (
     InvalidOperatorError,
     ZeroOperatorError,
 )
-from loccforge.hermitian import proportional, psd_sqrt, tensor, vectorize
+from loccforge.hermitian import (
+    HermitianOperator,
+    proportional,
+    psd_sqrt,
+    tensor,
+    vectorize,
+)
 from loccforge.measurement import (
     SeparableMeasurement,
     completeness_certificate,
@@ -125,13 +131,51 @@ def test_validate_duplicates_match_the_pairwise_loop():
     assert dups > 0
 
 
-def test_validate_flags_part_count_and_dims():
-    m = SeparableMeasurement([[P0, I2], [P1, np.eye(3)]])
-    kinds = {d.kind for d in validate(m)}
-    assert "dim-mismatch" in kinds
-    m = SeparableMeasurement([[P0, I2], [P1]])
-    kinds = {d.kind for d in validate(m)}
-    assert "bad-part-count" in kinds
+def test_shape_errors_name_the_operator_or_part():
+    """A ragged or 0-dim measurement cannot be built, so no later check
+    meets one; the error names the first bad operator or part."""
+    zero = np.zeros((0, 0))
+    for parts, expected in [
+        ([[P0, I2], [P1, np.eye(3)]],
+         "operators[1].parts[1]: expected a 2 x 2 matrix, got shape (3, 3)"),
+        ([[P0, I2], [P1]], "operators[1]: expected 2 parts, found 1"),
+        ([[P0, I2], [P1, I2, I2]], "operators[1]: expected 2 parts, found 3"),
+        ([[I2, zero], [I2, zero]],
+         "operators[0].parts[1]: expected a square matrix of dim >= 1, got shape (0, 0)"),
+        ([[np.ones((2, 3))], [I2]],
+         "operators[0].parts[0]: expected a square matrix of dim >= 1, got shape (2, 3)"),
+        ([[P0, I2], [P1, np.ones(2)]],
+         "operators[1].parts[1]: expected a 2 x 2 matrix, got shape (2,)"),
+    ]:
+        with pytest.raises(DimMismatchError) as e:
+            measurement_from_parts(parts)
+        assert str(e.value) == expected
+
+
+def test_non_hermitian_part_is_named():
+    bad = np.array([[1.0, 1.0], [0.0, 1.0]])
+    for build in (measurement_from_parts, SeparableMeasurement):
+        with pytest.raises(InvalidOperatorError) as e:
+            build([[P0, I2], [P1, bad], [bad, P0]])
+        assert str(e.value) == ("operators[1].parts[1]: "
+                                "matrix is not Hermitian within tolerance")
+
+
+def test_parts_are_one_symmetrized_stack_per_party():
+    """Raw arrays, HermitianOperators and ProductOperators give the same
+    measurement; every operator's part views its party's read-only stack."""
+    rng = np.random.default_rng(3)
+    raw = [[random_psd(rng, 2), random_psd(rng, 3)] for _ in range(4)]
+    m = measurement_from_parts(raw)
+    again = SeparableMeasurement([[HermitianOperator(p) for p in parts] for parts in raw])
+    third = SeparableMeasurement(m.ops)
+    for a in range(m.P):
+        s = m.stack(a)
+        assert not s.flags.writeable and s.shape == (4, m.dims[a], m.dims[a])
+        assert again.stack(a).tobytes() == third.stack(a).tobytes() == s.tobytes()
+        for j in range(len(m)):
+            assert np.shares_memory(m.part(j, a), s)
+            assert m.part(j, a).tobytes() == HermitianOperator(raw[j][a]).mat.tobytes()
 
 
 def test_from_kraus_groups_duplicates():
@@ -146,6 +190,10 @@ def test_from_kraus_groups_duplicates():
 def test_from_kraus_rejects_zero_and_mismatched():
     with pytest.raises(ZeroOperatorError):
         from_kraus([(np.zeros((2, 2)), I2)])
+    # a factor above the zero threshold whose positive part is below it
+    with pytest.raises(ZeroOperatorError) as e:
+        from_kraus([(P0, I2), (P1, I2), (1e-5 * I2, I2)])
+    assert str(e.value) == "kraus[2].parts[0] has a numerically zero positive part"
     with pytest.raises(DimMismatchError):
         from_kraus([(P0, I2), (P0, np.eye(3))])
 

@@ -5,15 +5,16 @@ import pathlib
 import numpy as np
 import pytest
 
-from loccforge import cones, nogo
+from loccforge import cli, cones, measurement, nogo
 from loccforge.cones import Cone
 from loccforge.errors import InvalidOperatorError
-from loccforge.hermitian import LP_TOL
+from loccforge.hermitian import LP_TOL, PSD_TOL
 from loccforge.io import measurement_digest
 from loccforge.measurement import measurement_from_parts
 from loccforge.nogo import find_partition_witness, find_singular_pair_witness
 
 from conftest import (
+    FIXTURE_DIR,
     load_fixture,
     locc_random_measurements,
     product_basis,
@@ -342,17 +343,22 @@ def test_locc_random_trees_have_no_witness():
         assert find_partition_witness(m).witness is None, s
 
 
-def test_shared_tables_give_the_same_answers():
-    """Both scans answer the same from one shared set of tables as from
-    their own, and refuse tables built with another tolerance."""
+def test_check_nogo_builds_each_party_table_once(tmp_path, capsys, monkeypatch):
+    """One check-nogo run builds one Cone per party, and per party two
+    same-ray tables: at `psd` for validate's duplicate check and at `lp`
+    for both scans. The measurement keeps them, so both scans share them."""
+    cones_built, rays_built = [], []
+    real_cone = measurement.Cone
+    real_rays = measurement.same_ray_masks
+    monkeypatch.setattr(measurement, "Cone",
+                        lambda g, tol: cones_built.append(tol) or real_cone(g, tol))
+    monkeypatch.setattr(measurement, "same_ray_masks",
+                        lambda g, tol: rays_built.append(tol) or real_rays(g, tol))
     for name in ["cascade5", "domino9", "krausdemo", "singularpair3"]:
         m = load_fixture(name)
-        tables = nogo.party_tables(m, 1e-6)
-        assert (find_singular_pair_witness(m, 1e-6, tables=tables)
-                == find_singular_pair_witness(m, 1e-6))
-        assert (find_partition_witness(m, tol=1e-6, tables=tables)
-                == find_partition_witness(m, tol=1e-6))
-        with pytest.raises(ValueError, match="tol"):
-            find_singular_pair_witness(m, tables=tables)
-        with pytest.raises(ValueError, match="tol"):
-            find_partition_witness(m, tables=tables)
+        cones_built.clear()
+        rays_built.clear()
+        assert cli.main(["check-nogo", str(FIXTURE_DIR / f"{name}.json")]) in (0, 2)
+        capsys.readouterr()
+        assert cones_built == [PSD_TOL] * m.P, name
+        assert sorted(rays_built) == [PSD_TOL] * m.P + [LP_TOL] * m.P, name

@@ -62,20 +62,37 @@ def ref_diagnostics(m, tol):
     """validate's diagnostics other than duplicates, part by part."""
     out = []
     for j, op in enumerate(m.ops):
-        if len(op.parts) != m.P:
-            out.append(("bad-part-count", f"operators[{j}]",
-                        f"expected {m.P} parts, found {len(op.parts)}"))
-            continue
         for a, p in enumerate(op.parts):
             where = f"operators[{j}].parts[{a}]"
-            if p.dim != m.dims[a]:
-                out.append(("dim-mismatch", where,
-                            f"dim {p.dim} != party dim {m.dims[a]}"))
-            elif float(np.abs(p.mat).max(initial=0.0)) <= tol:
+            if float(np.abs(p.mat).max(initial=0.0)) <= tol:
                 out.append(("zero-part", where, "local part is numerically zero"))
             elif not ref_is_psd(p.mat, tol):
                 out.append(("not-psd", where, "local part has a negative eigenvalue"))
     return out
+
+
+def ref_construction_error(ops):
+    """(type, message) the part-by-part measurement checks raise, or None:
+    shapes first, then hermiticity, each in operator order."""
+    P = len(ops[0])
+    dims = [g.shape[0] if g.ndim == 2 and g.shape[0] == g.shape[1] else 0
+            for g in ops[0]]
+    for j, parts in enumerate(ops):
+        if len(parts) != P:
+            return DimMismatchError, f"operators[{j}]: expected {P} parts, found {len(parts)}"
+        for a, g in enumerate(parts):
+            if not dims[a]:
+                return DimMismatchError, (f"operators[{j}].parts[{a}]: expected a square "
+                                          f"matrix of dim >= 1, got shape {g.shape}")
+            if g.shape != (dims[a], dims[a]):
+                return DimMismatchError, (f"operators[{j}].parts[{a}]: expected a "
+                                          f"{dims[a]} x {dims[a]} matrix, got shape {g.shape}")
+    for j, parts in enumerate(ops):
+        for a, g in enumerate(parts):
+            if not ref_is_hermitian(g):
+                return InvalidOperatorError, (f"operators[{j}].parts[{a}]: "
+                                              "matrix is not Hermitian within tolerance")
+    return None
 
 
 def ref_cone_error(generators, tol):
@@ -155,20 +172,14 @@ def test_validate_matches_the_per_part_loop(rng):
         dims = [int(rng.integers(1, 4)) for _ in range(P)]
         ops = [[random_psd(rng, d) + np.eye(d) for d in dims]]
         for _ in range(int(rng.integers(1, 8))):
-            shape = rng.integers(8)
-            if shape == 0:      # a part too few or too many
-                n = P - 1 if P > 1 and rng.random() < 0.5 else P + 1
-                ops.append([random_psd(rng, 2) for _ in range(n)])
-                continue
-            op_dims = [d + 1 if shape == 1 and rng.random() < 0.5 else d for d in dims]
-            ops.append([random_part(rng, d, tol) for d in op_dims])
+            ops.append([random_part(rng, d, tol) for d in dims])
         m = SeparableMeasurement(ops)
         diags = [(d.kind, d.where, d.detail) for d in validate(m, tol)]
         expected = ref_diagnostics(m, tol)
         assert diags[:len(expected)] == expected
         assert all(kind == "duplicate-product" for kind, _, _ in diags[len(expected):])
         seen.update(kind for kind, _, _ in expected)
-    assert seen == {"bad-part-count", "dim-mismatch", "zero-part", "not-psd"}
+    assert seen == {"zero-part", "not-psd"}
 
 
 def test_validate_edges_of_both_tolerances():
@@ -193,18 +204,38 @@ def test_validate_edges_of_both_tolerances():
         ref_diagnostics(m, tol)
 
 
-def test_validate_library_shapes_in_order():
-    m = SeparableMeasurement([
-        [P0, I2], [P1, np.eye(3)], [P1], [np.eye(3), P0, P1],
-        [np.diag([1.0, -1e-3]), np.eye(3)], [0 * P0, I2], [np.eye(3), -I2]])
-    diags = [(d.kind, d.where, d.detail) for d in validate(m)]
-    assert diags == ref_diagnostics(m, PSD_TOL)
-    assert [k for k, _, _ in diags] == [
-        "dim-mismatch", "bad-part-count", "bad-part-count", "not-psd",
-        "dim-mismatch", "zero-part", "dim-mismatch", "not-psd"]
-    m = SeparableMeasurement([[np.zeros((0, 0))], [np.zeros((0, 0))]])
-    assert [(d.kind, d.where) for d in validate(m)] == [
-        ("zero-part", "operators[0].parts[0]"), ("zero-part", "operators[1].parts[0]")]
+def test_constructor_raises_what_the_part_loop_raises(rng):
+    """Ragged, 0-dim and non-Hermitian library input: the error is the
+    first the part-by-part checks find; clean input is the symmetrized parts."""
+    raised = set()
+    for _ in range(400):
+        P = int(rng.integers(1, 4))
+        dims = [int(rng.integers(1, 4)) for _ in range(P)]
+        ops = []
+        for _ in range(int(rng.integers(1, 6))):
+            r = rng.random()
+            if r < 0.05:    # a part too few or too many
+                n = P - 1 if P > 1 and rng.random() < 0.5 else P + 1
+                ops.append([random_psd(rng, 2) for _ in range(n)])
+            elif r < 0.1:   # a part of another dimension, or of none
+                ops.append([np.zeros((0, 0)) if rng.random() < 0.3 else
+                            random_psd(rng, d + 1) for d in dims])
+            else:
+                ops.append([edge_hermitian(rng, d, 1.0 + rng.choice([-1e-6, 1e-6]))
+                            if d > 1 and rng.random() < 0.1 else random_psd(rng, d)
+                            for d in dims])
+        expected = ref_construction_error(ops)
+        if expected is None:
+            m = SeparableMeasurement(ops)
+            for j, parts in enumerate(ops):
+                for a, p in enumerate(parts):
+                    assert m.part(j, a).tobytes() == ((p + p.conj().T) / 2.0).tobytes()
+            continue
+        with pytest.raises(Exception) as e:
+            SeparableMeasurement(ops)
+        assert (type(e.value), str(e.value)) == expected
+        raised.add(type(e.value))
+    assert raised == {DimMismatchError, InvalidOperatorError}
 
 
 def document(ops, dims):
