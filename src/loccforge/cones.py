@@ -5,77 +5,55 @@ coefficients: membership, and a common nonzero point of two cones. The
 intersection test excludes the origin by normalizing one side's coefficients
 to sum to 1, which is valid because the generators are PSD and nonzero: a
 nonnegative combination vanishes only if all coefficients do.
+
+The generators are checked where every measurement part is checked: a cone
+is the cone of one party's parts, `SeparableMeasurement.cone`, and a cone of
+other generators is that of the one-party measurement holding them.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimMismatchError, InvalidOperatorError, ZeroOperatorError
-from .hermitian import (
-    LP_TOL,
-    PSD_TOL,
-    asmat,
-    hermitian_stack,
-    psd_mask,
-    vectorize,
-)
+from .errors import DimMismatchError, InvalidOperatorError
+from .hermitian import LP_TOL, PSD_TOL, asmat, vectorize
 from .simplex import feasible_point
 
 
 class Cone:
     """Cone of nonnegative combinations of validated PSD, nonzero generators.
 
-    `tol` is the tolerance of both checks, as `measurement.validate` applies
-    them to a part: PSD by `is_psd(g, tol)`, nonzero by max|g| > tol. Each
-    runs once over the stack of generators; the error raised is that of the
-    first generator that fails, for the first check it fails in the order
-    shape, hermiticity, PSD, zero.
+    `Cone(generators, tol)` is `SeparableMeasurement([[g] for g in
+    generators]).cone(0, tol)`: the constructor checks shapes, then
+    hermiticity, and the cone checks each generator nonzero and PSD at `tol`
+    as `validate` checks a part. An error names the first failing generator
+    as `operators[j].parts[0]`. The generators are the symmetrized stack.
     """
 
     __slots__ = ("dim", "generators", "_vecs")
 
     def __init__(self, generators, tol: float = PSD_TOL):
-        mats = [asmat(g) for g in generators]
-        if not mats:
-            raise InvalidOperatorError("a cone needs at least one generator")
-        d = mats[0].shape[0]
-        # the generators before the first of another shape are checked
-        n = next((i for i, g in enumerate(mats) if g.shape != (d, d)), len(mats))
-        g = np.array(mats[:n]).reshape(n, d, d)
-        g.flags.writeable = False
-        herm, sym = hermitian_stack(g)
-        # eigvalsh runs on the generators before the first non-Hermitian one
-        h = n if herm.all() else int(herm.argmin())
-        zero = np.abs(g[:h]).max(axis=(1, 2)) <= tol
-        psd = psd_mask(sym[:h], tol)
-        bad = zero | ~psd
-        if bad.any():
-            if psd[bad.argmax()]:
-                raise ZeroOperatorError("cone generator is numerically zero")
-            raise InvalidOperatorError("cone generator is not PSD")
-        if h < n:
-            raise InvalidOperatorError("is_psd needs a square Hermitian matrix")
-        if n < len(mats):
-            raise DimMismatchError("cone generators must share one dimension")
-        self.dim = int(d)
-        self.generators = tuple(g)
-        # one column per generator, C-contiguous as the LP layer expects
-        self._vecs = np.ascontiguousarray(vectorize(g).T)
+        from .measurement import SeparableMeasurement   # it builds on Cone
+        c = SeparableMeasurement([[g] for g in generators]).cone(0, tol)
+        self.dim, self.generators, self._vecs = c.dim, c.generators, c._vecs
+
+    @classmethod
+    def _unchecked(cls, generators, vecs) -> Cone:
+        """The cone of checked (d, d) generators and their vectorized columns,
+        one per generator, C-contiguous as the LP layer expects."""
+        c = object.__new__(cls)
+        c.dim = int(generators[0].shape[0])
+        c.generators = tuple(generators)
+        c._vecs = vecs
+        return c
 
     def subcone(self, indices) -> Cone:
-        """The cone of the generators at `indices`, in that order.
-
-        The generators were validated when this cone was built, so the PSD
-        and zero checks are not repeated; their columns are sliced.
-        """
+        """The cone of the generators at `indices`, in that order; their
+        columns are sliced, unchecked again."""
         indices = list(indices)
         if not indices:
             raise InvalidOperatorError("a cone needs at least one generator")
-        sub = object.__new__(Cone)
-        sub.dim = self.dim
-        sub.generators = tuple(self.generators[i] for i in indices)
-        sub._vecs = self._vecs[:, indices]
-        return sub
+        return Cone._unchecked([self.generators[i] for i in indices],
+                               self._vecs[:, indices])
 
     def __len__(self):
         return len(self.generators)

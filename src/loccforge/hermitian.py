@@ -161,8 +161,8 @@ def same_ray_masks(g: np.ndarray, tol: float = LP_TOL) -> list[int]:
     pair on which `proportional` does not raise. Numerically zero matrices
     are not rejected: a pair holding one is decided by the same three tests.
     """
-    # one trace per matrix, summed as `proportional` sums it
-    tr = np.array([np.trace(x).real for x in g])
+    # bit for bit the trace `proportional` takes of each matrix
+    tr = np.trace(g, axis1=1, axis2=2).real
     scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = tr[:, None] / tr[None, :]

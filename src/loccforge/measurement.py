@@ -7,10 +7,11 @@ strictly positive weights summing to the identity; that certificate is an LP.
 The checks work per party, on the read-only (N, d, d) stack of its parts
 (`SeparableMeasurement.stack`). The constructor checks every part's shape
 and hermiticity and keeps the symmetrized stacks, which the operators view,
-so no measurement with a ragged or 0-dim part exists. `validate` tests
-every part for zero and PSD with one `eigvalsh` per party. Its diagnostics,
-each party's same-ray table (`same_ray`) and its cone (`cone`) are kept on
-the measurement per tolerance, so each is found once per tolerance.
+so no measurement with a ragged or 0-dim part exists. A party's zero and
+PSD verdicts (`verdicts`) take one `eigvalsh`; `validate` reports the parts
+they flag, and `cone` raises on the first. They, the diagnostics, the
+same-ray tables (`same_ray`) and the cones are kept on the measurement per
+tolerance, so each is found once per tolerance. No other module checks a part.
 `SeparableMeasurement.products` forms all Kronecker products as one stacked
 product; each entry is the one product of part entries that `np.kron` forms,
 so the stack, its vectorized columns and the completeness residual are bit
@@ -87,6 +88,10 @@ class CompletenessCertificate:
     note: str = "weights need not be unique; any strictly positive solution certifies completeness"
 
 
+ZERO_PART = "local part is numerically zero"
+NOT_PSD = "local part has a negative eigenvalue"
+
+
 def default_party_names(P: int) -> tuple[str, ...]:
     letters = string.ascii_uppercase
     if P <= len(letters):
@@ -97,9 +102,10 @@ def default_party_names(P: int) -> tuple[str, ...]:
 class SeparableMeasurement:
     """Immutable container for the operators, labels, and Kraus groups.
 
-    The constructor is the one place parts are checked. First the shapes:
-    every operator has P parts and its part at party a is dims[a] x dims[a]
-    with dims[a] >= 1, where operator 0 sets P and the dims; else a
+    The constructor checks every part's shape and hermiticity, and
+    `verdicts` finds its zero and PSD tests. First the shapes: every
+    operator has P parts and its part at party a is dims[a] x dims[a] with
+    dims[a] >= 1, where operator 0 sets P and the dims; else a
     DimMismatchError names `operators[j]` or `operators[j].parts[a]`. Then
     each party's parts, stacked, pass `hermitian_stack`; else an
     InvalidOperatorError names the part. Either names the first failure in
@@ -107,8 +113,8 @@ class SeparableMeasurement:
     """
 
     __slots__ = ("P", "dims", "ops", "labels", "party_names", "kraus_groups",
-                 "_stacks", "_columns", "_products", "_diagnostics",
-                 "_same_ray", "_cones")
+                 "_stacks", "_columns", "_products", "_checks",
+                 "_diagnostics", "_same_ray", "_cones")
 
     def __init__(self, ops, labels=None, party_names=None, kraus_groups=None):
         rows = [[asmat(p) for p in (op.parts if isinstance(op, ProductOperator) else op)]
@@ -151,9 +157,10 @@ class SeparableMeasurement:
         self.kraus_groups = kraus_groups
         self._columns = [None] * P
         self._products = None
+        self._checks = {}          # (party, tol) -> its zero and PSD verdicts
         self._diagnostics = {}     # tol -> the diagnostics `validate` found
         self._same_ray = {}        # (party, tol) -> its same_ray_masks
-        self._cones = {}           # (party, psd tol) -> its validated Cone
+        self._cones = {}           # (party, psd tol) -> its Cone
 
     def __len__(self):
         return len(self.ops)
@@ -175,12 +182,29 @@ class SeparableMeasurement:
             self._same_ray[key] = same_ray_masks(self.stack(alpha), tol)
         return self._same_ray[key]
 
+    def verdicts(self, alpha: int, tol: float = PSD_TOL) -> tuple[list, list]:
+        """Per part j of party alpha: zero, max|part| <= tol, and PSD by
+        `psd_mask` at tol; found once per tolerance."""
+        key = (alpha, tol)
+        if key not in self._checks:
+            g = self.stack(alpha)
+            self._checks[key] = ((np.abs(g).max(axis=(1, 2)) <= tol).tolist(),
+                                 psd_mask(g, tol).tolist())
+        return self._checks[key]
+
     def cone(self, alpha: int, psd: float = PSD_TOL) -> Cone:
-        """The Cone of party alpha's parts, each checked PSD and nonzero at
-        `psd` as `validate` checks them; built once per tolerance."""
+        """The Cone of party alpha's parts, built once per tolerance. The first
+        part `validate` flags at `psd` raises, with its diagnostic's text."""
         key = (alpha, psd)
         if key not in self._cones:
-            self._cones[key] = Cone(self.stack(alpha), psd)
+            for j, (zero, psd_ok) in enumerate(zip(*self.verdicts(alpha, psd))):
+                where = f"operators[{j}].parts[{alpha}]"
+                if zero:
+                    raise ZeroOperatorError(f"{where}: {ZERO_PART}")
+                if not psd_ok:
+                    raise InvalidOperatorError(f"{where}: {NOT_PSD}")
+            self._cones[key] = Cone._unchecked(
+                self.stack(alpha), np.ascontiguousarray(self.columns(alpha).T))
         return self._cones[key]
 
     def columns(self, alpha: int) -> np.ndarray:
@@ -214,8 +238,9 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
     """All violated invariants as structured diagnostics; empty iff valid.
 
     The constructor has checked every part's shape and hermiticity, so only
-    positivity and duplicates are left. Per party, the parts of `m.stack`
-    are tested at once: zero when max|part| <= tol, else PSD by `psd_mask`.
+    positivity and duplicates are left. A part is zero or not PSD by
+    `m.verdicts`, which tests a party's parts at once and which `m.cone`
+    reads too; a zero part is reported as zero only.
     Diagnostics follow operator order, then party order. Operator jp > j
     duplicates j when every part of jp is proportional to j's,
     `proportional(part(jp, a), part(j, a), tol)`. Only operators whose parts
@@ -232,9 +257,7 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
 
 
 def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
-    # per party and operator: the zero and PSD verdicts of its part
-    zero = [(np.abs(m.stack(a)).max(axis=(1, 2)) <= tol).tolist() for a in range(m.P)]
-    psd = [psd_mask(m.stack(a), tol).tolist() for a in range(m.P)]
+    zero, psd = zip(*(m.verdicts(a, tol) for a in range(m.P)))
     out: list[Diagnostic] = []
     idx = []    # the operators with no diagnostic, compared for duplicates
     for j in range(len(m)):
@@ -242,9 +265,9 @@ def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
         for a in range(m.P):
             where = f"operators[{j}].parts[{a}]"
             if zero[a][j]:
-                out.append(Diagnostic("zero-part", where, "local part is numerically zero"))
+                out.append(Diagnostic("zero-part", where, ZERO_PART))
             elif not psd[a][j]:
-                out.append(Diagnostic("not-psd", where, "local part has a negative eigenvalue"))
+                out.append(Diagnostic("not-psd", where, NOT_PSD))
         if len(out) == before:
             idx.append(j)
     # masks over all operators; only pairs of clean operators are read

@@ -6,15 +6,16 @@ their party cones. The partition scan splits the operator set in two and asks
 whether both local cone pairs have trivial intersection, which no protocol can
 reconcile. Finding nothing proves nothing; only synthesis can.
 
-Both scans read one validated `Cone` per party, `m.cone(a, psd)`, and one
-same-ray table per party, `m.same_ray(a, tol)`: for each operator j, the
-mask of operators i != j whose part at that party is proportional to j's.
-The measurement keeps both per tolerance, so both scans, and `validate`'s
-duplicate check when its tolerance is `tol`, read the same tables. The cones
-check their parts at the PSD tolerance `validate` uses, so a part may lie
-below the scans' `tol`; `same_ray_masks` decides it by `proportional`'s
-tests instead of raising. The singular-pair scan calls part j singular when
-its mask is empty, and extreme when the cone of the other parts misses it.
+Both scans read one `Cone` per party, `m.cone(a, psd)`, and one same-ray
+table per party, `m.same_ray(a, tol)`: for each operator j, the mask of
+operators i != j whose part at that party is proportional to j's. The
+measurement keeps both per tolerance, so both scans, and `validate`'s
+duplicate check when its tolerance is `tol`, read the same tables. A cone
+is built only when `validate`'s zero and PSD verdicts at `psd` pass every
+part of its party, so a part may lie below the scans' `tol`;
+`same_ray_masks` decides it by `proportional`'s tests instead of raising.
+The singular-pair scan calls part j singular when its mask is empty, and
+extreme when the cone of the other parts misses it.
 
 The partition scan skips two kinds of intersection LP whose answer is known.
 A split that puts two operators with proportional parts at party a on

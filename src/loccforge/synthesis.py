@@ -195,26 +195,25 @@ alias rows depend only on (tree, party). A chain depends only on the two
 value groups: with g the row sums of a value group's column block and pos,
 neg its masks of rows with entries all >= 0 and all <= 0, the chain rows
 sum to g_a - g_b and are one-signed where (pos_a & neg_b) | (neg_a & pos_b).
-A run keeps only these per (tree, party): the certificate of its alias
-rows and the row sums and sign masks of its value group. The rows are built
-again when a block first needs them (below), which on the 3x3 and 4x4
-product bases is never. The parts' sums add each row in another order than
-A @ 1 does, so the exact-zero test can differ from the full block's only
-where A @ 1 is zero up to roundoff; a True still means that, so x = 1
-passes the simplex's residual check. The False test keeps tol of room for
-roundoff in either order.
+A run keeps these per (tree, party): the certificate of its alias rows,
+the row sums and sign masks of its value group, and the rows themselves,
+which an undecided block reads (below). The parts' sums add each row in
+another order than A @ 1 does, so the exact-zero test can differ from the
+full block's only where A @ 1 is zero up to roundoff; a True still means
+that, so x = 1 passes the simplex's residual check. The False test keeps
+tol of room for roundoff in either order.
 
 An undecided block is assembled from per-tree blocks, not renamed from the
 trees' terms. `_root_blocks` numbers a tree's variables at party beta in
 order of first use over its root's groups and builds its alias rows and its
 value group's column block V over them, the rows the certificates were
-read from; a run keeps them once a block has needed them. The block's rows
-are each tree's alias rows, then the chain rows [V_a | -V_b]. Its columns
-follow the first-use order of renaming the trees' terms into those rows one
-pair at a time: alias rows come before every chain row, so the trees with
-alias rows come first, in id order, then the single-group trees, whose vars
-first occur in the chain rows, in id order. The block equals that renamed
-LP's rows bit for bit (the tests keep the renaming).
+read from. The block's rows are each tree's alias rows, then the chain rows
+[V_a | -V_b]. Its columns follow the first-use order of renaming the trees'
+terms into those rows one pair at a time: alias rows come before every
+chain row, so the trees with alias rows come first, in id order, then the
+single-group trees, whose vars first occur in the chain rows, in id order.
+The block equals that renamed LP's rows bit for bit (the tests keep the
+renaming).
 """
 from __future__ import annotations
 
@@ -335,12 +334,13 @@ def _root_blocks(t, beta, m):
 
 
 def _tree_rows(trees, tid, beta, m, tol, rows):
-    """The certificates' data of tree tid at party beta, cached in rows under
-    (tid, beta): `_class_certificate` of its root's alias rows and the
-    `_block_signs` of its value group's column block (`_root_blocks`)."""
+    """The data of tree tid at party beta, cached in rows under (tid, beta):
+    `_class_certificate` of its root's alias rows, the `_block_signs` of its
+    value group's column block, and both blocks (`_root_blocks`)."""
     if (tid, beta) not in rows:
-        alias, value = _root_blocks(trees[tid], beta, m)
-        rows[tid, beta] = _class_certificate(alias, tol), _block_signs(value)
+        alias, value = blocks = _root_blocks(trees[tid], beta, m)
+        rows[tid, beta] = (_class_certificate(alias, tol), _block_signs(value),
+                           blocks)
     return rows[tid, beta]
 
 
@@ -366,17 +366,13 @@ def _block_certificate(trees, ids, beta, m, tol, rows):
     return None if undecided else True
 
 
-def _class_lp(trees, ids, beta, m, tol, rows):
+def _class_lp(ids, beta, rows):
     """The block A of the class LP of ids at party beta, assembled from the
-    trees' `_root_blocks`, cached in rows under ("lp", tid, beta) once a
-    block needs them: each tree's alias rows, then the chain rows
-    [V_a | -V_b] of consecutive trees. The columns are the trees' vars in
-    order of first use: the trees with alias rows in id order, then the
-    others in id order (module docstring)."""
-    for tid in ids:
-        if ("lp", tid, beta) not in rows:
-            rows["lp", tid, beta] = _root_blocks(trees[tid], beta, m)
-    data = [rows["lp", tid, beta] for tid in ids]
+    trees' `_root_blocks` that `_tree_rows` keeps in rows: each tree's alias
+    rows, then the chain rows [V_a | -V_b] of consecutive trees. The columns
+    are the trees' vars in order of first use: the trees with alias rows in
+    id order, then the others in id order (module docstring)."""
+    data = [rows[tid, beta][2] for tid in ids]
     cols, n = [None] * len(ids), 0
     for k in sorted(range(len(ids)), key=lambda k: not len(data[k][0])):
         width = data[k][1].shape[1]
@@ -417,7 +413,7 @@ def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol, rows=None):
             undecided.append(beta)
     for beta in undecided:
         if (ids, beta) not in rows:
-            A = _class_lp(trees, ids, beta, m, tol, rows)
+            A = _class_lp(ids, beta, rows)
             x = feasible_point(A, np.zeros(A.shape[0]), tol=tol,
                                lower=np.ones(A.shape[1]))
             rows[ids, beta] = x is not None

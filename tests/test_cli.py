@@ -2,13 +2,15 @@ import inspect
 import json
 import pathlib
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from loccforge import cli, cones, measurement, nogo, simplex
+from loccforge import cli, hermitian, measurement, nogo, simplex
 from loccforge.cli import main
 from loccforge.errors import ParseError
+from loccforge.hermitian import PSD_TOL
 from loccforge.io import (
     measurement_digest,
     parse_measurement,
@@ -539,20 +541,44 @@ def test_byte_determinism_over_commands(capsys):
 
 
 def test_check_nogo_builds_one_cone_per_party(tmp_path, capsys, monkeypatch):
-    built = []
-    real = cones.Cone.__init__
+    """Both scans ask the measurement for each party's cone at `psd`; it
+    builds one per party and hands the same one to both."""
+    asked = []
+    real = measurement.SeparableMeasurement.cone
 
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        real(self, *args, **kwargs)
+    def spy(self, alpha, psd=PSD_TOL):
+        asked.append((alpha, psd, real(self, alpha, psd)))
+        return asked[-1][2]
 
-    monkeypatch.setattr(cones.Cone, "__init__", spy)
+    monkeypatch.setattr(measurement.SeparableMeasurement, "cone", spy)
     doc = tmp_path / "basis3x3.json"
     m = product_basis(3, 3)
     doc.write_text(serialize_measurement(m))
     code, out, _ = run(capsys, "check-nogo", str(doc))
     assert code == 0 and out.endswith("verdict: no-witness\n")
-    assert len(built) == m.P
+    assert {(alpha, psd) for alpha, psd, _ in asked} == {(0, PSD_TOL), (1, PSD_TOL)}
+    assert len({id(c) for *_, c in asked}) == m.P
+
+
+def test_check_nogo_checks_each_party_once(capsys, monkeypatch):
+    """One check-nogo run tests each party's parts for hermiticity once (the
+    measurement's constructor) and for PSD once (the verdicts `validate`
+    and the cones share), counted wherever the two checks are looked up."""
+    P = load_fixture("domino9").P
+    calls = dict.fromkeys(["hermitian_stack", "psd_mask"], 0)
+    for name in calls:
+        real = getattr(hermitian, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("loccforge")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    code, out, _ = run(capsys, "check-nogo", fx("domino9"))
+    assert code == 2 and out.endswith("verdict: impossible-by-witness\n")
+    assert calls == {"hermitian_stack": P, "psd_mask": P}
 
 
 @pytest.mark.parametrize("key, command, expected", [
@@ -638,16 +664,17 @@ def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch
             bound = inspect.signature(real).bind(*args, **kwargs)
             bound.apply_defaults()
             seen[real.__name__] = {k: v for k, v in bound.arguments.items()
-                                   if k in ("tol", "delta")}
+                                   if k in ("tol", "delta", "psd")}
             return real(*args, **kwargs)
         return wrapped
 
     for name in ("parse_measurement", "validate", "completeness_certificate",
                  "validate_assignment", "lift"):
         monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
-    # the measurement's cones, which both scans read, check their parts as
-    # validate does
-    monkeypatch.setattr(measurement, "Cone", spy(measurement.Cone))
+    # the measurement's cones, which both scans read, are built on the
+    # verdicts validate reads
+    monkeypatch.setattr(measurement.SeparableMeasurement, "cone",
+                        spy(measurement.SeparableMeasurement.cone))
     psd = {"tol": 2e-9}
     for argv, expected in [
         (("validate", fx("krausdemo")),
@@ -658,7 +685,7 @@ def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch
           "lift": {"tol": 3e-8}}),
         (("synthesize", fx("krausdemo")), {"parse_measurement": psd}),
         (("check-nogo", fx("krausdemo")),
-         {"parse_measurement": psd, "Cone": psd,
+         {"parse_measurement": psd, "cone": {"psd": 2e-9},
           "completeness_certificate": {"delta": 2e-7, "tol": 3e-8}}),
     ]:
         seen.clear()

@@ -344,21 +344,25 @@ def test_locc_random_trees_have_no_witness():
 
 
 def test_check_nogo_builds_each_party_table_once(tmp_path, capsys, monkeypatch):
-    """One check-nogo run builds one Cone per party, and per party two
-    same-ray tables: at `psd` for validate's duplicate check and at `lp`
-    for both scans. The measurement keeps them, so both scans share them."""
-    cones_built, rays_built = [], []
-    real_cone = measurement.Cone
+    """One check-nogo run builds one Cone per party, asked for at `psd` by
+    both scans, and per party two same-ray tables: at `psd` for validate's
+    duplicate check and at `lp` for both scans. The measurement keeps them,
+    so both scans share them."""
+    cones_asked, rays_built = [], []
+    real_cone = measurement.SeparableMeasurement.cone
     real_rays = measurement.same_ray_masks
-    monkeypatch.setattr(measurement, "Cone",
-                        lambda g, tol: cones_built.append(tol) or real_cone(g, tol))
+    monkeypatch.setattr(measurement.SeparableMeasurement, "cone",
+                        lambda self, a, psd: cones_asked.append(
+                            (a, psd, real_cone(self, a, psd))) or cones_asked[-1][2])
     monkeypatch.setattr(measurement, "same_ray_masks",
                         lambda g, tol: rays_built.append(tol) or real_rays(g, tol))
     for name in ["cascade5", "domino9", "krausdemo", "singularpair3"]:
         m = load_fixture(name)
-        cones_built.clear()
+        cones_asked.clear()
         rays_built.clear()
         assert cli.main(["check-nogo", str(FIXTURE_DIR / f"{name}.json")]) in (0, 2)
         capsys.readouterr()
-        assert cones_built == [PSD_TOL] * m.P, name
+        assert ({(a, psd) for a, psd, _ in cones_asked}
+                == {(a, PSD_TOL) for a in range(m.P)}), name
+        assert len({id(c) for *_, c in cones_asked}) == m.P, name
         assert sorted(rays_built) == [PSD_TOL] * m.P + [LP_TOL] * m.P, name

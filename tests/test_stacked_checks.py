@@ -96,18 +96,21 @@ def ref_construction_error(ops):
 
 
 def ref_cone_error(generators, tol):
-    """(type, message) the generator-by-generator cone checks raise, or None."""
+    """(type, message) the cone of the one-party measurement holding the
+    generators raises, or None: the constructor's shape and hermiticity
+    errors, then the first generator validate flags at tol, as zero before
+    as not PSD, each symmetrized as the constructor keeps it."""
     mats = [np.asarray(g, dtype=complex) for g in generators]
-    d = mats[0].shape[0]
-    for g in mats:
-        if g.shape != (d, d):
-            return DimMismatchError, "cone generators must share one dimension"
-        if not ref_is_hermitian(g):
-            return InvalidOperatorError, "is_psd needs a square Hermitian matrix"
-        if not ref_is_psd(g, tol):
-            return InvalidOperatorError, "cone generator is not PSD"
-        if float(np.abs(g).max(initial=0.0)) <= tol:
-            return ZeroOperatorError, "cone generator is numerically zero"
+    error = ref_construction_error([[g] for g in mats])
+    if error is not None:
+        return error
+    for j, g in enumerate(mats):
+        sym = (g + g.conj().T) / 2.0
+        where = f"operators[{j}].parts[0]"
+        if float(np.abs(sym).max(initial=0.0)) <= tol:
+            return ZeroOperatorError, f"{where}: local part is numerically zero"
+        if not ref_is_psd(sym, tol):
+            return InvalidOperatorError, f"{where}: local part has a negative eigenvalue"
     return None
 
 
@@ -296,15 +299,17 @@ def test_cone_raises_what_the_generator_loop_raises(rng):
         expected = ref_cone_error(gens, tol)
         if expected is None:
             c = Cone(gens, tol)
-            assert all(g.tobytes() == np.asarray(x, dtype=complex).tobytes()
-                       for g, x in zip(c.generators, gens))
-            ref = np.column_stack([vectorize(g) for g in gens])
+            sym = [(x + x.conj().T) / 2.0
+                   for x in (np.asarray(g, dtype=complex) for g in gens)]
+            assert all(g.tobytes() == x.tobytes() for g, x in zip(c.generators, sym))
+            ref = np.column_stack([vectorize(x) for x in sym])
             assert c._vecs.flags.c_contiguous and c._vecs.tobytes() == ref.tobytes()
             continue
         with pytest.raises(Exception) as e:
             Cone(gens, tol)
         assert (type(e.value), str(e.value)) == expected
-        raised.add(expected)
+        detail = expected[1].split(": ", 1)[1]
+        raised.add((expected[0], "shape" if detail.startswith("expected") else detail))
     assert {t for t, _ in raised} == {DimMismatchError, InvalidOperatorError,
                                       ZeroOperatorError}
     assert len(raised) == 4

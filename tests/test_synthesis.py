@@ -758,9 +758,9 @@ def test_look_ahead_lps_stay_small_on_seed_51(monkeypatch):
         tested.append(len(ids))
         return real_class(trees, ids, *args)
 
-    def lp_spy(trees, ids, *args):
+    def lp_spy(ids, *args):
         assembled.append(len(ids))
-        return real_lp(trees, ids, *args)
+        return real_lp(ids, *args)
 
     monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
     monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
@@ -965,9 +965,9 @@ def test_variables_label_one_party(monkeypatch):
 
 def test_class_blocks_match_the_joint_lp(monkeypatch):
     """Every class LP the searches reach: the joint matrix is block-diagonal
-    by party, each block `_class_lp` assembles from the cached per-tree
-    blocks is that party's rows and columns of it, bit for bit, and
-    `_class_feasible` answers as the simplex does on the joint LP."""
+    by party, each block `_class_lp` assembles from the per-tree blocks
+    `_tree_rows` keeps is that party's rows and columns of it, bit for bit,
+    and `_class_feasible` answers as the simplex does on the joint LP."""
     blocks = 0
     for reached in reached_class_lps(monkeypatch):
         rows = {}
@@ -981,7 +981,9 @@ def test_class_blocks_match_the_joint_lp(monkeypatch):
             for beta, rs, cs in parts:
                 inside[rs, cs] = True
                 if rs.stop > rs.start:
-                    block = synthesis._class_lp(trees, ids, beta, m, tol, rows)
+                    for tid in ids:
+                        synthesis._tree_rows(trees, tid, beta, m, tol, rows)
+                    block = synthesis._class_lp(ids, beta, rows)
                     # bit for bit, so Bland's rule pivots alike on both
                     assert block.shape == A[rs, cs].shape
                     assert block.tobytes() == A[rs, cs].tobytes()
