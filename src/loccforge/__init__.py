@@ -44,7 +44,6 @@ from .measurement import (
     CompletenessCertificate,
     Diagnostic,
     KrausProduct,
-    ProductOperator,
     SeparableMeasurement,
     completeness_certificate,
     from_kraus,

@@ -9,7 +9,7 @@ The hermiticity and PSD tests are written once, over an (N, d, d) stack
 (`hermitian_stack`, `psd_mask`), so a caller holding many same-shape matrices
 tests them in one numpy call; `is_hermitian`, `is_psd` and the
 `HermitianOperator` constructor apply them to a stack of one. `tensor` and
-`vectorize` take stacks too.
+`vectorize` take stacks too, such as a measurement's party stacks.
 
 Vectorization basis order for a d x d Hermitian M: the d diagonal entries in
 row order, then Re M[i,j] for i < j (row-major), then Im M[i,j] for i < j.
@@ -75,7 +75,9 @@ class HermitianOperator:
     """A validated dim x dim complex Hermitian matrix.
 
     Construction checks hermiticity within `tol`, then symmetrizes, so entries
-    satisfy M[i][j] == conj(M[j][i]) exactly.
+    satisfy M[i][j] == conj(M[j][i]) exactly. It is an input type: a
+    `SeparableMeasurement` takes it as a part and keeps only its matrix, in
+    the party's stack, read through `m.part(j, a)` and `m.stack(a)`.
     """
 
     __slots__ = ("mat", "dim")
@@ -89,18 +91,6 @@ class HermitianOperator:
             raise InvalidOperatorError(NOT_HERMITIAN)
         self.mat = stack[0]
         self.dim = int(m.shape[0])
-
-    @classmethod
-    def rows(cls, stack: np.ndarray) -> tuple[HermitianOperator, ...]:
-        """One operator per matrix of a read-only stack from `hermitian_stack`
-        whose matrices all passed: each views its row, unchecked again."""
-        out = []
-        for mat in stack:
-            op = object.__new__(cls)
-            op.mat = mat
-            op.dim = int(mat.shape[0])
-            out.append(op)
-        return tuple(out)
 
     def is_psd(self, tol: float = PSD_TOL) -> bool:
         return is_psd(self, tol)

@@ -34,12 +34,9 @@ _KIND_MAP = {
 }
 
 
-def _encode_complex(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
 def _encode_matrix(mat: np.ndarray):
-    return [[_encode_complex(complex(z)) for z in row] for row in np.asarray(mat)]
+    m = np.asarray(mat, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 _REQUIRED = object()
@@ -222,7 +219,7 @@ def serialize_measurement(m: SeparableMeasurement, meta=None) -> str:
         "operators": [],
         "meta": dict(meta or {}),
     }
-    for j in range(len(m.ops)):
+    for j in range(len(m)):
         entry = {
             "label": m.labels[j],
             "parts": [_encode_matrix(m.part(j, a)) for a in range(m.P)],

@@ -97,7 +97,7 @@ def lift(tree: ProtocolTree, assignment, m: SeparableMeasurement,
             rs = []
             for a in range(m.P):
                 r = proportional(pos[a], base[a], max(tol, 1e-8))
-                if r is None or r <= 0:
+                if r is None:
                     raise LiftError(
                         f"kraus group for operator {i} is not internally "
                         f"proportional at party {a}")

@@ -1,21 +1,23 @@
 """The separable-measurement input object.
 
-A measurement is a list of product operators, one PSD part per party, with an
-optional Kraus-level description. Completeness means the products admit
-strictly positive weights summing to the identity; that certificate is an LP.
+A measurement {E_j = E_j^1 x ... x E_j^P} is held as its party stacks: one
+read-only (N, d, d) array per party whose matrix j is E_j's part there, with
+an optional Kraus-level description. It is read through `len(m)`,
+`m.part(j, a)`, `m.stack(a)`, `m.columns(a)` and `m.products()`.
+Completeness means the products admit strictly positive weights summing to
+the identity; that certificate is an LP.
 
-The checks work per party, on the read-only (N, d, d) stack of its parts
-(`SeparableMeasurement.stack`). The constructor checks every part's shape
-and hermiticity and keeps the symmetrized stacks, which the operators view,
-so no measurement with a ragged or 0-dim part exists. A party's zero and
-PSD verdicts (`verdicts`) take one `eigvalsh`; `validate` reports the parts
-they flag, and `cone` raises on the first. They, the diagnostics, the
-same-ray tables (`same_ray`) and the cones are kept on the measurement per
-tolerance, so each is found once per tolerance. No other module checks a part.
+The constructor checks every part's shape and hermiticity and keeps the
+symmetrized stacks, so no measurement with a ragged or 0-dim part exists.
+A party's zero and PSD verdicts (`verdicts`) take one `eigvalsh`;
+`validate` reports the parts they flag, and `cone` raises on the first.
+They, the diagnostics, the same-ray tables (`same_ray`), the cones, the
+columns and the products are kept in the measurement's one memo, so each is
+found once per party and tolerance. No other module checks a part.
 `SeparableMeasurement.products` forms all Kronecker products as one stacked
 product; each entry is the one product of part entries that `np.kron` forms,
 so the stack, its vectorized columns and the completeness residual are bit
-for bit those of the operators' products taken one at a time.
+for bit those of the parts' products taken one operator at a time.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from .hermitian import (
     LP_TOL,
     NOT_HERMITIAN,
     PSD_TOL,
-    HermitianOperator,
     asmat,
     hermitian_stack,
     proportional,
@@ -45,20 +46,6 @@ from .hermitian import (
     vectorize,
 )
 from .simplex import feasible_point
-
-
-@dataclasses.dataclass(frozen=True)
-class ProductOperator:
-    """One measurement outcome: a tuple of local PSD operators, one per party."""
-
-    parts: tuple[HermitianOperator, ...]
-
-    @property
-    def mats(self) -> tuple[np.ndarray, ...]:
-        return tuple(p.mat for p in self.parts)
-
-    def product(self) -> np.ndarray:
-        return tensor(self.mats)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -85,7 +72,6 @@ class Diagnostic:
 class CompletenessCertificate:
     weights: np.ndarray
     residual: float
-    note: str = "weights need not be unique; any strictly positive solution certifies completeness"
 
 
 ZERO_PART = "local part is numerically zero"
@@ -100,25 +86,27 @@ def default_party_names(P: int) -> tuple[str, ...]:
 
 
 class SeparableMeasurement:
-    """Immutable container for the operators, labels, and Kraus groups.
+    """Immutable container for the party stacks, labels, and Kraus groups.
 
-    The constructor checks every part's shape and hermiticity, and
-    `verdicts` finds its zero and PSD tests. First the shapes: every
-    operator has P parts and its part at party a is dims[a] x dims[a] with
-    dims[a] >= 1, where operator 0 sets P and the dims; else a
-    DimMismatchError names `operators[j]` or `operators[j].parts[a]`. Then
-    each party's parts, stacked, pass `hermitian_stack`; else an
-    InvalidOperatorError names the part. Either names the first failure in
-    operator order, then party order.
+    `ops` holds one row of P part matrices per operator (array-likes or
+    HermitianOperators). The constructor checks every part's shape and
+    hermiticity, and `verdicts` finds its zero and PSD tests. First the
+    shapes: every operator has P parts and its part at party a is
+    dims[a] x dims[a] with dims[a] >= 1, where operator 0 sets P and the
+    dims; else a DimMismatchError names `operators[j]` or
+    `operators[j].parts[a]`. Then each party's parts, stacked, pass
+    `hermitian_stack`; else an InvalidOperatorError names the part. Either
+    names the first failure in operator order, then party order.
+
+    What is derived from the stacks is kept in one memo, `_memo`, keyed by
+    its kind and the party and tolerance it was found for.
     """
 
-    __slots__ = ("P", "dims", "ops", "labels", "party_names", "kraus_groups",
-                 "_stacks", "_columns", "_products", "_checks",
-                 "_diagnostics", "_same_ray", "_cones")
+    __slots__ = ("P", "dims", "labels", "party_names", "kraus_groups",
+                 "_stacks", "_memo")
 
     def __init__(self, ops, labels=None, party_names=None, kraus_groups=None):
-        rows = [[asmat(p) for p in (op.parts if isinstance(op, ProductOperator) else op)]
-                for op in ops]
+        rows = [[asmat(p) for p in op] for op in ops]
         if not rows:
             raise InvalidOperatorError("a measurement needs at least one operator")
         P = len(rows[0])
@@ -142,34 +130,33 @@ class SeparableMeasurement:
         self.P = P
         self.dims = dims
         self._stacks = tuple(stack for _, stack in checked)
-        self.ops = tuple(map(ProductOperator, zip(*map(HermitianOperator.rows, self._stacks))))
         self.labels = tuple(labels) if labels is not None else tuple(
             f"M{j + 1}" for j in range(len(rows)))
-        if len(self.labels) != len(self.ops):
+        if len(self.labels) != len(rows):
             raise InvalidOperatorError("label count does not match operator count")
         self.party_names = tuple(party_names) if party_names is not None else default_party_names(P)
         if len(self.party_names) != P:
             raise DimMismatchError("party name count does not match party count")
         if kraus_groups is not None:
             kraus_groups = tuple(tuple(g) for g in kraus_groups)
-            if len(kraus_groups) != len(self.ops):
+            if len(kraus_groups) != len(rows):
                 raise DimMismatchError("kraus group count does not match operator count")
         self.kraus_groups = kraus_groups
-        self._columns = [None] * P
-        self._products = None
-        self._checks = {}          # (party, tol) -> its zero and PSD verdicts
-        self._diagnostics = {}     # tol -> the diagnostics `validate` found
-        self._same_ray = {}        # (party, tol) -> its same_ray_masks
-        self._cones = {}           # (party, psd tol) -> its Cone
+        self._memo = {}
+
+    def _kept(self, key, build):
+        """The memo's entry at key, made by `build()` on first use; if `build`
+        raises, nothing is stored."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def __len__(self):
-        return len(self.ops)
+        return len(self._stacks[0])
 
     def part(self, j: int, alpha: int) -> np.ndarray:
-        return self.ops[j].parts[alpha].mat
-
-    def party_parts(self, alpha: int) -> list[np.ndarray]:
-        return [op.parts[alpha].mat for op in self.ops]
+        """Read-only view of operator j's part at party alpha."""
+        return self._stacks[alpha][j]
 
     def stack(self, alpha: int) -> np.ndarray:
         """Read-only (N, d, d) array whose matrix j is part(j, alpha)."""
@@ -177,52 +164,39 @@ class SeparableMeasurement:
 
     def same_ray(self, alpha: int, tol: float = LP_TOL) -> list[int]:
         """`same_ray_masks(stack(alpha), tol)`, found once per tolerance."""
-        key = (alpha, tol)
-        if key not in self._same_ray:
-            self._same_ray[key] = same_ray_masks(self.stack(alpha), tol)
-        return self._same_ray[key]
+        return self._kept(("same_ray", alpha, tol),
+                          lambda: same_ray_masks(self.stack(alpha), tol))
 
     def verdicts(self, alpha: int, tol: float = PSD_TOL) -> tuple[list, list]:
         """Per part j of party alpha: zero, max|part| <= tol, and PSD by
         `psd_mask` at tol; found once per tolerance."""
-        key = (alpha, tol)
-        if key not in self._checks:
-            g = self.stack(alpha)
-            self._checks[key] = ((np.abs(g).max(axis=(1, 2)) <= tol).tolist(),
-                                 psd_mask(g, tol).tolist())
-        return self._checks[key]
+        g = self.stack(alpha)
+        return self._kept(("verdicts", alpha, tol), lambda: (
+            (np.abs(g).max(axis=(1, 2)) <= tol).tolist(), psd_mask(g, tol).tolist()))
 
     def cone(self, alpha: int, psd: float = PSD_TOL) -> Cone:
         """The Cone of party alpha's parts, built once per tolerance. The first
         part `validate` flags at `psd` raises, with its diagnostic's text."""
-        key = (alpha, psd)
-        if key not in self._cones:
+        def build():
             for j, (zero, psd_ok) in enumerate(zip(*self.verdicts(alpha, psd))):
                 where = f"operators[{j}].parts[{alpha}]"
                 if zero:
                     raise ZeroOperatorError(f"{where}: {ZERO_PART}")
                 if not psd_ok:
                     raise InvalidOperatorError(f"{where}: {NOT_PSD}")
-            self._cones[key] = Cone._unchecked(
+            return Cone._unchecked(
                 self.stack(alpha), np.ascontiguousarray(self.columns(alpha).T))
-        return self._cones[key]
+        return self._kept(("cone", alpha, psd), build)
 
     def columns(self, alpha: int) -> np.ndarray:
         """Read-only (N, d*d) table whose row j is vectorize(part(j, alpha))."""
-        table = self._columns[alpha]
-        if table is None:
-            table = vectorize(self.stack(alpha))
-            table.flags.writeable = False
-            self._columns[alpha] = table
-        return table
+        return self._kept(("columns", alpha),
+                          lambda: _read_only(vectorize(self.stack(alpha))))
 
     def products(self) -> np.ndarray:
-        """Read-only (N, D, D) array whose matrix j is ops[j].product()."""
-        if self._products is None:
-            prods = tensor([self.stack(a) for a in range(self.P)])
-            prods.flags.writeable = False
-            self._products = prods
-        return self._products
+        """Read-only (N, D, D) array whose matrix j is the Kronecker product
+        of operator j's parts in party order."""
+        return self._kept("products", lambda: _read_only(tensor(self._stacks)))
 
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
@@ -231,7 +205,12 @@ class SeparableMeasurement:
         return np.eye(self.total_dim(), dtype=complex)
 
     def __repr__(self):
-        return f"SeparableMeasurement(P={self.P}, dims={self.dims}, N={len(self.ops)})"
+        return f"SeparableMeasurement(P={self.P}, dims={self.dims}, N={len(self)})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
@@ -250,10 +229,7 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
     The diagnostics are found once per measurement and `tol`; each call
     returns a new list of them.
     """
-    found = m._diagnostics.get(tol)
-    if found is None:
-        found = m._diagnostics[tol] = tuple(_diagnose(m, tol))
-    return list(found)
+    return list(m._kept(("diagnostics", tol), lambda: tuple(_diagnose(m, tol))))
 
 
 def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:

@@ -82,13 +82,13 @@ def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
                                psd: float = PSD_TOL) -> NoGoWitness | None:
     """First operator (ascending index) with singular extreme parts at two
     parties. The cones' parts are checked PSD and nonzero at `psd`."""
-    if len(m.ops) < 2:
+    if len(m) < 2:
         # one outcome is always implementable; the conditions hold vacuously
         return None
     cones = [m.cone(a, psd) for a in range(m.P)]
     same = [m.same_ray(a, tol) for a in range(m.P)]
-    for j in range(len(m.ops)):
-        others = [i for i in range(len(m.ops)) if i != j]
+    for j in range(len(m)):
+        others = [i for i in range(len(m)) if i != j]
         bad = []
         for a in range(m.P):
             if not same[a][j] and member(cones[a].generators[j],
@@ -174,7 +174,7 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
     too few parties are left to block two (see the module docstring). The
     cones' parts are checked PSD and nonzero at `psd`.
     """
-    n = len(m.ops)
+    n = len(m)
     if n < 2:
         return PartitionScanResult(None, True)
     exhaustive = n <= max_exhaustive_n

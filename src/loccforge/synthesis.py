@@ -512,7 +512,7 @@ def _cover_search(trees, eligible, free, m, known, refuted, start, covers,
     sizes stop after one that reached no prefix one tree short and cut
     nothing by the count bound (module docstring).
     """
-    full = (1 << len(m.ops)) - 1
+    full = (1 << len(m)) - 1
     cov = [covers[i] for i in eligible]
     n = len(cov)
     rest = [0] * (n + 1)  # rest[q]: the operators covered at positions >= q
@@ -633,7 +633,7 @@ def synthesize(m: SeparableMeasurement,
     except InfeasibleError as e:
         raise InvalidMeasurementError(f"measurement is not complete: {e}") from e
 
-    N = len(m.ops)
+    N = len(m)
     stats = SynthesisStats()
     trees = [leaf_tree(m, j) for j in range(N)]
     stats.trees_built = N

@@ -74,7 +74,7 @@ def root_for(t: ProtocolTree, party: int) -> Node:
 
 def leaf_tree(m: SeparableMeasurement, j: int) -> ProtocolTree:
     """One-outcome tree for operator j: childless roots, variable per party."""
-    if not 0 <= j < len(m.ops):
+    if not 0 <= j < len(m):
         raise TreeStructureError(f"operator index {j} out of range")
     roots = tuple(Node(a, ((Term(j, a, 1.0),),), ()) for a in range(m.P))
     return ProtocolTree(m.P, roots, m.P, 0)
@@ -197,7 +197,7 @@ def _check_shape(t: ProtocolTree, m: SeparableMeasurement):
         if not n.groups or any(len(g) == 0 for g in n.groups):
             raise TreeStructureError("node with empty label")
         for term in (u for g in n.groups for u in g):
-            _check_index("term op", term.op, len(m.ops))
+            _check_index("term op", term.op, len(m))
             _check_index("term var", term.var, t.nvars)
         if any(c.party != n.children[0].party for c in n.children):
             raise TreeStructureError("children of one node must share a party")
@@ -329,7 +329,7 @@ def align_weights(t: ProtocolTree, m: SeparableMeasurement, assignment,
     """Weigh each leaf against the operator it names; return per-op weights
     and the completeness residual of the weighted sum against the identity,
     summed over the measurement's products in operator order."""
-    w = np.zeros(len(m.ops))
+    w = np.zeros(len(m))
     for leaf, parts in leaf_products(t, m, assignment):
         j, c = leaf_operator(t, leaf, parts, m, tol)
         w[j] += c
@@ -436,7 +436,7 @@ def eliminate_coin_flips(t: ProtocolTree, m: SeparableMeasurement, assignment,
                     ratio = proportional(v, vals[id(cl[0])], tol)
                 except ZeroOperatorError:
                     ratio = None
-                if ratio is not None and ratio > 0:
+                if ratio is not None:
                     cl.append(c)
                     break
             else:

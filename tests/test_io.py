@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import sys
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from loccforge.errors import ParseError
+from loccforge.hermitian import HermitianOperator
 from loccforge.fixtures import write_all
 from loccforge.io import (
     MEASUREMENT_FORMAT,
@@ -59,6 +61,15 @@ def test_serialize_parse_fixpoint_all_fixtures():
         m2 = parse_measurement(s1)
         assert serialize_measurement(m2) == s1
         assert measurement_digest(m2) == measurement_digest(m)
+
+
+def test_parsed_measurement_keeps_no_operator_objects():
+    """A measurement is its party stacks: parsing domino9 leaves no
+    HermitianOperator alive."""
+    m = parse_measurement((FIXTURE_DIR / "domino9.json").read_text())
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, HermitianOperator)]
+    assert len(m) == 9 and alive == []
 
 
 def test_digest_ignores_meta():
@@ -291,7 +302,8 @@ def test_export_dot_symbolic_labels():
 
 def test_export_dot_escapes_labels_and_party_names():
     m = load_fixture("productbasis4")
-    odd = SeparableMeasurement(m.ops, labels=[f'M"{j}\\' for j in range(len(m))],
+    rows = [[m.part(j, a) for a in range(m.P)] for j in range(len(m))]
+    odd = SeparableMeasurement(rows, labels=[f'M"{j}\\' for j in range(len(m))],
                                party_names=["A\\", 'B"'])
     v = synthesize(odd)
     dot = export_dot(v.tree, odd, v.assignment)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -94,10 +96,10 @@ def reference_duplicates(m, diags, tol):
     """The duplicate-product diagnostics of a pairwise `proportional` loop
     over the operators no other diagnostic names, in (j, jp) order."""
     named = {d.where.split("]")[0] + "]" for d in diags}
-    usable = [f"operators[{j}]" not in named for j in range(len(m.ops))]
+    usable = [f"operators[{j}]" not in named for j in range(len(m))]
     out = []
-    for j in range(len(m.ops)):
-        for jp in range(j + 1, len(m.ops)):
+    for j in range(len(m)):
+        for jp in range(j + 1, len(m)):
             if usable[j] and usable[jp] and all(
                     proportional(m.part(jp, a), m.part(j, a), tol) is not None
                     for a in range(m.P)):
@@ -162,13 +164,15 @@ def test_non_hermitian_part_is_named():
 
 
 def test_parts_are_one_symmetrized_stack_per_party():
-    """Raw arrays, HermitianOperators and ProductOperators give the same
-    measurement; every operator's part views its party's read-only stack."""
+    """Raw arrays, HermitianOperators and another measurement's parts give
+    the same measurement; every operator's part views its party's read-only
+    stack."""
     rng = np.random.default_rng(3)
     raw = [[random_psd(rng, 2), random_psd(rng, 3)] for _ in range(4)]
     m = measurement_from_parts(raw)
     again = SeparableMeasurement([[HermitianOperator(p) for p in parts] for parts in raw])
-    third = SeparableMeasurement(m.ops)
+    third = SeparableMeasurement([[m.part(j, a) for a in range(m.P)]
+                                  for j in range(len(m))])
     for a in range(m.P):
         s = m.stack(a)
         assert not s.flags.writeable and s.shape == (4, m.dims[a], m.dims[a])
@@ -241,11 +245,12 @@ def affine_rank_report(m):
     products: confirms a fixture carries no linear constraints beyond the
     intended ones."""
     return {
-        "n_operators": len(m.ops),
+        "n_operators": len(m),
         "party_ranks": [int(np.linalg.matrix_rank(m.columns(a), tol=1e-9))
                         for a in range(m.P)],
         "product_rank": int(np.linalg.matrix_rank(
-            np.array([vectorize(op.product()) for op in m.ops]), tol=1e-9)),
+            np.array([vectorize(functools.reduce(np.kron, [m.part(j, a) for a in range(m.P)]))
+                      for j in range(len(m))]), tol=1e-9)),
     }
 
 

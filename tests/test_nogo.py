@@ -161,11 +161,11 @@ def reference_partition_scan(m, max_exhaustive_n=16, tol=LP_TOL):
     Returns (partition, parties) of the first witness or None, and whether
     the scan was exhaustive.
     """
-    n = len(m.ops)
+    n = len(m)
     if n < 2:
         return None, True
     exhaustive = n <= max_exhaustive_n
-    cs = [Cone(m.party_parts(a), tol) for a in range(m.P)]
+    cs = [Cone([m.part(j, a) for j in range(len(m))], tol) for a in range(m.P)]
     for s1, s2 in _bipartitions(n, None if exhaustive else 2):
         blocked = []
         for a in range(m.P):
@@ -179,10 +179,10 @@ def reference_partition_scan(m, max_exhaustive_n=16, tol=LP_TOL):
 
 def reference_singular_pair(m, tol=LP_TOL):
     """The singular-pair scan with the pairwise proportionality loop."""
-    if len(m.ops) < 2:
+    if len(m) < 2:
         return None
-    cs = [Cone(m.party_parts(a), tol) for a in range(m.P)]
-    for j in range(len(m.ops)):
+    cs = [Cone([m.part(j, a) for j in range(len(m))], tol) for a in range(m.P)]
+    for j in range(len(m)):
         bad = [a for a in range(m.P)
                if is_singular_ray(j, cs[a].generators, tol)
                and is_extreme_ray(j, cs[a], tol)]
@@ -276,7 +276,7 @@ def linked_by_reference(m, tol=LP_TOL):
     proportional to the other, from the pairwise `proportional` loop."""
     out = []
     for a in range(m.P):
-        gens = Cone(m.party_parts(a), tol).generators
+        gens = Cone([m.part(j, a) for j in range(len(m))], tol).generators
         same = reference_same_ray_masks(gens, tol)
         out.append([same[j] | sum(1 << i for i in range(len(gens))
                                   if same[i] >> j & 1)
@@ -296,7 +296,7 @@ def visited_splits(m, cap, monkeypatch):
     monkeypatch.setattr(nogo, "_candidate_splits", spy)
     find_partition_witness(m, cap)
     monkeypatch.undo()
-    n = len(m.ops)
+    n = len(m)
     return [(tuple(j for j in range(n) if u >> j & 1),
              tuple(j for j in range(n) if not u >> j & 1))
             for u in (seen[0] if seen else [])]
@@ -306,7 +306,7 @@ def test_scan_visits_exactly_the_splits_two_parties_let_through(monkeypatch):
     """The component unions are the bipartitions (in their order, under the
     same cap) where at least two parties have no linked pair across."""
     for m, cap in scan_cases():
-        n = len(m.ops)
+        n = len(m)
         linked = linked_by_reference(m)
         expected = [(s1, s2) for s1, s2 in _bipartitions(n, None if n <= cap else 2)
                     if sum(not any(row[j] >> i & 1 for j in s1 for i in s2)

@@ -1,11 +1,26 @@
 """The README's terminal sessions are replayed through the CLI, so the
-transcripts it shows stay what the program prints."""
+transcripts it shows stay what the program prints, and its Python examples
+are run, so they follow the library's API."""
 import pathlib
 import shlex
 
 from loccforge.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def readme_python_blocks():
+    """The text of every fenced block of README.md opened with ```python."""
+    blocks, block = [], None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if block is None and line == "```python":
+            block = []
+        elif block is not None and line.startswith("```"):
+            blocks.append("\n".join(block))
+            block = None
+        elif block is not None:
+            block.append(line)
+    return blocks
 
 
 def readme_sessions():
@@ -35,3 +50,13 @@ def test_readme_sessions_match_the_cli(capsys, monkeypatch):
         assert argv[0] == "loccforge", cmd
         main(argv[1:])
         assert capsys.readouterr().out.splitlines() == expected, cmd
+
+
+def test_readme_python_blocks_run(capsys, monkeypatch):
+    """Each ```python block runs from the checkout root and prints."""
+    monkeypatch.chdir(ROOT)
+    blocks = readme_python_blocks()
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+        assert capsys.readouterr().out, code

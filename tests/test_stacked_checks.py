@@ -61,12 +61,13 @@ def ref_is_psd(m, tol=PSD_TOL):
 def ref_diagnostics(m, tol):
     """validate's diagnostics other than duplicates, part by part."""
     out = []
-    for j, op in enumerate(m.ops):
-        for a, p in enumerate(op.parts):
+    for j in range(len(m)):
+        for a in range(m.P):
+            p = m.part(j, a)
             where = f"operators[{j}].parts[{a}]"
-            if float(np.abs(p.mat).max(initial=0.0)) <= tol:
+            if float(np.abs(p).max(initial=0.0)) <= tol:
                 out.append(("zero-part", where, "local part is numerically zero"))
-            elif not ref_is_psd(p.mat, tol):
+            elif not ref_is_psd(p, tol):
                 out.append(("not-psd", where, "local part has a negative eigenvalue"))
     return out
 
@@ -331,7 +332,8 @@ def test_products_and_residuals_are_those_of_np_kron():
     instances = three_party_instances()
     assert 2 in [seed for seed, *_ in instances]
     for seed, t, m, x in instances:
-        products = [functools.reduce(np.kron, op.mats) for op in m.ops]
+        products = [functools.reduce(np.kron, [m.part(j, a) for a in range(m.P)])
+                    for j in range(len(m))]
         assert m.products().tobytes() == np.array(products).tobytes()
         cols = np.column_stack([vectorize(k) for k in products])
         w = feasible_point(cols, vectorize(m.identity()), tol=LP_TOL, lower=1e-7)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -222,8 +224,9 @@ def test_align_weights_random_trees(rng):
         t, m, x = random_valid_tree(rng)
         res = extract_measurement(t, m, x)
         total = np.zeros((m.total_dim(), m.total_dim()), dtype=complex)
+        e = res.measurement
         for i, w in enumerate(res.weights):
-            total += w * res.measurement.ops[i].product()
+            total += w * functools.reduce(np.kron, [e.part(i, a) for a in range(e.P)])
         assert np.abs(total - m.identity()).max() <= 1e-8 * (1 + 1.0)
 
 
