@@ -12,7 +12,12 @@ import dataclasses
 
 import numpy as np
 
-from .errors import FactorizationFailureError, LiftError, NoKrausDataError
+from .errors import (
+    FactorizationFailureError,
+    LiftError,
+    NoKrausDataError,
+    ZeroOperatorError,
+)
 from .hermitian import LP_TOL, proportional, psd_sqrt
 from .measurement import SeparableMeasurement
 from .tree import ProtocolTree, leaf_operator, leaf_products
@@ -96,7 +101,10 @@ def lift(tree: ProtocolTree, assignment, m: SeparableMeasurement,
             pos = kp.positive_parts()
             rs = []
             for a in range(m.P):
-                r = proportional(pos[a], base[a], max(tol, 1e-8))
+                try:
+                    r = proportional(pos[a], base[a], max(tol, 1e-8))
+                except ZeroOperatorError:
+                    r = None  # a zero factor is proportional to no part
                 if r is None:
                     raise LiftError(
                         f"kraus group for operator {i} is not internally "

@@ -23,24 +23,10 @@ the subset's. A subset with an infeasible one-smaller subset is therefore
 infeasible without an LP, and the maximal classes, the mergers and the
 no-new-class test see the same family.
 
-The same restriction certifies many subsets with one LP (MaxMiner's
-look-ahead, Bayardo 1998). Every later candidate grown from a group of level
-tuples with one prefix p is a subset of the group's union u = p plus the
-group's last ids, so before the group is expanded u gets one counted LP. If
-u is feasible, a later candidate inside u (a bitmask test) joins `known`
-without an LP; if not, u's answer is kept and u is never tested again. The
-family returned is the same set, so only `lps_solved` moves. A look-ahead
-runs for groups of at least LOOKAHEAD_GROUP = 3 tuples, because a group of
-two grows one candidate, which is u itself; and for unions of at most
-LOOKAHEAD_TREES = 8 trees. The cap keeps every certified family within 2^8
-subsets per counted LP, so `max_lps` still bounds a search. Uncapped, the
-look-ahead certified a family of millions of sets on random-tree seed 51
-without spending the LP budget: a search that built every family before
-testing a merger ran past 200 s there, against about 15 s with the cap (the
-cover search now finds seed 51's protocol in 2,508 LPs). The cap also
-bounds what the simplex pivots through by Bland's rule: a look-ahead LP,
-like every class LP, is solved one party at a time (below), so each LP
-it solves has the columns of at most 8 trees at one party.
+Every set admitted to `known`, except a single tree with no constraint
+rows, costs exactly one counted LP, so `max_lps` bounds each round's family
+directly. The largest class LP a family pass solves is one tree more than
+its largest feasible set.
 
 Each round extends the last one's search: a round only adds trees, and a
 fixed set's feasibility never changes, so every subset of last round's trees
@@ -101,13 +87,13 @@ took that basis to 5,200 LPs, against 2,774 for the family-first search and
 
 The two passes share every answer: a set the search finds feasible joins
 `known`, and one it finds infeasible joins `refuted`, which the family pass
-reads for its candidates and look-ahead unions; so no (free party, set) gets
-two LPs in a run. Where a round holds no protocol the search still tests
-sets the family never would, those with an infeasible subset that is not a
-prefix, as on the products of domino9 with a product basis. Every set the
-search merges is a full-coverage member of the family, and when the round
-builds its families that tree is reused at its place in the round's (free,
-size, ids) merge list. Tree ids thus follow the round's merge order, so the
+reads for its candidates; so no (free party, set) gets two LPs in a run.
+Where a round holds no protocol the search still tests sets the family
+never would, those with an infeasible subset that is not a prefix, as on
+the products of domino9 with a product basis. Every set the search merges
+is a full-coverage member of the family, and when the round builds its
+families that tree is reused at its place in the round's (free, size, ids)
+merge list. Tree ids thus follow the round's merge order, so the
 next round sees the same tree list as if every merger had been built at
 once, and no tree is built twice. `max_trees` counts the trees built and is
 checked before each merge, so a round that holds a protocol returns it even
@@ -236,12 +222,6 @@ from .tree import (
     root_for,
     validate_assignment,
 )
-
-# A look-ahead LP tests the union of a group of at least LOOKAHEAD_GROUP
-# level tuples when it has at most LOOKAHEAD_TREES trees; the module
-# docstring gives the reasons for both.
-LOOKAHEAD_GROUP = 3
-LOOKAHEAD_TREES = 8
 
 
 @dataclasses.dataclass
@@ -427,48 +407,30 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     """The feasible subsets of the ascending eligible ids that hold an id >=
     start, level by level; `known` must hold this free party's feasible
     subsets of the ids below start, and gains every feasible subset found.
-    refuted holds sets known to be infeasible (`_cover_search`'s) and gains
-    the infeasible look-ahead unions; a set in known or refuted gets no LP.
-    rows is passed to `_class_feasible`.
+    refuted holds sets known to be infeasible (`_cover_search`'s) and is only
+    read; a set in known or refuted gets no LP. rows is passed to
+    `_class_feasible`.
 
     Level k+1 joins two feasible level-k tuples that share their first k-1
     ids; a candidate gets an LP only when every one-smaller subset is
     feasible (the family is downward closed). Each level is in ascending
-    order of its tuples. Before a group of at least LOOKAHEAD_GROUP tuples
-    with one prefix is expanded, the union of the group gets one look-ahead
-    LP when it has at most LOOKAHEAD_TREES trees (module docstring).
+    order of its tuples.
     """
-    refuted = set() if refuted is None else refuted
-    certified = []   # bitmasks of the feasible look-ahead unions
-
-    def covered(c):
-        bits = sum(1 << i for i in c)
-        return any(bits & u == bits for u in certified)
+    refuted = refuted or ()
 
     def check(c):
         if (c not in known and c[-1] >= start and c not in refuted
-                and (covered(c) or _class_feasible(trees, c, free_party, m,
-                                                   stats, max_lps, tol, rows))):
+                and _class_feasible(trees, c, free_party, m, stats, max_lps,
+                                    tol, rows)):
             known.add(c)
         return c in known
-
-    def look_ahead(u):
-        if (len(u) <= LOOKAHEAD_TREES and u[-1] >= start and u not in refuted
-                and not covered(u)):
-            if u in known or _class_feasible(trees, u, free_party, m, stats,
-                                             max_lps, tol, rows):
-                certified.append(sum(1 << i for i in u))
-            else:
-                refuted.add(u)
 
     level = [(i,) for i in eligible if check((i,))]
     family = list(level)
     while level:
         nxt = []
-        for prefix, group in itertools.groupby(level, key=lambda c: c[:-1]):
+        for _, group in itertools.groupby(level, key=lambda c: c[:-1]):
             group = list(group)
-            if len(group) >= LOOKAHEAD_GROUP:
-                look_ahead(prefix + tuple(c[-1] for c in group))
             for n, a in enumerate(group):
                 for b in group[n + 1:]:
                     c = a + b[-1:]

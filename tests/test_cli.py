@@ -374,6 +374,23 @@ def test_lift_digest_mismatch(tmp_path, capsys):
     assert "different measurement" in err
 
 
+def test_lift_names_a_zero_kraus_factor(tmp_path, capsys):
+    """A zero Kraus factor passes validate and synthesize, which read only
+    the operators; lift exits 1 naming its operator and party."""
+    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
+    factor = doc["operators"][0]["kraus"][0][0]
+    doc["operators"][0]["kraus"][0][0] = [[[0.0, 0.0] for _ in row]
+                                          for row in factor]
+    meas, proto = tmp_path / "zero.json", tmp_path / "proto.json"
+    meas.write_text(json.dumps(doc))
+    assert run(capsys, "validate", str(meas))[0] == 0
+    assert run(capsys, "synthesize", str(meas), "--save", str(proto))[0] == 0
+    code, _, err = run(capsys, "lift", str(meas), "--protocol", str(proto))
+    assert code == 1
+    assert ("kraus group for operator 0 is not internally proportional at "
+            "party 0") in err
+
+
 def test_lift_rejects_protocol_without_tree(tmp_path, capsys):
     proto = tmp_path / "none.json"
     code, _, _ = run(capsys, "synthesize", fx("domino9"), "--save", str(proto))

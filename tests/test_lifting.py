@@ -104,6 +104,16 @@ def test_inconsistent_group_raises():
         lift(leaf_tree(m, 0), np.ones(2), m)
 
 
+def test_zero_kraus_factor_raises_lift_error():
+    """A zero Kraus factor is proportional to no part: lift names its
+    operator and party, as for any other factor."""
+    m = measurement_from_parts(
+        [[P0, I2]], kraus_groups=[[KrausProduct((np.zeros((2, 2)), I2))]])
+    with pytest.raises(LiftError, match="kraus group for operator 0 is not "
+                       "internally proportional at party 0"):
+        lift(leaf_tree(m, 0), np.ones(2), m)
+
+
 def test_leaf_naming_two_operators_is_rejected():
     """Pooling the coin flip between the first two outcomes leaves one leaf
     that names operators 0 and 1; neither weighing nor lifting picks one."""
