@@ -20,15 +20,7 @@ from .errors import (
     UnboundVariableError,
     ZeroOperatorError,
 )
-from .hermitian import (
-    HermitianOperator,
-    is_hermitian,
-    is_psd,
-    proportional,
-    psd_sqrt,
-    tensor,
-    vectorize,
-)
+from .hermitian import proportional, psd_sqrt, tensor, vectorize
 from .io import (
     ProtocolDocument,
     export_dot,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimMismatchError, InvalidOperatorError
-from .hermitian import LP_TOL, PSD_TOL, asmat, vectorize
+from .hermitian import LP_TOL, PSD_TOL, vectorize
 from .simplex import feasible_point
 
 
@@ -64,7 +64,7 @@ class Cone:
 
 def member(X, C: Cone, tol: float = LP_TOL) -> np.ndarray | None:
     """Nonnegative c with sum(c_i G_i) = X within tolerance, or None."""
-    x = asmat(X)
+    x = np.asarray(X, dtype=complex)
     if x.shape != (C.dim, C.dim):
         raise DimMismatchError("operator and cone dimensions differ")
     return feasible_point(C._vecs, vectorize(x), tol=tol)

@@ -6,7 +6,8 @@ class LoccForgeError(Exception):
 
 
 class InvalidOperatorError(LoccForgeError):
-    """A matrix fails a structural requirement (not square, not Hermitian, empty input)."""
+    """Input fails a structural requirement (a matrix not square or not
+    Hermitian, empty input, repeated labels or party names)."""
 
 
 class ZeroOperatorError(LoccForgeError):
@@ -60,7 +61,8 @@ class FactorizationFailureError(LiftError):
 class ParseError(LoccForgeError):
     """A document could not be parsed; message carries location context.
 
-    kind is one of "syntax", "shape", "not-psd", "duplicate-product".
+    kind is one of "syntax", "shape", "not-psd", "kraus-factor",
+    "duplicate-product".
     """
 
     def __init__(self, message, kind="syntax"):

@@ -1,14 +1,14 @@
 """Dense complex Hermitian operator numerics.
 
-The rest of the package works with plain numpy arrays; this module owns the
-conventions: tolerance semantics for PSD tests, proportionality up to a
-positive scalar, Kronecker products, matrix square roots, and the real
-vectorization that turns operator equalities into LP rows.
+The package works with plain numpy arrays, and every routine here reads its
+input as a complex array; this module owns the conventions: tolerance
+semantics for PSD tests, proportionality up to a positive scalar, Kronecker
+products, matrix square roots, and the real vectorization that turns
+operator equalities into LP rows.
 
 The hermiticity and PSD tests are written once, over an (N, d, d) stack
-(`hermitian_stack`, `psd_mask`), so a caller holding many same-shape matrices
-tests them in one numpy call; `is_hermitian`, `is_psd` and the
-`HermitianOperator` constructor apply them to a stack of one. `tensor` and
+(`hermitian_stack`, `psd_mask`); `SeparableMeasurement`, their one
+caller, applies them to each party's parts in one numpy call. `tensor` and
 `vectorize` take stacks too, such as a measurement's party stacks.
 
 Vectorization basis order for a d x d Hermitian M: the d diagonal entries in
@@ -30,14 +30,6 @@ PSD_TOL = 1e-9
 LP_TOL = 1e-8
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def asmat(x) -> np.ndarray:
-    """Coerce a HermitianOperator or array-like to a complex ndarray."""
-    if isinstance(x, HermitianOperator):
-        return x.mat
-    return np.asarray(x, dtype=complex)
-
 
 NOT_HERMITIAN = "matrix is not Hermitian within tolerance"
 
@@ -64,64 +56,14 @@ def psd_mask(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     return w[:, 0] >= -tol * np.maximum(1.0, radius)
 
 
-def is_hermitian(m, tol: float = HERM_TOL) -> bool:
-    m = asmat(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(hermitian_stack(m[None], tol)[0][0])
-
-
-class HermitianOperator:
-    """A validated dim x dim complex Hermitian matrix.
-
-    Construction checks hermiticity within `tol`, then symmetrizes, so entries
-    satisfy M[i][j] == conj(M[j][i]) exactly. It is an input type: a
-    `SeparableMeasurement` takes it as a part and keeps only its matrix, in
-    the party's stack, read through `m.part(j, a)` and `m.stack(a)`.
-    """
-
-    __slots__ = ("mat", "dim")
-
-    def __init__(self, mat, tol: float = HERM_TOL):
-        m = np.asarray(mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidOperatorError(f"expected a square matrix, got shape {m.shape}")
-        ok, stack = hermitian_stack(m[None], tol)
-        if not ok[0]:
-            raise InvalidOperatorError(NOT_HERMITIAN)
-        self.mat = stack[0]
-        self.dim = int(m.shape[0])
-
-    def is_psd(self, tol: float = PSD_TOL) -> bool:
-        return is_psd(self, tol)
-
-    def __repr__(self):
-        return f"HermitianOperator(dim={self.dim})"
-
-
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * max(1, spectral radius).
-
-    A HermitianOperator is exactly Hermitian, so only other input is checked
-    Hermitian and symmetrized first."""
-    if isinstance(m, HermitianOperator):
-        return bool(psd_mask(m.mat[None], tol)[0])
-    m = asmat(m)
-    if m.ndim == 2 and m.shape[0] == m.shape[1]:
-        ok, stack = hermitian_stack(m[None])
-        if ok[0]:
-            return bool(psd_mask(stack, tol)[0])
-    raise InvalidOperatorError("is_psd needs a square Hermitian matrix")
-
-
 def proportional(m, n, tol: float = LP_TOL) -> float | None:
     """Return lam > 0 with M = lam * N entrywise within tolerance, else None.
 
     lam is estimated from traces (stable for PSD operators), then verified
     entrywise. Numerically zero inputs are rejected rather than matched.
     """
-    m = asmat(m)
-    n = asmat(n)
+    m = np.asarray(m, dtype=complex)
+    n = np.asarray(n, dtype=complex)
     if m.shape != n.shape:
         return None
     mmax = float(np.abs(m).max(initial=0.0))
@@ -169,7 +111,7 @@ def tensor(parts) -> np.ndarray:
     """Kronecker product of the given operators, in order; of (N, d, d)
     stacks, the N products matrix by matrix. Each entry is the one product
     of parts' entries that chained `np.kron` forms, so both agree bit for bit."""
-    mats = [asmat(p) for p in parts]
+    mats = [np.asarray(p, dtype=complex) for p in parts]
     if not mats:
         raise InvalidOperatorError("tensor of an empty list")
     out = mats[0]
@@ -182,7 +124,7 @@ def tensor(parts) -> np.ndarray:
 
 def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
     """Positive square root by eigendecomposition; tiny negative eigenvalues clamp to 0."""
-    m = asmat(m)
+    m = np.asarray(m, dtype=complex)
     w, u = np.linalg.eigh((m + m.conj().T) / 2.0)
     radius = max(abs(float(w[0])), abs(float(w[-1])), 1.0)
     if float(w[0]) < -tol * radius:
@@ -203,7 +145,7 @@ def _triu(dim: int) -> tuple[np.ndarray, np.ndarray]:
 def vectorize(m) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in the documented basis order;
     of an (N, d, d) stack, one row per matrix."""
-    m = asmat(m)
+    m = np.asarray(m, dtype=complex)
     iu = _triu(m.shape[-1])
     off = m[..., iu[0], iu[1]]
     return np.concatenate([m.diagonal(axis1=-2, axis2=-1).real,

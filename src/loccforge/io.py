@@ -6,8 +6,9 @@ produce byte-identical output.
 
 The parser checks a measurement document's syntax and each part's shape;
 `SeparableMeasurement` checks each party's parts for hermiticity as one
-stack, and the first part in document order that fails is the error.
-Positivity and duplicates are `validate`'s.
+stack, and the first part in document order that fails is the error, then
+that the labels and the party names are distinct. Positivity, Kraus factors
+and duplicates are `validate`'s.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ PROTOCOL_FORMAT = "loccforge.protocol/1"
 _KIND_MAP = {
     "zero-part": "not-psd",
     "not-psd": "not-psd",
+    "kraus-factor": "kraus-factor",
     "duplicate-product": "duplicate-product",
 }
 
@@ -161,8 +163,6 @@ def _measurement_from(raw, tol):
         if dims[-1] < 1:
             raise ParseError(f"parties[{i}].dim must be positive, got {dims[-1]}",
                              kind="shape")
-    if len(set(names)) != len(names):
-        raise ParseError("party names must be distinct", kind="shape")
     labels, parts, kraus = [], [], []
     for j, op in enumerate(_nonempty(raw, "operators", "")):
         where = f"operators[{j}]"
@@ -173,8 +173,6 @@ def _measurement_from(raw, tol):
         kraus.append(kr and tuple(
             _decode_parts(prod, dims, f"{where}.kraus[{g}]")
             for g, prod in enumerate(kr)))
-    if len(set(labels)) != len(labels):
-        raise ParseError("operator labels must be distinct", kind="shape")
     _field(raw, "meta", "", dict, None)
     # missing Kraus factors beside given ones are the parts' square roots; if
     # a part has none at `tol`, validate reports it, so none are kept
@@ -189,14 +187,14 @@ def _measurement_from(raw, tol):
     try:
         return SeparableMeasurement(parts, labels=tuple(labels),
                                     party_names=tuple(names), kraus_groups=groups)
-    except InvalidOperatorError as e:   # a part that is not Hermitian
+    except InvalidOperatorError as e:   # a part not Hermitian, a name repeated
         raise ParseError(str(e), kind="shape") from e
 
 
 def parse_document(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
     """The measurement a document describes, unvalidated: syntax and shape
-    are checked, positivity and duplicates are left to `validate`. A part
-    that is not Hermitian is a ParseError naming it."""
+    are checked, positivity, Kraus factors and duplicates are left to
+    `validate`. A part not Hermitian, or a name repeated, is a ParseError."""
     return _load(text, _measurement_from, tol)
 
 

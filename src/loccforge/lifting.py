@@ -12,14 +12,9 @@ import dataclasses
 
 import numpy as np
 
-from .errors import (
-    FactorizationFailureError,
-    LiftError,
-    NoKrausDataError,
-    ZeroOperatorError,
-)
-from .hermitian import LP_TOL, proportional, psd_sqrt
-from .measurement import SeparableMeasurement
+from .errors import FactorizationFailureError, LiftError, NoKrausDataError
+from .hermitian import LP_TOL, psd_sqrt
+from .measurement import SeparableMeasurement, kraus_ratio
 from .tree import ProtocolTree, leaf_operator, leaf_products
 
 _KERNEL_CUT = 1e-12
@@ -101,10 +96,7 @@ def lift(tree: ProtocolTree, assignment, m: SeparableMeasurement,
             pos = kp.positive_parts()
             rs = []
             for a in range(m.P):
-                try:
-                    r = proportional(pos[a], base[a], max(tol, 1e-8))
-                except ZeroOperatorError:
-                    r = None  # a zero factor is proportional to no part
+                r = kraus_ratio(pos[a], base[a], max(tol, 1e-8))
                 if r is None:
                     raise LiftError(
                         f"kraus group for operator {i} is not internally "

@@ -10,7 +10,8 @@ the identity; that certificate is an LP.
 The constructor checks every part's shape and hermiticity and keeps the
 symmetrized stacks, so no measurement with a ragged or 0-dim part exists.
 A party's zero and PSD verdicts (`verdicts`) take one `eigvalsh`;
-`validate` reports the parts they flag, and `cone` raises on the first.
+`validate` reports the parts they flag and the Kraus factors that
+contradict their operator, and `cone` raises on the first flagged part.
 They, the diagnostics, the same-ray tables (`same_ray`), the cones, the
 columns and the products are kept in the measurement's one memo, so each is
 found once per party and tolerance. No other module checks a part.
@@ -37,7 +38,6 @@ from .hermitian import (
     LP_TOL,
     NOT_HERMITIAN,
     PSD_TOL,
-    asmat,
     hermitian_stack,
     proportional,
     psd_mask,
@@ -60,7 +60,7 @@ class KrausProduct:
 
 @dataclasses.dataclass(frozen=True)
 class Diagnostic:
-    kind: str   # "zero-part" | "not-psd" | "duplicate-product"; shape is the constructor's
+    kind: str   # "zero-part" | "not-psd" | "kraus-factor" | "duplicate-product"
     where: str  # e.g. "operators[2].parts[1]"
     detail: str
 
@@ -76,6 +76,7 @@ class CompletenessCertificate:
 
 ZERO_PART = "local part is numerically zero"
 NOT_PSD = "local part has a negative eigenvalue"
+KRAUS_OFF = "K^dagger K is not a positive multiple of the operator's part"
 
 
 def default_party_names(P: int) -> tuple[str, ...]:
@@ -88,15 +89,16 @@ def default_party_names(P: int) -> tuple[str, ...]:
 class SeparableMeasurement:
     """Immutable container for the party stacks, labels, and Kraus groups.
 
-    `ops` holds one row of P part matrices per operator (array-likes or
-    HermitianOperators). The constructor checks every part's shape and
-    hermiticity, and `verdicts` finds its zero and PSD tests. First the
+    `ops` holds one row of P part matrices per operator, each an array-like.
+    The constructor checks every part's shape and hermiticity, and
+    `verdicts` finds its zero and PSD tests. First the
     shapes: every operator has P parts and its part at party a is
     dims[a] x dims[a] with dims[a] >= 1, where operator 0 sets P and the
     dims; else a DimMismatchError names `operators[j]` or
     `operators[j].parts[a]`. Then each party's parts, stacked, pass
     `hermitian_stack`; else an InvalidOperatorError names the part. Either
-    names the first failure in operator order, then party order.
+    names the first failure in operator order, then party order. Last, the
+    labels and the party names must be distinct, one per operator and party.
 
     What is derived from the stacks is kept in one memo, `_memo`, keyed by
     its kind and the party and tolerance it was found for.
@@ -106,7 +108,7 @@ class SeparableMeasurement:
                  "_stacks", "_memo")
 
     def __init__(self, ops, labels=None, party_names=None, kraus_groups=None):
-        rows = [[asmat(p) for p in op] for op in ops]
+        rows = [[np.asarray(p, dtype=complex) for p in op] for op in ops]
         if not rows:
             raise InvalidOperatorError("a measurement needs at least one operator")
         P = len(rows[0])
@@ -134,9 +136,13 @@ class SeparableMeasurement:
             f"M{j + 1}" for j in range(len(rows)))
         if len(self.labels) != len(rows):
             raise InvalidOperatorError("label count does not match operator count")
+        if len(set(self.labels)) != len(self.labels):
+            raise InvalidOperatorError("operator labels must be distinct")
         self.party_names = tuple(party_names) if party_names is not None else default_party_names(P)
         if len(self.party_names) != P:
             raise DimMismatchError("party name count does not match party count")
+        if len(set(self.party_names)) != P:
+            raise InvalidOperatorError("party names must be distinct")
         if kraus_groups is not None:
             kraus_groups = tuple(tuple(g) for g in kraus_groups)
             if len(kraus_groups) != len(rows):
@@ -216,15 +222,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
     """All violated invariants as structured diagnostics; empty iff valid.
 
-    The constructor has checked every part's shape and hermiticity, so only
-    positivity and duplicates are left. A part is zero or not PSD by
-    `m.verdicts`, which tests a party's parts at once and which `m.cone`
-    reads too; a zero part is reported as zero only.
-    Diagnostics follow operator order, then party order. Operator jp > j
-    duplicates j when every part of jp is proportional to j's,
-    `proportional(part(jp, a), part(j, a), tol)`. Only operators whose parts
-    all passed are compared, so no part of a compared pair is zero at `tol`
-    and `m.same_ray(a, tol)` answers every such pair as `proportional` would.
+    The constructor has checked every part's shape and hermiticity, so
+    positivity, Kraus factors and duplicates are left. A part is zero or not
+    PSD by `m.verdicts`, which tests a party's parts at once and which
+    `m.cone` reads too; a zero part is reported as zero only. Each Kraus
+    factor K of an operator whose parts all passed is checked by `lift`'s
+    rule, `kraus_ratio(K^dagger K, part(j, a))` at LP_TOL, which fails a zero
+    factor; a failing factor is named `operators[j].kraus[g][a]`. These
+    diagnostics follow operator order, then Kraus entry and party order;
+    duplicates come last. Operator jp > j duplicates j when every part of jp
+    is proportional to j's, `proportional(part(jp, a), part(j, a), tol)`.
+    Only operators whose parts all passed are compared, so no part of a
+    compared pair is zero at `tol` and `m.same_ray(a, tol)` answers every
+    such pair as `proportional` would.
 
     The diagnostics are found once per measurement and `tol`; each call
     returns a new list of them.
@@ -235,7 +245,7 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
 def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
     zero, psd = zip(*(m.verdicts(a, tol) for a in range(m.P)))
     out: list[Diagnostic] = []
-    idx = []    # the operators with no diagnostic, compared for duplicates
+    idx = []    # the operators whose parts passed, compared for duplicates
     for j in range(len(m)):
         before = len(out)
         for a in range(m.P):
@@ -246,7 +256,12 @@ def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
                 out.append(Diagnostic("not-psd", where, NOT_PSD))
         if len(out) == before:
             idx.append(j)
-    # masks over all operators; only pairs of clean operators are read
+            for g, kp in enumerate(m.kraus_groups[j] if m.kraus_groups else ()):
+                for a, pos in enumerate(kp.positive_parts()):
+                    if kraus_ratio(pos, m.part(j, a)) is None:
+                        out.append(Diagnostic("kraus-factor",
+                                              f"operators[{j}].kraus[{g}][{a}]", KRAUS_OFF))
+    # masks over all operators; only pairs in idx are read
     same = [-1] * len(m)
     for a in range(m.P):
         same = [s & t for s, t in zip(same, m.same_ray(a, tol))]
@@ -256,6 +271,15 @@ def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
                 out.append(Diagnostic("duplicate-product", f"operators[{jp}]",
                                       f"product proportional to operators[{j}]"))
     return out
+
+
+def kraus_ratio(pos: np.ndarray, part: np.ndarray, tol: float = LP_TOL) -> float | None:
+    """`proportional(pos, part, tol)` for a Kraus factor's K^dagger K: the
+    lam > 0 with pos = lam * part, or None; a zero factor has none."""
+    try:
+        return proportional(pos, part, tol)
+    except ZeroOperatorError:
+        return None
 
 
 def from_kraus(kraus_ops, labels=None, party_names=None) -> SeparableMeasurement:

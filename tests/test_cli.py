@@ -374,21 +374,56 @@ def test_lift_digest_mismatch(tmp_path, capsys):
     assert "different measurement" in err
 
 
-def test_lift_names_a_zero_kraus_factor(tmp_path, capsys):
-    """A zero Kraus factor passes validate and synthesize, which read only
-    the operators; lift exits 1 naming its operator and party."""
-    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
-    factor = doc["operators"][0]["kraus"][0][0]
-    doc["operators"][0]["kraus"][0][0] = [[[0.0, 0.0] for _ in row]
-                                          for row in factor]
-    meas, proto = tmp_path / "zero.json", tmp_path / "proto.json"
+def run_every_command(capsys, tmp_path, doc):
+    """(code, out, err) of validate, check-nogo, synthesize and lift on a
+    measurement document; lift reads a protocol saved from krausdemo."""
+    meas, proto = tmp_path / "m.json", tmp_path / "proto.json"
     meas.write_text(json.dumps(doc))
-    assert run(capsys, "validate", str(meas))[0] == 0
-    assert run(capsys, "synthesize", str(meas), "--save", str(proto))[0] == 0
-    code, _, err = run(capsys, "lift", str(meas), "--protocol", str(proto))
-    assert code == 1
-    assert ("kraus group for operator 0 is not internally proportional at "
-            "party 0") in err
+    assert run(capsys, "synthesize", fx("krausdemo"), "--save", str(proto))[0] == 0
+    return [run(capsys, *argv) for argv in (
+        ("validate", str(meas)), ("check-nogo", str(meas)),
+        ("synthesize", str(meas)), ("lift", str(meas), "--protocol", str(proto)))]
+
+
+def assert_kraus_factor_refused(capsys, tmp_path, factor):
+    """krausdemo with operators[0].kraus[0][0] set to factor: validate lists
+    the factor and every other command exits 1 naming it, before any search."""
+    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
+    doc["operators"][0]["kraus"][0][0] = factor
+    located = ("operators[0].kraus[0][0]: K^dagger K is not a positive "
+               "multiple of the operator's part")
+    (code, out, err), *rest = run_every_command(capsys, tmp_path, doc)
+    assert code == 1 and err == ""
+    assert f"  [kraus-factor] {located}" in out.splitlines()
+    assert "verdict: rejected" in out
+    for code, out, err in rest:
+        assert (code, out, err) == (1, "", f"error: {located}\n")
+
+
+def test_lift_names_a_zero_kraus_factor(tmp_path, capsys):
+    """A zero Kraus factor is checked as lift checks it: every command
+    refuses the document, naming the factor."""
+    assert_kraus_factor_refused(capsys, tmp_path, [[0, 0], [0, 0]])
+
+
+def test_commands_name_a_kraus_factor_off_its_part(tmp_path, capsys):
+    """operators[0] is diag(1, 0) at party 0, so a factor diag(0, 1) there
+    is no factor of it."""
+    assert_kraus_factor_refused(capsys, tmp_path, [[0, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("field, message", [
+    ("parties", "party names must be distinct"),
+    ("operators", "operator labels must be distinct"),
+])
+def test_commands_refuse_repeated_names(tmp_path, capsys, field, message):
+    """The constructor refuses repeated party names or labels, so a document
+    that repeats one exits 1 from every command, with the constructor's text."""
+    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
+    name = "name" if field == "parties" else "label"
+    doc[field][1][name] = doc[field][0][name]
+    for code, out, err in run_every_command(capsys, tmp_path, doc):
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_lift_rejects_protocol_without_tree(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from loccforge.cones import Cone, _intersection_point, member
 from loccforge.errors import DimMismatchError, InvalidOperatorError
-from loccforge.hermitian import LP_TOL, asmat, devectorize, proportional
+from loccforge.hermitian import LP_TOL, devectorize, proportional
 
 from conftest import random_psd
 
@@ -39,7 +39,7 @@ def nontrivial_intersection(A, B, tol=LP_TOL):
 
 def is_singular_ray(k, generators, tol=LP_TOL):
     """True iff generator k is proportional to no other generator in the list."""
-    mats = [asmat(g) for g in generators]
+    mats = [np.asarray(g, dtype=complex) for g in generators]
     gk = mats[k]
     return all(i == k or proportional(g, gk, tol) is None
                for i, g in enumerate(mats))

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from loccforge.errors import InvalidOperatorError, ZeroOperatorError
+from loccforge.errors import DimMismatchError, InvalidOperatorError, ZeroOperatorError
 from loccforge.hermitian import (
     LP_TOL,
-    HermitianOperator,
+    PSD_TOL,
     devectorize,
-    is_hermitian,
-    is_psd,
+    hermitian_stack,
     proportional,
+    psd_mask,
     psd_sqrt,
     same_ray_masks,
     tensor,
     vectorize,
 )
+from loccforge.measurement import SeparableMeasurement
 
 from conftest import (
     load_fixture,
@@ -32,6 +33,14 @@ def char_poly_min_root(m):
     return real.min()
 
 
+def psd(m, tol=PSD_TOL):
+    """`psd_mask` on the one-matrix stack of a Hermitian m, symmetrized by
+    `hermitian_stack` as a measurement keeps its parts."""
+    ok, stack = hermitian_stack([m])
+    assert ok[0]
+    return bool(psd_mask(stack, tol)[0])
+
+
 def test_is_psd_against_char_poly_oracle(rng):
     agree = 0
     for _ in range(1000):
@@ -44,22 +53,26 @@ def test_is_psd_against_char_poly_oracle(rng):
         lo = char_poly_min_root(m)
         if abs(lo) < 1e-6 * scale:
             continue  # too close to the boundary for two oracles to agree
-        assert is_psd(m) == (lo > 0)
+        assert psd(m) == (lo > 0)
         agree += 1
     assert agree > 800
 
 
 def test_is_psd_boundary_tolerance():
-    assert is_psd(np.diag([1.0, 0.0]))
-    assert is_psd(np.diag([1.0, -1e-12]))
-    assert not is_psd(np.diag([1.0, -1e-6]))
+    assert psd(np.diag([1.0, 0.0]))
+    assert psd(np.diag([1.0, -1e-12]))
+    assert not psd(np.diag([1.0, -1e-6]))
 
 
 def test_is_psd_method_honours_each_tolerance():
-    op = HermitianOperator(np.diag([1.0, -5e-9]))
-    assert op.is_psd(1e-8)
-    assert not op.is_psd(1e-10)
-    assert not HermitianOperator(np.diag([1.0, -5e-9])).is_psd(1e-10)
+    """A measurement's PSD verdicts are kept per tolerance: each call reads
+    the one its tolerance asks for, in either order."""
+    part = np.diag([1.0, -5e-9])
+    assert psd(part, 1e-8) and not psd(part, 1e-10)
+    m = SeparableMeasurement([[part]])
+    assert m.verdicts(0, 1e-8)[1] == [True]
+    assert m.verdicts(0, 1e-10)[1] == [False]
+    assert SeparableMeasurement([[part]]).verdicts(0, 1e-10)[1] == [False]
 
 
 def test_proportional_symmetry_and_scaling(rng):
@@ -171,12 +184,17 @@ def test_vectorize_is_isometric(rng):
 
 
 def test_hermitian_operator_symmetrizes_and_rejects():
-    h = HermitianOperator(np.array([[1.0, 1e-12j], [-1e-12j, 2.0]]))
-    assert is_hermitian(h.mat, tol=0)
+    """A measurement keeps a part within the hermiticity tolerance
+    symmetrized, exactly Hermitian, and rejects a part off it or not square."""
+    near = np.array([[1.0, 1e-12j], [-1.1e-12j, 2.0]])
+    assert hermitian_stack([near])[0][0]
+    assert not hermitian_stack([near], tol=0)[0][0]
+    part = SeparableMeasurement([[near]]).part(0, 0)
+    assert hermitian_stack([part], tol=0)[0][0]
     with pytest.raises(InvalidOperatorError):
-        HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(InvalidOperatorError):
-        HermitianOperator(np.zeros((2, 3)))
+        SeparableMeasurement([[np.array([[0.0, 1.0], [0.0, 0.0]])]])
+    with pytest.raises(DimMismatchError):
+        SeparableMeasurement([[np.zeros((2, 3))]])
 
 
 def test_psd_sqrt_squares_back(rng):
@@ -185,7 +203,7 @@ def test_psd_sqrt_squares_back(rng):
         m = random_psd(rng, d)
         r = psd_sqrt(m)
         assert np.abs(r @ r - m).max() < 1e-9 * max(1, np.abs(m).max())
-        assert is_psd(r)
+        assert psd(r)
 
 
 def test_psd_sqrt_projector():

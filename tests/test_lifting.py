@@ -8,6 +8,7 @@ from loccforge.measurement import (
     KrausProduct,
     from_kraus,
     measurement_from_parts,
+    validate,
 )
 from loccforge.synthesis import synthesize
 from loccforge.tree import (
@@ -106,9 +107,11 @@ def test_inconsistent_group_raises():
 
 def test_zero_kraus_factor_raises_lift_error():
     """A zero Kraus factor is proportional to no part: lift names its
-    operator and party, as for any other factor."""
+    operator and party, as for any other factor, for a caller that skips
+    `validate`, which names the factor."""
     m = measurement_from_parts(
         [[P0, I2]], kraus_groups=[[KrausProduct((np.zeros((2, 2)), I2))]])
+    assert [d.where for d in validate(m)] == ["operators[0].kraus[0][0]"]
     with pytest.raises(LiftError, match="kraus group for operator 0 is not "
                        "internally proportional at party 0"):
         lift(leaf_tree(m, 0), np.ones(2), m)

@@ -10,13 +10,14 @@ from loccforge.errors import (
     ZeroOperatorError,
 )
 from loccforge.hermitian import (
-    HermitianOperator,
+    hermitian_stack,
     proportional,
     psd_sqrt,
     tensor,
     vectorize,
 )
 from loccforge.measurement import (
+    KrausProduct,
     SeparableMeasurement,
     completeness_certificate,
     from_kraus,
@@ -163,14 +164,36 @@ def test_non_hermitian_part_is_named():
                                 "matrix is not Hermitian within tolerance")
 
 
+def test_repeated_names_are_refused():
+    for kw, message in (({"labels": ["X", "X"]}, "operator labels must be distinct"),
+                        ({"party_names": ["A", "A"]}, "party names must be distinct")):
+        with pytest.raises(InvalidOperatorError, match=f"^{message}$"):
+            SeparableMeasurement([[P0, I2], [P1, I2]], **kw)
+
+
+def test_validate_checks_each_kraus_factor_as_lift_does():
+    """A factor whose K^dagger K is off its part's ray, or zero, is named; the
+    factors of an operator with a flagged part are not read."""
+    assert validate(load_fixture("krausdemo")) == []
+    m = measurement_from_parts(
+        [[P0, I2], [P1, I2], [np.diag([1.0, -1.0]), I2]],
+        kraus_groups=[[KrausProduct((P0, I2)), KrausProduct((np.zeros((2, 2)), I2))],
+                      [KrausProduct((P1, np.diag([2.0, 0.0])))],
+                      [KrausProduct((P1, I2))]])
+    assert [(d.kind, d.where) for d in validate(m)] == [
+        ("kraus-factor", "operators[0].kraus[1][0]"),
+        ("kraus-factor", "operators[1].kraus[0][1]"),
+        ("not-psd", "operators[2].parts[0]")]
+
+
 def test_parts_are_one_symmetrized_stack_per_party():
-    """Raw arrays, HermitianOperators and another measurement's parts give
-    the same measurement; every operator's part views its party's read-only
-    stack."""
+    """Arrays, nested lists and another measurement's parts give the same
+    measurement; every operator's part views its party's read-only stack,
+    bit for bit the matrix's `hermitian_stack`."""
     rng = np.random.default_rng(3)
     raw = [[random_psd(rng, 2), random_psd(rng, 3)] for _ in range(4)]
     m = measurement_from_parts(raw)
-    again = SeparableMeasurement([[HermitianOperator(p) for p in parts] for parts in raw])
+    again = SeparableMeasurement([[p.tolist() for p in parts] for parts in raw])
     third = SeparableMeasurement([[m.part(j, a) for a in range(m.P)]
                                   for j in range(len(m))])
     for a in range(m.P):
@@ -179,7 +202,7 @@ def test_parts_are_one_symmetrized_stack_per_party():
         assert again.stack(a).tobytes() == third.stack(a).tobytes() == s.tobytes()
         for j in range(len(m)):
             assert np.shares_memory(m.part(j, a), s)
-            assert m.part(j, a).tobytes() == HermitianOperator(raw[j][a]).mat.tobytes()
+            assert m.part(j, a).tobytes() == hermitian_stack([raw[j][a]])[1][0].tobytes()
 
 
 def test_from_kraus_groups_duplicates():

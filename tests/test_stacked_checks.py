@@ -23,9 +23,8 @@ from loccforge.hermitian import (
     HERM_TOL,
     LP_TOL,
     PSD_TOL,
-    HermitianOperator,
-    is_hermitian,
-    is_psd,
+    hermitian_stack,
+    psd_mask,
     vectorize,
 )
 from loccforge.io import parse_document, parse_measurement
@@ -157,15 +156,17 @@ def random_part(rng, d, tol):
 
 
 def test_single_matrix_checks_match_the_references(rng):
+    """The stacked checks on a stack of one matrix, and a one-part
+    measurement's verdict, agree with the references."""
     for _ in range(400):
         d = int(rng.integers(1, 5))
         tol = float(rng.choice(TOLS))
         m = edge_hermitian(rng, d, 1.0 + rng.choice([-1e-6, 1e-6])) if d > 1 \
             else random_hermitian(rng, 1)
-        assert is_hermitian(m) == ref_is_hermitian(m)
+        assert hermitian_stack([m])[0][0] == ref_is_hermitian(m)
         p = random_part(rng, d, tol)
-        assert is_psd(p, tol) == ref_is_psd(p, tol)
-        assert HermitianOperator(p).is_psd(tol) == ref_is_psd(p, tol)
+        assert psd_mask(hermitian_stack([p])[1], tol)[0] == ref_is_psd(p, tol)
+        assert SeparableMeasurement([[p]]).verdicts(0, tol)[1] == [ref_is_psd(p, tol)]
 
 
 def test_validate_matches_the_per_part_loop(rng):
