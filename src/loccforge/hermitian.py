@@ -92,13 +92,28 @@ def same_ray_masks(g: np.ndarray, tol: float = LP_TOL) -> list[int]:
     of mask j equals `proportional(g[i], g[j], tol) is not None` for every
     pair on which `proportional` does not raise. Numerically zero matrices
     are not rejected: a pair holding one is decided by the same three tests.
+    The broadcast does not depend on tol (`ray_terms`); only the comparisons
+    do (`ray_masks`), so a stack's masks at two tolerances share it.
     """
+    return ray_masks(ray_terms(g), tol)
+
+
+def ray_terms(g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tolerance-free terms of `same_ray_masks`: per matrix its trace and
+    max(1, max|M|), per pair (i, j) lam = tr_i / tr_j and max|M_i - lam M_j|."""
     # bit for bit the trace `proportional` takes of each matrix
     tr = np.trace(g, axis1=1, axis2=2).real
     scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = tr[:, None] / tr[None, :]
         err = np.abs(g[:, None] - lam[:, :, None, None] * g[None, :]).max(axis=(2, 3))
+    return tr, scale, lam, err
+
+
+def ray_masks(terms, tol: float = LP_TOL) -> list[int]:
+    """`same_ray_masks` at tol from the stack's `ray_terms`."""
+    tr, scale, lam, err = terms
+    with np.errstate(invalid="ignore"):
         ok = ((np.abs(tr) > tol * scale)[None, :] & (lam > 0)
               & (err <= tol * np.maximum(1.0, np.abs(lam)) * scale[None, :]))
     np.fill_diagonal(ok, False)

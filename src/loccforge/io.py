@@ -9,6 +9,15 @@ The parser checks a measurement document's syntax and each part's shape;
 stack, and the first part in document order that fails is the error, then
 that the labels and the party names are distinct. Positivity, Kraus factors
 and duplicates are `validate`'s.
+
+Each party's parts are decoded by one numpy conversion of all operators'
+parts at once (`_part_stacks`), when every part there is d x d of numbers or
+of [re, im] pairs, every number is an int or a float (not a bool) and all
+are finite. Anything else, a party mixing bare and paired entries included,
+is decoded by the entrywise reader (`_decode_matrix`), which reads every
+part in document order: it is the one source of an error naming a bad
+entry, and a bad entry is reported where that order puts it. Both readers
+give each entry the same complex value, bit for bit.
 """
 from __future__ import annotations
 
@@ -16,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -150,6 +160,44 @@ def _decode_parts(mats, dims, where):
                  in enumerate(zip(_entries(mats, len(dims), where), dims)))
 
 
+def _part_stacks(ops, dims):
+    """Per operator of the nonempty list `ops`, its parts as rows of one
+    (N, d, d) stack per party, each stack converted by one numpy call; None
+    when any operator or part is irregular, so that the entrywise reader
+    decodes them all and names the first bad entry. A stack is taken only
+    when its shape is (N, d, d) of numbers or (N, d, d, 2) of [re, im]
+    pairs, every number is an int or a float and all are finite: then the
+    entrywise reader would accept every part and decode each entry to the
+    same complex value."""
+    rows = [op.get("parts") if isinstance(op, dict) else None for op in ops]
+    if not all(isinstance(r, list) and len(r) == len(dims) for r in rows):
+        return None
+    stacks = []
+    for a, d in enumerate(dims):
+        mats = [r[a] for r in rows]
+        try:
+            x = np.array(mats, dtype=float)
+        except (ValueError, TypeError, OverflowError):   # ragged, or no number
+            return None
+        entries = chain.from_iterable(chain.from_iterable(mats))
+        if x.shape == (len(mats), d, d, 2):
+            entries = chain.from_iterable(entries)
+        elif x.shape != (len(mats), d, d):
+            return None
+        # numpy would read a bool, a numeric string or null as a number
+        if not set(map(type, entries)) <= {int, float} or not np.isfinite(x).all():
+            return None
+        g = np.zeros((len(mats), d, d), dtype=complex)
+        # assigned, not formed as re + 1j * im, which loses a -0.0 imaginary
+        # part as complex() keeps it
+        if x.ndim == 4:
+            g.real, g.imag = x[..., 0], x[..., 1]
+        else:
+            g.real = x
+        stacks.append(g)
+    return list(zip(*stacks))
+
+
 def _measurement_from(raw, tol):
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object", kind="syntax")
@@ -163,12 +211,14 @@ def _measurement_from(raw, tol):
         if dims[-1] < 1:
             raise ParseError(f"parties[{i}].dim must be positive, got {dims[-1]}",
                              kind="shape")
+    ops = _nonempty(raw, "operators", "")
+    stacked = _part_stacks(ops, dims)
     labels, parts, kraus = [], [], []
-    for j, op in enumerate(_nonempty(raw, "operators", "")):
+    for j, op in enumerate(ops):
         where = f"operators[{j}]"
         labels.append(_field(op, "label", where, str, f"M{j + 1}"))
-        parts.append(_decode_parts(_field(op, "parts", where, list), dims,
-                                   f"{where}.parts"))
+        parts.append(stacked[j] if stacked else _decode_parts(
+            _field(op, "parts", where, list), dims, f"{where}.parts"))
         kr = _nonempty(op, "kraus", where, None)
         kraus.append(kr and tuple(
             _decode_parts(prod, dims, f"{where}.kraus[{g}]")

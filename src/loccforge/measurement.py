@@ -14,11 +14,13 @@ A party's zero and PSD verdicts (`verdicts`) take one `eigvalsh`;
 contradict their operator, and `cone` raises on the first flagged part.
 They, the diagnostics, the same-ray tables (`same_ray`), the cones, the
 columns and the products are kept in the measurement's one memo, so each is
-found once per party and tolerance. No other module checks a part.
-`SeparableMeasurement.products` forms all Kronecker products as one stacked
-product; each entry is the one product of part entries that `np.kron` forms,
-so the stack, its vectorized columns and the completeness residual are bit
-for bit those of the parts' products taken one operator at a time.
+found once per party and tolerance; the same-ray tables of a party share
+one all-pairs broadcast, which does not depend on the tolerance. No other
+module checks a part. `SeparableMeasurement.products` forms all Kronecker
+products as one stacked product; each entry is the one product of part
+entries that `np.kron` forms, so the stack, its vectorized columns and the
+completeness residual are bit for bit those of the parts' products taken
+one operator at a time.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ from .hermitian import (
     hermitian_stack,
     proportional,
     psd_mask,
-    same_ray_masks,
+    ray_masks,
+    ray_terms,
     tensor,
     vectorize,
 )
@@ -169,9 +172,11 @@ class SeparableMeasurement:
         return self._stacks[alpha]
 
     def same_ray(self, alpha: int, tol: float = LP_TOL) -> list[int]:
-        """`same_ray_masks(stack(alpha), tol)`, found once per tolerance."""
-        return self._kept(("same_ray", alpha, tol),
-                          lambda: same_ray_masks(self.stack(alpha), tol))
+        """`same_ray_masks(stack(alpha), tol)`, found once per tolerance from
+        the party's `ray_terms`, which are found once."""
+        return self._kept(("same_ray", alpha, tol), lambda: ray_masks(
+            self._kept(("ray_terms", alpha), lambda: ray_terms(self.stack(alpha))),
+            tol))
 
     def verdicts(self, alpha: int, tol: float = PSD_TOL) -> tuple[list, list]:
         """Per part j of party alpha: zero, max|part| <= tol, and PSD by

@@ -17,6 +17,15 @@ part of its party, so a part may lie below the scans' `tol`;
 The singular-pair scan calls part j singular when its mask is empty, and
 extreme when the cone of the other parts misses it.
 
+The singular-pair scan skips the membership LPs that cannot complete a
+pair. Only a party where part j is singular can count for j, and those
+parties are tested in order only while the count so far plus the parties
+left can still reach two, so an operator singular at fewer than two parties
+gets no LP. A skipped LP only ever leaves a party uncounted for an operator
+that could not reach two with it, so the first witness and its two parties
+are those of a scan that tests every singular part, and every reported
+witness rests on two LPs that found the part outside the cone of the others.
+
 The partition scan skips two kinds of intersection LP whose answer is known.
 A split that puts two operators with proportional parts at party a on
 opposite sides shares their ray: both cones hold a nonzero point of it (the
@@ -81,18 +90,22 @@ class PartitionScanResult:
 def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
                                psd: float = PSD_TOL) -> NoGoWitness | None:
     """First operator (ascending index) with singular extreme parts at two
-    parties. The cones' parts are checked PSD and nonzero at `psd`."""
+    parties. Only parties where the part is singular get a membership LP,
+    and only while they can still make two (see the module docstring). The
+    cones' parts are checked PSD and nonzero at `psd`."""
     if len(m) < 2:
         # one outcome is always implementable; the conditions hold vacuously
         return None
     cones = [m.cone(a, psd) for a in range(m.P)]
     same = [m.same_ray(a, tol) for a in range(m.P)]
     for j in range(len(m)):
+        cand = [a for a in range(m.P) if not same[a][j]]
         others = [i for i in range(len(m)) if i != j]
         bad = []
-        for a in range(m.P):
-            if not same[a][j] and member(cones[a].generators[j],
-                                         cones[a].subcone(others), tol) is None:
+        for k, a in enumerate(cand):
+            if len(bad) + len(cand) - k < 2:
+                break
+            if member(cones[a].generators[j], cones[a].subcone(others), tol) is None:
                 bad.append(a)
                 if len(bad) == 2:
                     return NoGoWitness("singular-pair", j, None, (bad[0], bad[1]),

@@ -11,6 +11,8 @@ from loccforge.io import (
     MEASUREMENT_FORMAT,
     PROTOCOL_FORMAT,
     _caption,
+    _decode_parts,
+    _part_stacks,
     export_dot,
     measurement_digest,
     parse_document,
@@ -136,6 +138,122 @@ def test_document_values_are_checked(fields, literal, message):
         parse_measurement(text)
     syntax = literal == DEEP or message.startswith("integer literal")
     assert e.value.kind == ("syntax" if syntax else "shape")
+
+
+# numbers a document may hold, as json.loads returns them
+ENTRY_VALUES = [0, 1, -3, 2 ** 53 + 1, 10 ** 300 + 7, 0.0, -0.0, 0.5, -2.25,
+                5e-324, -1e-310, 1e308, -1e308, 1 / 3]
+
+
+def random_document(rng, pairs):
+    """(operators, dims) of a random document, read back from its JSON text.
+    `pairs` writes every entry as an [re, im] pair (True), none (False), or
+    a random mix (None). The parts need not be Hermitian."""
+    dims = [int(d) for d in rng.integers(1, 4, size=rng.integers(1, 4))]
+
+    def number():
+        if rng.random() < 0.5:
+            return ENTRY_VALUES[rng.integers(len(ENTRY_VALUES))]
+        return float(rng.standard_normal())
+
+    def entry():
+        pair = rng.random() < 0.5 if pairs is None else pairs
+        return [number(), number()] if pair else number()
+
+    ops = [{"parts": [[[entry() for _ in range(d)] for _ in range(d)]
+                      for d in dims]} for _ in range(rng.integers(1, 6))]
+    return json.loads(json.dumps(ops)), dims
+
+
+def test_stacked_decoder_matches_the_entrywise_reader():
+    """Each party's parts, converted in one numpy call, are bit for bit the
+    matrices the entrywise reader decodes one entry at a time, -0.0 real and
+    imaginary parts, subnormals and 1e308 included. A party that mixes bare
+    and paired entries is left to the entrywise reader."""
+    rng = np.random.default_rng(25)
+    mixed = 0
+    for k in range(300):
+        ops, dims = random_document(rng, (True, False, None)[k % 3])
+        slow = [_decode_parts(op["parts"], dims, "parts") for op in ops]
+        fast = _part_stacks(ops, dims)
+        regular = all(len({isinstance(v, list) for op in ops
+                           for row in op["parts"][a] for v in row}) == 1
+                      for a in range(len(dims)))
+        if not regular:
+            mixed += 1
+            assert fast is None
+            continue
+        assert len(fast) == len(slow)
+        for f, s in zip(fast, slow):
+            assert [x.tobytes() for x in f] == [x.tobytes() for x in s]
+    assert 50 < mixed < 150
+
+
+def entrywise_error(text):
+    """The ParseError text of the entrywise reader on the document's parts,
+    or None when it reads them all."""
+    doc = json.loads(text)
+    dims = [p["dim"] for p in doc["parties"]]
+    try:
+        for j, op in enumerate(doc["operators"]):
+            _decode_parts(op["parts"], dims, f"operators[{j}].parts")
+    except ParseError as e:
+        return str(e)
+    return None
+
+
+# (JSON text put at operators[2].parts[1][0][1] of cascade5, the message)
+BAD_ENTRIES = [
+    ("true", "operators[2].parts[1][0][1] must be a number, got True"),
+    ('"1"', "operators[2].parts[1][0][1] must be a number, got '1'"),
+    ("null", "operators[2].parts[1][0][1] must be a number, got None"),
+    ("NaN", "operators[2].parts[1][0][1] must be a finite number, got nan"),
+    ("1e400", "operators[2].parts[1][0][1] must be a finite number, got inf"),
+    ("1" + "0" * 400, "operators[2].parts[1][0][1] must be a finite number, "
+     "got " + "1" + "0" * 36 + "..."),
+    ("[0, false]", "operators[2].parts[1][0][1] must be a number, got False"),
+    ("[1, 2, 3]", "operators[2].parts[1][0][1] must be a number, got [1, 2, 3]"),
+    ("{}", "operators[2].parts[1][0][1] must be a number, got {}"),
+]
+
+
+@pytest.mark.parametrize("literal, message", BAD_ENTRIES,
+                         ids=["true", "string", "null", "nan", "1e400",
+                              "401-digit-int", "false-imaginary-part",
+                              "3-element-entry", "object"])
+def test_bad_entry_after_valid_ones_is_named(literal, message):
+    """A bad entry in a later operator and party, after valid ones, is named
+    by the entrywise reader, whichever way the other parts are written."""
+    base = json.loads((FIXTURE_DIR / "cascade5.json").read_text())
+    for bare in (False, True):
+        doc = json.loads(json.dumps(base))
+        if bare:    # every entry a bare real number, the bad one aside
+            for op in doc["operators"]:
+                op["parts"] = [[[v[0] for v in row] for row in part]
+                               for part in op["parts"]]
+        doc["operators"][2]["parts"][1][0][1] = "@"
+        text = json.dumps(doc).replace('"@"', literal)
+        assert entrywise_error(text) == message
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as e:
+            parse_document(text)
+        assert e.value.kind == "shape"
+
+
+def test_parse_errors_keep_document_order():
+    """A short row, or a bad label, is reported where the document order
+    puts it, before or after a bad entry of another operator."""
+    doc = json.loads((FIXTURE_DIR / "cascade5.json").read_text())
+    short = "operators[2].parts[1][0] must have 2 entries, got 1"
+    doc["operators"][2]["parts"][1][0] = [[1.0, 0.0]]
+    for edit, message in [
+            (lambda: None, short),
+            (lambda: doc["operators"][3]["parts"][0][1].__setitem__(1, True),
+             short),
+            (lambda: doc["operators"][1].__setitem__("label", 5),
+             "operators[1].label must be a string, got 5")]:
+        edit()
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_document(json.dumps(doc))
 
 
 def test_tree_reader_reports_deep_nesting(monkeypatch):

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from loccforge.errors import LiftError, NoKrausDataError, TreeStructureError
 from loccforge.hermitian import psd_sqrt, tensor
+from loccforge.io import parse_document
 from loccforge.lifting import lift
 from loccforge.measurement import (
     KrausProduct,
@@ -19,7 +22,7 @@ from loccforge.tree import (
     merge_and_extend,
 )
 
-from conftest import load_fixture
+from conftest import FIXTURE_DIR, load_fixture
 
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
@@ -115,6 +118,19 @@ def test_zero_kraus_factor_raises_lift_error():
     with pytest.raises(LiftError, match="kraus group for operator 0 is not "
                        "internally proportional at party 0"):
         lift(leaf_tree(m, 0), np.ones(2), m)
+
+
+def test_kraus_factor_checked_at_validates_tolerance():
+    """lift checks a Kraus factor by `validate`'s rule, at LP_TOL whatever
+    its `tol`: a factor diag(1, 3e-4) against the part diag(1, 0), which
+    `validate` refuses, is refused by a lift at tol 1e-6 too."""
+    doc = json.loads((FIXTURE_DIR / "krausdemo.json").read_text())
+    doc["operators"][0]["kraus"][0][0] = [[1, 0], [0, 3e-4]]
+    m = parse_document(json.dumps(doc))
+    assert [d.where for d in validate(m)] == ["operators[0].kraus[0][0]"]
+    with pytest.raises(LiftError, match="kraus group for operator 0 is not "
+                       "internally proportional at party 0"):
+        lift(leaf_tree(m, 0), np.ones(2), m, tol=1e-6)
 
 
 def test_leaf_naming_two_operators_is_rejected():

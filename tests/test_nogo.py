@@ -235,6 +235,8 @@ def corpus_measurement(name):
         m = load_fixture(pathlib.Path(source["fixture"]).stem)
     elif source["generator"] == "product_basis":
         m = product_basis(*source["dims"])
+    elif source["generator"] == "random_witness_measurement":
+        m = random_witness_measurement(np.random.default_rng(source["seed"]))
     else:
         m = random_valid_tree(np.random.default_rng(source["seed"]),
                               **source["args"])[1]
@@ -268,6 +270,43 @@ def test_partition_scan_lp_counts(name, lps, exhaustive, found, monkeypatch):
     monkeypatch.setattr(nogo, "_intersection_point", spy)
     res = find_partition_witness(corpus_measurement(name))
     assert (res.witness is not None, res.exhaustive) == (found, exhaustive)
+    assert len(calls) == lps
+
+
+SINGULAR_PAIR_LP_COUNTS = [
+    # (corpus document, membership LPs, witness found)
+    ("basis3x3", 0, False),            # no part is singular at two parties
+    ("basis2x4", 0, False),
+    ("basis3x4", 0, False),
+    ("basis4x4", 0, False),
+    ("basis2x2x2", 0, False),
+    ("basis2x2x3", 0, False),
+    ("tree02", 1, False),              # in the cone at the first of two parties
+    ("tree10", 1, False),
+    ("tree12", 0, False),
+    ("tree51", 0, False),
+    ("tree54", 0, False),
+    ("cascade5", 3, False),
+    ("domino9", 2, True),
+    ("singularpair3", 2, True),
+    ("witness0", 2, True),
+]
+
+
+@pytest.mark.parametrize("name, lps, found", SINGULAR_PAIR_LP_COUNTS,
+                         ids=[case[0] for case in SINGULAR_PAIR_LP_COUNTS])
+def test_singular_pair_scan_lp_counts(name, lps, found, monkeypatch):
+    """Only parts singular at two or more parties get membership LPs, and an
+    operator stops once it cannot reach two."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return cones.member(*args)
+
+    monkeypatch.setattr(nogo, "member", spy)
+    w = find_singular_pair_witness(corpus_measurement(name))
+    assert (w is not None) == found
     assert len(calls) == lps
 
 
@@ -347,22 +386,27 @@ def test_check_nogo_builds_each_party_table_once(tmp_path, capsys, monkeypatch):
     """One check-nogo run builds one Cone per party, asked for at `psd` by
     both scans, and per party two same-ray tables: at `psd` for validate's
     duplicate check and at `lp` for both scans. The measurement keeps them,
-    so both scans share them."""
-    cones_asked, rays_built = [], []
+    so both scans share them, and both tables of a party compare one
+    all-pairs broadcast against their tolerance."""
+    cones_asked, rays_built, broadcasts = [], [], []
     real_cone = measurement.SeparableMeasurement.cone
-    real_rays = measurement.same_ray_masks
+    real_masks, real_terms = measurement.ray_masks, measurement.ray_terms
     monkeypatch.setattr(measurement.SeparableMeasurement, "cone",
                         lambda self, a, psd: cones_asked.append(
                             (a, psd, real_cone(self, a, psd))) or cones_asked[-1][2])
-    monkeypatch.setattr(measurement, "same_ray_masks",
-                        lambda g, tol: rays_built.append(tol) or real_rays(g, tol))
+    monkeypatch.setattr(measurement, "ray_masks",
+                        lambda t, tol: rays_built.append(tol) or real_masks(t, tol))
+    monkeypatch.setattr(measurement, "ray_terms",
+                        lambda g: broadcasts.append(len(g)) or real_terms(g))
     for name in ["cascade5", "domino9", "krausdemo", "singularpair3"]:
         m = load_fixture(name)
         cones_asked.clear()
         rays_built.clear()
+        broadcasts.clear()
         assert cli.main(["check-nogo", str(FIXTURE_DIR / f"{name}.json")]) in (0, 2)
         capsys.readouterr()
         assert ({(a, psd) for a, psd, _ in cones_asked}
                 == {(a, PSD_TOL) for a in range(m.P)}), name
         assert len({id(c) for *_, c in cones_asked}) == m.P, name
         assert sorted(rays_built) == [PSD_TOL] * m.P + [LP_TOL] * m.P, name
+        assert broadcasts == [len(m)] * m.P, name
