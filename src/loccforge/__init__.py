@@ -51,6 +51,7 @@ from .nogo import (
 from .synthesis import (
     SynthesisStats,
     SynthesisVerdict,
+    admit,
     build_classes,
     feasibility,
     orderings,

@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from .config import load_config
-from .errors import InfeasibleError, InvalidMeasurementError, LoccForgeError
+from .errors import InvalidMeasurementError, LoccForgeError
 from .io import (
     _encode_matrix,
     export_dot,
@@ -25,9 +25,8 @@ from .io import (
     serialize_protocol,
 )
 from .lifting import lift
-from .measurement import completeness_certificate, validate
 from .nogo import find_partition_witness, find_singular_pair_witness
-from .synthesis import orderings, synthesize
+from .synthesis import admit, orderings, synthesize
 from .tree import align_weights, leaves, validate_assignment
 
 
@@ -36,6 +35,16 @@ def _read(path: str) -> str:
         return pathlib.Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise LoccForgeError(f"cannot read {path}: {e}") from e
+
+
+def _load(args, overrides=None, validated=True):
+    """The config of args.config and overrides, and args.measurement read at
+    its tolerances by `parse_measurement`, or `parse_document` if not validated."""
+    cfg = load_config(args.config, overrides)
+    text = _read(args.measurement)
+    if validated:
+        return cfg, parse_measurement(text, cfg.tol.psd, cfg.tol.lp)
+    return cfg, parse_document(text, cfg.tol.psd)
 
 
 def _write(path: str, text: str) -> None:
@@ -53,56 +62,46 @@ def _emit(payload: dict, lines: list, fmt: str, out) -> None:
 
 
 def _cmd_validate(args, out) -> int:
-    cfg = load_config(args.config)
-    m = parse_document(_read(args.measurement), cfg.tol.psd)
-    diags = validate(m, cfg.tol.psd)
-    complete = False
-    residual = None
-    if not diags:
-        try:
-            cert = completeness_certificate(m, cfg.delta, cfg.tol.lp)
-            complete = True
-            residual = float(cert.residual)
-        except InfeasibleError:
-            complete = False
+    cfg, m = _load(args, validated=False)
+    diags, residual = [], None
+    try:
+        residual = float(admit(m, cfg).residual)
+    except InvalidMeasurementError as e:
+        diags = e.diagnostics
+    # admitted, a measurement is complete and has no diagnostics
+    ok = residual is not None
     payload = {
         "command": "validate",
         "operators": len(m),
         "parties": [{"name": n, "dim": d} for n, d in zip(m.party_names, m.dims)],
         "diagnostics": [{"kind": d.kind, "where": d.where, "detail": d.detail}
                         for d in diags],
-        "complete": complete,
+        "complete": ok,
         "completeness_residual": residual,
-        "ok": bool(not diags and complete),
+        "ok": ok,
     }
     lines = ["measurement: %d operators, parties %s" % (
         len(m), ", ".join(f"{n}({d})" for n, d in zip(m.party_names, m.dims)))]
     if diags:
         lines.append("diagnostics:")
-        lines.extend(f"  [{d.kind}] {d.where}: {d.detail}" for d in diags)
+        lines.extend(f"  [{d.kind}] {d}" for d in diags)
     else:
         lines.append("diagnostics: none")
-    if complete:
+    if ok:
         lines.append("completeness: ok (residual %.3g)" % residual)
     else:
         lines.append("completeness: no strictly positive weights reach the identity"
                      if not diags else "completeness: skipped")
-    lines.append("verdict: %s" % ("ok" if payload["ok"] else "rejected"))
+    lines.append("verdict: %s" % ("ok" if ok else "rejected"))
     _emit(payload, lines, args.format, out)
-    return 0 if payload["ok"] else 1
+    return 0 if ok else 1
 
 
 def _cmd_check_nogo(args, out) -> int:
-    cfg = load_config(args.config, {
-        "partition_exhaustive_n": args.max_exhaustive,
-    })
-    m = parse_measurement(_read(args.measurement), cfg.tol.psd)
-    # a witness speaks of a measurement; an incomplete one is refused as
-    # synthesize refuses it
-    try:
-        completeness_certificate(m, cfg.delta, cfg.tol.lp)
-    except InfeasibleError as e:
-        raise InvalidMeasurementError(f"measurement is not complete: {e}") from e
+    cfg, m = _load(args, {"partition_exhaustive_n": args.max_exhaustive})
+    # a witness speaks of a measurement; one synthesize would refuse is
+    # refused the same way
+    admit(m, cfg)
     # the cones check their parts at the tolerance the document was
     # validated with
     sp = find_singular_pair_witness(m, cfg.tol.lp, psd=cfg.tol.psd)
@@ -146,14 +145,13 @@ def _cmd_check_nogo(args, out) -> int:
 
 
 def _cmd_synthesize(args, out) -> int:
-    cfg = load_config(args.config, {
+    cfg, m = _load(args, {
         "rounds": args.rounds,
         "delta": args.delta,
         "max_lps": args.max_lps,
         "max_trees": args.max_trees,
         "mode": "exhaustive" if args.exhaustive else None,
     })
-    m = parse_measurement(_read(args.measurement), cfg.tol.psd)
     verdict = synthesize(m, cfg)
     orders = orderings(verdict, m.party_names)
     payload = {
@@ -199,8 +197,7 @@ def _cmd_synthesize(args, out) -> int:
 
 
 def _cmd_lift(args, out) -> int:
-    cfg = load_config(args.config)
-    m = parse_measurement(_read(args.measurement), cfg.tol.psd)
+    cfg, m = _load(args)
     doc = parse_protocol(_read(args.protocol))
     if doc.tree is None or doc.assignment is None:
         raise LoccForgeError("protocol document carries no tree to lift")

@@ -23,7 +23,7 @@ class Tolerances:
     psd: float = 1e-9     # eigenvalue floor, relative to spectral radius
     lp: float = 1e-8      # residual tolerance on linear systems / LP checks
 
-    def check(self) -> None:
+    def __post_init__(self):
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
             if not (_is(v, numbers.Real) and 0 < v < 1):
@@ -35,13 +35,9 @@ def _is(v, kind) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
-# budgets the search also runs without: None (null in a file) means no cap
-_UNCAPPED_OK = ("max_lps",)
-
-
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Budgets and knobs for synthesis and no-go analysis."""
+    """Budgets and knobs for synthesis and no-go; bad values raise ConfigError."""
 
     rounds: int | None = None        # max merge rounds; None = run to a verdict
     delta: float = 1e-7              # strict-positivity floor for LP variables
@@ -51,8 +47,7 @@ class RunConfig:
     mode: str = "first"              # "first" stops at the first protocol; "exhaustive" keeps going
     tol: Tolerances = dataclasses.field(default_factory=Tolerances)
 
-    def check(self) -> None:
-        self.tol.check()
+    def __post_init__(self):
         if self.rounds is not None and not (_is(self.rounds, numbers.Integral)
                                             and self.rounds >= 0):
             raise ConfigError(f"rounds must be an integer >= 0, got {self.rounds!r}")
@@ -60,9 +55,9 @@ class RunConfig:
             raise ConfigError(f"delta must be in (0, 1), got {self.delta!r}")
         for name in ("max_trees", "max_lps", "partition_exhaustive_n"):
             v = getattr(self, name)
-            if v is None and name in _UNCAPPED_OK:
-                continue
-            if not (_is(v, numbers.Integral) and v >= 1):
+            # the search also runs without an LP budget: None (null) is no cap
+            if not (v is None and name == "max_lps"
+                    or _is(v, numbers.Integral) and v >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
         if self.mode not in ("first", "exhaustive"):
             raise ConfigError(f"mode must be 'first' or 'exhaustive', got {self.mode!r}")
@@ -101,6 +96,4 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     tol = Tolerances(**{k: merged[k] for k in _TOL_KEYS if k in merged})
-    cfg = RunConfig(tol=tol, **{k: merged[k] for k in _RUN_KEYS if k in merged})
-    cfg.check()
-    return cfg
+    return RunConfig(tol=tol, **{k: merged[k] for k in _RUN_KEYS if k in merged})

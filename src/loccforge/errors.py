@@ -27,7 +27,8 @@ class SimplexGuardError(LoccForgeError):
 
 
 class InvalidMeasurementError(LoccForgeError):
-    """Input operators fail validation; carries structured diagnostics when available."""
+    """A measurement fails `validate`, and `diagnostics` holds them, the first
+    as the message; or it is not complete, and `diagnostics` is empty."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -59,11 +60,10 @@ class FactorizationFailureError(LiftError):
 
 
 class ParseError(LoccForgeError):
-    """A document could not be parsed; message carries location context.
-
-    kind is one of "syntax", "shape", "not-psd", "kraus-factor",
-    "duplicate-product".
-    """
+    """A malformed document; the message names the field. kind is "syntax"
+    (bad JSON, a bad format tag, nesting too deep) or "shape" (anything else,
+    a part not Hermitian or a name repeated included). A measurement that
+    `validate` flags raises InvalidMeasurementError instead."""
 
     def __init__(self, message, kind="syntax"):
         super().__init__(message)

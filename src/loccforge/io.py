@@ -29,21 +29,14 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidOperatorError, ParseError
-from .hermitian import PSD_TOL, psd_sqrt
+from .errors import InvalidMeasurementError, InvalidOperatorError, ParseError
+from .hermitian import LP_TOL, PSD_TOL, psd_sqrt
 from .measurement import KrausProduct, SeparableMeasurement, validate
 from .synthesis import SynthesisStats, SynthesisVerdict
 from .tree import Node, ProtocolTree, Term, descend, root_for
 
 MEASUREMENT_FORMAT = "loccforge.measurement/1"
 PROTOCOL_FORMAT = "loccforge.protocol/1"
-
-_KIND_MAP = {
-    "zero-part": "not-psd",
-    "not-psd": "not-psd",
-    "kraus-factor": "kraus-factor",
-    "duplicate-product": "duplicate-product",
-}
 
 
 def _encode_matrix(mat: np.ndarray):
@@ -248,14 +241,14 @@ def parse_document(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
     return _load(text, _measurement_from, tol)
 
 
-def parse_measurement(text: str, tol: float = PSD_TOL) -> SeparableMeasurement:
-    """Parse and fully validate; raises ParseError with a kind on any defect."""
+def parse_measurement(text: str, tol: float = PSD_TOL,
+                      lp: float = LP_TOL) -> SeparableMeasurement:
+    """Parse and validate at `tol` and `lp`: a malformed document raises
+    ParseError, a measurement `validate` flags InvalidMeasurementError."""
     m = parse_document(text, tol)
-    diags = validate(m, tol)
+    diags = validate(m, tol, lp)
     if diags:
-        d = diags[0]
-        raise ParseError(f"{d.where}: {d.detail}",
-                         kind=_KIND_MAP[d.kind])
+        raise InvalidMeasurementError(str(diags[0]), diags)
     return m
 
 

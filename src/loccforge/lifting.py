@@ -96,7 +96,7 @@ def lift(tree: ProtocolTree, assignment, m: SeparableMeasurement,
             pos = kp.positive_parts()
             rs = []
             for a in range(m.P):
-                r = kraus_ratio(pos[a], base[a])
+                r = kraus_ratio(pos[a], base[a], tol)
                 if r is None:
                     raise LiftError(
                         f"kraus group for operator {i} is not internally "

@@ -68,7 +68,7 @@ class Diagnostic:
     detail: str
 
     def __str__(self):
-        return f"{self.kind} at {self.where}: {self.detail}"
+        return f"{self.where}: {self.detail}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,7 +224,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
+def validate(m: SeparableMeasurement, tol: float = PSD_TOL,
+             lp: float = LP_TOL) -> list[Diagnostic]:
     """All violated invariants as structured diagnostics; empty iff valid.
 
     The constructor has checked every part's shape and hermiticity, so
@@ -232,7 +233,7 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
     PSD by `m.verdicts`, which tests a party's parts at once and which
     `m.cone` reads too; a zero part is reported as zero only. Each Kraus
     factor K of an operator whose parts all passed is checked by `lift`'s
-    rule, `kraus_ratio(K^dagger K, part(j, a))` at LP_TOL, which fails a zero
+    rule, `kraus_ratio(K^dagger K, part(j, a), lp)`, which fails a zero
     factor; a failing factor is named `operators[j].kraus[g][a]`. These
     diagnostics follow operator order, then Kraus entry and party order;
     duplicates come last. Operator jp > j duplicates j when every part of jp
@@ -241,13 +242,14 @@ def validate(m: SeparableMeasurement, tol: float = PSD_TOL) -> list[Diagnostic]:
     compared pair is zero at `tol` and `m.same_ray(a, tol)` answers every
     such pair as `proportional` would.
 
-    The diagnostics are found once per measurement and `tol`; each call
-    returns a new list of them.
+    The diagnostics are found once per measurement, `tol` and `lp`; each
+    call returns a new list of them.
     """
-    return list(m._kept(("diagnostics", tol), lambda: tuple(_diagnose(m, tol))))
+    return list(m._kept(("diagnostics", tol, lp),
+                        lambda: tuple(_diagnose(m, tol, lp))))
 
 
-def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
+def _diagnose(m: SeparableMeasurement, tol: float, lp: float) -> list[Diagnostic]:
     zero, psd = zip(*(m.verdicts(a, tol) for a in range(m.P)))
     out: list[Diagnostic] = []
     idx = []    # the operators whose parts passed, compared for duplicates
@@ -263,7 +265,7 @@ def _diagnose(m: SeparableMeasurement, tol: float) -> list[Diagnostic]:
             idx.append(j)
             for g, kp in enumerate(m.kraus_groups[j] if m.kraus_groups else ()):
                 for a, pos in enumerate(kp.positive_parts()):
-                    if kraus_ratio(pos, m.part(j, a)) is None:
+                    if kraus_ratio(pos, m.part(j, a), lp) is None:
                         out.append(Diagnostic("kraus-factor",
                                               f"operators[{j}].kraus[{g}][{a}]", KRAUS_OFF))
     # masks over all operators; only pairs in idx are read

@@ -583,18 +583,29 @@ def _emit(tree, assignment, m, tol):
     return tree, assignment
 
 
-def synthesize(m: SeparableMeasurement,
-               config: RunConfig | None = None) -> SynthesisVerdict:
-    cfg = config or RunConfig()
-    cfg.check()
-    diags = validate(m, cfg.tol.psd)
+def admit(m: SeparableMeasurement, cfg: RunConfig):
+    """The `CompletenessCertificate` of a valid measurement: the one gate a
+    measurement passes before `synthesize` or a command decides anything.
+    Raises InvalidMeasurementError carrying validate's diagnostics at cfg's
+    `psd` and `lp`, named by the first, when there are any; else, without
+    diagnostics, when no weights >= cfg's `delta` complete m to the identity.
+    """
+    diags = validate(m, cfg.tol.psd, cfg.tol.lp)
     if diags:
-        raise InvalidMeasurementError("measurement failed validation", diags)
+        raise InvalidMeasurementError(str(diags[0]), diags)
     try:
-        completeness_certificate(m, cfg.delta, cfg.tol.lp)
+        return completeness_certificate(m, cfg.delta, cfg.tol.lp)
     except InfeasibleError as e:
         raise InvalidMeasurementError(f"measurement is not complete: {e}") from e
 
+
+def synthesize(m: SeparableMeasurement,
+               config: RunConfig | None = None) -> SynthesisVerdict:
+    """A `Protocol`, `ProvedImpossible` or `BudgetExhausted` verdict for m
+    under config (default `RunConfig()`); m must pass `admit` at config, or
+    InvalidMeasurementError is raised."""
+    cfg = config or RunConfig()
+    admit(m, cfg)
     N = len(m)
     stats = SynthesisStats()
     trees = [leaf_tree(m, j) for j in range(N)]

@@ -7,17 +7,21 @@ import sys
 import numpy as np
 import pytest
 
-from loccforge import cli, hermitian, measurement, nogo, simplex
+from loccforge import (
+    cli, hermitian, io, lifting, measurement, nogo, simplex, synthesis)
 from loccforge.cli import main
-from loccforge.errors import ParseError
+from loccforge.config import RunConfig
+from loccforge.errors import InvalidMeasurementError, ParseError
 from loccforge.hermitian import PSD_TOL
 from loccforge.io import (
     measurement_digest,
+    parse_document,
     parse_measurement,
     parse_protocol,
     serialize_measurement,
 )
 from loccforge.measurement import measurement_from_parts
+from loccforge.synthesis import admit, synthesize
 
 from conftest import (
     FIXTURE_DIR,
@@ -176,12 +180,21 @@ def test_check_nogo_clean(capsys):
 
 
 def test_check_nogo_refuses_an_incomplete_measurement(capsys):
-    """check-nogo runs synthesize's completeness LP and fails the same way."""
+    """check-nogo runs synthesize's completeness LP and fails the same way,
+    in either format; `admit` and `synthesize` raise that error, without
+    diagnostics."""
     nogo_run = run(capsys, "check-nogo", fx("fourparty_mismatch"))
     synth_run = run(capsys, "synthesize", fx("fourparty_mismatch"))
     assert nogo_run == synth_run
+    for cmd in ("check-nogo", "synthesize"):
+        assert run(capsys, cmd, fx("fourparty_mismatch"), "--format", "json") == nogo_run
     assert nogo_run[:2] == (1, "")
     assert nogo_run[2].startswith("error: measurement is not complete: ")
+    m = load_fixture("fourparty_mismatch")
+    for call in (lambda: admit(m, RunConfig()), lambda: synthesize(m)):
+        with pytest.raises(InvalidMeasurementError) as e:
+            call()
+        assert (f"error: {e.value}\n", e.value.diagnostics) == (nogo_run[2], [])
 
 
 def test_check_nogo_partial_scan_flag(capsys):
@@ -385,19 +398,35 @@ def run_every_command(capsys, tmp_path, doc):
         ("synthesize", str(meas)), ("lift", str(meas), "--protocol", str(proto)))]
 
 
-def assert_kraus_factor_refused(capsys, tmp_path, factor):
-    """krausdemo with operators[0].kraus[0][0] set to factor: validate lists
-    the factor and every other command exits 1 naming it, before any search."""
-    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
-    doc["operators"][0]["kraus"][0][0] = factor
-    located = ("operators[0].kraus[0][0]: K^dagger K is not a positive "
-               "multiple of the operator's part")
+def assert_refused_alike(capsys, tmp_path, doc, kind, where, detail):
+    """validate lists the one diagnostic and every other command exits 1
+    with its text, before any search; the library raises it alike."""
+    located = f"{where}: {detail}"
     (code, out, err), *rest = run_every_command(capsys, tmp_path, doc)
     assert code == 1 and err == ""
-    assert f"  [kraus-factor] {located}" in out.splitlines()
-    assert "verdict: rejected" in out
+    assert out.splitlines()[1:] == ["diagnostics:", f"  [{kind}] {located}",
+                                    "completeness: skipped", "verdict: rejected"]
     for code, out, err in rest:
         assert (code, out, err) == (1, "", f"error: {located}\n")
+    text = json.dumps(doc)
+    raised = []
+    for call in (lambda: parse_measurement(text),
+                 lambda: synthesize(parse_document(text)),
+                 lambda: admit(parse_document(text), RunConfig())):
+        with pytest.raises(InvalidMeasurementError) as e:
+            call()
+        raised.append((str(e.value), e.value.diagnostics))
+    assert [d.kind for d in raised[0][1]] == [kind]
+    assert raised == raised[:1] * 3
+    assert raised[0][0] == located
+
+
+def assert_kraus_factor_refused(capsys, tmp_path, factor):
+    """krausdemo with operators[0].kraus[0][0] set to factor."""
+    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
+    doc["operators"][0]["kraus"][0][0] = factor
+    assert_refused_alike(capsys, tmp_path, doc, "kraus-factor",
+                         "operators[0].kraus[0][0]", measurement.KRAUS_OFF)
 
 
 def test_lift_names_a_zero_kraus_factor(tmp_path, capsys):
@@ -410,6 +439,56 @@ def test_commands_name_a_kraus_factor_off_its_part(tmp_path, capsys):
     """operators[0] is diag(1, 0) at party 0, so a factor diag(0, 1) there
     is no factor of it."""
     assert_kraus_factor_refused(capsys, tmp_path, [[0, 0], [0, 1]])
+
+
+def test_configured_lp_reaches_the_kraus_factor_rule(tmp_path, capsys):
+    """A factor diag(1, 3e-4) against the part diag(1, 0) is off by 3e-4:
+    refused at the default lp, accepted by every command at lp 1e-6, where
+    the protocol it saves lifts."""
+    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
+    doc["operators"][0]["kraus"][0][0] = [[1, 0], [0, 3e-4]]
+    assert_refused_alike(capsys, tmp_path, doc, "kraus-factor",
+                         "operators[0].kraus[0][0]", measurement.KRAUS_OFF)
+    meas, proto, cfg = (tmp_path / n for n in ("m.json", "p.json", "cfg.json"))
+    meas.write_text(json.dumps(doc))
+    cfg.write_text('{"lp": 1e-6}')
+    loose = ("--config", str(cfg))
+    assert run(capsys, "validate", str(meas), *loose)[:2] == (0, (
+        "measurement: 3 operators, parties A(2), B(2)\ndiagnostics: none\n"
+        "completeness: ok (residual 0)\nverdict: ok\n"))
+    assert run(capsys, "check-nogo", str(meas), *loose)[0] == 0
+    code, out, _ = run(capsys, "synthesize", str(meas), "--save", str(proto), *loose)
+    assert code == 0 and out.startswith("verdict: Protocol\n")
+    code, out, err = run(capsys, "lift", str(meas), "--protocol", str(proto), *loose)
+    assert (code, err) == (0, "") and "leaf 1 -> M1 (scale 1.41421, coin yes)" in out
+
+
+def _set_part(value):
+    def edit(doc):
+        doc["operators"][2]["parts"][1] = value
+    return edit
+
+
+def _copy_operator_0(doc):
+    ops = doc["operators"]
+    ops[1].update(parts=ops[0]["parts"], kraus=ops[0]["kraus"])
+
+
+@pytest.mark.parametrize("edit, kind, where, detail", [
+    (_set_part([[1, 0], [0, -1]]), "not-psd", "operators[2].parts[1]",
+     measurement.NOT_PSD),
+    (_set_part([[1e-12, 0], [0, 0]]), "zero-part", "operators[2].parts[1]",
+     measurement.ZERO_PART),
+    (_copy_operator_0, "duplicate-product", "operators[1]",
+     "product proportional to operators[0]"),
+], ids=["not-psd", "zero-part", "duplicate-product"])
+def test_every_command_refuses_a_defect_alike(tmp_path, capsys, edit, kind,
+                                              where, detail):
+    """Each defect validate finds is refused by one gate: the same text from
+    every command, and the same error from the library's entry points."""
+    doc = json.loads(pathlib.Path(fx("krausdemo")).read_text())
+    edit(doc)
+    assert_refused_alike(capsys, tmp_path, doc, kind, where, detail)
 
 
 @pytest.mark.parametrize("field, message", [
@@ -711,34 +790,43 @@ def test_configured_tolerances_reach_every_command(tmp_path, capsys, monkeypatch
     assert run(capsys, "synthesize", fx("krausdemo"), "--save", str(proto))[0] == 0
     seen = {}
 
-    def spy(real):
+    def spy(site, real):
         def wrapped(*args, **kwargs):
             bound = inspect.signature(real).bind(*args, **kwargs)
             bound.apply_defaults()
-            seen[real.__name__] = {k: v for k, v in bound.arguments.items()
-                                   if k in ("tol", "delta", "psd")}
+            seen[site] = {k: v for k, v in bound.arguments.items()
+                          if k in ("tol", "delta", "psd", "lp")}
             return real(*args, **kwargs)
         return wrapped
 
-    for name in ("parse_measurement", "validate", "completeness_certificate",
-                 "validate_assignment", "lift"):
-        monkeypatch.setattr(cli, name, spy(getattr(cli, name)))
+    # each call site, so that the gate `admit` is seen from inside
+    for module, name in [
+            (cli, "parse_document"), (cli, "parse_measurement"),
+            (cli, "validate_assignment"), (cli, "lift"), (io, "validate"),
+            (synthesis, "validate"), (synthesis, "completeness_certificate"),
+            (measurement, "kraus_ratio"), (lifting, "kraus_ratio")]:
+        site = f"{module.__name__.split('.')[-1]}.{name}"
+        monkeypatch.setattr(module, name, spy(site, getattr(module, name)))
     # the measurement's cones, which both scans read, are built on the
     # verdicts validate reads
     monkeypatch.setattr(measurement.SeparableMeasurement, "cone",
-                        spy(measurement.SeparableMeasurement.cone))
+                        spy("cone", measurement.SeparableMeasurement.cone))
     psd = {"tol": 2e-9}
+    tols = {"tol": 2e-9, "lp": 3e-8}
+    lp = {"tol": 3e-8}
+    # parsing validates, and validate checks each Kraus factor at lp
+    parsed = {"cli.parse_measurement": tols, "io.validate": tols,
+              "measurement.kraus_ratio": lp}
+    admitted = {"synthesis.validate": tols, "measurement.kraus_ratio": lp,
+                "synthesis.completeness_certificate": {"delta": 2e-7, "tol": 3e-8}}
     for argv, expected in [
-        (("validate", fx("krausdemo")),
-         {"validate": psd,
-          "completeness_certificate": {"delta": 2e-7, "tol": 3e-8}}),
+        (("validate", fx("krausdemo")), {"cli.parse_document": psd, **admitted}),
         (("lift", fx("krausdemo"), "--protocol", str(proto)),
-         {"parse_measurement": psd, "validate_assignment": {"tol": 3e-8},
-          "lift": {"tol": 3e-8}}),
-        (("synthesize", fx("krausdemo")), {"parse_measurement": psd}),
+         {**parsed, "cli.validate_assignment": lp, "cli.lift": lp,
+          "lifting.kraus_ratio": lp}),
+        (("synthesize", fx("krausdemo")), {**parsed, **admitted}),
         (("check-nogo", fx("krausdemo")),
-         {"parse_measurement": psd, "cone": {"psd": 2e-9},
-          "completeness_certificate": {"delta": 2e-7, "tol": 3e-8}}),
+         {**parsed, **admitted, "cone": {"psd": 2e-9}}),
     ]:
         seen.clear()
         assert run(capsys, *argv, "--config", str(cfg))[0] == 0, argv

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from loccforge.errors import ParseError
+from loccforge.errors import InvalidMeasurementError, ParseError
 from loccforge.fixtures import write_all
 from loccforge.io import (
     MEASUREMENT_FORMAT,
@@ -311,29 +311,37 @@ def test_shape_errors():
         assert e.value.kind == "shape", text
 
 
+def assert_refused(text, kind, where, detail):
+    """parse_measurement raises InvalidMeasurementError, not a ParseError,
+    named by validate's one diagnostic, which it carries."""
+    with pytest.raises(InvalidMeasurementError) as e:
+        parse_measurement(text)
+    assert not isinstance(e.value, ParseError)
+    assert str(e.value) == f"{where}: {detail}"
+    assert [(d.kind, d.where, d.detail) for d in e.value.diagnostics] == [
+        (kind, where, detail)]
+
+
 def test_not_psd_error():
     text = make_doc(operators=[
         {"label": "M1", "parts": [[[1, 0], [0, -0.5]], [[1, 0], [0, 1]]]},
         {"label": "M2", "parts": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}])
-    with pytest.raises(ParseError) as e:
-        parse_measurement(text)
-    assert e.value.kind == "not-psd"
-    # a numerically zero part maps to the same family
+    assert_refused(text, "not-psd", "operators[0].parts[0]",
+                   "local part has a negative eigenvalue")
+    # a numerically zero part is refused the same way, as zero
     text = make_doc(operators=[
         {"label": "M1", "parts": [[[0, 0], [0, 0]], [[1, 0], [0, 1]]]},
         {"label": "M2", "parts": [[[1, 0], [0, 1]], [[1, 0], [0, 1]]]}])
-    with pytest.raises(ParseError) as e:
-        parse_measurement(text)
-    assert e.value.kind == "not-psd"
+    assert_refused(text, "zero-part", "operators[0].parts[0]",
+                   "local part is numerically zero")
 
 
 def test_duplicate_product_error():
     text = make_doc(operators=[
         {"label": "M1", "parts": [[[1, 0], [0, 0]], [[1, 0], [0, 1]]]},
         {"label": "M2", "parts": [[[2, 0], [0, 0]], [[0.5, 0], [0, 0.5]]]}])
-    with pytest.raises(ParseError) as e:
-        parse_measurement(text)
-    assert e.value.kind == "duplicate-product"
+    assert_refused(text, "duplicate-product", "operators[1]",
+                   "product proportional to operators[0]")
 
 
 def test_kraus_backfill_on_partial_data():

@@ -1,11 +1,18 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from loccforge.errors import LiftError, NoKrausDataError, TreeStructureError
+from loccforge.config import RunConfig, Tolerances
+from loccforge.errors import (
+    InvalidMeasurementError,
+    LiftError,
+    NoKrausDataError,
+    TreeStructureError,
+)
 from loccforge.hermitian import psd_sqrt, tensor
-from loccforge.io import parse_document
+from loccforge.io import parse_document, parse_measurement
 from loccforge.lifting import lift
 from loccforge.measurement import (
     KrausProduct,
@@ -121,16 +128,27 @@ def test_zero_kraus_factor_raises_lift_error():
 
 
 def test_kraus_factor_checked_at_validates_tolerance():
-    """lift checks a Kraus factor by `validate`'s rule, at LP_TOL whatever
-    its `tol`: a factor diag(1, 3e-4) against the part diag(1, 0), which
-    `validate` refuses, is refused by a lift at tol 1e-6 too."""
+    """lift checks a Kraus factor by `validate`'s rule at its own `tol`: a
+    factor diag(1, 3e-4) against the part diag(1, 0) is refused by both at
+    1e-8 (the default) and accepted by both at 1e-6."""
     doc = json.loads((FIXTURE_DIR / "krausdemo.json").read_text())
     doc["operators"][0]["kraus"][0][0] = [[1, 0], [0, 3e-4]]
-    m = parse_document(json.dumps(doc))
-    assert [d.where for d in validate(m)] == ["operators[0].kraus[0][0]"]
+    text = json.dumps(doc)
+    m = parse_document(text)
+    assert validate(m) == validate(m, lp=1e-8)
+    assert [d.where for d in validate(m, lp=1e-8)] == ["operators[0].kraus[0][0]"]
     with pytest.raises(LiftError, match="kraus group for operator 0 is not "
                        "internally proportional at party 0"):
-        lift(leaf_tree(m, 0), np.ones(2), m, tol=1e-6)
+        lift(leaf_tree(m, 0), np.ones(2), m, tol=1e-8)
+    with pytest.raises(InvalidMeasurementError, match=re.escape(
+            "operators[0].kraus[0][0]: K^dagger K is not a positive multiple")):
+        parse_measurement(text, lp=1e-8)
+    assert validate(m, lp=1e-6) == []
+    m = parse_measurement(text, lp=1e-6)
+    v = synthesize(m, RunConfig(tol=Tolerances(lp=1e-6)))
+    assert v.kind == "Protocol"
+    lifted = lift(v.tree, v.assignment, m, tol=1e-6)
+    assert [t.op_index for t in lifted.tails] == [2, 0, 1]
 
 
 def test_leaf_naming_two_operators_is_rejected():

@@ -370,8 +370,8 @@ def test_synthesize_validates_a_parsed_measurement_once(monkeypatch):
 
     calls = []
     diagnose = measurement._diagnose
-    monkeypatch.setattr(measurement, "_diagnose",
-                        lambda m, tol: calls.append(tol) or diagnose(m, tol))
+    monkeypatch.setattr(measurement, "_diagnose", lambda m, tol, lp: (
+        calls.append((tol, lp)) or diagnose(m, tol, lp)))
     m = parse_measurement(document([[P0, I2], [P1, P0], [P1, P1]], (2, 2)))
     assert synthesize(m).kind == "Protocol"
-    assert calls == [PSD_TOL]
+    assert calls == [(PSD_TOL, LP_TOL)]
