@@ -2,7 +2,7 @@
 measurements, or prove that none exists."""
 
 from .config import RunConfig, Tolerances, load_config
-from .cones import Cone, member
+from .cones import member
 from .errors import (
     ConfigError,
     DimMismatchError,

@@ -108,7 +108,9 @@ def _cmd_check_nogo(args, out) -> int:
     scan = find_partition_witness(m, max_exhaustive_n=cfg.partition_exhaustive_n,
                                   tol=cfg.tol.lp, psd=cfg.tol.psd)
     pw = scan.witness
-    payload = {"command": "check-nogo", "witness": bool(sp or pw)}
+    extent = "exhaustive" if scan.exhaustive else "partial"
+    payload = {"command": "check-nogo", "witness": bool(sp or pw),
+               "partition_exhaustive": scan.exhaustive}
     lines = []
     if sp is not None:
         payload["singular_pair"] = {
@@ -132,12 +134,10 @@ def _cmd_check_nogo(args, out) -> int:
         }
         lines.append("partition witness: S1 = {%s}, parties %s (%s scan)" % (
             ", ".join(m.labels[j] for j in s1),
-            ", ".join(m.party_names[a] for a in pw.parties),
-            "exhaustive" if scan.exhaustive else "partial"))
+            ", ".join(m.party_names[a] for a in pw.parties), extent))
     else:
         payload["partition"] = None
-        lines.append("partition witness: none (%s scan)"
-                     % ("exhaustive" if scan.exhaustive else "partial"))
+        lines.append("partition witness: none (%s scan)" % extent)
     lines.append("verdict: %s"
                  % ("impossible-by-witness" if payload["witness"] else "no-witness"))
     _emit(payload, lines, args.format, out)

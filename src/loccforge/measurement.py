@@ -3,7 +3,8 @@
 A measurement {E_j = E_j^1 x ... x E_j^P} is held as its party stacks: one
 read-only (N, d, d) array per party whose matrix j is E_j's part there, with
 an optional Kraus-level description. It is read through `len(m)`,
-`m.part(j, a)`, `m.stack(a)`, `m.columns(a)` and `m.products()`.
+`m.part(j, a)`, `m.stack(a)`, `m.columns(a)` and `m.products()`; a party's
+cone, `m.cone(a)`, is the transposed column table, one column per part.
 Completeness means the products admit strictly positive weights summing to
 the identity; that certificate is an LP.
 
@@ -35,7 +36,6 @@ from .errors import (
     InvalidOperatorError,
     ZeroOperatorError,
 )
-from .cones import Cone
 from .hermitian import (
     LP_TOL,
     NOT_HERMITIAN,
@@ -185,9 +185,11 @@ class SeparableMeasurement:
         return self._kept(("verdicts", alpha, tol), lambda: (
             (np.abs(g).max(axis=(1, 2)) <= tol).tolist(), psd_mask(g, tol).tolist()))
 
-    def cone(self, alpha: int, psd: float = PSD_TOL) -> Cone:
-        """The Cone of party alpha's parts, built once per tolerance. The first
-        part `validate` flags at `psd` raises, with its diagnostic's text."""
+    def cone(self, alpha: int, psd: float = PSD_TOL) -> np.ndarray:
+        """The cone of party alpha's parts: the read-only, C-contiguous
+        (d*d, N) table whose column j is vectorize(part(j, alpha)), built
+        once per tolerance. The first part `validate` flags at `psd` raises,
+        with its diagnostic's text."""
         def build():
             for j, (zero, psd_ok) in enumerate(zip(*self.verdicts(alpha, psd))):
                 where = f"operators[{j}].parts[{alpha}]"
@@ -195,8 +197,7 @@ class SeparableMeasurement:
                     raise ZeroOperatorError(f"{where}: {ZERO_PART}")
                 if not psd_ok:
                     raise InvalidOperatorError(f"{where}: {NOT_PSD}")
-            return Cone._unchecked(
-                self.stack(alpha), np.ascontiguousarray(self.columns(alpha).T))
+            return _read_only(np.ascontiguousarray(self.columns(alpha).T))
         return self._kept(("cone", alpha, psd), build)
 
     def columns(self, alpha: int) -> np.ndarray:

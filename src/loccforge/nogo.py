@@ -6,9 +6,10 @@ their party cones. The partition scan splits the operator set in two and asks
 whether both local cone pairs have trivial intersection, which no protocol can
 reconcile. Finding nothing proves nothing; only synthesis can.
 
-Both scans read one `Cone` per party, `m.cone(a, psd)`, and one same-ray
-table per party, `m.same_ray(a, tol)`: for each operator j, the mask of
-operators i != j whose part at that party is proportional to j's. The
+Both scans read one cone per party, `m.cone(a, psd)`, the column table of
+its parts (a slice of its columns is the cone of those parts), and one
+same-ray table per party, `m.same_ray(a, tol)`: for each operator j, the
+mask of operators i != j whose part at that party is proportional to j's. The
 measurement keeps both per tolerance, so both scans, and `validate`'s
 duplicate check when its tolerance is `tol`, read the same tables. A cone
 is built only when `validate`'s zero and PSD verdicts at `psd` pass every
@@ -105,7 +106,8 @@ def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
         for k, a in enumerate(cand):
             if len(bad) + len(cand) - k < 2:
                 break
-            if member(cones[a].generators[j], cones[a].subcone(others), tol) is None:
+            c = cones[a]
+            if member(c[:, j], c[:, others], tol) is None:
                 bad.append(a)
                 if len(bad) == 2:
                     return NoGoWitness("singular-pair", j, None, (bad[0], bad[1]),
@@ -192,7 +194,7 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
         return PartitionScanResult(None, True)
     exhaustive = n <= max_exhaustive_n
     small_side_max = None if exhaustive else 2
-    # each bipartition slices its two sides out of the validated cones
+    # each bipartition slices its two sides' columns out of the validated cones
     cones = [m.cone(a, psd) for a in range(m.P)]
     same = [m.same_ray(a, tol) for a in range(m.P)]
     # operators that share a ray at a party, in either order of the test
@@ -207,8 +209,7 @@ def find_partition_witness(m: SeparableMeasurement, max_exhaustive_n: int = 16,
         for a in range(m.P):
             c = cones[a]
             if (not any(linked[a][j] & other for j in s1)
-                    and _intersection_point(c.subcone(s1), c.subcone(s2),
-                                            tol) is None):
+                    and _intersection_point(c[:, s1], c[:, s2], tol) is None):
                 blocked.append(a)
                 if len(blocked) == 2:
                     w = NoGoWitness("partition", None, (s1, s2),

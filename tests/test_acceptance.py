@@ -13,7 +13,6 @@ import numpy as np
 
 from loccforge.cli import main
 from loccforge.config import RunConfig
-from loccforge.cones import Cone
 from loccforge.errors import InfeasibleError, InvalidMeasurementError
 from loccforge.hermitian import proportional, tensor
 from loccforge.lifting import lift
@@ -42,7 +41,8 @@ from conftest import (
     random_valid_tree,
     random_witness_measurement,
 )
-from test_cones import nontrivial_intersection, random_cone, sampling_oracle
+from test_cones import (
+    cone, nontrivial_intersection, random_generators, sampling_oracle)
 from test_passes import same_extraction
 from test_synthesis import classes_by_party
 
@@ -183,18 +183,19 @@ def test_acceptance_5_cone_oracle(capsys, rng):
         hits = 0
         for _ in range(500):
             d = int(rng.integers(2, 4))
-            a = random_cone(rng, d)
+            gens_a = random_generators(rng, d)
+            a = cone(gens_a)
             if rng.random() < 0.4:
                 extra = [random_psd(rng, d)
                          for _ in range(int(rng.integers(0, 2)))]
-                b = Cone([g * float(rng.uniform(0.5, 2.0))
-                          for g in a.generators] + extra)
+                b = cone([g * float(rng.uniform(0.5, 2.0))
+                          for g in gens_a] + extra)
             else:
-                b = random_cone(rng, d)
+                b = cone(random_generators(rng, d))
             w = nontrivial_intersection(a, b)
             if w is not None:
                 assert w.residual <= 1e-8
-            if sampling_oracle(rng, a, b) is not None:
+            if sampling_oracle(rng, gens_a, b) is not None:
                 hits += 1
                 assert w is not None, "sampling found a point the scan missed"
         assert hits >= 100

@@ -205,6 +205,48 @@ def test_check_nogo_partial_scan_flag(capsys):
     assert payload["partition"]["exhaustive"] is False
 
 
+def check_nogo_text(payload):
+    """The text report check-nogo prints for its JSON report."""
+    sp, pw = payload["singular_pair"], payload["partition"]
+    extent = "exhaustive" if payload["partition_exhaustive"] else "partial"
+    return "\n".join([
+        "singular-pair witness: none" if sp is None else
+        "singular-pair witness: operator %d (%s), parties %s"
+        % (sp["op_index"], sp["label"], ", ".join(sp["parties"])),
+        "partition witness: none (%s scan)" % extent if pw is None else
+        "partition witness: S1 = {%s}, parties %s (%s scan)"
+        % (", ".join(pw["s1_labels"]), ", ".join(pw["parties"]), extent),
+        "verdict: %s" % ("impossible-by-witness" if payload["witness"]
+                         else "no-witness")]) + "\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--max-exhaustive", "2")],
+                         ids=["default", "max-exhaustive-2"])
+def test_check_nogo_text_and_json_agree(capsys, flags):
+    """Every fixture's JSON report says what its text report says, the
+    partition scan's extent included, whether or not it found a witness.
+    Under the cap of 2 the scan is exhaustive only on 2 operators."""
+    found = set()
+    for path in sorted(FIXTURE_DIR.glob("*.json")):
+        code, text, err = run(capsys, "check-nogo", str(path), *flags)
+        jcode, out, jerr = run(capsys, "check-nogo", str(path), *flags,
+                               "--format", "json")
+        assert (jcode, jerr) == (code, err), path.name
+        if code == 1:
+            assert (text, out) == ("", ""), path.name
+            continue
+        payload = json.loads(out)
+        assert check_nogo_text(payload) == text, path.name
+        if payload["partition"] is not None:
+            assert (payload["partition"]["exhaustive"]
+                    == payload["partition_exhaustive"]), path.name
+        assert payload["partition_exhaustive"] == (
+            not flags or len(load_fixture(path.stem)) <= 2), path.name
+        found.add((payload["partition"] is None, payload["partition_exhaustive"]))
+    # a miss and a witness, each at the extent the cap gives most fixtures
+    assert {(True, not flags), (False, not flags)} <= found
+
+
 def test_check_nogo_config_tolerance_reaches_both_scans(tmp_path, capsys,
                                                        monkeypatch):
     seen = []

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from loccforge import cli, cones, measurement, nogo
-from loccforge.cones import Cone
 from loccforge.errors import InvalidOperatorError
-from loccforge.hermitian import LP_TOL, PSD_TOL
+from loccforge.hermitian import LP_TOL, PSD_TOL, vectorize
 from loccforge.io import measurement_digest
 from loccforge.measurement import measurement_from_parts
 from loccforge.nogo import find_partition_witness, find_singular_pair_witness
@@ -22,7 +21,7 @@ from conftest import (
     random_valid_tree,
     random_witness_measurement,
 )
-from test_cones import is_extreme_ray, is_singular_ray
+from test_cones import cone, is_extreme_ray, is_singular_ray, random_generators
 from test_hermitian import reference_same_ray_masks
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -165,11 +164,11 @@ def reference_partition_scan(m, max_exhaustive_n=16, tol=LP_TOL):
     if n < 2:
         return None, True
     exhaustive = n <= max_exhaustive_n
-    cs = [Cone([m.part(j, a) for j in range(len(m))], tol) for a in range(m.P)]
     for s1, s2 in _bipartitions(n, None if exhaustive else 2):
         blocked = []
         for a in range(m.P):
-            if cones._intersection_point(cs[a].subcone(s1), cs[a].subcone(s2),
+            if cones._intersection_point(cone([m.part(j, a) for j in s1], tol),
+                                         cone([m.part(j, a) for j in s2], tol),
                                          tol) is None:
                 blocked.append(a)
                 if len(blocked) == 2:
@@ -181,11 +180,13 @@ def reference_singular_pair(m, tol=LP_TOL):
     """The singular-pair scan with the pairwise proportionality loop."""
     if len(m) < 2:
         return None
-    cs = [Cone([m.part(j, a) for j in range(len(m))], tol) for a in range(m.P)]
+    gens = [[m.part(j, a) for j in range(len(m))] for a in range(m.P)]
+    for a in range(m.P):
+        cone(gens[a], tol)           # checks the parts as a cone's generators
     for j in range(len(m)):
         bad = [a for a in range(m.P)
-               if is_singular_ray(j, cs[a].generators, tol)
-               and is_extreme_ray(j, cs[a], tol)]
+               if is_singular_ray(j, gens[a], tol)
+               and is_extreme_ray(j, gens[a], tol)]
         if len(bad) >= 2:
             return j, tuple(bad[:2])
     return None
@@ -315,7 +316,7 @@ def linked_by_reference(m, tol=LP_TOL):
     proportional to the other, from the pairwise `proportional` loop."""
     out = []
     for a in range(m.P):
-        gens = Cone([m.part(j, a) for j in range(len(m))], tol).generators
+        gens = [m.part(j, a) for j in range(len(m))]
         same = reference_same_ray_masks(gens, tol)
         out.append([same[j] | sum(1 << i for i in range(len(gens))
                                   if same[i] >> j & 1)
@@ -383,7 +384,7 @@ def test_locc_random_trees_have_no_witness():
 
 
 def test_check_nogo_builds_each_party_table_once(tmp_path, capsys, monkeypatch):
-    """One check-nogo run builds one Cone per party, asked for at `psd` by
+    """One check-nogo run builds one cone per party, asked for at `psd` by
     both scans, and per party two same-ray tables: at `psd` for validate's
     duplicate check and at `lp` for both scans. The measurement keeps them,
     so both scans share them, and both tables of a party compare one
@@ -410,3 +411,99 @@ def test_check_nogo_builds_each_party_table_once(tmp_path, capsys, monkeypatch):
         assert len({id(c) for *_, c in cones_asked}) == m.P, name
         assert sorted(rays_built) == [PSD_TOL] * m.P + [LP_TOL] * m.P, name
         assert broadcasts == [len(m)] * m.P, name
+
+
+def nogo_scan_cases():
+    """The fixtures and the benchmark's check-nogo documents, each at the
+    default cap and at a cap of 2."""
+    names = [p.stem for p in sorted(FIXTURE_DIR.glob("*.json"))]
+    manifest = json.loads((BENCH / "corpus.json").read_text())
+    names += [inv["instance"] for inv in manifest["workloads"]["nogo"]["invocations"]]
+    ms = [load_fixture(n) if (FIXTURE_DIR / f"{n}.json").exists()
+          else corpus_measurement(n) for n in dict.fromkeys(names)]
+    return [(m, cap) for m in ms for cap in (16, 2)]
+
+
+def test_cone_lps_agree_with_highs(monkeypatch, rng):
+    """Every cone LP the scans solve over the fixtures and the benchmark's
+    check-nogo documents, and those of random cones, is feasible for the
+    simplex exactly when it is for HiGHS with x >= 0: a wrong "infeasible"
+    here would be a false impossibility witness."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    lps, real = [], cones.feasible_point
+
+    def spy(A, b, *, tol):
+        lps.append((A, b, tol))
+        return real(A, b, tol=tol)
+
+    monkeypatch.setattr(cones, "feasible_point", spy)
+    for m, cap in nogo_scan_cases():
+        find_singular_pair_witness(m)
+        find_partition_witness(m, cap)
+    scanned = len(lps)
+    for _ in range(150):
+        d = int(rng.integers(2, 4))
+        gens_a = random_generators(rng, d)
+        a, b = cone(gens_a), cone(random_generators(rng, d))
+        cones._intersection_point(a, b)
+        # a point on a's first ray, or off it by a random PSD term
+        x = gens_a[0] * float(rng.uniform(0.5, 2.0))
+        if rng.random() < 0.5:
+            x = x + random_psd(rng, d)
+        cones.member(vectorize(x), a)
+    monkeypatch.undo()
+    verdicts = []
+    for A, b, tol in lps:
+        ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, method="highs",
+                      bounds=[(0.0, None)] * A.shape[1])
+        assert ref.status in (0, 2), ref.message
+        x = cones.feasible_point(A, b, tol=tol)
+        assert (x is not None) == (ref.status == 0), (A, b)
+        verdicts.append(x is not None)
+    assert scanned > 100
+    # both answers occur among the scans' LPs and among the random ones
+    assert 0 < np.mean(verdicts[:scanned]) < 1
+    assert 0 < np.mean(verdicts[scanned:]) < 1
+
+
+def test_cone_tables_are_the_parts_columns(monkeypatch, rng):
+    """A party's cone is the read-only, C-contiguous table whose column j is
+    vectorize(part(j, a)), byte for byte, kept per (party, tolerance); the
+    singular-pair scan's membership point for part j is that column, and its
+    cone the table's other columns."""
+    ms = [load_fixture(p.stem) for p in sorted(FIXTURE_DIR.glob("*.json"))]
+    ms += [random_valid_tree(np.random.default_rng(s))[1] for s in range(10)]
+    ms += [measurement_from_parts([[random_psd(rng, d) for d in (2, 3)]
+                                   for _ in range(int(rng.integers(1, 6)))])
+           for _ in range(10)]
+    for m in ms:
+        for a in range(m.P):
+            for psd in (PSD_TOL, LP_TOL):
+                C = m.cone(a, psd)
+                ref = np.column_stack([vectorize(p) for p in m.stack(a)])
+                assert C.flags.c_contiguous and not C.flags.writeable
+                assert C.dtype == ref.dtype
+                assert C.shape == ref.shape and C.tobytes() == ref.tobytes()
+                assert m.cone(a, psd) is C
+    calls = []
+
+    def spy(x, C, tol):
+        calls.append((x, C))
+        return cones.member(x, C, tol)
+
+    monkeypatch.setattr(nogo, "member", spy)
+    seen = 0
+    for m in ms:
+        calls.clear()
+        find_singular_pair_witness(m)
+        tables = [m.cone(a) for a in range(m.P)]
+        seen += len(calls)
+        for x, C in calls:
+            # the party and operator whose column x is a view of
+            a = next(a for a, t in enumerate(tables) if np.shares_memory(x, t))
+            j = (x.ctypes.data - tables[a].ctypes.data) // x.itemsize
+            assert x.base is tables[a] and x.strides == (tables[a].strides[0],)
+            assert x.tobytes() == vectorize(m.part(j, a)).tobytes()
+            others = [i for i in range(len(m)) if i != j]
+            assert C.tobytes() == tables[a][:, others].tobytes()
+    assert seen > 0

@@ -12,7 +12,6 @@ import json
 import numpy as np
 import pytest
 
-from loccforge.cones import Cone
 from loccforge.errors import (
     DimMismatchError,
     InvalidOperatorError,
@@ -300,15 +299,16 @@ def test_cone_raises_what_the_generator_loop_raises(rng):
                 gens.append(random_psd(rng, d))
         expected = ref_cone_error(gens, tol)
         if expected is None:
-            c = Cone(gens, tol)
+            m = SeparableMeasurement([[g] for g in gens])
+            c = m.cone(0, tol)
             sym = [(x + x.conj().T) / 2.0
                    for x in (np.asarray(g, dtype=complex) for g in gens)]
-            assert all(g.tobytes() == x.tobytes() for g, x in zip(c.generators, sym))
+            assert all(g.tobytes() == x.tobytes() for g, x in zip(m.stack(0), sym))
             ref = np.column_stack([vectorize(x) for x in sym])
-            assert c._vecs.flags.c_contiguous and c._vecs.tobytes() == ref.tobytes()
+            assert c.flags.c_contiguous and c.tobytes() == ref.tobytes()
             continue
         with pytest.raises(Exception) as e:
-            Cone(gens, tol)
+            SeparableMeasurement([[g] for g in gens]).cone(0, tol)
         assert (type(e.value), str(e.value)) == expected
         detail = expected[1].split(": ", 1)[1]
         raised.add((expected[0], "shape" if detail.startswith("expected") else detail))
