@@ -1,4 +1,56 @@
-"""The synthesis loop: classes, mergers, feasibility, verdicts.
+"""The synthesis loop: the split, classes, mergers, feasibility, verdicts.
+
+Before the search, `synthesize` splits a measurement on orthogonal local
+supports. This is Walgate and Hardy's orthogonality-preserving measurement
+(PRL 89, 147901, 2002), used as an exact reduction. At party a, link two
+operators when their a-parts have a nonzero product; for PSD parts that is
+when tr(E_i^a E_j^a) > 0. Let the links form components C_1..C_r with r >= 2,
+S_k the support of C_k's summed a-parts, Pi_k its projector, V_k an isometry
+onto it, and M_k = {V_k^+ E_j^a V_k (x) E_j's other parts : j in C_k}.
+- Compose. If every M_k is finite-round LOCC, so is M: party a measures
+  {Pi_k}, which disturbs no outcome as every E_j^a lies in one S_k, and then
+  branch k runs M_k's protocol. Renamed to M's operators, that protocol has
+  a-root value Pi_k under M's parts; `merge_and_extend` joins the branch
+  trees on free party a, whose values sum to the identity, and the branch
+  assignments concatenate.
+- Restrict. If M is LOCC, so is each M_k: pre-compose party a's first
+  instrument with V_k. The outcomes outside C_k then have zero compression,
+  and the others implement M_k up to the positive reweighting that the
+  protocol of M carries, which is what a `Protocol` implements (README,
+  "What a `Protocol` implements").
+So M is finite-round LOCC iff every M_k is. The split recurses on every party
+of each branch, and one `ProvedImpossible` branch makes M `ProvedImpossible`;
+its reason names the party and the branch's labels.
+
+Numerically, a pair is linked unless tr(E_i^a E_j^a) <= psd |E_i^a| |E_j^a|
+(Frobenius norms), so a near-orthogonal pair stays linked: linking errs
+toward fewer splits, never toward a wrong branch. S_k is spanned by the
+eigenvectors of C_k's summed a-parts above psd times the largest eigenvalue.
+Each branch must then be complete under M's completeness weights w:
+sum_{j in C_k} w_j V_k^+ E_j V_k = I within lp, by `validate_assignment`'s
+rule; a party where a branch fails is not split. The check can fail: a pair
+below the margin can still leave S_k and S_l overlapping, so that the Pi_k do
+not sum to I (the tests build one). When it holds for every k, the Pi_k sum
+to I within the tolerances: averaged over the other parties, the weighted
+a-parts of C_k sum to a matrix G_k supported on S_k (up to the dropped
+eigenvalues) with V_k^+ G_k V_k = I, so G_k = Pi_k, and the G_k sum to I by
+M's completeness. `_emit` checks the composed protocol against M.
+
+A branch of one operator that passes the check has w_j E_j' = I, so every
+compressed part E_j'^b is proportional to the identity: its leaf tree with
+x_b = d_b' / tr(E_j'^b) is its protocol, and it needs no LP. A branch that
+splits no further is searched as its own measurement.
+
+The branches share one `SynthesisStats`, so `max_lps` and `max_trees` bound
+the whole run, and `lps_solved`, `trees_built` and `classes_found` sum over
+the branches; the first branch that is not a `Protocol` ends the run with its
+verdict. A split costs one round: `rounds` is the most rounds of any branch
+plus 1 (a leaf branch has none), and the configured `rounds` bounds that
+total, so a branch reached through that many splits is not split again. A
+branch whose own trunk party is a would give party a two rounds in a row;
+composing folds them by `compact_same_party`'s rule. Exhaustive mode runs
+unsplit: it lists the search's alternative orderings, and a split fixes the
+first party. A measurement that does not split goes straight to the search.
 
 Starting from one-outcome trees, each round groups trees whose roots on all
 parties but one can carry a common strictly positive value (an LP question)
@@ -210,12 +262,14 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import InfeasibleError, InvalidMeasurementError, TreeStructureError
-from .hermitian import LP_TOL, vectorize
+from .hermitian import LP_TOL, tensor, vectorize
 from .measurement import SeparableMeasurement, completeness_certificate, validate
 from .simplex import feasible_point
 from .tree import (
+    Node,
     ProtocolTree,
     Term,
+    _close,
     descend,
     leaf_tree,
     merge_and_extend,
@@ -576,7 +630,9 @@ def _emit(tree, assignment, m, tol):
     whose trunk party is not f, as a tree with trunk party f is not eligible
     for free party f; so no round is followed at once by a round of its own
     party, and nothing is folded. Every merge has at least two members, so
-    every round has at least two outcomes, and nothing is spliced.
+    every round has at least two outcomes, and nothing is spliced. A split
+    composes normal branch trees on free party a and folds each branch whose
+    trunk party is a (module docstring), and it has at least two branches.
     """
     if not validate_assignment(tree, m, assignment, pin_identities=True, tol=tol):
         raise TreeStructureError("synthesized protocol failed revalidation")
@@ -603,13 +659,147 @@ def synthesize(m: SeparableMeasurement,
                config: RunConfig | None = None) -> SynthesisVerdict:
     """A `Protocol`, `ProvedImpossible` or `BudgetExhausted` verdict for m
     under config (default `RunConfig()`); m must pass `admit` at config, or
-    InvalidMeasurementError is raised."""
+    InvalidMeasurementError is raised. m is split on orthogonal local
+    supports first, unless config's mode is exhaustive (module docstring)."""
     cfg = config or RunConfig()
-    admit(m, cfg)
-    N = len(m)
+    w = admit(m, cfg).weights
     stats = SynthesisStats()
+    split = None if cfg.mode == "exhaustive" else _split(
+        tuple(m.stack(a) for a in range(m.P)), w, cfg, 0)
+    if split is None:
+        return _search(m, cfg, stats)
+    v = _compose(m, np.arange(len(m)), split, w, cfg, stats, 0)
+    if v.kind != "Protocol":
+        return v
+    emitted = _emit(v.tree, v.assignment, m, cfg.tol.lp)
+    return dataclasses.replace(v, protocols=(emitted,))
+
+
+def _components(g, psd):
+    """The positions of each component of the (N, d, d) stack g's link
+    graph (module docstring), ascending, by least position."""
+    n = len(g)
+    V = vectorize(g)
+    gram = V @ V.T      # tr(E_i E_j): `vectorize` is an isometry
+    norms = np.sqrt(gram.diagonal())
+    linked = gram > psd * np.outer(norms, norms)
+    if linked.all():
+        return [np.arange(n)]
+    # square the reachability matrix until it is transitively closed; a
+    # row's first reachable position is then its component's least one
+    reach = linked.astype(float)
+    while True:
+        nxt = (reach @ reach > 0).astype(float)
+        if (nxt == reach).all():
+            break
+        reach = nxt
+    label = reach.argmax(axis=1)
+    return [np.flatnonzero(label == h) for h in np.flatnonzero(label == np.arange(n))]
+
+
+def _split(stacks, w, cfg, depth):
+    """(a, branches) for the first party a whose parts link into two or more
+    components whose branches all pass the completeness check under the
+    weights w, else None (module docstring); also None when depth, the
+    splits above, leaves no round for one more. Each branch is (positions,
+    stacks): its operators' positions in stacks, ascending, and their parts
+    with party a's compressed onto the component's support."""
+    if cfg.rounds is not None and depth >= cfg.rounds:
+        return None
+    psd = cfg.tol.psd
+    for a, g in enumerate(stacks):
+        members = _components(g, psd)
+        if len(members) < 2:
+            continue
+        vals, vecs = np.linalg.eigh(np.stack([g[p].sum(axis=0) for p in members]))
+        branches = []
+        for p, ev, U in zip(members, vals, vecs):
+            V = U[:, ev > psd * ev[-1]]
+            parts = tuple(V.conj().T @ s[p] @ V if b == a else s[p]
+                          for b, s in enumerate(stacks))
+            prods = tensor(parts)
+            total = (w[p] @ prods.reshape(len(p), -1)).reshape(prods.shape[1:])
+            if not _close(total, np.eye(len(total)), cfg.tol.lp):
+                break
+            branches.append((p, parts))
+        else:
+            return a, branches
+    return None
+
+
+def _compose(m, ids, split, w, cfg, stats, depth):
+    """The verdict of m's operators ids, split as `_split` returned, at depth
+    splits into the run: a Protocol's tree names m's operators and is not yet
+    emitted; otherwise the first branch's verdict that is not a Protocol,
+    its reason naming the branch."""
+    a, branches = split
+    trees, xs, rounds = [], [], 0
+    for p, parts in branches:
+        v = _branch(m, ids[p], parts, w, cfg, stats, depth + 1)
+        if v.kind != "Protocol":
+            labels = ", ".join(m.labels[j] for j in ids[p])
+            return dataclasses.replace(v, reason=(
+                f"branch {{{labels}}} of the split at party "
+                f"{m.party_names[a]}: {v.reason}"))
+        rounds = max(rounds, stats.rounds)
+        trees.append(v.tree)
+        xs.append(v.assignment)
+    stats.rounds = rounds
+    t = merge_and_extend(trees, a)
+    # fold a branch whose trunk party is a, by `compact_same_party`'s rule;
+    # the branch trees are normal, so no deeper node needs it
+    trunk = root_for(t, a)
+    kids = tuple(k for c in trunk.children
+                 for k in (c.children if c.children and c.children[0].party == a
+                           else (c,)))
+    roots = tuple(Node(a, trunk.groups, kids) if r is trunk else r for r in t.roots)
+    levels = max(u.depth + (u.trunk_party != a) for u in trees)
+    return SynthesisVerdict(
+        "Protocol", ProtocolTree(t.P, roots, t.nvars, levels),
+        np.concatenate(xs), stats,
+        reason=f"split at party {m.party_names[a]} into {len(branches)} branches")
+
+
+def _branch(m, ids, parts, w, cfg, stats, depth):
+    """`_compose`'s verdict for one branch: m's operators ids with the
+    (compressed) party stacks parts. One operator is its leaf tree; a branch
+    that splits is composed; any other is searched as its own measurement."""
+    if len(ids) == 1:
+        stats.trees_built += 1
+        stats.rounds = depth
+        x = np.array([s.shape[-1] / np.trace(s[0]).real for s in parts])
+        return SynthesisVerdict("Protocol", leaf_tree(m, int(ids[0])), x, stats)
+    split = _split(parts, w[ids], cfg, depth)
+    if split is not None:
+        return _compose(m, ids, split, w, cfg, stats, depth)
+    mb = SeparableMeasurement(
+        [[s[k] for s in parts] for k in range(len(ids))],
+        labels=[m.labels[j] for j in ids], party_names=m.party_names)
+    v = _search(mb, cfg, stats, depth)
+    if v.kind != "Protocol":
+        return v
+    names = [int(j) for j in ids]
+    tree = ProtocolTree(v.tree.P, tuple(_renamed(r, names) for r in v.tree.roots),
+                        v.tree.nvars, v.tree.depth)
+    return dataclasses.replace(v, tree=tree, protocols=())
+
+
+def _renamed(n, names):
+    """Node n with each term's operator k renamed names[k]."""
+    return Node(n.party,
+                tuple(tuple(Term(names[t.op], t.var, t.scale) for t in g)
+                      for g in n.groups),
+                tuple(_renamed(c, names) for c in n.children))
+
+
+def _search(m, cfg, stats, depth=0):
+    """The search's verdict for an admitted m (module docstring), counting
+    into stats; depth is the number of splits above m, which `rounds` and
+    the round limit count too."""
+    N = len(m)
     trees = [leaf_tree(m, j) for j in range(N)]
-    stats.trees_built = N
+    stats.trees_built += N
+    stats.rounds = depth
     # One intern table per run shares repeated terms and renamed groups
     # between trees; its kinds of entry never compare equal.
     memo = {}
@@ -643,11 +833,11 @@ def synthesize(m: SeparableMeasurement,
         return merge_and_extend([trees[i] for i in s], free, memo)
 
     while True:
-        if cfg.rounds is not None and round_idx >= cfg.rounds:
+        if cfg.rounds is not None and depth + round_idx >= cfg.rounds:
             return SynthesisVerdict("BudgetExhausted", None, None, stats,
                                     reason=f"round limit {cfg.rounds} reached")
         round_idx += 1
-        stats.rounds = round_idx
+        stats.rounds = depth + round_idx
         new_classes = 0
         round_protocols = []
         # one round = one parallel layer: trees born here only merge next round

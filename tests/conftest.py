@@ -29,6 +29,15 @@ def product_basis(*dims):
     return measurement_from_parts([list(c) for c in itertools.product(*projs)])
 
 
+def with_basis(m, *dims):
+    """Each operator of m tensored with every outcome of the computational
+    product basis of dims, on new parties after m's."""
+    basis = product_basis(*dims)
+    return measurement_from_parts([
+        [m.part(j, a) for a in range(m.P)] + [basis.part(k, c) for c in range(basis.P)]
+        for j in range(len(m)) for k in range(len(basis))])
+
+
 def random_complex(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 

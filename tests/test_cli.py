@@ -21,7 +21,7 @@ from loccforge.io import (
     serialize_measurement,
 )
 from loccforge.measurement import measurement_from_parts
-from loccforge.synthesis import admit, synthesize
+from loccforge.synthesis import SynthesisStats, _search, admit, synthesize
 
 from conftest import (
     FIXTURE_DIR,
@@ -290,14 +290,17 @@ def synthesize_json(tmp_path, capsys, m, *flags):
 @pytest.mark.parametrize("n, lps", [(7, 8), (8, 9)])
 def test_one_sided_measurement_is_a_protocol(tmp_path, capsys, n, lps):
     """A holds the identity and B measures an n-outcome basis, so B alone
-    implements it in one round; no subset size cuts the cover search that
-    finds it."""
+    implements it in one round: the split at B finds it with no LP, and no
+    subset size cuts the cover search that finds it too."""
     m = measurement_from_parts([[np.eye(2), np.diag(np.eye(n)[i])]
                                 for i in range(n)])
     code, payload = synthesize_json(tmp_path, capsys, m)
     assert (code, payload["verdict"]) == (0, "Protocol")
-    assert (payload["stats"]["rounds"], payload["stats"]["lps_solved"]) == (1, lps)
+    assert payload["reason"] == f"split at party B into {n} branches"
+    assert (payload["stats"]["rounds"], payload["stats"]["lps_solved"]) == (1, 0)
     assert payload["weight_residual"] <= 1e-9
+    v = _search(m, RunConfig(), SynthesisStats())
+    assert (v.kind, v.stats.rounds, v.stats.lps_solved) == ("Protocol", 1, lps)
 
 
 def test_random_tree_29_gets_its_weights(tmp_path, capsys):
@@ -502,7 +505,7 @@ def test_configured_lp_reaches_the_kraus_factor_rule(tmp_path, capsys):
     code, out, _ = run(capsys, "synthesize", str(meas), "--save", str(proto), *loose)
     assert code == 0 and out.startswith("verdict: Protocol\n")
     code, out, err = run(capsys, "lift", str(meas), "--protocol", str(proto), *loose)
-    assert (code, err) == (0, "") and "leaf 1 -> M1 (scale 1.41421, coin yes)" in out
+    assert (code, err) == (0, "") and "leaf 0 -> M1 (scale 1.41421, coin yes)" in out
 
 
 def _set_part(value):
@@ -653,9 +656,9 @@ OUT_OF_RANGE_EDITS = [
                  "term var -1 out of range [0, 6)", id="root-var-negative"),
     pytest.param(_set(("roots", 1, "groups", 1, 1), "var", 6),
                  "term var 6 out of range [0, 6)", id="alias-var-nvars"),
-    pytest.param(_set(("roots", 0, "children", 1, "children"), "party", 9),
+    pytest.param(_set(("roots", 0, "children", 0, "children"), "party", 9),
                  "node party 9 out of range [0, 2)", id="node-party-9"),
-    pytest.param(_set(("roots", 0, "children", 1, "children"), "party", -1),
+    pytest.param(_set(("roots", 0, "children", 0, "children"), "party", -1),
                  "node party -1 out of range [0, 2)", id="node-party-negative"),
 ]
 

@@ -148,7 +148,7 @@ def test_kraus_factor_checked_at_validates_tolerance():
     v = synthesize(m, RunConfig(tol=Tolerances(lp=1e-6)))
     assert v.kind == "Protocol"
     lifted = lift(v.tree, v.assignment, m, tol=1e-6)
-    assert [t.op_index for t in lifted.tails] == [2, 0, 1]
+    assert [t.op_index for t in lifted.tails] == [0, 1, 2]
 
 
 def test_leaf_naming_two_operators_is_rejected():

@@ -16,6 +16,7 @@ from loccforge.synthesis import (
     SynthesisStats,
     _class_feasible,
     _feasible_family,
+    admit,
     build_classes,
     feasibility,
     orderings,
@@ -38,9 +39,20 @@ from loccforge.tree import (
     walk_nodes,
 )
 
-from conftest import load_fixture, locc_random_measurements, product_basis
+from conftest import (
+    load_fixture,
+    locc_random_measurements,
+    product_basis,
+    with_basis,
+)
 
 I2 = np.eye(2)
+
+
+def search(m, cfg=None):
+    """The search alone, which synthesize runs on a measurement that does
+    not split, with fresh stats."""
+    return synthesis._search(m, cfg or RunConfig(), SynthesisStats())
 
 
 def test_cascade5_protocol_shape():
@@ -96,12 +108,13 @@ def test_domino9_proved_impossible():
 
 def test_productbasis_first_mode():
     m = load_fixture("productbasis4")
-    v = synthesize(m)
-    assert v.kind == "Protocol"
-    assert v.reason == "protocol found in round 2"
-    assert v.stats.rounds == 2 and v.stats.trees_built == 9
-    assert orderings(v, m.party_names) == [("A", "B")]
-    assert len(v.protocols) == 1
+    for v, reason, trees in [(search(m), "protocol found in round 2", 9),
+                             (synthesize(m), "split at party A into 2 branches", 4)]:
+        assert v.kind == "Protocol"
+        assert v.reason == reason
+        assert v.stats.rounds == 2 and v.stats.trees_built == trees
+        assert orderings(v, m.party_names) == [("A", "B")]
+        assert len(v.protocols) == 1
 
 
 def test_productbasis_exhaustive_mode():
@@ -131,27 +144,33 @@ def classes_by_party(trees, m, known=None, start=0, stats=None):
     return out
 
 
-@pytest.mark.parametrize("name, kind, reason, stats", [
-    ("fourparty_aligned", "Protocol", "protocol found in round 1", (1, 3, 2, 0)),
-    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 9, 1)),
-    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 15, 4)),
+@pytest.mark.parametrize("name, kind, reason, stats, split", [
+    ("fourparty_aligned", "Protocol", "protocol found in round 1", (1, 3, 2, 0),
+     ("split at party A into 2 branches", (1, 2, 0, 0))),
+    ("krausdemo", "Protocol", "protocol found in round 2", (2, 5, 9, 1),
+     ("split at party A into 2 branches", (2, 3, 0, 0))),
+    ("productbasis4", "Protocol", "protocol found in round 2", (2, 9, 15, 4),
+     ("split at party A into 2 branches", (2, 4, 0, 0))),
     ("singularpair3", "ProvedImpossible",
-     "round 1 produced no new equivalence classes", (1, 3, 6, 0)),
-    ("fourparty_mismatch", InvalidMeasurementError, "not complete", None),
+     "round 1 produced no new equivalence classes", (1, 3, 6, 0), None),
+    ("fourparty_mismatch", InvalidMeasurementError, "not complete", None, None),
 ])
-def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
-    """stats: (rounds, trees_built, lps_solved, classes_found)."""
+def test_fixture_verdicts_under_default_config(name, kind, reason, stats, split):
+    """reason and stats, (rounds, trees_built, lps_solved, classes_found),
+    are the search's; split holds synthesize's where the fixture splits, and
+    synthesize answers as the search does where it does not."""
     m = load_fixture(name)
     if stats is None:
         with pytest.raises(kind, match=reason):
             synthesize(m)
         return
-    v = synthesize(m)
-    assert (v.kind, v.reason) == (kind, reason)
-    assert v.stats.as_dict() == dict(zip(
-        ("rounds", "trees_built", "lps_solved", "classes_found"), stats))
-    if kind == "Protocol":
-        assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
+    for v, (want_reason, want_stats) in [(search(m), (reason, stats)),
+                                         (synthesize(m), split or (reason, stats))]:
+        assert (v.kind, v.reason) == (kind, want_reason)
+        assert v.stats.as_dict() == dict(zip(
+            ("rounds", "trees_built", "lps_solved", "classes_found"), want_stats))
+        if kind == "Protocol":
+            assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
 
 
 @pytest.mark.parametrize("dims, stats", [
@@ -159,8 +178,9 @@ def test_fixture_verdicts_under_default_config(name, kind, reason, stats):
     ((2, 2, 2), (457, 33, 3)),
 ])
 def test_product_basis_search_counts(dims, stats):
-    """stats: (lps_solved, trees_built, rounds)."""
-    v = synthesize(product_basis(*dims))
+    """stats: (lps_solved, trees_built, rounds) of the search, which
+    synthesize does not run on a product basis (it splits)."""
+    v = search(product_basis(*dims))
     assert v.kind == "Protocol"
     assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == stats
 
@@ -394,7 +414,7 @@ def test_a_round_without_a_protocol_keeps_the_searched_trees(monkeypatch):
     monkeypatch.setattr(synthesis, "_cover_search", search_spy)
     monkeypatch.setattr(synthesis, "feasibility", no_protocol)
     m = load_fixture("productbasis4")
-    v = synthesize(m, RunConfig(rounds=3))
+    v = search(m, RunConfig(rounds=3))
     monkeypatch.undo()
     assert (v.kind, v.stats.rounds) == ("BudgetExhausted", 3)
     assert len(set(merged)) == len(merged)
@@ -415,13 +435,18 @@ def test_a_round_without_a_protocol_keeps_the_searched_trees(monkeypatch):
 def test_a_run_leaves_no_reference_cycle():
     """synthesize frees its trees and caches as it returns, not when the
     cycle collector next runs, so repeated runs in one process do not pile
-    them up: a run leaves nothing in a reference cycle."""
+    them up: a run leaves nothing in a reference cycle, also when it splits
+    (the 3x3 basis, krausdemo, and domino9 times a qubit basis, proved
+    impossible in a branch)."""
     ms = locc_random_measurements()
     gc.collect()
     gc.disable()
     try:
         for m, cfg in [(load_fixture("cascade5"), RunConfig()),
                        (product_basis(3, 3), RunConfig()),
+                       (load_fixture("krausdemo"), RunConfig()),
+                       (with_basis(load_fixture("domino9"), 2),
+                        RunConfig(max_lps=2000)),
                        (ms[12], RunConfig(max_lps=2000)),
                        (ms[51], RunConfig(max_lps=2000))]:
             for mode in ("first", "exhaustive"):
@@ -514,7 +539,7 @@ def test_rounds_return_only_new_classes(monkeypatch):
         answers = {}
         last_mergers = {free: set() for free in range(m.P)}
         seen = {free: set() for free in range(m.P)}
-        synthesize(m, cfg)
+        search(m, cfg)
         for free, (mergers, maximal), got in calls:
             assert got == ([s for s in mergers if s not in last_mergers[free]],
                            [s for s in maximal if s not in seen[free]])
@@ -567,7 +592,7 @@ def test_no_subset_is_tested_or_merged_twice(monkeypatch):
             tested.clear()
             merged.clear()
             families.clear()
-            v = synthesize(m, dataclasses.replace(cfg, mode=mode))
+            v = search(m, dataclasses.replace(cfg, mode=mode))
             pairs = [(free, ids) for _, free, ids in tested]
             assert len(set(pairs)) == len(pairs)
             assert len(set(merged)) == len(merged)
@@ -600,7 +625,7 @@ def test_merged_trees_never_repeat_a_key(monkeypatch):
     merges = 0
     for m, cfg in cases:
         merged.clear()
-        v = synthesize(m, cfg)
+        v = search(m, cfg)
         leaf_keys = {canonical_key(leaf_tree(m, j)) for j in range(len(m))}
         keys = [canonical_key(t) for t in merged]
         assert len(set(keys)) == len(keys)
@@ -621,7 +646,7 @@ def test_tree_budget_is_checked_before_merging(monkeypatch):
         return real_merge(cs, free, memo)
 
     monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
-    v = synthesize(product_basis(3, 3), RunConfig(max_trees=20))
+    v = search(product_basis(3, 3), RunConfig(max_trees=20))
     assert (v.kind, v.reason) == ("BudgetExhausted", "tree budget exhausted")
     assert v.stats.as_dict() == {"rounds": 1, "trees_built": 20,
                                  "lps_solved": 79, "classes_found": 6}
@@ -662,7 +687,7 @@ def test_merged_coverage_is_the_union_of_its_members(monkeypatch):
     for m, cfg in search_cases():
         merged.clear()
         tested.clear()
-        synthesize(m, cfg)
+        search(m, cfg)
         full = set(range(len(m)))
         if len(m) > 1:
             assert list(map(id, tested)) == [
@@ -676,15 +701,17 @@ def protocol_digest(tree):
 
 
 # verdict, reason and protocol digest of each run, as the eager search
-# without look-ahead found them
+# without look-ahead found them; the split finds the same trees for the
+# three fixtures it splits
 PINNED_PROTOCOLS = {
     "cascade5": ("Protocol", "protocol found in round 4", "22fac4057ec55170"),
     "domino9": ("ProvedImpossible",
                 "round 2 produced no new equivalence classes", None),
-    "fourparty_aligned": ("Protocol", "protocol found in round 1",
+    "fourparty_aligned": ("Protocol", "split at party A into 2 branches",
                           "d77fb80978b1b232"),
-    "krausdemo": ("Protocol", "protocol found in round 2", "fc82d472505a3219"),
-    "productbasis4": ("Protocol", "protocol found in round 2",
+    "krausdemo": ("Protocol", "split at party A into 2 branches",
+                  "fc82d472505a3219"),
+    "productbasis4": ("Protocol", "split at party A into 2 branches",
                       "49e3c4941f25d70c"),
     "singularpair3": ("ProvedImpossible",
                       "round 1 produced no new equivalence classes", None),
@@ -748,7 +775,7 @@ def test_class_lps_stay_small_on_seed_51(monkeypatch):
 
 
 def test_intern_table_keeps_keys_and_trees(monkeypatch):
-    """synthesize passes one intern table per run, a fresh one for each run,
+    """The search passes one intern table per run, a fresh one for each run,
     to every merge_and_extend call; the trees and the protocols' keys equal
     those built without one."""
     tables = []
@@ -765,7 +792,7 @@ def test_intern_table_keeps_keys_and_trees(monkeypatch):
         runs = []
         for _ in range(2):
             tables.clear()
-            v = synthesize(m)
+            v = search(m)
             assert v.kind == "Protocol"
             assert len(tables) == v.stats.trees_built - len(m) > 0
             assert all(memo is tables[0] for memo in tables)
@@ -907,7 +934,7 @@ def reached_class_lps(monkeypatch):
     monkeypatch.setattr(synthesis, "_class_feasible", spy)
     for m, cfg in class_lp_cases():
         reached.clear()
-        synthesize(m, cfg)
+        search(m, cfg)
         yield list(reached)
 
 
@@ -927,7 +954,7 @@ def test_variables_label_one_party(monkeypatch):
     merged = 0
     for m, cfg in class_lp_cases():
         built.clear()
-        synthesize(m, cfg)
+        search(m, cfg)
         merged += len(built)
         for t in [leaf_tree(m, j) for j in range(len(m))] + built:
             parties = {}
@@ -1002,7 +1029,7 @@ def test_pinned_blocks_match_the_joint_lp(monkeypatch):
     monkeypatch.setattr(synthesis, "feasibility", spy)
     for m, cfg in class_lp_cases():
         for mode in ("first", "exhaustive"):
-            synthesize(m, dataclasses.replace(cfg, mode=mode))
+            search(m, dataclasses.replace(cfg, mode=mode))
     answers = {True: 0, False: 0}
     for t, m, kw, x in reached:
         A, b, cols = reference_pinned_lp(t, m)
@@ -1117,7 +1144,7 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
 
     monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
     monkeypatch.setattr(simplex, "_phase1", phase1_spy)
-    v = synthesize(product_basis(3, 3))
+    v = search(product_basis(3, 3))
     assert v.kind == "Protocol"
     assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (82, 34, 2)
     assert calls and pivoted == []
@@ -1145,8 +1172,8 @@ def test_product_basis_class_lps_are_never_assembled(monkeypatch):
 
     monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
     monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
-    v3 = synthesize(product_basis(3, 3))
-    v4 = synthesize(product_basis(4, 4))
+    v3 = search(product_basis(3, 3))
+    v4 = search(product_basis(4, 4))
     assert v3.kind == v4.kind == "Protocol"
     assert (v3.stats.lps_solved, v3.stats.trees_built, v3.stats.rounds) == (82, 34, 2)
     assert calls and assembled == []
@@ -1166,12 +1193,197 @@ def synthesis_inputs():
 @pytest.mark.parametrize("mode", ["first", "exhaustive"])
 def test_synthesized_protocols_are_normal(mode):
     """compact_same_party and prune_unitary_rounds return every protocol
-    synthesize emits unchanged, so _emit need not apply them."""
+    synthesize emits unchanged, so _emit need not apply them: on the inputs
+    above, the frontier's bases, and a split whose branch measures the split
+    party first."""
     count = 0
-    for m in synthesis_inputs():
+    frontier = [product_basis(*d) for d in ((8, 8), (2, 2, 2, 2, 2), (3, 3, 4))]
+    for m in [*synthesis_inputs(), *frontier, cascade5_beside_an_outcome()]:
         v = synthesize(m, RunConfig(mode=mode, max_lps=2000))
         for t, _ in v.protocols:
             assert compact_same_party(t) == t
             assert prune_unitary_rounds(t) == t
             count += 1
     assert count >= 20
+
+
+# ---------------------------------------------------------------- the split
+
+def cascade5_beside_an_outcome():
+    """cascade5 with a third direction at B, which one more outcome, A's
+    identity times that direction, holds alone. It splits at B into cascade5,
+    whose search measures B first, and that outcome."""
+    c = load_fixture("cascade5")
+    return measurement_from_parts(
+        [[c.part(j, 0), np.pad(c.part(j, 1), (0, 1))] for j in range(len(c))]
+        + [[I2, np.diag([0.0, 0.0, 1.0])]])
+
+
+def stacks(m):
+    return tuple(m.stack(a) for a in range(m.P))
+
+
+def test_a_branch_that_measures_the_split_party_first_is_folded():
+    """cascade5's protocol measures B first, so the split at B would give B
+    two rounds in a row; composing folds them: the trunk's three outcomes
+    are cascade5's two first ones and the new outcome. The split still
+    counts as a round."""
+    m = cascade5_beside_an_outcome()
+    v = synthesize(m)
+    assert (v.kind, v.reason) == ("Protocol", "split at party B into 2 branches")
+    assert v.stats.as_dict() == {"rounds": 5, "trees_built": 13,
+                                 "lps_solved": 55, "classes_found": 3}
+    trunk = root_for(v.tree, v.tree.trunk_party)
+    assert trunk.party == 1 and v.tree.depth == 4
+    assert [c.party for c in trunk.children] == [1, 1, 1]
+    assert all(k.party == 0 for c in trunk.children for k in c.children)
+    assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
+
+
+def unsplit_cases():
+    """Documents that do not split: the LOCC random trees, cascade5,
+    domino9, singularpair3 and a single operator."""
+    cases = [(m, RunConfig(max_lps=2000))
+             for m in locc_random_measurements().values()]
+    cases += [(load_fixture(n), RunConfig())
+              for n in ("cascade5", "domino9", "singularpair3")]
+    return cases + [(measurement_from_parts([[2.0 * I2, 0.5 * I2]]), RunConfig())]
+
+
+def test_a_document_that_does_not_split_gets_the_search_answer():
+    """synthesize finds no branch on these documents and answers exactly as
+    the search does: verdict, reason, stats, protocol keys and assignments,
+    bit for bit."""
+    kinds = set()
+    for m, cfg in unsplit_cases():
+        assert synthesis._split(stacks(m), admit(m, cfg).weights, cfg, 0) is None
+        v, u = synthesize(m, cfg), search(m, cfg)
+        assert (v.kind, v.reason, v.stats) == (u.kind, u.reason, u.stats)
+        assert len(v.protocols) == len(u.protocols)
+        for (t, x), (tu, xu) in zip(v.protocols, u.protocols):
+            assert canonical_key(t) == canonical_key(tu)
+            assert x.tobytes() == xu.tobytes()
+        assert (v.assignment is None) == (u.assignment is None)
+        if v.assignment is not None:
+            assert v.assignment.tobytes() == u.assignment.tobytes()
+        kinds.add(v.kind)
+    assert kinds == {"Protocol", "ProvedImpossible", "BudgetExhausted"}
+
+
+def assert_frontier_bases_split(cfg):
+    """The 2x2x2x2x2, 3x3x4 and 2x3x3x3 bases, which the search alone does
+    not decide within the default budgets, split down to single operators:
+    a protocol with no LP, weights 1 within lp, that revalidates."""
+    for dims in ((2, 2, 2, 2, 2), (3, 3, 4), (2, 3, 3, 3)):
+        m = product_basis(*dims)
+        v = synthesize(m, cfg)
+        assert v.kind == "Protocol", dims
+        assert (v.stats.lps_solved, v.stats.trees_built) == (0, len(m))
+        assert v.stats.rounds == len(dims)
+        assert validate_assignment(v.tree, m, v.assignment, pin_identities=True)
+        w, residual = align_weights(v.tree, m, v.assignment)
+        assert np.abs(w - 1.0).max() <= LP_TOL and residual <= LP_TOL
+
+
+def assert_domino_products_impossible(cfg):
+    """domino9 times a qubit, qutrit or 2x2 basis on new parties splits at
+    the basis parties into copies of domino9, and the first is proved
+    impossible: the reason names each split party and branch."""
+    domino = load_fixture("domino9")
+
+    def branch(stride, outcomes, party):
+        labels = ", ".join(f"M{stride * j + k + 1}" for j in range(9)
+                           for k in outcomes)
+        return f"branch {{{labels}}} of the split at party {party}: "
+
+    for dims, reason, lps in [
+            ((2,), branch(2, [0], "C"), 196),
+            ((3,), branch(3, [0], "C"), 196),
+            ((2, 2), branch(4, [0, 1], "C") + branch(4, [0], "D"), 278)]:
+        v = synthesize(with_basis(domino, *dims), cfg)
+        assert v.kind == "ProvedImpossible", dims
+        assert v.reason == reason + "round 2 produced no new equivalence classes"
+        assert v.stats.lps_solved == lps
+
+
+def test_frontier_bases_split_to_protocols():
+    assert_frontier_bases_split(RunConfig())
+
+
+def test_domino_products_are_proved_impossible():
+    assert_domino_products_impossible(RunConfig())
+
+
+def test_linking_everything_fails_the_frontier(monkeypatch):
+    """With every pair linked nothing splits, and both frontier checks fail
+    (under an LP budget that keeps the search short)."""
+    monkeypatch.setattr(synthesis, "_components",
+                        lambda g, psd: [np.arange(len(g))])
+    cfg = RunConfig(max_lps=2000)
+    for check in (assert_frontier_bases_split, assert_domino_products_impossible):
+        with pytest.raises(AssertionError):
+            check(cfg)
+
+
+def near_orthogonal_measurement():
+    """One party, dimension 9: E_1 = |0><0| and E_2, E_3 = P_v + Q, P_v' + Q,
+    with v, v' = (+-sqrt(2e-9), 1, 0, ...) and Q the projector on the last 7
+    directions. E_1's overlap with E_2 and E_3, 2e-9 over their norm
+    sqrt(8), is below the link margin, yet their summed part keeps the
+    direction |0> (eigenvalue 4e-9 of 2), so the two supports overlap."""
+    e = np.eye(9)
+    q = np.diag([0.0, 0.0] + [1.0] * 7)
+
+    def proj(u):
+        return np.outer(u, u) / (u @ u)
+
+    d = np.sqrt(2e-9)
+    return measurement_from_parts([[proj(e[0])], [proj(d * e[0] + e[1]) + q],
+                                   [proj(-d * e[0] + e[1]) + q]])
+
+
+def test_a_split_whose_branch_is_incomplete_is_not_made(monkeypatch):
+    """The completeness check refuses the split of the near-orthogonal
+    measurement, whose branches' supports overlap, and the search answers.
+    Without the check the split is made, and its incomplete branch {E_2, E_3}
+    proves this one-party measurement, which is LOCC, impossible."""
+    m, cfg = near_orthogonal_measurement(), RunConfig()
+    assert [list(p) for p in synthesis._components(m.stack(0), cfg.tol.psd)] == [
+        [0], [1, 2]]
+    assert synthesis._split(stacks(m), admit(m, cfg).weights, cfg, 0) is None
+    v = synthesize(m, cfg)
+    assert (v.kind, v.reason) == ("Protocol", "protocol found in round 1")
+    monkeypatch.setattr(synthesis, "_close", lambda *args: True)
+    assert synthesize(m, cfg).kind == "ProvedImpossible"
+
+
+def test_branches_share_the_run_budgets():
+    """cascade5 times a qubit basis splits into two copies of cascade5 of
+    110 LPs each: under 150 LPs the second branch stops on the budget, and
+    the counts sum over both branches."""
+    m = with_basis(load_fixture("cascade5"), 2)
+    v = synthesize(m)
+    assert (v.kind, v.reason) == ("Protocol", "split at party C into 2 branches")
+    assert v.stats.as_dict() == {"rounds": 5, "trees_built": 24,
+                                 "lps_solved": 220, "classes_found": 6}
+    v = synthesize(m, RunConfig(max_lps=150))
+    assert (v.kind, v.reason) == (
+        "BudgetExhausted", "branch {M2, M4, M6, M8, M10} of the split at "
+        "party C: lp budget exhausted")
+    assert v.stats.lps_solved == 151
+
+
+def test_a_split_counts_as_a_round():
+    """The 3x3 basis needs two splits, so two rounds; with one, its
+    branches are out of rounds, and with none, nothing splits."""
+    m = product_basis(3, 3)
+    v = synthesize(m, RunConfig(rounds=0))
+    assert (v.kind, v.reason, v.stats.rounds) == (
+        "BudgetExhausted", "round limit 0 reached", 0)
+    v = synthesize(m, RunConfig(rounds=2))
+    assert (v.kind, v.stats.rounds) == ("Protocol", 2)
+    v = synthesize(m, RunConfig(rounds=1))
+    assert (v.kind, v.reason) == (
+        "BudgetExhausted", "branch {M1, M2, M3} of the split at party A: "
+        "round limit 1 reached")
+    assert v.stats.rounds == 1
