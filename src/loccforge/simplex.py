@@ -5,6 +5,42 @@ A x = b have a solution with x >= lower? A phase-1 simplex with Bland's rule
 answers it. Problems here are tiny (tens of rows and columns) but numerous,
 so the implementation favors determinism and a final residual check over
 generality: no objective phase, no sparsity, no revised simplex.
+
+`feasible_point` answers one LP. `feasible_points` answers a list of them,
+each exactly as `feasible_point` would: the same point bit for bit, or
+None. It stacks the LPs whose kept rows have one shape and runs phase 1 on
+each stack, one tableau per LP, so numpy's fixed cost per call is paid once
+per stack, not once per LP. Each LP keeps its own pivots and arithmetic:
+- The shift to x >= lower and the residual check are the same helpers
+  (`_shifted`, `_checked`), called on each LP's own arrays, as BLAS may sum
+  a product in an order that depends on the layout. Dropping zero rows, row
+  scaling (`_scaled`) and the tableau (`_tableau`) are the same numpy
+  operations on a stack as on one LP: entry by entry, or a reduction of
+  one LP's own row or column, in the same memory order (the tests compare
+  every point of the searches bit for bit).
+- A pivot divides the leaving row and subtracts its multiples from the rows
+  where the entering column is nonzero, entry by entry, as on one LP.
+- The entering column is the LP's first negative reduced cost.
+- The leaving row is that of `_leaving_row`, the scalar scan, which a stack
+  reads off without scanning only where that is exact. With eps =
+  `_PIVOT_EPS` and fl the rounding of each operation, let r be an LP's
+  least ratio, S its candidate rows of ratio below fl(r + eps), t the
+  largest ratio in S, and call the other candidate rows far. If
+  fl(t - eps) <= r, and every far ratio q has q >= fl(t + eps) and
+  fl(q - eps) > t, the scan ends on the row of S with the least basis
+  index. Rounding is monotone, so each step below follows. Before the scan
+  reaches S it holds nothing or a far row q, and S's first row s has
+  s <= t < fl(q - eps), so the scan takes it. While it holds a row b of S,
+  another row s of S has s >= r >= fl(t - eps) >= fl(b - eps) and
+  s <= t < fl(r + eps) <= fl(b + eps): it is within eps of b, and taken
+  exactly when its basis index is smaller. A far q >= fl(t + eps) >=
+  fl(b + eps) >= fl(b - eps) is never taken. With S one row, this is the
+  least ratio unique within 2 eps. A ratio is the same division in both
+  paths. An LP where the condition fails is scanned.
+- An LP stops when it has no entering column or no leaving row, and it
+  trips the iteration guard after as many pivots as alone.
+An LP alone in its shape is answered by the one-LP kernel `_phase1`, as a
+stack of one costs more.
 """
 from __future__ import annotations
 
@@ -30,27 +66,11 @@ def feasible_point(A, b, *, tol: float = 1e-8, lower=None) -> np.ndarray | None:
     m, n = A.shape
     if b.shape != (m,):
         raise ValueError(f"rhs shape {b.shape} does not match {m} rows")
-
-    shift = None
-    b_work = b
-    if lower is not None:
-        shift = np.zeros(n) + np.asarray(lower, dtype=float)
-        b_work = b - A @ shift
-
-    # scale rows, flip signs so rhs >= 0, drop zero rows; "zero" is judged
-    # relative to the whole matrix, else roundoff rows blow up into hard
-    # constraints once normalized (the final residual check keeps this sound)
-    amax = np.abs(A).max(axis=1, initial=0.0)
-    drop = 1e-12 * max(1.0, float(amax.max(initial=0.0)))
-    keep = amax > drop
-    if (np.abs(b_work[~keep]) > tol * (1.0 + float(np.abs(b).max(initial=0.0)))).any():
+    shift, b_work = _shifted(A, b, lower)
+    amax, keep, refuted = _kept(A, b, b_work, tol)
+    if refuted:
         return None  # 0 = nonzero
-    s = 1.0 / np.maximum(amax[keep], np.abs(b_work[keep]))
-    rows = A[keep] * s[:, None]
-    rhs = b_work[keep] * s
-    neg = rhs < 0
-    rows[neg] = -rows[neg]
-    rhs[neg] = -rhs[neg]
+    rows, rhs = _scaled(A[keep], b_work[keep], amax[keep])
 
     if rows.shape[0]:
         x = _phase1(rows, rhs, n)
@@ -58,7 +78,107 @@ def feasible_point(A, b, *, tol: float = 1e-8, lower=None) -> np.ndarray | None:
             return None
     else:
         x = np.zeros(n)
+    return _checked(A, b, x, shift, tol)
 
+
+def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None) -> list:
+    """[feasible_point(A, b, tol=tol, lower=lower) for each LP], bit for bit,
+    with phase 1 run on a stack per shape of the rows kept (module
+    docstring); lowers is a list like As, or None for x >= 0 throughout. The
+    first LP in list order whose pivots trip the iteration guard raises its
+    SimplexGuardError, once every LP has run."""
+    lowers = [None] * len(As) if lowers is None else lowers
+    if len(As) == 1:
+        return [feasible_point(As[0], bs[0], tol=tol, lower=lowers[0])]
+    mats = [np.atleast_2d(np.asarray(A, dtype=float)) for A in As]
+    vecs = [np.asarray(b, dtype=float).ravel() for b in bs]
+    for A, b in zip(mats, vecs):
+        if b.shape != A.shape[:1]:
+            raise ValueError(f"rhs shape {b.shape} does not match {A.shape[0]} rows")
+    shifted = [_shifted(A, b, lower) for A, b, lower in zip(mats, vecs, lowers)]
+    # per shape (rows kept, columns): the positions of its LPs and their
+    # kept rows, rhs and largest |entries|, as feasible_point drops them
+    pool = {}
+    shapes = {}
+    for i, A in enumerate(mats):
+        shapes.setdefault(A.shape, []).append(i)
+    for (m, n), idx in shapes.items():
+        A = np.stack([mats[i] for i in idx])
+        b_work = np.stack([shifted[i][1] for i in idx])
+        amax, keep, refuted = _kept(A, np.stack([vecs[i] for i in idx]), b_work, tol)
+        full = ~refuted & keep.all(axis=1)
+        # an LP with a row dropped joins the shape of its kept rows; one
+        # refuted stays None
+        for t in np.flatnonzero(~refuted & ~full):
+            kt = keep[t]
+            pool.setdefault((int(kt.sum()), n), []).append(
+                ([idx[t]], A[t, kt][None], b_work[t, kt][None], amax[t, kt][None]))
+        if full.any():
+            pool.setdefault((m, n), []).append(
+                ([i for i, f in zip(idx, full) if f], A[full], b_work[full], amax[full]))
+    out = [None] * len(As)
+    tripped = []
+    while pool:
+        (k, n), parts = pool.popitem()
+        idx = [i for p in parts for i in p[0]]
+        rows, rhs = _scaled(*(np.concatenate(a) for a in list(zip(*parts))[1:]))
+        del parts   # the pooled copies, before the tableaux are built
+        if len(idx) > 1 and k:
+            x, ok, trips = _phase1_stack(rows, rhs, n)
+            xs = [x[j] if ok[j] else None for j in range(len(idx))]
+            tripped += [(idx[j], _guard_error(k, n)) for j in trips]
+        else:
+            xs = []
+            for j, i in enumerate(idx):
+                try:
+                    xs.append(_phase1(rows[j], rhs[j], n) if k else np.zeros(n))
+                except SimplexGuardError as e:
+                    xs.append(None)
+                    tripped.append((i, e))
+        for i, x in zip(idx, xs):
+            if x is not None:
+                out[i] = _checked(mats[i], vecs[i], x, shifted[i][0], tol)
+    if tripped:
+        raise min(tripped, key=lambda t: t[0])[1]
+    return out
+
+
+def _shifted(A, b, lower):
+    """(shift, b - A @ shift) for x >= lower, or (None, b) for x >= 0."""
+    if lower is None:
+        return None, b
+    shift = np.zeros(A.shape[1]) + np.asarray(lower, dtype=float)
+    return shift, b - A @ shift
+
+
+def _kept(A, b, b_work, tol):
+    """(amax, keep, refuted) of one LP's (m, n) A or a stack's (B, m, n): the
+    largest |entry| of each row, the rows that are not zero, and whether a
+    zero row has a nonzero rhs (0 = nonzero). "Zero" is judged relative to
+    the whole matrix, else roundoff rows blow up into hard constraints once
+    normalized; the final residual check keeps dropping them sound."""
+    amax = np.abs(A).max(axis=-1, initial=0.0)
+    keep = amax > 1e-12 * np.fmax(1.0, amax.max(axis=-1, initial=0.0, keepdims=True))
+    bound = tol * (1.0 + np.abs(b).max(axis=-1, initial=0.0, keepdims=True))
+    return amax, keep, ((np.abs(b_work) > bound) & ~keep).any(axis=-1)
+
+
+def _scaled(A, b_work, amax):
+    """Rows of A x = b_work, one LP's (m, n) or a stack's (B, m, n), each
+    divided by max(amax, |rhs|) (amax its largest |entry|) and negated where
+    its rhs is negative."""
+    s = 1.0 / np.maximum(amax, np.abs(b_work))
+    rows = A * s[..., None]
+    rhs = b_work * s
+    neg = rhs < 0
+    rows[neg] = -rows[neg]
+    rhs[neg] = -rhs[neg]
+    return rows, rhs
+
+
+def _checked(A, b, x, shift, tol):
+    """Phase 1's x clipped at 0 and shifted back, if it passes the residual
+    check on the unscaled system, else None."""
     x = np.maximum(x, 0.0)
     if shift is not None:
         x = x + shift
@@ -68,38 +188,56 @@ def feasible_point(A, b, *, tol: float = 1e-8, lower=None) -> np.ndarray | None:
     return x
 
 
+def _tableau(A, b):
+    """The phase-1 tableau of A x = b, x >= 0, b >= 0, one LP's or a stack's:
+    n structural columns, k artificial ones in the basis, the rhs last, and
+    the reduced costs of minimizing the sum of artificials as the last row."""
+    *lead, k, n = A.shape
+    T = np.zeros((*lead, k + 1, n + k + 1))
+    T[..., :k, :n] = A
+    T[..., :k, n:n + k] = np.eye(k)
+    T[..., :k, -1] = b
+    T[..., k, :n] = -A.sum(axis=-2)
+    T[..., k, -1] = -b.sum(axis=-1)
+    return T
+
+
+def _guard_error(k, n):
+    """The error of an LP of k rows and n columns whose pivots reach the
+    iteration guard."""
+    return SimplexGuardError(
+        f"simplex iteration guard tripped after {_ITER_FACTOR * (n + k + 10)} "
+        f"pivots ({k} rows, {n} columns)")
+
+
+def _leaving_row(col, rhs, basis):
+    """Bland's leaving row: the least ratio rhs[i] / col[i] over the rows
+    with col[i] > _PIVOT_EPS, a ratio within _PIVOT_EPS of the best taken
+    when its basis index is smaller; -1 when no row qualifies."""
+    leave = -1
+    best = np.inf
+    for i, a in enumerate(col):
+        if a > _PIVOT_EPS:
+            ratio = rhs[i] / a
+            if ratio < best - _PIVOT_EPS or (ratio < best + _PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])):
+                best = ratio
+                leave = i
+    return leave
+
+
 def _phase1(A: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
     """Minimize the sum of artificials for A x = b, x >= 0, b >= 0 (rows scaled)."""
     k = A.shape[0]
-    # tableau: n structural columns, k artificial, rhs; objective row last
-    T = np.zeros((k + 1, n + k + 1))
-    T[:k, :n] = A
-    T[:k, n:n + k] = np.eye(k)
-    T[:k, -1] = b
-    # reduced-cost row for minimizing sum of artificials with artificial basis
-    T[k, :n] = -A.sum(axis=0)
-    T[k, -1] = -b.sum()
+    T = _tableau(A, b)
     basis = list(range(n, n + k))
 
-    max_iter = _ITER_FACTOR * (n + k + 10)
-    for _ in range(max_iter):
+    for _ in range(_ITER_FACTOR * (n + k + 10)):
         # Bland: entering = smallest column index with negative reduced cost
         negative = T[k, :n + k] < -_PIVOT_EPS
         enter = int(negative.argmax())
         if not negative[enter]:
             break
-        # leaving = min ratio, ties broken by smallest basis variable
-        leave = -1
-        best = np.inf
-        col = T[:k, enter].tolist()
-        rhs = T[:k, -1].tolist()
-        for i in range(k):
-            a = col[i]
-            if a > _PIVOT_EPS:
-                ratio = rhs[i] / a
-                if ratio < best - _PIVOT_EPS or (ratio < best + _PIVOT_EPS and (leave < 0 or basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+        leave = _leaving_row(T[:k, enter].tolist(), T[:k, -1].tolist(), basis)
         if leave < 0:
             # unbounded phase-1 objective cannot happen; bail out defensively
             return None
@@ -112,9 +250,7 @@ def _phase1(A: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
         np.subtract(T, np.outer(coef, T[leave]), out=T, where=(coef != 0.0)[:, None])
         basis[leave] = enter
     else:
-        raise SimplexGuardError(
-            f"simplex iteration guard tripped after {max_iter} pivots "
-            f"({k} rows, {n} columns)")
+        raise _guard_error(k, n)
 
     if -T[k, -1] > 1e-9 * (1.0 + k):
         return None  # artificials cannot be driven to zero
@@ -123,3 +259,64 @@ def _phase1(A: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
         if j < n:
             x[j] = T[i, -1]
     return x
+
+
+def _phase1_stack(A, b, n):
+    """`_phase1` of each LP of a stack A (B, k, n), b (B, k): (x, ok,
+    tripped), x (B, n) the points, ok the mask of the LPs it gives a point
+    for, tripped the positions of those that reach the iteration guard. An
+    LP with no entering column is done, and no later pivot writes it."""
+    B, k = b.shape
+    T = _tableau(A, b)
+    basis = np.tile(np.arange(n, n + k), (B, 1))
+    dead = np.zeros(B, dtype=bool)      # no leaving row, or tripped: None
+    on = np.arange(B)                   # the LPs that pivot
+    tripped = on[:0]
+    for _ in range(_ITER_FACTOR * (n + k + 10)):
+        negative = T[:, k, :n + k] < -_PIVOT_EPS
+        on = np.flatnonzero(negative.any(axis=1) & ~dead)
+        if not len(on):
+            break
+        enter = negative[on].argmax(axis=1)
+        Ton = T[on]
+        ar = np.arange(len(on))
+        leave = _leaving_rows(Ton[ar, :k, enter], Ton[:, :k, -1], basis[on])
+        if (leave < 0).any():
+            dead[on[leave < 0]] = True
+            go = leave >= 0
+            on, enter, leave, Ton = on[go], enter[go], leave[go], Ton[go]
+            ar = np.arange(len(on))
+        prow = Ton[ar, leave] / Ton[ar, leave, enter][:, None]
+        Ton[ar, leave] = prow
+        coef = Ton[ar, :, enter]
+        coef[ar, leave] = 0.0
+        np.subtract(Ton, coef[:, :, None] * prow[:, None, :], out=Ton,
+                    where=(coef != 0.0)[:, :, None])
+        T[on] = Ton
+        basis[on, leave] = enter
+    else:
+        tripped = on
+        dead[on] = True
+    ok = ~dead & ~(-T[:, k, -1] > 1e-9 * (1.0 + k))
+    x = np.zeros((B, n))
+    r, i = np.nonzero((basis < n) & ok[:, None])
+    x[r, basis[r, i]] = T[r, i, -1]
+    return x, ok, tripped
+
+
+def _leaving_rows(col, rhs, basis):
+    """`_leaving_row` of each LP of a stack, from its entering column col and
+    rhs (B, k): read off where the module docstring's rule is exact, else
+    scanned."""
+    cand = col > _PIVOT_EPS
+    ratio = np.full(col.shape, np.inf)
+    np.divide(rhs, col, out=ratio, where=cand)
+    r = ratio.min(axis=1)[:, None]
+    near = ratio < r + _PIVOT_EPS
+    top = np.where(near, ratio, -np.inf).max(axis=1)[:, None]
+    clear = near | ((ratio >= top + _PIVOT_EPS) & (ratio - _PIVOT_EPS > top))
+    exact = clear.all(axis=1) & near.any(axis=1) & (top - _PIVOT_EPS <= r)[:, 0]
+    leave = np.where(near, basis, np.iinfo(basis.dtype).max).argmin(axis=1)
+    for j in np.flatnonzero(~exact):
+        leave[j] = _leaving_row(col[j].tolist(), rhs[j].tolist(), basis[j].tolist())
+    return leave

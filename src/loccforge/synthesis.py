@@ -103,7 +103,7 @@ built a free party's family, then tested its full-coverage mergers in
 (size, ids) order, party after party, and returned the first feasible
 pinned LP. The family is exactly the set of feasible subsets (above), and
 the search yields exactly its full-coverage members of size >= 2 holding an
-id >= start, by the same `_class_feasible` answers and in the same order; so
+id >= start, by the same `_classes_feasible` answers and in the same order; so
 the candidates, and the pinned LPs, come in the same (free, size, ids) order.
 
 The search runs a depth-first search for each size k = 2, 3, ... over
@@ -168,13 +168,22 @@ party beta only, so each LP is block-diagonal with one block per party and
 is feasible iff every block's LP is.
 
 A class LP, "is there an x >= 1 with A x = 0?", has a block for every party
-but the free one. `_class_feasible` counts one LP in `lps_solved`, reads
-each block's certificate (below) in ascending party order and returns False
-at the first that refutes; a certified block is skipped, and the undecided
-ones go to the simplex one at a time, in the same order, until one is
-infeasible. A block does not depend on the free party, so a run keeps each
-solved block's answer under (ids, party): with three or more parties, two
-free parties can ask for the same block.
+but the free one. `_classes_feasible` decides a sequence of class LPs, a
+family level or one set of the cover search. It counts one LP per set in
+`lps_solved` as it reaches the set, before it decides any, so a budget stops
+the run at the set where one LP at a time would, and lists no set of the
+level past it and solves none. Per set it reads each block's certificate
+(below) in ascending party order and stops at the first that refutes; a
+certified block is skipped. The undecided blocks go to the simplex in ascending party order, a set's
+block only while its earlier blocks were feasible, which is the order one
+set at a time would solve them in. A party's blocks are solved together by
+`simplex.feasible_points`, stacked by shape: each block gets the same pivots
+and the same arithmetic as alone (the argument is in the simplex module), so
+its answer is `feasible_point`'s, bit for bit, and the family, the LP count
+and every tree are those of solving the blocks one at a time. A block does
+not depend on the free party, so a run keeps each solved block's answer
+under (ids, party): with three or more parties, two free parties can ask for
+the same block.
 
 The pinned LP of a full-coverage tree, "is there an x >= delta under which
 every node's groups agree and every root's value group is the identity?",
@@ -239,7 +248,12 @@ which an undecided block reads (below). The parts' sums add each row in
 another order than A @ 1 does, so the exact-zero test can differ from the
 full block's only where A @ 1 is zero up to roundoff; a True still means
 that, so x = 1 passes the simplex's residual check. The False test keeps
-tol of room for roundoff in either order.
+tol of room for roundoff in either order. A run also keeps each chain's
+certificate under (ta, tb, party). The chains a list of sets needs that are
+not kept yet are decided in one numpy pass per party, over the stacked row
+sums and masks, entry by entry as for one chain. Only a set's last chain is
+new past the first level, as its prefix is a feasible set whose chains were
+all read, so this reads the chains one set at a time would read.
 
 An undecided block is assembled from per-tree blocks, not renamed from the
 trees' terms. `_root_blocks` numbers a tree's variables at party beta in
@@ -264,12 +278,13 @@ from .config import RunConfig
 from .errors import InfeasibleError, InvalidMeasurementError, TreeStructureError
 from .hermitian import LP_TOL, tensor, vectorize
 from .measurement import SeparableMeasurement, completeness_certificate, validate
-from .simplex import feasible_point
+from .simplex import feasible_point, feasible_points
 from .tree import (
     Node,
     ProtocolTree,
     Term,
     _close,
+    compact_same_party,
     descend,
     leaf_tree,
     merge_and_extend,
@@ -305,6 +320,12 @@ class _BudgetHit(Exception):
         self.reason = reason
 
 
+# the most blocks of one party assembled and handed to the simplex at once:
+# larger stacks pay numpy's fixed costs less often, smaller ones keep the
+# memory of a wide family level low
+_CHUNK = 256
+
+
 def _count_lp(stats: SynthesisStats, max_lps):
     stats.lps_solved += 1
     if max_lps is not None and stats.lps_solved > max_lps:
@@ -333,27 +354,31 @@ def _block_signs(B):
     return r, (B >= 0.0).all(axis=1), (B <= 0.0).all(axis=1)
 
 
-def _certificate(r, one_sign, tol):
-    """The two certificates on row sums r and the mask of one-signed rows."""
-    if not r.any():
-        return True
-    if (one_sign & (np.abs(r) > 2.0 * tol)).any():
-        return False
-    return None
+def _certificates(r, one_sign, tol):
+    """The two certificates of each block whose row sums are a row of r and
+    whose one-signed rows are that row of the mask one_sign: True if the row
+    sums are all zero, False if a one-signed row sums past 2 tol, else None."""
+    zero = ~r.any(axis=1)
+    refuted = (one_sign & (np.abs(r) > 2.0 * tol)).any(axis=1)
+    return [True if z else (False if f else None)
+            for z, f in zip(zero.tolist(), refuted.tolist())]
 
 
 def _class_certificate(A, tol):
     """True or False when the LP A x = 0, x >= 1 is decided by a certificate
     of the module docstring, None when it needs the simplex."""
     r, pos, neg = _block_signs(A)
-    return _certificate(r, pos | neg, tol)
+    return _certificates(r[None], (pos | neg)[None], tol)[0]
 
 
-def _chain_certificate(a, b, tol):
-    """`_class_certificate` of the chain rows [G_a, -G_b], from the
-    `_block_signs` of the two value-group blocks G_a and G_b."""
-    (ga, pos_a, neg_a), (gb, pos_b, neg_b) = a, b
-    return _certificate(ga - gb, (pos_a & neg_b) | (neg_a & pos_b), tol)
+def _chain_certificates(pairs, tol):
+    """`_class_certificate` of the chain rows [G_a, -G_b] of each pair (a, b)
+    of `_block_signs` of two value-group blocks of one party, in one numpy
+    pass: the rows sum to g_a - g_b and are one-signed where
+    (pos_a & neg_b) | (neg_a & pos_b), entry by entry as for one pair."""
+    (ga, pos_a, neg_a), (gb, pos_b, neg_b) = (
+        [np.array(v) for v in zip(*side)] for side in zip(*pairs))
+    return _certificates(ga - gb, (pos_a & neg_b) | (neg_a & pos_b), tol)
 
 
 def _root_blocks(t, beta, m):
@@ -378,26 +403,30 @@ def _tree_rows(trees, tid, beta, m, tol, rows):
     return rows[tid, beta]
 
 
-def _block_certificate(trees, ids, beta, m, tol, rows):
-    """`_class_certificate` of the block of the class LP of ids at party beta,
-    composed from its trees' and chains' (module docstring) without building
-    it. Beside `_tree_rows`, rows caches (ta, tb, beta), the chain
-    certificate of consecutive trees ta, tb."""
-    undecided = False
-    for tid in ids:
-        known = _tree_rows(trees, tid, beta, m, tol, rows)[0]
-        if known is False:
-            return False
-        undecided = undecided or known is None
-    for ta, tb in zip(ids, ids[1:]):
-        key = ta, tb, beta
-        if key not in rows:
-            rows[key] = _chain_certificate(rows[ta, beta][1],
-                                           rows[tb, beta][1], tol)
-        if rows[key] is False:
-            return False
-        undecided = undecided or rows[key] is None
-    return None if undecided else True
+def _combined(certs):
+    """False if one of the certificates is False, else None if one is None,
+    else True."""
+    return min(certs, key=(False, None, True).index, default=True)
+
+
+def _block_certificates(trees, cands, beta, m, tol, rows):
+    """`_class_certificate` of the block at party beta of each candidate's
+    class LP, composed from its trees' and chains' (module docstring) without
+    building it. Beside `_tree_rows`, rows caches (ta, tb, beta), the chain
+    certificate of consecutive trees ta, tb; the chains of the candidates
+    that no tree refutes and that rows lacks are found in one numpy pass."""
+    out = [_combined(_tree_rows(trees, tid, beta, m, tol, rows)[0] for tid in ids)
+           for ids in cands]
+    new = list(dict.fromkeys(
+        (ta, tb, beta) for ids, known in zip(cands, out) if known is not False
+        for ta, tb in zip(ids, ids[1:]) if (ta, tb, beta) not in rows))
+    if new:
+        certs = _chain_certificates(
+            [(rows[ta, beta][1], rows[tb, beta][1]) for ta, tb, _ in new], tol)
+        rows.update(zip(new, certs))
+    return [known if known is False else _combined(
+        [known] + [rows[ta, tb, beta] for ta, tb in zip(ids, ids[1:])])
+        for ids, known in zip(cands, out)]
 
 
 def _class_lp(ids, beta, rows):
@@ -425,35 +454,61 @@ def _class_lp(ids, beta, rows):
     return A
 
 
-def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol, rows=None):
-    """Can the listed trees' roots share one strictly positive common value on
-    every party except free_party? One counted LP, solved one party's block
-    at a time (module docstring): a block decided by its certificate is not
-    built, and rows, the run's cache of `_block_certificate` (a fresh one when
-    None), also keeps each solved block's answer under (ids, party)."""
-    if all(len(ids) == 1 and len(root_for(trees[ids[0]], beta).groups) == 1
-           for beta in range(trees[ids[0]].P) if beta != free_party):
-        return True  # no constraint rows
-    _count_lp(stats, max_lps)
+def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
+                      rows=None):
+    """For each candidate ids of the iterable cands, in order: can the listed
+    trees' roots share one strictly positive common value on every party
+    except free_party?
+
+    One counted LP per candidate, counted as the candidate is reached and
+    before any is decided, so a budget stops at the same candidate as one LP
+    at a time would, and no candidate past it is listed or solved. Each LP is
+    decided one party's block at a time (module docstring): a block decided
+    by its certificate is not built, and the others are solved in party
+    order, a candidate's only while its earlier blocks are feasible, a
+    party's blocks together by `feasible_points`. rows, the run's cache of
+    `_block_certificates` (a fresh one when None), also keeps each solved
+    block's answer under (ids, party).
+    """
     rows = {} if rows is None else rows
-    undecided = []
-    for beta in range(trees[ids[0]].P):
-        if beta == free_party:
-            continue
-        known = _block_certificate(trees, ids, beta, m, tol, rows)
-        if known is False:
-            return False
-        if known is None:
-            undecided.append(beta)
-    for beta in undecided:
-        if (ids, beta) not in rows:
-            A = _class_lp(ids, beta, rows)
-            x = feasible_point(A, np.zeros(A.shape[0]), tol=tol,
-                               lower=np.ones(A.shape[1]))
-            rows[ids, beta] = x is not None
-        if not rows[ids, beta]:
-            return False
-    return True
+    parties = [beta for beta in range(m.P) if beta != free_party]
+    sets, answers = [], []
+    for ids in cands:
+        sets.append(ids)
+        if len(ids) == 1 and all(len(root_for(trees[ids[0]], beta).groups) == 1
+                                 for beta in parties):
+            answers.append(True)  # no constraint rows
+        else:
+            _count_lp(stats, max_lps)
+            answers.append(None)
+    cands, undecided = sets, []
+    for beta in parties:
+        alive = [k for k, answer in enumerate(answers) if answer is None]
+        certs = _block_certificates(trees, [cands[k] for k in alive], beta, m,
+                                    tol, rows)
+        for k, cert in zip(alive, certs):
+            if cert is not True:
+                answers[k] = cert
+        undecided.append((beta, [k for k, c in zip(alive, certs) if c is None]))
+    for beta, ks in undecided:
+        ks = [k for k in ks if answers[k] is None]
+        new = [k for k in ks if (cands[k], beta) not in rows]
+        for lo in range(0, len(new), _CHUNK):
+            As = [_class_lp(cands[k], beta, rows) for k in new[lo:lo + _CHUNK]]
+            xs = feasible_points(As, [np.zeros(len(A)) for A in As], tol=tol,
+                                 lowers=[np.ones(A.shape[1]) for A in As])
+            rows.update(((cands[k], beta), x is not None)
+                        for k, x in zip(new[lo:lo + _CHUNK], xs))
+        for k in ks:
+            if not rows[cands[k], beta]:
+                answers[k] = False
+    return [answer is not False for answer in answers]
+
+
+def _class_feasible(trees, ids, free_party, m, stats, max_lps, tol, rows=None):
+    """`_classes_feasible` of the one set ids, as the cover search asks."""
+    return _classes_feasible(trees, [ids], free_party, m, stats, max_lps, tol,
+                             rows)[0]
 
 
 def _feasible_family(trees, eligible, free_party, m, known, start, stats,
@@ -463,7 +518,7 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     subsets of the ids below start, and gains every feasible subset found.
     refuted holds sets known to be infeasible (`_cover_search`'s) and is only
     read; a set in known or refuted gets no LP. rows is passed to
-    `_class_feasible`.
+    `_classes_feasible`, which decides each level's candidates at once.
 
     Level k+1 joins two feasible level-k tuples that share their first k-1
     ids; a candidate gets an LP only when every one-smaller subset is
@@ -472,28 +527,40 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     """
     refuted = refuted or ()
 
-    def check(c):
-        if (c not in known and c[-1] >= start and c not in refuted
-                and _class_feasible(trees, c, free_party, m, stats, max_lps,
-                                    tol, rows)):
-            known.add(c)
-        return c in known
+    def decide(cands):
+        """The feasible sets of the iterable cands, in order. The ones not
+        known yet go to `_classes_feasible` as they are reached, so a budget
+        cut lists no set past it."""
+        level, ask = [], []
 
-    level = [(i,) for i in eligible if check((i,))]
-    family = list(level)
-    while level:
-        nxt = []
+        def unknown():
+            for c in cands:
+                level.append(c)
+                if c not in known and c[-1] >= start and c not in refuted:
+                    ask.append(c)
+                    yield c
+
+        answers = _classes_feasible(trees, unknown(), free_party, m, stats,
+                                    max_lps, tol, rows)
+        known.update(c for c, ok in zip(ask, answers) if ok)
+        return [c for c in level if c in known]
+
+    def joined(level):
+        """Level k+1's candidates from the feasible level k, in order."""
         for _, group in itertools.groupby(level, key=lambda c: c[:-1]):
             group = list(group)
             for n, a in enumerate(group):
                 for b in group[n + 1:]:
                     c = a + b[-1:]
                     # dropping c[-1] gives a and dropping c[-2] gives b
-                    if (all(c[:k] + c[k + 1:] in known
-                            for k in range(len(c) - 2)) and check(c)):
-                        nxt.append(c)
-        family += nxt
-        level = nxt
+                    if all(c[:k] + c[k + 1:] in known for k in range(len(c) - 2)):
+                        yield c
+
+    level = decide((i,) for i in eligible)
+    family = list(level)
+    while level:
+        level = decide(joined(level))
+        family += level
     return [c for c in family if c[-1] >= start]
 
 
@@ -745,18 +812,10 @@ def _compose(m, ids, split, w, cfg, stats, depth):
         trees.append(v.tree)
         xs.append(v.assignment)
     stats.rounds = rounds
-    t = merge_and_extend(trees, a)
-    # fold a branch whose trunk party is a, by `compact_same_party`'s rule;
-    # the branch trees are normal, so no deeper node needs it
-    trunk = root_for(t, a)
-    kids = tuple(k for c in trunk.children
-                 for k in (c.children if c.children and c.children[0].party == a
-                           else (c,)))
-    roots = tuple(Node(a, trunk.groups, kids) if r is trunk else r for r in t.roots)
-    levels = max(u.depth + (u.trunk_party != a) for u in trees)
+    # folds a branch whose trunk party is a into the split's round
+    t = compact_same_party(merge_and_extend(trees, a))
     return SynthesisVerdict(
-        "Protocol", ProtocolTree(t.P, roots, t.nvars, levels),
-        np.concatenate(xs), stats,
+        "Protocol", t, np.concatenate(xs), stats,
         reason=f"split at party {m.party_names[a]} into {len(branches)} branches")
 
 

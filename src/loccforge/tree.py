@@ -362,31 +362,34 @@ def _refresh(t: ProtocolTree, roots) -> ProtocolTree:
 
 def prune_unitary_rounds(t: ProtocolTree) -> ProtocolTree:
     """Splice out single-outcome rounds; they carry no information."""
+    return _refresh(t, (_pruned(r) for r in t.roots))
 
-    def fix(n):
-        kids = [fix(c) for c in n.children]
-        while len(kids) == 1:
-            kids = list(kids[0].children)
-        return Node(n.party, n.groups, tuple(kids))
 
-    return _refresh(t, (fix(r) for r in t.roots))
+def _pruned(n: Node) -> Node:
+    """n with every single-outcome round below it spliced out."""
+    kids = [_pruned(c) for c in n.children]
+    while len(kids) == 1:
+        kids = list(kids[0].children)
+    return Node(n.party, n.groups, tuple(kids))
 
 
 def compact_same_party(t: ProtocolTree) -> ProtocolTree:
     """Fold a child into its parent list when the child measures its own party
     again immediately; consecutive same-party rounds compose into one."""
+    return _refresh(t, (_compacted(r) for r in t.roots))
 
-    def fix(n):
-        kids = [fix(c) for c in n.children]
-        out = []
-        for c in kids:
-            if c.children and c.children[0].party == c.party:
-                out.extend(c.children)
-            else:
-                out.append(c)
-        return Node(n.party, n.groups, tuple(out))
 
-    return _refresh(t, (fix(r) for r in t.roots))
+def _compacted(n: Node) -> Node:
+    """n with each child below it that measures its own party again folded
+    into its parent's list."""
+    kids = [_compacted(c) for c in n.children]
+    out = []
+    for c in kids:
+        if c.children and c.children[0].party == c.party:
+            out.extend(c.children)
+        else:
+            out.append(c)
+    return Node(n.party, n.groups, tuple(out))
 
 
 def _scale_group(g: Group, f: float) -> Group:

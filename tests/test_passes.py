@@ -1,7 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
+from loccforge.config import RunConfig
 from loccforge.hermitian import proportional
+from loccforge.synthesis import synthesize
 from loccforge.tree import (
     Node,
     ProtocolTree,
@@ -96,6 +100,24 @@ def test_compact_folds_same_party_round():
     assert all(not k.children for k in trunk_kids)
     assert same_extraction(extract_measurement(out, m, x),
                            extract_measurement(t, m, x))
+
+
+def test_prune_and_compact_leave_no_reference_cycle(rng):
+    """The two passes free what they build as they return, not when the cycle
+    collector next runs: on cascade5's protocol and on random trees with
+    single-outcome rounds and same-party chains, a call leaves nothing in a
+    reference cycle."""
+    trees = [synthesize(load_fixture("cascade5"), RunConfig()).tree]
+    trees += [random_valid_tree(rng)[0] for _ in range(10)]
+    gc.collect()
+    gc.disable()
+    try:
+        for t in trees:
+            for normalize in (prune_unitary_rounds, compact_same_party):
+                normalize(t)
+                assert gc.collect() == 0, normalize.__name__
+    finally:
+        gc.enable()
 
 
 def test_coin_pools_proportional_leaves():

@@ -282,3 +282,180 @@ def test_vectorized_kernel_matches_loop_reference(rng, monkeypatch):
         assert (x is None) == (x_ref is None)
         if x is not None:
             assert x.tobytes() == x_ref.tobytes()
+
+
+def same_answers(got, As, bs, tol, lowers):
+    """Whether each answer of got is feasible_point's on its LP, bit for bit."""
+    return all((x is None and y is None) or (
+        x is not None and y is not None and x.tobytes() == y.tobytes())
+        for x, y in zip(got, (feasible_point(A, b, tol=tol, lower=lower)
+                              for A, b, lower in zip(As, bs, lowers))))
+
+
+def test_feasible_points_match_feasible_point_on_search_levels(monkeypatch):
+    """Every list of class-LP blocks that the searches on cascade5, domino9
+    and the LOCC random trees 10, 12, 29 and 51 hand to feasible_points, a
+    party's undecided blocks of a family level: each answer is the one
+    feasible_point gives that block alone, the same point bit for bit or
+    both None. Most blocks are answered on stacks."""
+    calls, stacked = [], []
+    real, real_stack = simplex.feasible_points, simplex._phase1_stack
+
+    def spy(As, bs, *, tol, lowers):
+        calls.append((As, bs, tol, lowers, real(As, bs, tol=tol, lowers=lowers)))
+        return calls[-1][-1]
+
+    def stack_spy(A, b, n):
+        stacked.append(len(A))
+        return real_stack(A, b, n)
+
+    monkeypatch.setattr(synthesis, "feasible_points", spy)
+    monkeypatch.setattr(simplex, "_phase1_stack", stack_spy)
+    seeds = locc_random_measurements()
+    for m, cfg in [(load_fixture("cascade5"), RunConfig()),
+                   (load_fixture("domino9"), RunConfig())] + [
+            (seeds[s], RunConfig(max_lps=2000)) for s in (10, 12, 29, 51)]:
+        synthesize(m, cfg)
+    blocks = answers = 0
+    for As, bs, tol, lowers, got in calls:
+        assert len(got) == len(As)
+        assert same_answers(got, As, bs, tol, lowers)
+        blocks += len(As)
+        answers += sum(x is not None for x in got)
+    # both answers occur, and most blocks share a stack
+    assert 0 < answers < blocks
+    assert sum(stacked) > blocks / 2
+
+
+def _tie_stack(rng, B, k, n):
+    """B LPs A x = b, x >= 0 of k rows and n columns whose rows have entries
+    in [0, 1] and rhs in [0.5, 0.5 + 3 eps): column 0 is all ones, so it
+    enters first and its ratios are the rhs, tied within a few _PIVOT_EPS."""
+    eps = simplex._PIVOT_EPS
+    As, bs = [], []
+    for _ in range(B):
+        A = rng.random((k, n)) * (rng.random((k, n)) < 0.7)
+        A[:, 0] = 1.0
+        b = 0.5 + eps * rng.choice([0.0, 0.3, 0.9, 1.1, 1.5, 2.1, 2.9], size=k)
+        As.append(A)
+        bs.append(b)
+    return As, bs
+
+
+def test_feasible_points_break_ratio_ties_as_the_scan(rng, monkeypatch):
+    """Stacks whose ratio tests hold ties within 2 _PIVOT_EPS: feasible_points
+    answers each LP as feasible_point does, bit for bit, reading some leaving
+    rows off the stack (the exact rule of the module docstring) and scanning
+    the others."""
+    cases = []
+    for k, n in ((3, 4), (5, 5), (6, 9)):
+        As, bs = _tie_stack(rng, 60, k, n)
+        want = [feasible_point(A, b) for A, b in zip(As, bs)]
+        assert any(x is not None for x in want)
+        cases.append((As, bs, want))
+    pivots, scanned = [], []
+    real_rows, real_scan = simplex._leaving_rows, simplex._leaving_row
+
+    def rows_spy(col, rhs, basis):
+        pivots.append(len(col))
+        return real_rows(col, rhs, basis)
+
+    def scan_spy(*args):
+        scanned.append(True)
+        return real_scan(*args)
+
+    monkeypatch.setattr(simplex, "_leaving_rows", rows_spy)
+    monkeypatch.setattr(simplex, "_leaving_row", scan_spy)
+    for As, bs, want in cases:
+        got = simplex.feasible_points(As, bs)
+        assert all((x is None and y is None) or x.tobytes() == y.tobytes()
+                   for x, y in zip(got, want))
+    # every leaving row was chosen on a stack; some were read off, some scanned
+    assert 0 < len(scanned) < sum(pivots)
+
+
+def test_leaving_rows_read_off_only_what_the_scan_gives(rng):
+    """On near-tied ratio tests, the stacked leaving rows equal the scan's
+    row by row, whether read off or scanned."""
+    eps = simplex._PIVOT_EPS
+    B, k = 2000, 6
+    col = rng.choice([0.0, 1e-11, 0.5, 1.0, 2.0], size=(B, k))
+    rhs = rng.choice([0.0, 1e-17, 0.4, 0.5, 1.0], size=(B, k))
+    rhs += eps * rng.choice([0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 2.5], size=(B, k))
+    basis = np.array([rng.permutation(20)[:k] for _ in range(B)])
+    got = simplex._leaving_rows(col, rhs, basis)
+    want = [simplex._leaving_row(c.tolist(), r.tolist(), b.tolist())
+            for c, r, b in zip(col, rhs, basis)]
+    assert got.tolist() == want
+    assert -1 in want and len(set(want)) > 2
+
+
+def test_feasible_points_drop_zero_rows_as_feasible_point(rng):
+    """LPs with rows that are zero relative to their matrix, with zero and
+    with nonzero rhs, stacked with others of their shape and of the shape
+    their kept rows have: each answer is feasible_point's, bit for bit."""
+    As, bs, lowers = [], [], []
+    for j in range(120):
+        n = 5
+        A = rng.standard_normal((6, n))
+        x0 = rng.uniform(1.0, 2.0, n)
+        lower = np.ones(n) if j % 2 else None
+        zero = rng.choice(6, size=int(rng.integers(0, 3)), replace=False)
+        A[zero] *= rng.choice([0.0, 1e-13])
+        b = A @ x0 if j % 3 else rng.standard_normal(6)
+        if j % 5 == 0 and len(zero):
+            b[zero[0]] = 1.0               # 0 = 1 on a dropped row
+        As.append(A if j % 4 else A[:4])
+        bs.append(b if j % 4 else b[:4])
+        lowers.append(lower)
+    got = simplex.feasible_points(As, bs, tol=LP_TOL, lowers=lowers)
+    assert same_answers(got, As, bs, LP_TOL, lowers)
+    assert 0 < sum(x is not None for x in got) < len(As)
+
+
+def test_feasible_points_raise_the_first_tripped_guard(rng, monkeypatch):
+    """With no pivots allowed, every LP with a row kept trips the guard:
+    feasible_points raises the error feasible_point raises on the first such
+    LP in list order, here one alone in its shape that comes after an LP
+    with every row dropped and before a stack, which trips too."""
+    monkeypatch.setattr(simplex, "_ITER_FACTOR", 0)
+    As, bs = _tie_stack(rng, 8, 12, 2)
+    As, bs = [np.zeros((2, 3)), np.ones((1, 3))] + As, [np.zeros(2), np.ones(1)] + bs
+    assert feasible_point(As[0], bs[0]) is not None
+    errors = []
+    for A, b in zip(As[1:], bs[1:]):
+        with pytest.raises(simplex.SimplexGuardError) as err:
+            feasible_point(A, b)
+        errors.append(str(err.value))
+    assert "(1 rows, 3 columns)" in errors[0] and "(12 rows" in errors[1]
+    with pytest.raises(simplex.SimplexGuardError) as err:
+        simplex.feasible_points(As, bs)
+    assert str(err.value) == errors[0]
+
+
+def test_feasible_points_agree_with_highs(rng):
+    """Random stacks of LPs of a few shapes, feasible and infeasible, with and
+    without lower bounds: each feasible_points answer is HiGHS's verdict, and
+    a point passes the bound and the residual check."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    As, bs, lowers = [], [], []
+    for _ in range(150):
+        k, n = [(3, 4), (4, 6), (5, 5)][int(rng.integers(3))]
+        A = rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.8)
+        lower = rng.uniform(0.0, 1.0, n) if rng.random() < 0.5 else None
+        x0 = (0.0 if lower is None else lower) + rng.uniform(0.1, 2.0, n)
+        b = A @ x0 if rng.random() < 0.5 else rng.standard_normal(k)
+        As.append(A)
+        bs.append(b)
+        lowers.append(lower)
+    got = simplex.feasible_points(As, bs, lowers=lowers)
+    for A, b, lower, x in zip(As, bs, lowers, got):
+        lo = np.zeros(A.shape[1]) if lower is None else lower
+        ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, method="highs",
+                      bounds=[(float(v), None) for v in lo])
+        assert ref.status in (0, 2), ref.message
+        assert (x is not None) == (ref.status == 0), (A, b, lower)
+        if x is not None:
+            assert (x >= lo - 1e-12).all()
+            assert np.abs(A @ x - b).max() <= 1e-8 * (1 + np.abs(b).max())
+    assert 0.2 < np.mean([x is not None for x in got]) < 0.8

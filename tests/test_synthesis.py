@@ -15,6 +15,7 @@ from loccforge.simplex import feasible_point
 from loccforge.synthesis import (
     SynthesisStats,
     _class_feasible,
+    _classes_feasible,
     _feasible_family,
     admit,
     build_classes,
@@ -317,7 +318,7 @@ def round_start_trees(m, monkeypatch, rounds):
 @pytest.mark.parametrize("name", ["productbasis4", "cascade5", "domino9", 5])
 def test_feasible_family_matches_brute_force(name, monkeypatch):
     """The family pass is plain Apriori: it returns the feasible subsets, the
-    sets reaching _class_feasible are exactly those and the negative border,
+    sets reaching _classes_feasible are exactly those and the negative border,
     each reached once, and every one of them but a single tree with no
     constraint rows costs one counted LP."""
     m = (load_fixture(name) if isinstance(name, str)
@@ -334,12 +335,13 @@ def test_feasible_family_matches_brute_force(name, monkeypatch):
 
             solved = []
 
-            def spy(trees, ids, *args):
-                solved.append(frozenset(ids))
-                return _class_feasible(trees, ids, *args)
+            def spy(trees, cands, *args):
+                cands = list(cands)
+                solved.extend(map(frozenset, cands))
+                return _classes_feasible(trees, cands, *args)
 
             stats = SynthesisStats()
-            monkeypatch.setattr(synthesis, "_class_feasible", spy)
+            monkeypatch.setattr(synthesis, "_classes_feasible", spy)
             family = _feasible_family(trees, eligible, free, m, set(), 0,
                                       stats, None, LP_TOL)
             monkeypatch.undo()
@@ -551,17 +553,18 @@ def test_rounds_return_only_new_classes(monkeypatch):
 
 def test_no_subset_is_tested_or_merged_twice(monkeypatch):
     """Within one run, in first and exhaustive mode, no (free party, trees)
-    reaches _class_feasible or merge_and_extend a second time, across the
+    reaches _classes_feasible or merge_and_extend a second time, across the
     cover search and the family pass of a round and across rounds; the
     family passes read what the cover searches refuted and merge sets whose
     LP the searches solved."""
     tested, merged, phase, families = [], [], [None], []
-    real_class, real_merge = synthesis._class_feasible, synthesis.merge_and_extend
+    real_class, real_merge = synthesis._classes_feasible, synthesis.merge_and_extend
     real_search, real_classes = synthesis._cover_search, synthesis.build_classes
 
-    def class_spy(trees, ids, free, *args):
-        tested.append((phase[0], free, ids))
-        return real_class(trees, ids, free, *args)
+    def class_spy(trees, cands, free, *args):
+        cands = list(cands)
+        tested.extend((phase[0], free, ids) for ids in cands)
+        return real_class(trees, cands, free, *args)
 
     def merge_spy(cs, free, memo):
         merged.append((free, tuple(map(id, cs))))
@@ -580,7 +583,7 @@ def test_no_subset_is_tested_or_merged_twice(monkeypatch):
         families.append((free, got[0], shared))
         return got
 
-    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
     monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
     monkeypatch.setattr(synthesis, "_cover_search", search_spy)
     monkeypatch.setattr(synthesis, "build_classes", classes_spy)
@@ -755,17 +758,18 @@ def test_class_lps_stay_small_on_seed_51(monkeypatch):
     trips its pivot guard (the error would propagate). The cover search of
     its third round finds its protocol after 2,654 LPs."""
     tested, assembled = [], []
-    real_class, real_lp = synthesis._class_feasible, synthesis._class_lp
+    real_class, real_lp = synthesis._classes_feasible, synthesis._class_lp
 
-    def class_spy(trees, ids, *args):
-        tested.append(len(ids))
-        return real_class(trees, ids, *args)
+    def class_spy(trees, cands, *args):
+        cands = list(cands)
+        tested.extend(map(len, cands))
+        return real_class(trees, cands, *args)
 
     def lp_spy(ids, *args):
         assembled.append(len(ids))
         return real_lp(ids, *args)
 
-    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
     monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
     v = synthesize(locc_random_measurements()[51], RunConfig(max_lps=5000))
     assert (v.kind, v.reason) == ("Protocol", "protocol found in round 3")
@@ -843,6 +847,34 @@ def test_lp_budget():
     assert v.reason == "lp budget exhausted"
 
 
+@pytest.mark.parametrize("max_lps, stats", [
+    (100, (1, 17, 101, 0)), (500, (2, 68, 501, 6)), (2000, (3, 278, 2001, 27))])
+def test_lp_budget_cuts_a_level_where_one_lp_at_a_time_would(max_lps, stats,
+                                                             monkeypatch):
+    """A family level counts its LPs in candidate order before it decides
+    any, so random-tree seed 51 stops at each budget with the rounds, trees,
+    LPs and classes of solving one LP at a time; the level that passes the
+    budget assembles no block."""
+    calls = []
+    real_class, real_lp = synthesis._classes_feasible, synthesis._class_lp
+
+    def class_spy(*args):
+        calls.append(0)
+        return real_class(*args)
+
+    def lp_spy(*args):
+        calls[-1] += 1
+        return real_lp(*args)
+
+    monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
+    monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
+    v = synthesize(locc_random_measurements()[51], RunConfig(max_lps=max_lps))
+    assert (v.kind, v.reason) == ("BudgetExhausted", "lp budget exhausted")
+    s = v.stats
+    assert (s.rounds, s.trees_built, s.lps_solved, s.classes_found) == stats
+    assert calls and calls[-1] == 0
+
+
 def test_tree_budget():
     m = load_fixture("cascade5")
     v = synthesize(m, RunConfig(max_trees=5))
@@ -860,7 +892,7 @@ def test_orderings_input_forms():
 
 
 def kernel_answer(A, tol):
-    """The class LP as _class_feasible would put it to the simplex."""
+    """The class LP as _classes_feasible puts it to the simplex."""
     x = feasible_point(A, np.zeros(A.shape[0]), tol=tol,
                        lower=np.ones(A.shape[1]))
     return x is not None
@@ -922,16 +954,18 @@ def class_lp_cases():
 
 def reached_class_lps(monkeypatch):
     """Per search of `class_lp_cases`, the (trees, ids, free, m, tol, answer)
-    of every `_class_feasible` call it makes."""
+    of every class LP it asks `_classes_feasible`."""
     reached = []
-    real = synthesis._class_feasible
+    real = synthesis._classes_feasible
 
-    def spy(trees, ids, free, m, stats, max_lps, tol, *rest):
-        answer = real(trees, ids, free, m, stats, max_lps, tol, *rest)
-        reached.append((trees, ids, free, m, tol, answer))
-        return answer
+    def spy(trees, cands, free, m, stats, max_lps, tol, *rest):
+        cands = list(cands)
+        answers = real(trees, cands, free, m, stats, max_lps, tol, *rest)
+        reached.extend((trees, ids, free, m, tol, answer)
+                       for ids, answer in zip(cands, answers))
+        return answers
 
-    monkeypatch.setattr(synthesis, "_class_feasible", spy)
+    monkeypatch.setattr(synthesis, "_classes_feasible", spy)
     for m, cfg in class_lp_cases():
         reached.clear()
         search(m, cfg)
@@ -970,7 +1004,7 @@ def test_class_blocks_match_the_joint_lp(monkeypatch):
     """Every class LP the searches reach: the joint matrix is block-diagonal
     by party, each block `_class_lp` assembles from the per-tree blocks
     `_tree_rows` keeps is that party's rows and columns of it, bit for bit,
-    and `_class_feasible` answers as the simplex does on the joint LP."""
+    and `_classes_feasible` answers as the simplex does on the joint LP."""
     blocks = 0
     for reached in reached_class_lps(monkeypatch):
         rows = {}
@@ -1057,8 +1091,8 @@ def test_class_certificates_agree_with_the_simplex(monkeypatch):
             A, _ = reference_class_lp(trees, ids, free, m)
             for beta, rs, cs in joint_blocks(trees, ids, free, m):
                 block = A[rs, cs]
-                known = synthesis._block_certificate(trees, ids, beta, m, tol,
-                                                     rows)
+                known, = synthesis._block_certificates(trees, [ids], beta, m,
+                                                       tol, rows)
                 full = synthesis._class_certificate(block, tol)
                 if known != full:
                     assert {known, full} == {True, None}
@@ -1095,10 +1129,12 @@ def test_class_certificate_margins():
 
     # the chain rows [G_a, -G_b] of two trees' value-group blocks, decided
     # from each block's row sums and signs as the full rows are
+    pairs = []
+
     def chain(Ga, Gb):
         Ga, Gb = np.array(Ga), np.array(Gb)
-        known = synthesis._chain_certificate(synthesis._block_signs(Ga),
-                                             synthesis._block_signs(Gb), tol)
+        pairs.append((synthesis._block_signs(Ga), synthesis._block_signs(Gb)))
+        known, = synthesis._chain_certificates(pairs[-1:], tol)
         A = np.hstack([Ga, -Gb])
         assert known == synthesis._class_certificate(A, tol)
         return known, A
@@ -1121,19 +1157,27 @@ def test_class_certificate_margins():
     # equal row sums: x = 1 solves it
     known, A = chain([[1.0, 2.0]], [[3.0]])
     assert known is True and kernel_answer(A, tol) is True
+    # the pairs of one row count decided in one pass answer as one at a time
+    for size in (1, 2):
+        same = [p for p in pairs if len(p[0][0]) == size]
+        assert synthesis._chain_certificates(same, tol) == [
+            synthesis._chain_certificates([p], tol)[0] for p in same]
 
 
 def test_product_basis_class_lps_need_no_pivots(monkeypatch):
     """On the 3x3 basis every class LP is decided by a certificate, and each
-    still counts in lps_solved."""
+    still counts in lps_solved. Neither the one-LP kernel nor the stacked
+    one pivots."""
     inside, calls, pivoted = [], [], []
-    real_class, real_phase1 = synthesis._class_feasible, simplex._phase1
+    real_class = synthesis._classes_feasible
+    real_phase1, real_stack = simplex._phase1, simplex._phase1_stack
 
-    def class_spy(*args):
+    def class_spy(trees, cands, *args):
+        cands = list(cands)
         inside.append(True)
-        calls.append(args[1])
+        calls.extend(cands)
         try:
-            return real_class(*args)
+            return real_class(trees, cands, *args)
         finally:
             inside.pop()
 
@@ -1142,8 +1186,14 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
             pivoted.append(args)
         return real_phase1(*args)
 
-    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    def stack_spy(*args):
+        if inside:
+            pivoted.append(args)
+        return real_stack(*args)
+
+    monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
     monkeypatch.setattr(simplex, "_phase1", phase1_spy)
+    monkeypatch.setattr(simplex, "_phase1_stack", stack_spy)
     v = search(product_basis(3, 3))
     assert v.kind == "Protocol"
     assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (82, 34, 2)
@@ -1152,16 +1202,17 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
 
 def test_product_basis_class_lps_are_never_assembled(monkeypatch):
     """On the 3x3 and 4x4 bases the certificates, read from per-tree blocks,
-    decide every block of every class LP, so _class_feasible never assembles
-    one."""
+    decide every block of every class LP, so _classes_feasible never
+    assembles one."""
     inside, calls, assembled = [], [], []
-    real_class, real_lp = synthesis._class_feasible, synthesis._class_lp
+    real_class, real_lp = synthesis._classes_feasible, synthesis._class_lp
 
-    def class_spy(*args):
+    def class_spy(trees, cands, *args):
+        cands = list(cands)
         inside.append(True)
-        calls.append(args[1])
+        calls.extend(cands)
         try:
-            return real_class(*args)
+            return real_class(trees, cands, *args)
         finally:
             inside.pop()
 
@@ -1170,7 +1221,7 @@ def test_product_basis_class_lps_are_never_assembled(monkeypatch):
             assembled.append(args)
         return real_lp(*args)
 
-    monkeypatch.setattr(synthesis, "_class_feasible", class_spy)
+    monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
     monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
     v3 = search(product_basis(3, 3))
     v4 = search(product_basis(4, 4))
