@@ -81,15 +81,25 @@ def feasible_point(A, b, *, tol: float = 1e-8, lower=None) -> np.ndarray | None:
     return _checked(A, b, x, shift, tol)
 
 
-def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None) -> list:
+def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None,
+                    tripped=None) -> list:
     """[feasible_point(A, b, tol=tol, lower=lower) for each LP], bit for bit,
     with phase 1 run on a stack per shape of the rows kept (module
     docstring); lowers is a list like As, or None for x >= 0 throughout. The
     first LP in list order whose pivots trip the iteration guard raises its
-    SimplexGuardError, once every LP has run."""
+    SimplexGuardError, once every LP has run; given a dict tripped, each
+    such LP's error is stored there under its position instead, and its
+    answer is None."""
     lowers = [None] * len(As) if lowers is None else lowers
     if len(As) == 1:
-        return [feasible_point(As[0], bs[0], tol=tol, lower=lowers[0])]
+        try:
+            return [feasible_point(As[0], bs[0], tol=tol, lower=lowers[0])]
+        except SimplexGuardError as e:
+            if tripped is None:
+                raise
+            tripped[0] = e
+            return [None]
+    trips = {} if tripped is None else tripped
     mats = [np.atleast_2d(np.asarray(A, dtype=float)) for A in As]
     vecs = [np.asarray(b, dtype=float).ravel() for b in bs]
     for A, b in zip(mats, vecs):
@@ -117,16 +127,15 @@ def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None) -> list:
             pool.setdefault((m, n), []).append(
                 ([i for i, f in zip(idx, full) if f], A[full], b_work[full], amax[full]))
     out = [None] * len(As)
-    tripped = []
     while pool:
         (k, n), parts = pool.popitem()
         idx = [i for p in parts for i in p[0]]
         rows, rhs = _scaled(*(np.concatenate(a) for a in list(zip(*parts))[1:]))
         del parts   # the pooled copies, before the tableaux are built
         if len(idx) > 1 and k:
-            x, ok, trips = _phase1_stack(rows, rhs, n)
+            x, ok, tripped_j = _phase1_stack(rows, rhs, n)
             xs = [x[j] if ok[j] else None for j in range(len(idx))]
-            tripped += [(idx[j], _guard_error(k, n)) for j in trips]
+            trips.update((idx[j], _guard_error(k, n)) for j in tripped_j)
         else:
             xs = []
             for j, i in enumerate(idx):
@@ -134,12 +143,12 @@ def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None) -> list:
                     xs.append(_phase1(rows[j], rhs[j], n) if k else np.zeros(n))
                 except SimplexGuardError as e:
                     xs.append(None)
-                    tripped.append((i, e))
+                    trips[i] = e
         for i, x in zip(idx, xs):
             if x is not None:
                 out[i] = _checked(mats[i], vecs[i], x, shifted[i][0], tol)
-    if tripped:
-        raise min(tripped, key=lambda t: t[0])[1]
+    if trips and tripped is None:
+        raise trips[min(trips)]
     return out
 
 

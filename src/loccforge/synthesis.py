@@ -75,10 +75,12 @@ the subset's. A subset with an infeasible one-smaller subset is therefore
 infeasible without an LP, and the maximal classes, the mergers and the
 no-new-class test see the same family.
 
-Every set admitted to `known`, except a single tree with no constraint
-rows, costs exactly one counted LP, so `max_lps` bounds each round's family
-directly. The largest class LP a family pass solves is one tree more than
-its largest feasible set.
+Every set admitted to `known` costs exactly one counted LP, except a set
+with no constraint rows: a single tree whose roots have one group on every
+party but the free one, or any set of a one-party measurement, whose class
+LP has no block. So with two or more parties `max_lps` bounds each round's
+family directly. The largest class LP a family pass solves is one tree more
+than its largest feasible set.
 
 Each round extends the last one's search: a round only adds trees, and a
 fixed set's feasibility never changes, so every subset of last round's trees
@@ -174,16 +176,20 @@ family level or one set of the cover search. It counts one LP per set in
 the run at the set where one LP at a time would, and lists no set of the
 level past it and solves none. Per set it reads each block's certificate
 (below) in ascending party order and stops at the first that refutes; a
-certified block is skipped. The undecided blocks go to the simplex in ascending party order, a set's
-block only while its earlier blocks were feasible, which is the order one
-set at a time would solve them in. A party's blocks are solved together by
+certified block is skipped. The undecided blocks go to the simplex in
+ascending party order, a set's block only while its earlier blocks were
+feasible, which is the order one set at a time would solve them in. A
+party's blocks are solved together, up to `_CHUNK` at a time, by
 `simplex.feasible_points`, stacked by shape: each block gets the same pivots
 and the same arithmetic as alone (the argument is in the simplex module), so
 its answer is `feasible_point`'s, bit for bit, and the family, the LP count
 and every tree are those of solving the blocks one at a time. A block does
 not depend on the free party, so a run keeps each solved block's answer
 under (ids, party): with three or more parties, two free parties can ask for
-the same block.
+the same block. A block that trips the simplex's iteration guard drops its
+set from the later parties, and the first such set's error is raised once
+every party has run, as one set at a time would raise it; but a budget hit
+in the same call comes first, as it comes before any block is solved.
 
 The pinned LP of a full-coverage tree, "is there an x >= delta under which
 every node's groups agree and every root's value group is the identity?",
@@ -320,10 +326,10 @@ class _BudgetHit(Exception):
         self.reason = reason
 
 
-# the most blocks of one party assembled and handed to the simplex at once:
-# larger stacks pay numpy's fixed costs less often, smaller ones keep the
-# memory of a wide family level low
-_CHUNK = 256
+# the most blocks of one party solved at once: stacks of 64 keep most of the
+# speed of one stack per shape, and a wide level's memory at that of one LP
+# at a time
+_CHUNK = 64
 
 
 def _count_lp(stats: SynthesisStats, max_lps):
@@ -458,25 +464,16 @@ def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
                       rows=None):
     """For each candidate ids of the iterable cands, in order: can the listed
     trees' roots share one strictly positive common value on every party
-    except free_party?
-
-    One counted LP per candidate, counted as the candidate is reached and
-    before any is decided, so a budget stops at the same candidate as one LP
-    at a time would, and no candidate past it is listed or solved. Each LP is
-    decided one party's block at a time (module docstring): a block decided
-    by its certificate is not built, and the others are solved in party
-    order, a candidate's only while its earlier blocks are feasible, a
-    party's blocks together by `feasible_points`. rows, the run's cache of
-    `_block_certificates` (a fresh one when None), also keeps each solved
-    block's answer under (ids, party).
-    """
+    except free_party? Counted, certified and solved as the module docstring
+    says; rows, the run's cache of `_block_certificates` (a fresh one when
+    None), also keeps each solved block's answer under (ids, party)."""
     rows = {} if rows is None else rows
     parties = [beta for beta in range(m.P) if beta != free_party]
     sets, answers = [], []
     for ids in cands:
         sets.append(ids)
-        if len(ids) == 1 and all(len(root_for(trees[ids[0]], beta).groups) == 1
-                                 for beta in parties):
+        if all(len(ids) == 1 and len(root_for(trees[ids[0]], beta).groups) == 1
+               for beta in parties):
             answers.append(True)  # no constraint rows
         else:
             _count_lp(stats, max_lps)
@@ -490,18 +487,25 @@ def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
             if cert is not True:
                 answers[k] = cert
         undecided.append((beta, [k for k, c in zip(alive, certs) if c is None]))
+    tripped = {}
     for beta, ks in undecided:
-        ks = [k for k in ks if answers[k] is None]
+        ks = [k for k in ks if answers[k] is None and k not in tripped]
         new = [k for k in ks if (cands[k], beta) not in rows]
         for lo in range(0, len(new), _CHUNK):
-            As = [_class_lp(cands[k], beta, rows) for k in new[lo:lo + _CHUNK]]
+            chunk = new[lo:lo + _CHUNK]
+            As = [_class_lp(cands[k], beta, rows) for k in chunk]
+            trips = {}
             xs = feasible_points(As, [np.zeros(len(A)) for A in As], tol=tol,
-                                 lowers=[np.ones(A.shape[1]) for A in As])
+                                 lowers=[np.ones(A.shape[1]) for A in As],
+                                 tripped=trips)
+            tripped.update((chunk[i], e) for i, e in trips.items())
             rows.update(((cands[k], beta), x is not None)
-                        for k, x in zip(new[lo:lo + _CHUNK], xs))
+                        for i, (k, x) in enumerate(zip(chunk, xs)) if i not in trips)
         for k in ks:
-            if not rows[cands[k], beta]:
+            if k not in tripped and not rows[cands[k], beta]:
                 answers[k] = False
+    if tripped:
+        raise tripped[min(tripped)]
     return [answer is not False for answer in answers]
 
 

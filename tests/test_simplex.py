@@ -301,8 +301,10 @@ def test_feasible_points_match_feasible_point_on_search_levels(monkeypatch):
     calls, stacked = [], []
     real, real_stack = simplex.feasible_points, simplex._phase1_stack
 
-    def spy(As, bs, *, tol, lowers):
-        calls.append((As, bs, tol, lowers, real(As, bs, tol=tol, lowers=lowers)))
+    def spy(As, bs, *, tol, lowers, tripped):
+        calls.append((As, bs, tol, lowers,
+                      real(As, bs, tol=tol, lowers=lowers, tripped=tripped)))
+        assert not tripped
         return calls[-1][-1]
 
     def stack_spy(A, b, n):

@@ -875,6 +875,47 @@ def test_lp_budget_cuts_a_level_where_one_lp_at_a_time_would(max_lps, stats,
     assert calls and calls[-1] == 0
 
 
+def test_a_level_raises_the_guard_error_of_its_first_tripped_set(monkeypatch):
+    """When class-LP blocks trip the simplex's iteration guard, a family
+    level raises the error of the first set, in candidate order, whose block
+    trips, as deciding one set at a time does, although it solves the blocks
+    party by party. Here every block trips; on some levels of random-tree
+    seed 10 that set's first undecided block is not at the first party that
+    solves any, so raising in party order would name another set."""
+    levels = []
+    real = synthesis._classes_feasible
+
+    def spy(trees, cands, free, m, stats, max_lps, tol, rows=None):
+        cands = list(cands)
+        levels.append((list(trees), cands, free, m))
+        return real(trees, cands, free, m, stats, max_lps, tol, rows)
+
+    monkeypatch.setattr(synthesis, "_classes_feasible", spy)
+    synthesize(locc_random_measurements()[10], RunConfig(max_lps=300))
+    monkeypatch.undo()
+    calls = []
+
+    def tripping(As, bs, *, tol, lowers, tripped):
+        calls.append([simplex.SimplexGuardError(A.tobytes().hex()) for A in As])
+        tripped.update(enumerate(calls[-1]))
+        return [None] * len(As)
+
+    def raised(trees, cands, free, m):
+        try:
+            real(trees, cands, free, m, SynthesisStats(), None, LP_TOL)
+        except simplex.SimplexGuardError as e:
+            return str(e)
+
+    monkeypatch.setattr(synthesis, "feasible_points", tripping)
+    crossed = 0
+    for trees, cands, free, m in levels:
+        want = next(filter(None, (raised(trees, [c], free, m) for c in cands)), None)
+        del calls[:]
+        assert raised(trees, cands, free, m) == want
+        crossed += want is not None and want not in map(str, calls[0])
+    assert crossed
+
+
 def test_tree_budget():
     m = load_fixture("cascade5")
     v = synthesize(m, RunConfig(max_trees=5))
@@ -1406,6 +1447,21 @@ def test_a_split_whose_branch_is_incomplete_is_not_made(monkeypatch):
     assert (v.kind, v.reason) == ("Protocol", "protocol found in round 1")
     monkeypatch.setattr(synthesis, "_close", lambda *args: True)
     assert synthesize(m, cfg).kind == "ProvedImpossible"
+
+
+def test_one_party_sets_need_no_lp():
+    """With one party every class LP is the free party's only, so it has no
+    rows and costs no LP: the near-orthogonal measurement, which does not
+    split, and a one-party basis, run unsplit, each spend their one LP on
+    the protocol's pinned LP, even under a budget of one LP."""
+    stats = {"rounds": 1, "trees_built": 4, "lps_solved": 1, "classes_found": 0}
+    assert synthesize(near_orthogonal_measurement()).stats.as_dict() == stats
+    basis = measurement_from_parts([[np.diag(e)] for e in np.eye(3)])
+    for m in (near_orthogonal_measurement(), basis):
+        for cfg in (RunConfig(max_lps=1), RunConfig(mode="exhaustive")):
+            v = search(m, cfg)
+            assert v.kind == "Protocol"
+            assert v.stats.as_dict() == stats
 
 
 def test_branches_share_the_run_budgets():
