@@ -117,9 +117,33 @@ def ray_masks(terms, tol: float = LP_TOL) -> list[int]:
         ok = ((np.abs(tr) > tol * scale)[None, :] & (lam > 0)
               & (err <= tol * np.maximum(1.0, np.abs(lam)) * scale[None, :]))
     np.fill_diagonal(ok, False)
-    # column j as the little-endian bitmask of its rows
+    return column_masks(ok)
+
+
+def column_masks(ok: np.ndarray) -> list[int]:
+    """Per column j of the boolean (N, N) ok, the little-endian bitmask of
+    its rows."""
     return [int.from_bytes(col.tobytes(), "little")
             for col in np.packbits(ok, axis=0, bitorder="little").T]
+
+
+def components(link) -> list[int]:
+    """Connected components of the graph with neighbour masks `link`, as
+    bitmasks in order of their lowest node."""
+    comps, seen = [], 0
+    for j in range(len(link)):
+        if seen >> j & 1:
+            continue
+        comp = frontier = 1 << j
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = link[low.bit_length() - 1] & ~comp
+            comp |= new
+            frontier |= new
+        comps.append(comp)
+        seen |= comp
+    return comps
 
 
 def tensor(parts) -> np.ndarray:

@@ -57,7 +57,7 @@ import dataclasses
 import itertools
 
 from .cones import _intersection_point, member
-from .hermitian import LP_TOL, PSD_TOL
+from .hermitian import LP_TOL, PSD_TOL, components
 from .measurement import SeparableMeasurement
 
 
@@ -115,25 +115,6 @@ def find_singular_pair_witness(m: SeparableMeasurement, tol: float = LP_TOL, *,
     return None
 
 
-def _components(link) -> list:
-    """Connected components of the graph with neighbour masks `link`, as
-    bitmasks in order of their lowest operator."""
-    comps, seen = [], 0
-    for j in range(len(link)):
-        if seen >> j & 1:
-            continue
-        comp = frontier = 1 << j
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = link[low.bit_length() - 1] & ~comp
-            comp |= new
-            frontier |= new
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
 def _unions_up_to(comps, k: int) -> list:
     """The unions of `comps` that hold 1 to k operators."""
     out = []
@@ -159,7 +140,7 @@ def _candidate_splits(linked, n: int, small_side_max: int | None) -> list:
     full = (1 << n) - 1
     found = set()
     for la, lb in itertools.combinations(linked, 2):
-        c0, *rest = _components([x | y for x, y in zip(la, lb)])
+        c0, *rest = components([x | y for x, y in zip(la, lb)])
         if small_side_max is None:
             unions = [c0]
             for c in rest:

@@ -181,7 +181,7 @@ ascending party order, a set's block only while its earlier blocks were
 feasible, which is the order one set at a time would solve them in. A
 party's blocks are solved together, up to `_CHUNK` at a time, by
 `simplex.feasible_points`, stacked by shape: each block gets the same pivots
-and the same arithmetic as alone (the argument is in the simplex module), so
+and the same arithmetic as alone (the simplex module says why), so
 its answer is `feasible_point`'s, bit for bit, and the family, the LP count
 and every tree are those of solving the blocks one at a time. A block does
 not depend on the free party, so a run keeps each solved block's answer
@@ -282,7 +282,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import InfeasibleError, InvalidMeasurementError, TreeStructureError
-from .hermitian import LP_TOL, tensor, vectorize
+from .hermitian import LP_TOL, column_masks, components, tensor, vectorize
 from .measurement import SeparableMeasurement, completeness_certificate, validate
 from .simplex import feasible_point, feasible_points
 from .tree import (
@@ -748,7 +748,9 @@ def synthesize(m: SeparableMeasurement,
 
 def _components(g, psd):
     """The positions of each component of the (N, d, d) stack g's link
-    graph (module docstring), ascending, by least position."""
+    graph (module docstring), ascending, by least position. A pair is
+    linked when its test links it in either order, which can only merge
+    components."""
     n = len(g)
     V = vectorize(g)
     gram = V @ V.T      # tr(E_i E_j): `vectorize` is an isometry
@@ -756,16 +758,8 @@ def _components(g, psd):
     linked = gram > psd * np.outer(norms, norms)
     if linked.all():
         return [np.arange(n)]
-    # square the reachability matrix until it is transitively closed; a
-    # row's first reachable position is then its component's least one
-    reach = linked.astype(float)
-    while True:
-        nxt = (reach @ reach > 0).astype(float)
-        if (nxt == reach).all():
-            break
-        reach = nxt
-    label = reach.argmax(axis=1)
-    return [np.flatnonzero(label == h) for h in np.flatnonzero(label == np.arange(n))]
+    return [np.array([j for j in range(n) if c >> j & 1])
+            for c in components(column_masks(linked | linked.T))]
 
 
 def _split(stacks, w, cfg, depth):

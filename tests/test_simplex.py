@@ -233,14 +233,12 @@ def _loop_phase1(A, b, n):
         enter = next((j for j in range(n + k) if T[k, j] < -eps), -1)
         if enter < 0:
             break
-        leave, best = -1, np.inf
-        for i in range(k):
-            a = T[i, enter]
-            if a > eps:
-                ratio = T[i, -1] / a
-                if ratio < best - eps or (ratio < best + eps and (
-                        leave < 0 or basis[i] < basis[leave])):
-                    best, leave = ratio, i
+        ratios = {i: T[i, -1] / T[i, enter] for i in range(k) if T[i, enter] > eps}
+        least = min(ratios.values(), default=np.inf)
+        leave = -1
+        for i, ratio in ratios.items():
+            if ratio - least < eps and (leave < 0 or basis[i] < basis[leave]):
+                leave = i
         if leave < 0:
             return None
         T[leave] /= T[leave, enter]
@@ -346,9 +344,8 @@ def _tie_stack(rng, B, k, n):
 
 def test_feasible_points_break_ratio_ties_as_the_scan(rng, monkeypatch):
     """Stacks whose ratio tests hold ties within 2 _PIVOT_EPS: feasible_points
-    answers each LP as feasible_point does, bit for bit, reading some leaving
-    rows off the stack (the exact rule of the module docstring) and scanning
-    the others."""
+    answers each LP as feasible_point does, bit for bit, choosing every
+    leaving row on a stack."""
     cases = []
     for k, n in ((3, 4), (5, 5), (6, 9)):
         As, bs = _tie_stack(rng, 60, k, n)
@@ -372,13 +369,12 @@ def test_feasible_points_break_ratio_ties_as_the_scan(rng, monkeypatch):
         got = simplex.feasible_points(As, bs)
         assert all((x is None and y is None) or x.tobytes() == y.tobytes()
                    for x, y in zip(got, want))
-    # every leaving row was chosen on a stack; some were read off, some scanned
-    assert 0 < len(scanned) < sum(pivots)
+    assert sum(pivots) and not scanned
 
 
 def test_leaving_rows_read_off_only_what_the_scan_gives(rng):
-    """On near-tied ratio tests, the stacked leaving rows equal the scan's
-    row by row, whether read off or scanned."""
+    """On near-tied ratio tests, the stacked leaving rows equal the scalar
+    rule's row by row."""
     eps = simplex._PIVOT_EPS
     B, k = 2000, 6
     col = rng.choice([0.0, 1e-11, 0.5, 1.0, 2.0], size=(B, k))
@@ -390,6 +386,52 @@ def test_leaving_rows_read_off_only_what_the_scan_gives(rng):
             for c, r, b in zip(col, rhs, basis)]
     assert got.tolist() == want
     assert -1 in want and len(set(want)) > 2
+
+
+def test_leaving_row_keeps_the_least_ratio_where_eps_vanishes_beside_it():
+    """A least ratio of 2e8, where adding _PIVOT_EPS rounds back to it: the
+    rows of that ratio are still the candidates, and the one of least basis
+    index leaves, in the scalar rule and on a stack. On the stack's last LP
+    no row qualifies, and its -1 comes without a floating-point warning."""
+    col = [5e-9, 5e-9, 4e-9, 0.0]
+    rhs = [1.0, 1.0, 1.0, 1.0]
+    basis = [7, 3, 5, 1]
+    assert 2e8 + simplex._PIVOT_EPS == 2e8
+    assert simplex._leaving_row(col, rhs, basis) == 1
+    with np.errstate(all="raise"):
+        got = simplex._leaving_rows(
+            np.array([col, col[::-1], [0.0, -1.0, 1e-11, 0.0]]),
+            np.array([rhs, rhs, rhs]), np.array([basis, basis[::-1], basis]))
+    assert got.tolist() == [1, 2, -1]
+
+
+def test_near_tied_stacks_agree_with_highs(rng):
+    """The stacks where the leaving-row rule meets ties within _PIVOT_EPS:
+    `_tie_stack`'s, and degenerate ones with a duplicated row, zero rhs
+    entries and, in some, a first column of 5e-9 whose ratios, of order 1e8,
+    swallow eps. Each LP's verdict, from feasible_points and from
+    feasible_point, is HiGHS's."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    cases = [_tie_stack(rng, 60, k, n) for k, n in ((3, 4), (5, 5), (6, 9))]
+    for k, n in ((4, 5), (6, 6)):
+        As, bs = [], []
+        for _ in range(60):
+            A = rng.random((k, n)) * (rng.random((k, n)) < 0.6)
+            A[:, 0] = rng.choice([1.0, 5e-9])
+            b = rng.choice([0.0, 0.5, 1.0], size=k)
+            A[1], b[1] = A[0], b[0]
+            As.append(A)
+            bs.append(b)
+        cases.append((As, bs))
+    verdicts = []
+    for As, bs in cases:
+        for A, b, x in zip(As, bs, simplex.feasible_points(As, bs)):
+            ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, method="highs")
+            assert ref.status in (0, 2), ref.message
+            assert (x is not None) == (feasible_point(A, b) is not None) == (
+                ref.status == 0), (A, b)
+            verdicts.append(x is not None)
+    assert 0 < np.mean(verdicts) < 1
 
 
 def test_feasible_points_drop_zero_rows_as_feasible_point(rng):

@@ -1417,6 +1417,18 @@ def test_linking_everything_fails_the_frontier(monkeypatch):
             check(cfg)
 
 
+def test_linked_chains_form_one_component():
+    """One-party parts where E_1 links E_2 and E_2 links E_3 but E_1 is
+    orthogonal to E_3 form one component; a part orthogonal to all three,
+    placed among them, forms its own."""
+    u = np.array([1.0, 1.0, 1.0, 0.0]) / np.sqrt(3)
+    e = np.eye(4)
+    g = np.stack([np.outer(e[0], e[0]), np.outer(e[3], e[3]),
+                  np.outer(e[2], e[2]), np.outer(u, u)]).astype(complex)
+    assert [list(p) for p in synthesis._components(g, RunConfig().tol.psd)] == [
+        [0, 2, 3], [1]]
+
+
 def near_orthogonal_measurement():
     """One party, dimension 9: E_1 = |0><0| and E_2, E_3 = P_v + Q, P_v' + Q,
     with v, v' = (+-sqrt(2e-9), 1, 0, ...) and Q the projector on the last 7
