@@ -167,7 +167,8 @@ def _cmd_synthesize(args, out) -> int:
                  verdict.stats.rounds, verdict.stats.trees_built,
                  verdict.stats.lps_solved, verdict.stats.classes_found)]
     if verdict.tree is not None:
-        w, residual = align_weights(verdict.tree, m, verdict.assignment)
+        w, residual = align_weights(verdict.tree, m, verdict.assignment,
+                                    tol=cfg.tol.lp)
         payload["leaves"] = len(leaves(verdict.tree)) or 1
         payload["depth"] = verdict.tree.depth
         payload["weights"] = {m.labels[j]: float(w[j]) for j in range(len(m))}

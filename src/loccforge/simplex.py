@@ -8,16 +8,35 @@ generality: no objective phase, no sparsity, no revised simplex.
 
 `feasible_point` answers one LP. `feasible_points` answers a list of them,
 each exactly as `feasible_point` would: the same point bit for bit, or
-None. It stacks the LPs whose kept rows have one shape and runs phase 1 on
-each stack, one tableau per LP, so numpy's fixed cost per call is paid once
-per stack, not once per LP. Each LP keeps its own pivots and arithmetic:
-- The shift to x >= lower and the residual check are the same helpers
-  (`_shifted`, `_checked`), called on each LP's own arrays, as BLAS may sum
-  a product in an order that depends on the layout. Dropping zero rows, row
-  scaling (`_scaled`) and the tableau (`_tableau`) are the same numpy
-  operations on a stack as on one LP: entry by entry, or a reduction of
-  one LP's own row or column, in the same memory order (the tests compare
-  every point of the searches bit for bit).
+None. It pivots every LP that keeps a row in one stack of tableaux, each
+zero-padded to the call's most kept rows K and most columns N, so numpy's
+fixed cost per call is paid once per call, not once per LP or per shape.
+LP j keeps its k rows and n columns first; its artificials sit at N..N+k-1
+and the rhs last. The padding is inert:
+- A zero column has reduced cost 0, so it never enters, and a pivot leaves
+  it zero.
+- A zero row has entering-column entry 0, so it never leaves, and a pivot
+  does not write it. Its artificial stays basic at 0 with reduced cost 0.
+- Every artificial index shifts by the same N - n, and the structural ones
+  stay below them, so Bland's orders of columns and of basis indices are
+  the LP's own.
+Each LP keeps its own pivots and arithmetic:
+- Per LP, on its own data: the shift to x >= lower and the residual check
+  (`_shifted`, `_checked`, on its own arrays, as BLAS may sum a product in
+  an order that depends on the layout); the kept-row test, relative to its
+  own largest entry; the iteration guard, _ITER_FACTOR (n + k + 10) pivots;
+  the objective threshold 1e-9 (1 + k); and the objective's rhs, summed
+  over its own k rows, as numpy sums a vector pairwise in blocks of 8, so
+  padding zeros would change the order once k >= 8. For the same reason a
+  one-column LP's reduced cost is summed over its own rows. With two or
+  more columns numpy sums a column row by row, so the padding rows add
+  zeros; at most a -0.0 turns +0.0 in the objective row, which no
+  comparison tells apart and no other row reads.
+- Dropping zero rows (exact maxima, which padding leaves alone), row
+  scaling (`_scaled`) and the tableau (`_tableau`) are entry by entry on
+  the stack as on one LP, or a reduction of one LP's own row or column in
+  the same memory order. An LP's kept rows move up in order, and its
+  dropped rows become padding: zeroed, and scaled by 1, never by 1 / 0.
 - A pivot divides the leaving row and subtracts its multiples from the rows
   where the entering column is nonzero, entry by entry, as on one LP.
 - The entering column is the LP's first negative reduced cost.
@@ -31,8 +50,8 @@ per stack, not once per LP. Each LP keeps its own pivots and arithmetic:
   rows it takes 2-3 us a call, a stack of one 14-22 us (2-vCPU Xeon VM).
 - An LP stops when it has no entering column or no leaving row, and it
   trips the iteration guard after as many pivots as alone.
-An LP alone in its shape is answered by the one-LP kernel `_phase1`, as a
-stack of one costs more.
+A call left with one LP that keeps a row answers it with the one-LP kernel
+`_phase1`, as a stack of one costs more.
 """
 from __future__ import annotations
 
@@ -76,12 +95,12 @@ def feasible_point(A, b, *, tol: float = 1e-8, lower=None) -> np.ndarray | None:
 def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None,
                     tripped=None) -> list:
     """[feasible_point(A, b, tol=tol, lower=lower) for each LP], bit for bit,
-    with phase 1 run on a stack per shape of the rows kept (module
-    docstring); lowers is a list like As, or None for x >= 0 throughout. The
-    first LP in list order whose pivots trip the iteration guard raises its
-    SimplexGuardError, once every LP has run; given a dict tripped, each
-    such LP's error is stored there under its position instead, and its
-    answer is None."""
+    with phase 1 run on one zero-padded stack of the LPs that keep a row
+    (module docstring); lowers is a list like As, or None for x >= 0
+    throughout. The first LP in list order whose pivots trip the iteration
+    guard raises its SimplexGuardError, once every LP has run; given a dict
+    tripped, each such LP's error is stored there under its position
+    instead, and its answer is None."""
     lowers = [None] * len(As) if lowers is None else lowers
     trips = {} if tripped is None else tripped
     mats = [np.atleast_2d(np.asarray(A, dtype=float)) for A in As]
@@ -89,48 +108,50 @@ def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None,
     for A, b in zip(mats, vecs):
         if b.shape != A.shape[:1]:
             raise ValueError(f"rhs shape {b.shape} does not match {A.shape[0]} rows")
-    shifted = [_shifted(A, b, lower) for A, b, lower in zip(mats, vecs, lowers)]
-    # per shape (rows kept, columns): the positions of its LPs and their
-    # kept rows, rhs and largest |entries|, as feasible_point drops them
-    pool = {}
-    shapes = {}
-    for i, A in enumerate(mats):
-        shapes.setdefault(A.shape, []).append(i)
-    for (m, n), idx in shapes.items():
-        A = np.stack([mats[i] for i in idx])
-        b_work = np.stack([shifted[i][1] for i in idx])
-        amax, keep, refuted = _kept(A, np.stack([vecs[i] for i in idx]), b_work, tol)
-        full = ~refuted & keep.all(axis=1)
-        # an LP with a row dropped joins the shape of its kept rows; one
-        # refuted stays None
-        for t in np.flatnonzero(~refuted & ~full):
-            kt = keep[t]
-            pool.setdefault((int(kt.sum()), n), []).append(
-                ([idx[t]], A[t, kt][None], b_work[t, kt][None], amax[t, kt][None]))
-        if full.any():
-            pool.setdefault((m, n), []).append(
-                ([i for i, f in zip(idx, full) if f], A[full], b_work[full], amax[full]))
     out = [None] * len(As)
-    while pool:
-        (k, n), parts = pool.popitem()
-        idx = [i for p in parts for i in p[0]]
-        rows, rhs = _scaled(*(np.concatenate(a) for a in list(zip(*parts))[1:]))
-        del parts   # the pooled copies, before the tableaux are built
-        if len(idx) > 1 and k:
-            x, ok, tripped_j = _phase1_stack(rows, rhs, n)
-            xs = [x[j] if ok[j] else None for j in range(len(idx))]
-            trips.update((idx[j], _guard_error(k, n)) for j in tripped_j)
-        else:
-            xs = []
-            for j, i in enumerate(idx):
-                try:
-                    xs.append(_phase1(rows[j], rhs[j], n) if k else np.zeros(n))
-                except SimplexGuardError as e:
-                    xs.append(None)
-                    trips[i] = e
-        for i, x in zip(idx, xs):
-            if x is not None:
-                out[i] = _checked(mats[i], vecs[i], x, shifted[i][0], tol)
+    if not mats:
+        return out
+    shifted = [_shifted(A, b, lower) for A, b, lower in zip(mats, vecs, lowers)]
+    ms, ns = np.array([A.shape for A in mats]).T
+    # every LP zero-padded to the largest shape: the maxima of the row test
+    # do not see the padding, and a padding row is dropped
+    A = np.zeros((len(mats), ms.max(), ns.max()))
+    b = np.zeros(A.shape[:2])
+    b_work = np.zeros(A.shape[:2])
+    for i, (Ai, bi, (_, wi)) in enumerate(zip(mats, vecs, shifted)):
+        m, n = Ai.shape
+        A[i, :m, :n] = Ai
+        b[i, :m] = bi
+        b_work[i, :m] = wi
+    amax, keep, refuted = _kept(A, b, b_work, tol)
+    ks = keep.sum(axis=1)
+    live = np.flatnonzero(~refuted & (ks > 0))
+    xs = {i: np.zeros(ns[i]) for i in np.flatnonzero(~refuted & (ks == 0))}
+    if len(live) == 1:
+        (i,) = live
+        kt = keep[i, :ms[i]]
+        try:
+            xs[i] = _phase1(*_scaled(mats[i][kt], shifted[i][1][kt],
+                                     amax[i, :ms[i]][kt]), ns[i])
+        except SimplexGuardError as e:
+            trips[int(i)] = e
+    elif len(live):
+        # each LP's kept rows moved up in order and the rest zeroed, with
+        # scale 1, so that no row is divided by 0
+        order = np.argsort(~keep[live], axis=1, kind="stable")[:, :ks.max()]
+        kept = np.take_along_axis(keep[live], order, axis=1)
+        rows = np.take_along_axis(A[live], order[:, :, None], axis=1)
+        rows[~kept] = 0.0
+        rows, rhs = _scaled(
+            rows, np.where(kept, np.take_along_axis(b_work[live], order, 1), 0.0),
+            np.where(kept, np.take_along_axis(amax[live], order, 1), 1.0))
+        x, ok, tripped_j = _phase1_stack(rows, rhs, ns[live], ks[live])
+        xs.update((i, x[j, :ns[i]]) for j, i in enumerate(live) if ok[j])
+        trips.update((int(live[j]), _guard_error(ks[live[j]], ns[live[j]]))
+                     for j in tripped_j)
+    for i, x in xs.items():
+        if x is not None:
+            out[i] = _checked(mats[i], vecs[i], x, shifted[i][0], tol)
     if trips and tripped is None:
         raise trips[min(trips)]
     return out
@@ -258,26 +279,44 @@ def _phase1(A: np.ndarray, b: np.ndarray, n: int) -> np.ndarray | None:
     return x
 
 
-def _phase1_stack(A, b, n):
-    """`_phase1` of each LP of a stack A (B, k, n), b (B, k): (x, ok,
-    tripped), x (B, n) the points, ok the mask of the LPs it gives a point
-    for, tripped the positions of those that reach the iteration guard. An
-    LP with no entering column is done, and no later pivot writes it."""
-    B, k = b.shape
+def _phase1_stack(A, b, n, k):
+    """`_phase1` of each LP of a zero-padded stack A (B, K, N), b (B, K), LP j
+    in its first k[j] rows and n[j] columns: (x, ok, tripped), x (B, N) the
+    points, ok the mask of the LPs it gives a point for, tripped the
+    positions of those that reach their iteration guard. An LP that stops
+    pivoting is done, and no later pivot writes it."""
+    B, K, N = A.shape
     T = _tableau(A, b)
-    basis = np.tile(np.arange(n, n + k), (B, 1))
+    # numpy sums a vector, and a matrix of one column, pairwise in blocks
+    # of 8, so zero padding can change those sums: each is taken on the LP's
+    # own rows
+    for kj in set(k.tolist()):
+        on = np.flatnonzero(k == kj)
+        T[on, K, -1] = -b[on, :kj].sum(axis=-1)
+    for j in np.flatnonzero(n == 1):
+        T[j, K, :1] = -A[j, :k[j], :1].sum(axis=-2)
+    limit = _ITER_FACTOR * (n + k + 10)
+    basis = np.tile(np.arange(N, N + K), (B, 1))
     dead = np.zeros(B, dtype=bool)      # no leaving row, or tripped: None
+    tripped = []
     on = np.arange(B)                   # the LPs that pivot
-    tripped = on[:0]
-    for _ in range(_ITER_FACTOR * (n + k + 10)):
-        negative = T[:, k, :n + k] < -_PIVOT_EPS
-        on = np.flatnonzero(negative.any(axis=1) & ~dead)
+    pivots = 0
+    while len(on):
+        over = limit[on] <= pivots
+        if over.any():
+            tripped.extend(on[over].tolist())
+            dead[on[over]] = True
+            on = on[~over]
+        negative = T[on, K, :N + K] < -_PIVOT_EPS
+        some = negative.any(axis=1)
+        on, negative = on[some], negative[some]
         if not len(on):
             break
-        enter = negative[on].argmax(axis=1)
-        Ton = T[on]
+        enter = negative.argmax(axis=1)
+        # while every LP pivots, the stack itself, else a copy written back
+        Ton = T if len(on) == B else T[on]
         ar = np.arange(len(on))
-        leave = _leaving_rows(Ton[ar, :k, enter], Ton[:, :k, -1], basis[on])
+        leave = _leaving_rows(Ton[ar, :K, enter], Ton[:, :K, -1], basis[on])
         if (leave < 0).any():
             dead[on[leave < 0]] = True
             go = leave >= 0
@@ -289,14 +328,13 @@ def _phase1_stack(A, b, n):
         coef[ar, leave] = 0.0
         np.subtract(Ton, coef[:, :, None] * prow[:, None, :], out=Ton,
                     where=(coef != 0.0)[:, :, None])
-        T[on] = Ton
+        if Ton is not T:
+            T[on] = Ton
         basis[on, leave] = enter
-    else:
-        tripped = on
-        dead[on] = True
-    ok = ~dead & ~(-T[:, k, -1] > 1e-9 * (1.0 + k))
-    x = np.zeros((B, n))
-    r, i = np.nonzero((basis < n) & ok[:, None])
+        pivots += 1
+    ok = ~dead & ~(-T[:, K, -1] > 1e-9 * (1.0 + k))
+    x = np.zeros((B, N))
+    r, i = np.nonzero((basis < N) & ok[:, None])
     x[r, basis[r, i]] = T[r, i, -1]
     return x, ok, tripped
 

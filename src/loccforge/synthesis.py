@@ -180,9 +180,9 @@ certified block is skipped. The undecided blocks go to the simplex in
 ascending party order, a set's block only while its earlier blocks were
 feasible, which is the order one set at a time would solve them in. A
 party's blocks are solved together, up to `_CHUNK` at a time, by
-`simplex.feasible_points`, stacked by shape: each block gets the same pivots
-and the same arithmetic as alone (the simplex module says why), so
-its answer is `feasible_point`'s, bit for bit, and the family, the LP count
+`simplex.feasible_points`, in one zero-padded stack: each block gets the
+same pivots and the same arithmetic as alone (the simplex module says why),
+so its answer is `feasible_point`'s, bit for bit, and the family, the LP count
 and every tree are those of solving the blocks one at a time. A block does
 not depend on the free party, so a run keeps each solved block's answer
 under (ids, party): with three or more parties, two free parties can ask for
@@ -257,9 +257,20 @@ that, so x = 1 passes the simplex's residual check. The False test keeps
 tol of room for roundoff in either order. A run also keeps each chain's
 certificate under (ta, tb, party). The chains a list of sets needs that are
 not kept yet are decided in one numpy pass per party, over the stacked row
-sums and masks, entry by entry as for one chain. Only a set's last chain is
-new past the first level, as its prefix is a feasible set whose chains were
-all read, so this reads the chains one set at a time would read.
+sums and masks, entry by entry as for one chain.
+
+Every candidate of three or more trees extends a feasible prefix: a family
+level joins feasible sets, and the cover search extends only feasible
+prefixes. A feasible set's certificates were read at every party but the
+free one, and a run keeps those of each feasible set of two or more trees
+under `_cert_key`, a kind of key that no block answer's (ids, party)
+equals. A candidate's certificate at a party is then its prefix's combined
+with its last tree's and its last chain's; combining is associative and
+commutative, so that is the certificate of all its trees and chains. A
+candidate whose prefix has none kept there, a pair or a prefix found with
+this party free, is composed from all of them. So only a set's last chain
+is new past the first level, and this reads the chains one set at a time
+would read.
 
 An undecided block is assembled from per-tree blocks, not renamed from the
 trees' terms. `_root_blocks` numbers a tree's variables at party beta in
@@ -326,9 +337,8 @@ class _BudgetHit(Exception):
         self.reason = reason
 
 
-# the most blocks of one party solved at once: stacks of 64 keep most of the
-# speed of one stack per shape, and a wide level's memory at that of one LP
-# at a time
+# the most blocks of one party padded into one stack, which bounds a wide
+# level's tableaux to those of 64 LPs at once
 _CHUNK = 64
 
 
@@ -412,19 +422,37 @@ def _tree_rows(trees, tid, beta, m, tol, rows):
 def _combined(certs):
     """False if one of the certificates is False, else None if one is None,
     else True."""
-    return min(certs, key=(False, None, True).index, default=True)
+    certs = tuple(certs)
+    return False if False in certs else (None if None in certs else True)
+
+
+def _cert_key(ids, beta):
+    """The key in rows of the certificate of the feasible set ids's block at
+    party beta, of a kind no other key of rows compares equal to."""
+    return ids, beta, "cert"
 
 
 def _block_certificates(trees, cands, beta, m, tol, rows):
     """`_class_certificate` of the block at party beta of each candidate's
     class LP, composed from its trees' and chains' (module docstring) without
-    building it. Beside `_tree_rows`, rows caches (ta, tb, beta), the chain
-    certificate of consecutive trees ta, tb; the chains of the candidates
-    that no tree refutes and that rows lacks are found in one numpy pass."""
-    out = [_combined(_tree_rows(trees, tid, beta, m, tol, rows)[0] for tid in ids)
-           for ids in cands]
+    building it: from its prefix's, when rows keeps that under `_cert_key`,
+    and its last tree's and last chain's, else from all of them. Beside
+    `_tree_rows`, rows caches (ta, tb, beta), the chain certificate of
+    consecutive trees ta, tb; the chains of the candidates that no tree
+    refutes and that rows lacks are found in one numpy pass."""
+    tails, out = [], []
+    for ids in cands:
+        head = _cert_key(ids[:-1], beta)
+        if head in rows:
+            tails.append(ids[-2:])
+            out.append(_combined(
+                (rows[head], _tree_rows(trees, ids[-1], beta, m, tol, rows)[0])))
+        else:
+            tails.append(ids)
+            out.append(_combined(_tree_rows(trees, tid, beta, m, tol, rows)[0]
+                                 for tid in ids))
     new = list(dict.fromkeys(
-        (ta, tb, beta) for ids, known in zip(cands, out) if known is not False
+        (ta, tb, beta) for ids, known in zip(tails, out) if known is not False
         for ta, tb in zip(ids, ids[1:]) if (ta, tb, beta) not in rows))
     if new:
         certs = _chain_certificates(
@@ -432,7 +460,7 @@ def _block_certificates(trees, cands, beta, m, tol, rows):
         rows.update(zip(new, certs))
     return [known if known is False else _combined(
         [known] + [rows[ta, tb, beta] for ta, tb in zip(ids, ids[1:])])
-        for ids, known in zip(cands, out)]
+        for ids, known in zip(tails, out)]
 
 
 def _class_lp(ids, beta, rows):
@@ -466,7 +494,8 @@ def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
     trees' roots share one strictly positive common value on every party
     except free_party? Counted, certified and solved as the module docstring
     says; rows, the run's cache of `_block_certificates` (a fresh one when
-    None), also keeps each solved block's answer under (ids, party)."""
+    None), also keeps each solved block's answer under (ids, party), and
+    gains each feasible set's certificates."""
     rows = {} if rows is None else rows
     parties = [beta for beta in range(m.P) if beta != free_party]
     sets, answers = [], []
@@ -479,11 +508,13 @@ def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
             _count_lp(stats, max_lps)
             answers.append(None)
     cands, undecided = sets, []
+    held = [[] for _ in cands]      # per set, its (party, certificate)s
     for beta in parties:
         alive = [k for k, answer in enumerate(answers) if answer is None]
         certs = _block_certificates(trees, [cands[k] for k in alive], beta, m,
                                     tol, rows)
         for k, cert in zip(alive, certs):
+            held[k].append((beta, cert))
             if cert is not True:
                 answers[k] = cert
         undecided.append((beta, [k for k, c in zip(alive, certs) if c is None]))
@@ -506,6 +537,10 @@ def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
                 answers[k] = False
     if tripped:
         raise tripped[min(tripped)]
+    # a feasible set's certificates, read at every party, for its extensions
+    rows.update((_cert_key(ids, beta), cert)
+                for ids, answer, certs in zip(cands, answers, held)
+                if answer is not False and len(ids) > 1 for beta, cert in certs)
     return [answer is not False for answer in answers]
 
 
@@ -857,8 +892,8 @@ def _search(m, cfg, stats, depth=0):
     trees = [leaf_tree(m, j) for j in range(N)]
     stats.trees_built += N
     stats.rounds = depth
-    # One intern table per run shares repeated terms and renamed groups
-    # between trees; its kinds of entry never compare equal.
+    # One intern table per run shares repeated terms, renamed groups and
+    # renamed subtrees between trees; its kinds of entry never compare equal.
     memo = {}
 
     if N == 1:
@@ -874,9 +909,9 @@ def _search(m, cfg, stats, depth=0):
 
     # per free party, the feasible subsets found so far (ascending id tuples)
     known = [set() for _ in range(m.P)]
-    # the class LPs' data per (tree id, party) and the solved blocks' answers
-    # per (ids, party), read by every free party; tree ids are stable, as
-    # trees are only appended
+    # the class LPs' data per (tree id, party), the solved blocks' answers
+    # per (ids, party) and the feasible sets' certificates, read by every
+    # free party; tree ids are stable, as trees are only appended
     rows = {}
     # per tree id, the bitmask of the operators its leaves cover
     covers = [1 << j for j in range(N)]

@@ -91,10 +91,18 @@ def _rename_group(g: Group, offset: int, memo: dict) -> Group:
 
 
 def _rename_node(n: Node, offset: int, memo: dict | None = None) -> Node:
+    """n with every var raised by offset: n itself at offset 0, else the node
+    memo holds for (id(n), offset), so that trees merged from a common member
+    share its renamed subtree. The entry holds n too, so its id stays n's."""
+    if not offset:
+        return n
     memo = {} if memo is None else memo
-    return Node(n.party,
-                tuple(_rename_group(g, offset, memo) for g in n.groups),
-                tuple(_rename_node(c, offset, memo) for c in n.children))
+    key = (id(n), offset)
+    if key not in memo:
+        memo[key] = (n, Node(
+            n.party, tuple(_rename_group(g, offset, memo) for g in n.groups),
+            tuple(_rename_node(c, offset, memo) for c in n.children)))
+    return memo[key][1]
 
 
 def _group_sort_key(g: Group):
@@ -109,7 +117,8 @@ def merge_and_extend(constituents, free_party: int,
     aliases. The free party's root becomes the trunk: one branch per
     constituent, carrying its old free-party root groups and adopting its old
     trunk children. Variables are renumbered per constituent so occurrences
-    stay independent.
+    stay independent; the first keeps its own, and memo, an intern table
+    that calls may share, shares the renamed terms, groups and subtrees.
     """
     memo = {} if memo is None else memo
     cs = list(constituents)

@@ -508,6 +508,25 @@ def test_configured_lp_reaches_the_kraus_factor_rule(tmp_path, capsys):
     assert (code, err) == (0, "") and "leaf 0 -> M1 (scale 1.41421, coin yes)" in out
 
 
+def test_configured_lp_reaches_align_weights(tmp_path, capsys, monkeypatch):
+    """synthesize weighs its protocol's leaves at the configured lp: with
+    {"lp": 1e-6} every leaf is checked against its operator at 1e-6, not at
+    the default."""
+    seen = []
+    real = cli.align_weights
+
+    def spy(t, m, assignment, tol=hermitian.LP_TOL):
+        seen.append(tol)
+        return real(t, m, assignment, tol)
+
+    monkeypatch.setattr(cli, "align_weights", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lp": 1e-6}')
+    code, out, _ = run(capsys, "synthesize", fx("cascade5"), "--config", str(cfg))
+    assert code == 0 and out.startswith("verdict: Protocol\n")
+    assert seen == [1e-6]
+
+
 def _set_part(value):
     def edit(doc):
         doc["operators"][2]["parts"][1] = value

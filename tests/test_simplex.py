@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -305,9 +307,9 @@ def test_feasible_points_match_feasible_point_on_search_levels(monkeypatch):
         assert not tripped
         return calls[-1][-1]
 
-    def stack_spy(A, b, n):
+    def stack_spy(A, b, n, k):
         stacked.append(len(A))
-        return real_stack(A, b, n)
+        return real_stack(A, b, n, k)
 
     monkeypatch.setattr(synthesis, "feasible_points", spy)
     monkeypatch.setattr(simplex, "_phase1_stack", stack_spy)
@@ -345,15 +347,20 @@ def _tie_stack(rng, B, k, n):
 def test_feasible_points_break_ratio_ties_as_the_scan(rng, monkeypatch):
     """Stacks whose ratio tests hold ties within 2 _PIVOT_EPS: feasible_points
     answers each LP as feasible_point does, bit for bit, choosing every
-    leaving row on a stack."""
+    leaving row on a stack, and pivots each call's LPs in one stack. The
+    last call interleaves five shapes, so that rows k >= 9 are padding
+    beside shorter LPs, and raises on any floating-point warning."""
     cases = []
-    for k, n in ((3, 4), (5, 5), (6, 9)):
-        As, bs = _tie_stack(rng, 60, k, n)
+    for k, n in ((3, 4), (5, 5), (6, 9), (12, 2), (9, 5)):
+        As, bs = _tie_stack(rng, 60 if k < 9 else 20, k, n)
         want = [feasible_point(A, b) for A, b in zip(As, bs)]
         assert any(x is not None for x in want)
         cases.append((As, bs, want))
-    pivots, scanned = [], []
+    mixed = [lp for lps in itertools.zip_longest(*(zip(*c) for c in cases))
+             for lp in lps if lp is not None]
+    pivots, scanned, stacks = [], [], []
     real_rows, real_scan = simplex._leaving_rows, simplex._leaving_row
+    real_stack = simplex._phase1_stack
 
     def rows_spy(col, rhs, basis):
         pivots.append(len(col))
@@ -363,13 +370,40 @@ def test_feasible_points_break_ratio_ties_as_the_scan(rng, monkeypatch):
         scanned.append(True)
         return real_scan(*args)
 
+    def stack_spy(*args):
+        stacks.append(True)
+        return real_stack(*args)
+
     monkeypatch.setattr(simplex, "_leaving_rows", rows_spy)
     monkeypatch.setattr(simplex, "_leaving_row", scan_spy)
-    for As, bs, want in cases:
-        got = simplex.feasible_points(As, bs)
+    monkeypatch.setattr(simplex, "_phase1_stack", stack_spy)
+    for As, bs, want in cases[:3] + [tuple(map(list, zip(*mixed)))]:
+        stacks.clear()
+        with np.errstate(all="raise"):
+            got = simplex.feasible_points(As, bs)
         assert all((x is None and y is None) or x.tobytes() == y.tobytes()
                    for x, y in zip(got, want))
+        assert len(stacks) == 1
     assert sum(pivots) and not scanned
+
+
+def test_feasible_points_sum_each_objective_over_its_own_rows():
+    """-x = b_i on 9 rows, with sum(b) within an ulp of the objective
+    threshold 1e-9 (1 + 9): no column enters, so how b is summed decides
+    between x = 0 and None. Beside a 16-row LP its rhs is padded to 16
+    entries, and numpy's pairwise sum over those adds b[8] elsewhere and
+    crosses the threshold; feasible_points still answers as feasible_point."""
+    limit = 1e-9 * (1.0 + 9)
+    ulp = np.spacing(limit)
+    b = np.array([limit - 3 * ulp] + [0.4 * ulp] * 7 + [0.5 * ulp])
+    padded = np.zeros(16)
+    padded[:9] = b
+    assert b.sum() <= limit < padded.sum()
+    A = -np.ones((9, 1))
+    want = feasible_point(A, b)
+    assert want is not None
+    got, _ = simplex.feasible_points([A, np.ones((16, 2))], [b, np.ones(16)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_leaving_rows_read_off_only_what_the_scan_gives(rng):

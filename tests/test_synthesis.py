@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import hashlib
 import itertools
@@ -806,6 +807,43 @@ def test_intern_table_keeps_keys_and_trees(monkeypatch):
         assert runs[0][2] is not runs[1][2]
 
 
+def test_merged_trees_share_renamed_members(monkeypatch):
+    """Over seed 51's run, each merged tree equals the merge of its members
+    with a fresh intern table. Its first member, at offset 0, comes back as
+    itself: the first branch holds that member's free-party root groups and
+    trunk children, and every other root its root groups, as the same
+    objects. A later member renamed at the same offset in two merges is one
+    renamed subtree, shared by both trees."""
+    merged = []
+    real_merge = synthesis.merge_and_extend
+
+    def merge_spy(cs, free, memo):
+        t = real_merge(cs, free, memo)
+        assert t == merge_and_extend(cs, free)
+        merged.append((cs, free, t))
+        return t
+
+    monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
+    m = locc_random_measurements()[51]
+    v = synthesize(m, RunConfig(max_lps=2000))
+    assert v.stats.trees_built - len(m) == len(merged) > 0
+    kids = {}
+    for cs, free, t in merged:
+        first, *branches = root_for(t, free).children
+        c0 = cs[0]
+        assert first.groups is root_for(c0, free).groups
+        if c0.trunk_party is not None:
+            assert first.children is root_for(c0, c0.trunk_party).children
+        for r in t.roots:
+            if r.party != free:
+                assert all(any(g is h for h in r.groups)
+                           for g in root_for(c0, r.party).groups)
+        for b in branches:
+            if b.children:
+                kids.setdefault(id(b.children), []).append(t)
+    assert max(map(len, kids.values())) > 1
+
+
 def test_locc_random_trees_are_never_proved_impossible():
     """The random trees are LOCC by construction; running out of budget is
     allowed, a proof of impossibility is not."""
@@ -814,6 +852,43 @@ def test_locc_random_trees_are_never_proved_impossible():
     for s, m in ms.items():
         kind = synthesize(m, RunConfig(max_lps=2000)).kind
         assert kind in ("Protocol", "BudgetExhausted"), s
+
+
+# per seed of `locc_random_measurements`, the (verdict, rounds, trees_built,
+# lps_solved, classes_found) of synthesize at max_lps 2000: a change that
+# only speeds the search up moves none of them
+RANDOM_TREE_COUNTS = {
+    2: ("Protocol", 3, 11, 95, 2),
+    5: ("Protocol", 2, 10, 22, 2),
+    7: ("Protocol", 1, 7, 8, 0),
+    10: ("Protocol", 3, 15, 154, 5),
+    12: ("Protocol", 2, 270, 392, 2),
+    16: ("Protocol", 2, 11, 48, 2),
+    20: ("Protocol", 0, 1, 1, 0),
+    24: ("Protocol", 1, 3, 2, 0),
+    29: ("Protocol", 2, 25, 96, 3),
+    35: ("Protocol", 0, 1, 1, 0),
+    43: ("Protocol", 3, 13, 96, 4),
+    46: ("Protocol", 0, 1, 1, 0),
+    51: ("BudgetExhausted", 3, 278, 2001, 27),
+    53: ("Protocol", 1, 3, 4, 0),
+    54: ("Protocol", 1, 8, 8, 0),
+    59: ("Protocol", 1, 10, 9, 0),
+}
+
+
+@functools.cache
+def random_trees():
+    return locc_random_measurements()
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_TREE_COUNTS))
+def test_random_tree_counts_are_pinned(seed):
+    assert sorted(random_trees()) == sorted(RANDOM_TREE_COUNTS)
+    v = synthesize(random_trees()[seed], RunConfig(max_lps=2000))
+    s = v.stats
+    assert (v.kind, s.rounds, s.trees_built, s.lps_solved,
+            s.classes_found) == RANDOM_TREE_COUNTS[seed]
 
 
 def test_locc_random_tree_protocols_get_their_weights():
@@ -1124,16 +1199,27 @@ def test_class_certificates_agree_with_the_simplex(monkeypatch):
     per-tree blocks is the block's own, and a decided answer is the
     simplex's. The two add each row in another order, so they may differ on
     the zero test, and only where the block's row sums are within summation
-    roundoff of zero (one block of cascade5)."""
+    roundoff of zero (one block of cascade5). The certificates are read
+    twice: with one rows per search in reach order, which keeps each
+    feasible set's certificates as the search does and reads a set's from
+    its prefix's, and with each set alone in a fresh rows, which composes
+    them from all its trees; both give the same answers."""
     answers = {True: 0, False: 0, None: 0}
+    prefixed = 0
     for reached in reached_class_lps(monkeypatch):
         rows = {}
-        for trees, ids, free, m, tol, _ in reached:
+        for trees, ids, free, m, tol, feasible in reached:
             A, _ = reference_class_lp(trees, ids, free, m)
+            certs = []
             for beta, rs, cs in joint_blocks(trees, ids, free, m):
                 block = A[rs, cs]
+                prefixed += synthesis._cert_key(ids[:-1], beta) in rows
                 known, = synthesis._block_certificates(trees, [ids], beta, m,
                                                        tol, rows)
+                alone, = synthesis._block_certificates(trees, [ids], beta, m,
+                                                       tol, {})
+                assert known == alone
+                certs.append((beta, known))
                 full = synthesis._class_certificate(block, tol)
                 if known != full:
                     assert {known, full} == {True, None}
@@ -1144,8 +1230,13 @@ def test_class_certificates_agree_with_the_simplex(monkeypatch):
                 answers[known] += 1
                 if known is not None:
                     assert known == kernel_answer(block, tol)
-    # both certificates fire, and some blocks still need the simplex
+            if feasible and len(ids) > 1:
+                rows.update((synthesis._cert_key(ids, beta), c)
+                            for beta, c in certs)
+    # both certificates fire, some blocks still need the simplex, and some
+    # are read from their prefix's
     assert min(answers.values()) > 0
+    assert prefixed > 0
 
 
 def test_class_certificate_margins():
