@@ -173,6 +173,7 @@ def _cmd_synthesize(args, out) -> int:
         payload["depth"] = verdict.tree.depth
         payload["weights"] = {m.labels[j]: float(w[j]) for j in range(len(m))}
         payload["weight_residual"] = float(residual)
+        payload["weight_error"] = max(abs(float(wj) - 1.0) for wj in w)
         lines.append("protocol: %d leaves, depth %d"
                      % (payload["leaves"], payload["depth"]))
         lines.append("orderings: " + "; ".join(
@@ -180,6 +181,8 @@ def _cmd_synthesize(args, out) -> int:
             for s in orders))
         lines.append("weights: " + "  ".join(
             "%s %.6g" % (m.labels[j], float(w[j])) for j in range(len(m))))
+        # rounded to 12 decimals, so that roundoff near 1e-16 does not show
+        lines.append("weight error: %.3g" % round(payload["weight_error"], 12))
         if payload["alternates"]:
             lines.append("alternates: %d" % payload["alternates"])
     else:
@@ -187,6 +190,7 @@ def _cmd_synthesize(args, out) -> int:
         payload["depth"] = None
         payload["weights"] = None
         payload["weight_residual"] = None
+        payload["weight_error"] = None
     if args.dot and verdict.tree is not None:
         _write(args.dot, export_dot(verdict.tree, m, verdict.assignment))
         lines.append("dot: %s" % args.dot)

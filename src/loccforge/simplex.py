@@ -9,8 +9,9 @@ generality: no objective phase, no sparsity, no revised simplex.
 `feasible_point` answers one LP. `feasible_points` answers a list of them,
 each exactly as `feasible_point` would: the same point bit for bit, or
 None. It pivots every LP that keeps a row in one stack of tableaux, each
-zero-padded to the call's most kept rows K and most columns N, so numpy's
-fixed cost per call is paid once per call, not once per LP or per shape.
+zero-padded to the most kept rows K and most columns N of those LPs, so
+numpy's fixed cost per call is paid once per call, not once per LP or per
+shape; a refuted LP, or one with no row kept, does not widen the stack.
 LP j keeps its k rows and n columns first; its artificials sit at N..N+k-1
 and the rhs last. The padding is inert:
 - A zero column has reduced cost 0, so it never enters, and a pivot leaves
@@ -137,10 +138,12 @@ def feasible_points(As, bs, *, tol: float = 1e-8, lowers=None,
             trips[int(i)] = e
     elif len(live):
         # each LP's kept rows moved up in order and the rest zeroed, with
-        # scale 1, so that no row is divided by 0
+        # scale 1, so that no row is divided by 0; the columns are padded to
+        # the widest LP that pivots, not to a refuted or row-free one
         order = np.argsort(~keep[live], axis=1, kind="stable")[:, :ks.max()]
         kept = np.take_along_axis(keep[live], order, axis=1)
-        rows = np.take_along_axis(A[live], order[:, :, None], axis=1)
+        rows = np.take_along_axis(A[live, :, :ns[live].max()], order[:, :, None],
+                                  axis=1)
         rows[~kept] = 0.0
         rows, rhs = _scaled(
             rows, np.where(kept, np.take_along_axis(b_work[live], order, 1), 0.0),

@@ -1,7 +1,21 @@
 """The synthesis loop: the split, classes, mergers, feasibility, verdicts.
 
-Before the search, `synthesize` splits a measurement on orthogonal local
-supports. This is Walgate and Hardy's orthogonality-preserving measurement
+`synthesize` answers in the order split -> quotient -> search. It splits a
+measurement on orthogonal local supports (below), runs the last-mover
+quotient (`reduce.py`) on the unsplit measurement and on each branch that
+splits no further, and searches what the quotient leaves undecided. The
+quotient merges outcomes that agree up to scale off one party, the last
+mover of a protocol run backwards, a step of disjoint classes per round.
+Only `Protocol` transfers: a protocol for the quotient extends to one for
+the measurement, but a quotient that stops above one outcome proves
+nothing (on cascade5 it stops at 3 outcomes, the README's M', which is not
+LOCC while cascade5 is). So its protocol is returned once it revalidates
+and fits the `rounds` and `max_trees` budgets, counting a round per step,
+a tree per operator and per merged class, those classes and no LP; else the
+search runs on the measurement as given, with stats the quotient left
+untouched. Exhaustive mode runs the search alone.
+
+The split is Walgate and Hardy's orthogonality-preserving measurement
 (PRL 89, 147901, 2002), used as an exact reduction. At party a, link two
 operators when their a-parts have a nonzero product; for PSD parts that is
 when tr(E_i^a E_j^a) > 0. Let the links form components C_1..C_r with r >= 2,
@@ -39,7 +53,8 @@ M's completeness. `_emit` checks the composed protocol against M.
 A branch of one operator that passes the check has w_j E_j' = I, so every
 compressed part E_j'^b is proportional to the identity: its leaf tree with
 x_b = d_b' / tr(E_j'^b) is its protocol, and it needs no LP. A branch that
-splits no further is searched as its own measurement.
+splits no further goes to the quotient and the search as its own
+measurement.
 
 The branches share one `SynthesisStats`, so `max_lps` and `max_trees` bound
 the whole run, and `lps_solved`, `trees_built` and `classes_found` sum over
@@ -50,7 +65,7 @@ total, so a branch reached through that many splits is not split again. A
 branch whose own trunk party is a would give party a two rounds in a row;
 composing folds them by `compact_same_party`'s rule. Exhaustive mode runs
 unsplit: it lists the search's alternative orderings, and a split fixes the
-first party. A measurement that does not split goes straight to the search.
+first party. A measurement that does not split goes to the quotient.
 
 Starting from one-outcome trees, each round groups trees whose roots on all
 parties but one can carry a common strictly positive value (an LP question)
@@ -295,6 +310,7 @@ from .config import RunConfig
 from .errors import InfeasibleError, InvalidMeasurementError, TreeStructureError
 from .hermitian import LP_TOL, column_masks, components, tensor, vectorize
 from .measurement import SeparableMeasurement, completeness_certificate, validate
+from .reduce import last_mover_quotient
 from .simplex import feasible_point, feasible_points
 from .tree import (
     Node,
@@ -738,7 +754,8 @@ def _emit(tree, assignment, m, tol):
     party, and nothing is folded. Every merge has at least two members, so
     every round has at least two outcomes, and nothing is spliced. A split
     composes normal branch trees on free party a and folds each branch whose
-    trunk party is a (module docstring), and it has at least two branches.
+    trunk party is a (module docstring), and it has at least two branches;
+    the quotient folds its tree by the same rule (`reduce.py`).
     """
     if not validate_assignment(tree, m, assignment, pin_identities=True, tol=tol):
         raise TreeStructureError("synthesized protocol failed revalidation")
@@ -765,15 +782,16 @@ def synthesize(m: SeparableMeasurement,
                config: RunConfig | None = None) -> SynthesisVerdict:
     """A `Protocol`, `ProvedImpossible` or `BudgetExhausted` verdict for m
     under config (default `RunConfig()`); m must pass `admit` at config, or
-    InvalidMeasurementError is raised. m is split on orthogonal local
-    supports first, unless config's mode is exhaustive (module docstring)."""
+    InvalidMeasurementError is raised. Unless config's mode is exhaustive,
+    m is split on orthogonal local supports, and what does not split goes
+    to the last-mover quotient before the search (module docstring)."""
     cfg = config or RunConfig()
     w = admit(m, cfg).weights
     stats = SynthesisStats()
     split = None if cfg.mode == "exhaustive" else _split(
         tuple(m.stack(a) for a in range(m.P)), w, cfg, 0)
     if split is None:
-        return _search(m, cfg, stats)
+        return _decide(m, w, cfg, stats)
     v = _compose(m, np.arange(len(m)), split, w, cfg, stats, 0)
     if v.kind != "Protocol":
         return v
@@ -855,7 +873,8 @@ def _compose(m, ids, split, w, cfg, stats, depth):
 def _branch(m, ids, parts, w, cfg, stats, depth):
     """`_compose`'s verdict for one branch: m's operators ids with the
     (compressed) party stacks parts. One operator is its leaf tree; a branch
-    that splits is composed; any other is searched as its own measurement."""
+    that splits is composed; any other goes to `_decide` as its own
+    measurement."""
     if len(ids) == 1:
         stats.trees_built += 1
         stats.rounds = depth
@@ -867,13 +886,32 @@ def _branch(m, ids, parts, w, cfg, stats, depth):
     mb = SeparableMeasurement(
         [[s[k] for s in parts] for k in range(len(ids))],
         labels=[m.labels[j] for j in ids], party_names=m.party_names)
-    v = _search(mb, cfg, stats, depth)
+    v = _decide(mb, w[ids], cfg, stats, depth)
     if v.kind != "Protocol":
         return v
     names = [int(j) for j in ids]
     tree = ProtocolTree(v.tree.P, tuple(_renamed(r, names) for r in v.tree.roots),
                         v.tree.nvars, v.tree.depth)
     return dataclasses.replace(v, tree=tree, protocols=())
+
+
+def _decide(m, w, cfg, stats, depth=0):
+    """The last-mover quotient's protocol for an admitted m of completeness
+    weights w, once it revalidates as `_emit` checks and fits the `rounds`
+    and `max_trees` budgets; else, and in exhaustive mode, `_search`'s
+    verdict, with stats untouched by the quotient (module docstring)."""
+    q = None if cfg.mode == "exhaustive" else last_mover_quotient(m, w, cfg.tol.lp)
+    if (q is None or (cfg.rounds is not None and depth + q.steps > cfg.rounds)
+            or stats.trees_built + len(m) + q.merges > cfg.max_trees
+            or not validate_assignment(q.tree, m, q.assignment,
+                                       pin_identities=True, tol=cfg.tol.lp)):
+        return _search(m, cfg, stats, depth)
+    stats.rounds = depth + q.steps
+    stats.trees_built += len(m) + q.merges
+    stats.classes_found += q.merges
+    return SynthesisVerdict(
+        "Protocol", q.tree, q.assignment, stats, protocols=((q.tree, q.assignment),),
+        reason=f"last-mover quotient reached one operator in round {q.steps}")
 
 
 def _renamed(n, names):

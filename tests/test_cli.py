@@ -22,6 +22,7 @@ from loccforge.io import (
 )
 from loccforge.measurement import measurement_from_parts
 from loccforge.synthesis import SynthesisStats, _search, admit, synthesize
+from loccforge.tree import align_weights
 
 from conftest import (
     FIXTURE_DIR,
@@ -304,12 +305,46 @@ def test_one_sided_measurement_is_a_protocol(tmp_path, capsys, n, lps):
 
 
 def test_random_tree_29_gets_its_weights(tmp_path, capsys):
-    """Seed 29 has leaves at the delta floor and operators with proportional
-    products; each leaf is weighed against the operator it names."""
+    """Seed 29 has operators with proportional products, and the search's
+    protocol for it has leaves at the delta floor; each leaf of the protocol
+    synthesize reports is weighed against the operator it names."""
     m = locc_random_measurements()[29]
     code, payload = synthesize_json(tmp_path, capsys, m, "--max-lps", "2000")
     assert (code, payload["verdict"]) == (0, "Protocol")
     assert payload["weight_residual"] < 1e-9
+
+
+def test_quotient_protocols_report_unit_weights(tmp_path, capsys):
+    """The LOCC random trees get the last-mover quotient's protocols (the
+    search's one pinned LP for a single operator), which implement the
+    document's unit weights: `weight_error`, the largest |w_j - 1|, is
+    within lp."""
+    lp = RunConfig().tol.lp
+    for s, m in locc_random_measurements().items():
+        code, payload = synthesize_json(tmp_path, capsys, m, "--max-lps", "2000")
+        assert (code, payload["verdict"]) == (0, "Protocol"), s
+        assert payload["weight_error"] <= lp, s
+        assert payload["weight_error"] == max(
+            abs(w - 1.0) for w in payload["weights"].values()), s
+
+
+def test_search_protocol_reports_its_weight_error(tmp_path, capsys):
+    """cascade5 with M1 doubled completes only at w_1 = 1/2, and the search
+    answers it: `weight_error` is the largest |w_j - 1| of align_weights'
+    weights, and the text report shows it on one line."""
+    base = load_fixture("cascade5")
+    m = measurement_from_parts(
+        [[(2.0 if (j, a) == (0, 0) else 1.0) * base.part(j, a)
+          for a in range(base.P)] for j in range(len(base))])
+    v = synthesize(m)
+    assert v.reason == "protocol found in round 4"
+    w, _ = align_weights(v.tree, m, v.assignment)
+    want = float(np.abs(w - 1.0).max())
+    assert abs(want - 0.5) < 1e-9
+    code, payload = synthesize_json(tmp_path, capsys, m)
+    assert (code, payload["weight_error"]) == (0, want)
+    code, out, _ = run(capsys, "synthesize", str(tmp_path / "m.json"))
+    assert code == 0 and "weight error: %.3g" % round(want, 12) in out.splitlines()
 
 
 def test_synthesize_protocol(capsys):
@@ -332,6 +367,7 @@ def test_synthesize_impossible(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "ProvedImpossible"
     assert payload["leaves"] is None
+    assert payload["weight_error"] is None
 
 
 def test_synthesize_budget(capsys):

@@ -7,7 +7,6 @@ from loccforge import simplex, synthesis
 from loccforge.config import RunConfig
 from loccforge.hermitian import LP_TOL
 from loccforge.simplex import feasible_point
-from loccforge.synthesis import synthesize
 
 from conftest import load_fixture, locc_random_measurements
 
@@ -132,7 +131,8 @@ def test_class_blocks_agree_with_highs(monkeypatch):
     for m, cfg in [(load_fixture("cascade5"), RunConfig()),
                    (load_fixture("domino9"), RunConfig())] + [
             (seeds[s], RunConfig(max_lps=2000)) for s in (10, 12, 29)]:
-        synthesize(m, cfg)
+        # the search alone, as the last-mover quotient decides the trees
+        synthesis._search(m, cfg, synthesis.SynthesisStats())
     verdicts = []
     for a in blocks:
         n = a.shape[1]
@@ -317,7 +317,8 @@ def test_feasible_points_match_feasible_point_on_search_levels(monkeypatch):
     for m, cfg in [(load_fixture("cascade5"), RunConfig()),
                    (load_fixture("domino9"), RunConfig())] + [
             (seeds[s], RunConfig(max_lps=2000)) for s in (10, 12, 29, 51)]:
-        synthesize(m, cfg)
+        # the search alone, as the last-mover quotient decides the trees
+        synthesis._search(m, cfg, synthesis.SynthesisStats())
     blocks = answers = 0
     for As, bs, tol, lowers, got in calls:
         assert len(got) == len(As)
@@ -404,6 +405,77 @@ def test_feasible_points_sum_each_objective_over_its_own_rows():
     assert want is not None
     got, _ = simplex.feasible_points([A, np.ones((16, 2))], [b, np.ones(16)])
     assert got.tobytes() == want.tobytes()
+
+
+def test_feasible_points_sum_a_one_column_reduced_cost_over_its_own_rows():
+    """A x = 1 with one column of 16 entries near 0.5: column 0 enters, and
+    the phase-1 objective after its pivot, 16 - sum(a) / a_0, lies within
+    roundoff of the threshold 1e-9 (1 + 16), so how sum(a) is summed decides
+    between x = 1 / a_0 and None. Beside a two-column LP the stack sums its
+    columns row by row, where numpy sums one column alone pairwise;
+    feasible_points still answers as feasible_point."""
+    k = 16
+    limit = 1e-9 * (1.0 + k)
+    u = np.linspace(0.0, 1.0, k) ** 2       # row 0 has the largest entry
+
+    def objective(a, total):
+        # the kernel's arithmetic: -b.sum(), then the pivot on row 0
+        return -(-float(k) - (-total) * (1.0 / a[0]))
+
+    for step in range(-2000, 2000):
+        a = 0.5 * (1.0 - limit / u.sum() * (1.0 + step * 1e-9) * u)
+        alone = a[:, None].sum(axis=0)[0]
+        stacked = 0.0
+        for v in a:
+            stacked += v
+        if (objective(a, alone) > limit) != (objective(a, stacked) > limit):
+            break
+    else:
+        pytest.fail("no column whose summation order crosses the threshold")
+    A, b = a[:, None], np.ones(k)
+    want = feasible_point(A, b)
+    got, _ = simplex.feasible_points([A, np.ones((k, 2))], [b, np.ones(k)])
+    assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
+def test_feasible_points_pad_columns_to_the_widest_live_lp(monkeypatch):
+    """The widest LP of the call is refuted (0 = 1 on a zero row) and the
+    next widest keeps no row: phase 1 gets a stack only as wide as the two
+    LPs that pivot, and every answer is feasible_point's, bit for bit."""
+    widths = []
+    real = simplex._phase1_stack
+
+    def spy(A, b, n, k):
+        widths.append(A.shape[2])
+        return real(A, b, n, k)
+
+    monkeypatch.setattr(simplex, "_phase1_stack", spy)
+    refuted = np.zeros((2, 12))
+    refuted[0, :] = 1.0
+    As = [refuted, np.zeros((3, 9)), np.array([[1.0, 2.0, 1.0]]),
+          np.array([[1.0, -1.0], [2.0, 1.0]])]
+    bs = [np.array([1.0, 1.0]), np.zeros(3), np.array([2.0]), np.array([0.0, 3.0])]
+    got = simplex.feasible_points(As, bs)
+    assert widths == [3]
+    assert got[0] is None and got[1] is not None and got[3] is not None
+    assert same_answers(got, As, bs, 1e-8, [None] * len(As))
+
+
+def test_feasible_points_trip_each_lp_at_its_own_guard(monkeypatch):
+    """A guard of 0.2 (n + k + 10) pivots per LP: the identity on 5 rows
+    needs 5 pivots and is allowed 4, so it trips; [I_6 | 0] on 6 rows and 30
+    columns needs 6 and is allowed 9.2, so it answers as feasible_point does.
+    A guard shared by the stack trips both (the least limit) or neither (the
+    padded shape's)."""
+    A1, A2 = np.eye(5), np.hstack([np.eye(6), np.zeros((6, 24))])
+    b1, b2 = np.ones(5), np.ones(6)
+    want = feasible_point(A2, b2)
+    monkeypatch.setattr(simplex, "_ITER_FACTOR", 0.2)
+    tripped = {}
+    got = simplex.feasible_points([A1, A2], [b1, b2], tripped=tripped)
+    assert list(tripped) == [0]
+    assert str(tripped[0]) == str(simplex._guard_error(5, 5))
+    assert got[0] is None and got[1].tobytes() == want.tobytes()
 
 
 def test_leaving_rows_read_off_only_what_the_scan_gives(rng):

@@ -57,6 +57,13 @@ def search(m, cfg=None):
     return synthesis._search(m, cfg or RunConfig(), SynthesisStats())
 
 
+@pytest.fixture
+def searched(monkeypatch):
+    """synthesize with the last-mover quotient off: the split, then the
+    search, on documents the quotient now decides."""
+    monkeypatch.setattr(synthesis, "last_mover_quotient", lambda m, w, tol: None)
+
+
 def test_cascade5_protocol_shape():
     m = load_fixture("cascade5")
     v = synthesize(m, RunConfig(rounds=4))
@@ -663,7 +670,7 @@ def test_tree_budget_spares_a_round_that_holds_a_protocol():
     built, where building all 502 mergers of the round would pass a budget
     of 20 trees."""
     m = locc_random_measurements()[59]
-    v = synthesize(m, RunConfig(max_trees=20))
+    v = search(m, RunConfig(max_trees=20))
     assert (v.kind, v.reason) == ("Protocol", "protocol found in round 1")
     assert (v.stats.trees_built, v.stats.lps_solved) == (10, 9)
 
@@ -748,7 +755,8 @@ def test_returned_protocols_are_pinned():
                  for s, m in locc_random_measurements().items())
     assert cases.keys() == PINNED_PROTOCOLS.keys()
     for name, (m, cfg) in cases.items():
-        v = synthesize(m, cfg)
+        # the search alone on the random trees, which the quotient decides
+        v = synthesize(m, cfg) if isinstance(name, str) else search(m, cfg)
         got = (v.kind, v.reason, None if v.tree is None else protocol_digest(v.tree))
         assert got == PINNED_PROTOCOLS[name], name
 
@@ -772,7 +780,7 @@ def test_class_lps_stay_small_on_seed_51(monkeypatch):
 
     monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
     monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
-    v = synthesize(locc_random_measurements()[51], RunConfig(max_lps=5000))
+    v = search(locc_random_measurements()[51], RunConfig(max_lps=5000))
     assert (v.kind, v.reason) == ("Protocol", "protocol found in round 3")
     assert v.stats.lps_solved == 2654
     assert assembled
@@ -825,7 +833,7 @@ def test_merged_trees_share_renamed_members(monkeypatch):
 
     monkeypatch.setattr(synthesis, "merge_and_extend", merge_spy)
     m = locc_random_measurements()[51]
-    v = synthesize(m, RunConfig(max_lps=2000))
+    v = search(m, RunConfig(max_lps=2000))
     assert v.stats.trees_built - len(m) == len(merged) > 0
     kids = {}
     for cs, free, t in merged:
@@ -850,13 +858,14 @@ def test_locc_random_trees_are_never_proved_impossible():
     ms = locc_random_measurements()
     assert len(ms) == 16
     for s, m in ms.items():
-        kind = synthesize(m, RunConfig(max_lps=2000)).kind
+        kind = search(m, RunConfig(max_lps=2000)).kind
         assert kind in ("Protocol", "BudgetExhausted"), s
 
 
 # per seed of `locc_random_measurements`, the (verdict, rounds, trees_built,
-# lps_solved, classes_found) of synthesize at max_lps 2000: a change that
-# only speeds the search up moves none of them
+# lps_solved, classes_found) of the search at max_lps 2000, which synthesize
+# ran on them before the last-mover quotient: a change that only speeds the
+# search up moves none of them
 RANDOM_TREE_COUNTS = {
     2: ("Protocol", 3, 11, 95, 2),
     5: ("Protocol", 2, 10, 22, 2),
@@ -885,7 +894,7 @@ def random_trees():
 @pytest.mark.parametrize("seed", sorted(RANDOM_TREE_COUNTS))
 def test_random_tree_counts_are_pinned(seed):
     assert sorted(random_trees()) == sorted(RANDOM_TREE_COUNTS)
-    v = synthesize(random_trees()[seed], RunConfig(max_lps=2000))
+    v = search(random_trees()[seed], RunConfig(max_lps=2000))
     s = v.stats
     assert (v.kind, s.rounds, s.trees_built, s.lps_solved,
             s.classes_found) == RANDOM_TREE_COUNTS[seed]
@@ -897,7 +906,7 @@ def test_locc_random_tree_protocols_get_their_weights():
     delta floor included."""
     found = set()
     for s, m in locc_random_measurements().items():
-        v = synthesize(m, RunConfig(max_lps=2000))
+        v = search(m, RunConfig(max_lps=2000))
         if v.kind == "Protocol":
             found.add(s)
             _, residual = align_weights(v.tree, m, v.assignment)
@@ -943,7 +952,7 @@ def test_lp_budget_cuts_a_level_where_one_lp_at_a_time_would(max_lps, stats,
 
     monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
     monkeypatch.setattr(synthesis, "_class_lp", lp_spy)
-    v = synthesize(locc_random_measurements()[51], RunConfig(max_lps=max_lps))
+    v = search(locc_random_measurements()[51], RunConfig(max_lps=max_lps))
     assert (v.kind, v.reason) == ("BudgetExhausted", "lp budget exhausted")
     s = v.stats
     assert (s.rounds, s.trees_built, s.lps_solved, s.classes_found) == stats
@@ -966,7 +975,7 @@ def test_a_level_raises_the_guard_error_of_its_first_tripped_set(monkeypatch):
         return real(trees, cands, free, m, stats, max_lps, tol, rows)
 
     monkeypatch.setattr(synthesis, "_classes_feasible", spy)
-    synthesize(locc_random_measurements()[10], RunConfig(max_lps=300))
+    search(locc_random_measurements()[10], RunConfig(max_lps=300))
     monkeypatch.undo()
     calls = []
 
@@ -1381,8 +1390,13 @@ def test_synthesized_protocols_are_normal(mode):
     party first."""
     count = 0
     frontier = [product_basis(*d) for d in ((8, 8), (2, 2, 2, 2, 2), (3, 3, 4))]
-    for m in [*synthesis_inputs(), *frontier, cascade5_beside_an_outcome()]:
-        v = synthesize(m, RunConfig(mode=mode, max_lps=2000))
+    runs = [synthesize(m, RunConfig(mode=mode, max_lps=2000))
+            for m in [*synthesis_inputs(), *frontier, cascade5_beside_an_outcome()]]
+    # the search's own protocols on the random trees, which the last-mover
+    # quotient decides in first mode
+    runs += [search(m, RunConfig(mode=mode, max_lps=2000))
+             for m in locc_random_measurements().values()] if mode == "first" else []
+    for v in runs:
         for t, _ in v.protocols:
             assert compact_same_party(t) == t
             assert prune_unitary_rounds(t) == t
@@ -1433,10 +1447,10 @@ def unsplit_cases():
     return cases + [(measurement_from_parts([[2.0 * I2, 0.5 * I2]]), RunConfig())]
 
 
-def test_a_document_that_does_not_split_gets_the_search_answer():
-    """synthesize finds no branch on these documents and answers exactly as
-    the search does: verdict, reason, stats, protocol keys and assignments,
-    bit for bit."""
+def test_a_document_that_does_not_split_gets_the_search_answer(searched):
+    """synthesize finds no branch on these documents and, with the last-mover
+    quotient off, answers exactly as the search does: verdict, reason, stats,
+    protocol keys and assignments, bit for bit."""
     kinds = set()
     for m, cfg in unsplit_cases():
         assert synthesis._split(stacks(m), admit(m, cfg).weights, cfg, 0) is None
@@ -1497,9 +1511,10 @@ def test_domino_products_are_proved_impossible():
     assert_domino_products_impossible(RunConfig())
 
 
-def test_linking_everything_fails_the_frontier(monkeypatch):
+def test_linking_everything_fails_the_frontier(monkeypatch, searched):
     """With every pair linked nothing splits, and both frontier checks fail
-    (under an LP budget that keeps the search short)."""
+    (under an LP budget that keeps the search short; the last-mover quotient,
+    which decides the bases, is off)."""
     monkeypatch.setattr(synthesis, "_components",
                         lambda g, psd: [np.arange(len(g))])
     cfg = RunConfig(max_lps=2000)
@@ -1537,9 +1552,10 @@ def near_orthogonal_measurement():
                                    [proj(-d * e[0] + e[1]) + q]])
 
 
-def test_a_split_whose_branch_is_incomplete_is_not_made(monkeypatch):
+def test_a_split_whose_branch_is_incomplete_is_not_made(monkeypatch, searched):
     """The completeness check refuses the split of the near-orthogonal
-    measurement, whose branches' supports overlap, and the search answers.
+    measurement, whose branches' supports overlap, and the search answers
+    (the last-mover quotient, which decides it, is off).
     Without the check the split is made, and its incomplete branch {E_2, E_3}
     proves this one-party measurement, which is LOCC, impossible."""
     m, cfg = near_orthogonal_measurement(), RunConfig()
@@ -1552,11 +1568,12 @@ def test_a_split_whose_branch_is_incomplete_is_not_made(monkeypatch):
     assert synthesize(m, cfg).kind == "ProvedImpossible"
 
 
-def test_one_party_sets_need_no_lp():
+def test_one_party_sets_need_no_lp(searched):
     """With one party every class LP is the free party's only, so it has no
     rows and costs no LP: the near-orthogonal measurement, which does not
     split, and a one-party basis, run unsplit, each spend their one LP on
-    the protocol's pinned LP, even under a budget of one LP."""
+    the protocol's pinned LP, even under a budget of one LP (the last-mover
+    quotient, which decides both with none, is off)."""
     stats = {"rounds": 1, "trees_built": 4, "lps_solved": 1, "classes_found": 0}
     assert synthesize(near_orthogonal_measurement()).stats.as_dict() == stats
     basis = measurement_from_parts([[np.diag(e)] for e in np.eye(3)])
