@@ -377,6 +377,18 @@ def test_synthesize_budget(capsys):
     assert json.loads(out)["verdict"] == "BudgetExhausted"
 
 
+def test_synthesize_split_obeys_max_trees(capsys):
+    """The 2x2 basis splits down to four pinned operators, one tree each:
+    under --max-trees 2 it exits 3 with the two trees it built."""
+    code, out, _ = run(capsys, "synthesize", fx("productbasis4"), "--max-trees", "2",
+                       "--format", "json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "BudgetExhausted"
+    assert payload["reason"].endswith("tree budget exhausted")
+    assert payload["stats"]["trees_built"] == 2
+
+
 def test_synthesize_exhaustive(capsys):
     code, out, _ = run(capsys, "synthesize", fx("productbasis4"),
                        "--exhaustive", "--format", "json")

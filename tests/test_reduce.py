@@ -1,6 +1,11 @@
 """The last-mover quotient (`loccforge.reduce`) and where `synthesize` runs
 it: on a measurement that does not split and on each branch that splits no
-further, before the search, which answers whatever it leaves undecided."""
+further, before the search, which answers whatever it leaves undecided; and
+the boundary of the module, which holds the split too (tested with the
+search in `test_synthesis.py`)."""
+import ast
+import pathlib
+
 import numpy as np
 
 from loccforge import reduce, synthesis
@@ -161,3 +166,16 @@ def test_the_quotient_weighs_with_the_completion_weights():
     w, residual = align_weights(v.tree, m, v.assignment)
     assert np.allclose(w, admit(m, cfg).weights, rtol=1e-9, atol=1e-12)
     assert abs(w[0] - 1.0) > 0.1 and residual <= 1e-9
+
+
+def test_reduce_imports_nothing_from_synthesis():
+    """The reductions sit below the search: no import in reduce.py, at its
+    top or inside a function, names the synthesis module."""
+    names = []
+    for node in ast.walk(ast.parse(pathlib.Path(reduce.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.name for alias in node.names]
+    assert "numpy" in names
+    assert not [n for n in names if "synthesis" in n.split(".")]

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from loccforge import simplex, synthesis
+from loccforge import reduce, simplex, synthesis
 from loccforge.config import RunConfig
 from loccforge.errors import InvalidMeasurementError
 from loccforge.hermitian import LP_TOL, vectorize
@@ -1453,7 +1453,7 @@ def test_a_document_that_does_not_split_gets_the_search_answer(searched):
     protocol keys and assignments, bit for bit."""
     kinds = set()
     for m, cfg in unsplit_cases():
-        assert synthesis._split(stacks(m), admit(m, cfg).weights, cfg, 0) is None
+        assert reduce.split(stacks(m), admit(m, cfg).weights, cfg.tol) is None
         v, u = synthesize(m, cfg), search(m, cfg)
         assert (v.kind, v.reason, v.stats) == (u.kind, u.reason, u.stats)
         assert len(v.protocols) == len(u.protocols)
@@ -1515,7 +1515,7 @@ def test_linking_everything_fails_the_frontier(monkeypatch, searched):
     """With every pair linked nothing splits, and both frontier checks fail
     (under an LP budget that keeps the search short; the last-mover quotient,
     which decides the bases, is off)."""
-    monkeypatch.setattr(synthesis, "_components",
+    monkeypatch.setattr(reduce, "_components",
                         lambda g, psd: [np.arange(len(g))])
     cfg = RunConfig(max_lps=2000)
     for check in (assert_frontier_bases_split, assert_domino_products_impossible):
@@ -1531,7 +1531,7 @@ def test_linked_chains_form_one_component():
     e = np.eye(4)
     g = np.stack([np.outer(e[0], e[0]), np.outer(e[3], e[3]),
                   np.outer(e[2], e[2]), np.outer(u, u)]).astype(complex)
-    assert [list(p) for p in synthesis._components(g, RunConfig().tol.psd)] == [
+    assert [list(p) for p in reduce._components(g, RunConfig().tol.psd)] == [
         [0, 2, 3], [1]]
 
 
@@ -1559,12 +1559,12 @@ def test_a_split_whose_branch_is_incomplete_is_not_made(monkeypatch, searched):
     Without the check the split is made, and its incomplete branch {E_2, E_3}
     proves this one-party measurement, which is LOCC, impossible."""
     m, cfg = near_orthogonal_measurement(), RunConfig()
-    assert [list(p) for p in synthesis._components(m.stack(0), cfg.tol.psd)] == [
+    assert [list(p) for p in reduce._components(m.stack(0), cfg.tol.psd)] == [
         [0], [1, 2]]
-    assert synthesis._split(stacks(m), admit(m, cfg).weights, cfg, 0) is None
+    assert reduce.split(stacks(m), admit(m, cfg).weights, cfg.tol) is None
     v = synthesize(m, cfg)
     assert (v.kind, v.reason) == ("Protocol", "protocol found in round 1")
-    monkeypatch.setattr(synthesis, "_close", lambda *args: True)
+    monkeypatch.setattr(reduce, "_close", lambda *args: True)
     assert synthesize(m, cfg).kind == "ProvedImpossible"
 
 
@@ -1614,3 +1614,21 @@ def test_a_split_counts_as_a_round():
         "BudgetExhausted", "branch {M1, M2, M3} of the split at party A: "
         "round limit 1 reached")
     assert v.stats.rounds == 1
+
+
+def test_the_tree_budget_binds_the_split():
+    """A split counts one tree per pinned operator and, like a merge, builds
+    none once max_trees are built: the 2x2 basis and krausdemo under 2 trees
+    and the 3x3 basis under 5 end on the tree budget, holding that many
+    trees and no LP, and each gets its protocol under a budget of one tree
+    per operator."""
+    split_ab = "of the split at party A: branch {%s} of the split at party B: "
+    for m, budget, reason in [
+            (load_fixture("productbasis4"), 2, "branch {M3, M4} " + split_ab % "M3"),
+            (load_fixture("krausdemo"), 2, "branch {M3} of the split at party A: "),
+            (product_basis(3, 3), 5, "branch {M4, M5, M6} " + split_ab % "M6")]:
+        v = synthesize(m, RunConfig(max_trees=budget))
+        assert (v.kind, v.reason) == ("BudgetExhausted", reason + "tree budget exhausted")
+        assert (v.stats.trees_built, v.stats.lps_solved) == (budget, 0)
+        v = synthesize(m, RunConfig(max_trees=len(m)))
+        assert (v.kind, v.stats.trees_built) == ("Protocol", len(m))
