@@ -14,8 +14,10 @@ with its verdict, its reason naming the split party and the branch's labels.
 A split costs one round: `rounds` is the most rounds of any branch plus 1,
 so a branch reached through `rounds` splits is not split again. A pinned
 leaf counts one tree and, like a merge, is refused once `max_trees` trees
-are built. Exhaustive mode runs the search alone: a split or the quotient
-would fix a mover and hide the search's other orderings.
+are built; the search's N leaf trees are refused together, before any LP,
+when they would take the count past `max_trees`. Exhaustive mode runs the
+search alone: a split or the quotient would fix a mover and hide the
+search's other orderings.
 
 Starting from one-outcome trees, each round groups trees whose roots on all
 parties but one can carry a common strictly positive value (an LP question)
@@ -139,22 +141,17 @@ but the free one. `_classes_feasible` decides a sequence of class LPs, a
 family level or one set of the cover search. It counts one LP per set in
 `lps_solved` as it reaches the set, before it decides any, so a budget stops
 the run at the set where one LP at a time would, and lists no set of the
-level past it and solves none. Per set it reads each block's certificate
-(below) in ascending party order and stops at the first that refutes; a
-certified block is skipped. The undecided blocks go to the simplex in
-ascending party order, a set's block only while its earlier blocks were
-feasible, which is the order one set at a time would solve them in. A
-party's blocks are solved together, up to `_CHUNK` at a time, by
-`simplex.feasible_points`, in one zero-padded stack: each block gets the
-same pivots and the same arithmetic as alone (the simplex module says why),
-so its answer is `feasible_point`'s, bit for bit, and the family, the LP count
-and every tree are those of solving the blocks one at a time. A block does
-not depend on the free party, so a run keeps each solved block's answer
-under (ids, party): with three or more parties, two free parties can ask for
-the same block. A block that trips the simplex's iteration guard drops its
-set from the later parties, and the first such set's error is raised once
-every party has run, as one set at a time would raise it; but a budget hit
-in the same call comes first, as it comes before any block is solved.
+level past it and solves none. Then it reads the block certificates
+(below) of every set, one party at a time in ascending order over the whole
+call; a set is read no further once one refutes it, and a certified block
+is skipped. Last it goes through the sets in order and hands each set's
+undecided blocks, in ascending party order, to `feasible_point`, one at a
+time, until one is infeasible. A block does not depend on the free party,
+so a run keeps each solved block's answer under (ids, party): with three or
+more parties, two free parties can ask for the same block. A block that
+trips the simplex's iteration guard raises its error at once, so the error
+is the first such set's in candidate order; a budget hit in the same call
+comes first, as it comes before any block is solved.
 
 The pinned LP of a full-coverage tree, "is there an x >= delta under which
 every node's groups agree and every root's value group is the identity?",
@@ -220,22 +217,10 @@ another order than A @ 1 does, so the exact-zero test can differ from the
 full block's only where A @ 1 is zero up to roundoff; a True still means
 that, so x = 1 passes the simplex's residual check. The False test keeps
 tol of room for roundoff in either order. A run also keeps each chain's
-certificate under (ta, tb, party). The chains a list of sets needs that are
-not kept yet are decided in one numpy pass per party, over the stacked row
-sums and masks, entry by entry as for one chain.
-
-Every candidate of three or more trees extends a feasible prefix: a family
-level joins feasible sets, and the cover search extends only feasible
-prefixes. A feasible set's certificates were read at every party but the
-free one, and a run keeps those of each feasible set of two or more trees
-under `_cert_key`, a kind of key that no block answer's (ids, party)
-equals. A candidate's certificate at a party is then its prefix's combined
-with its last tree's and its last chain's; combining is associative and
-commutative, so that is the certificate of all its trees and chains. A
-candidate whose prefix has none kept there, a pair or a prefix found with
-this party free, is composed from all of them. So only a set's last chain
-is new past the first level, and this reads the chains one set at a time
-would read.
+certificate under (ta, tb, party), so a candidate that extends a feasible
+prefix computes only its last chain. The chains a list of sets needs that
+are not kept yet are decided in one numpy pass per party, over the stacked
+row sums and masks, entry by entry as for one chain.
 
 An undecided block is assembled from per-tree blocks, not renamed from the
 trees' terms. `_root_blocks` numbers a tree's variables at party beta in
@@ -261,7 +246,7 @@ from .errors import InfeasibleError, InvalidMeasurementError, TreeStructureError
 from .hermitian import LP_TOL, vectorize
 from .measurement import SeparableMeasurement, completeness_certificate, validate
 from .reduce import compose, last_mover_quotient, pin, rename, split
-from .simplex import feasible_point, feasible_points
+from .simplex import feasible_point
 from .tree import (
     ProtocolTree,
     Term,
@@ -298,11 +283,6 @@ class _BudgetHit(Exception):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
-
-
-# the most blocks of one party padded into one stack, which bounds a wide
-# level's tableaux to those of 64 LPs at once
-_CHUNK = 64
 
 
 def _count_lp(stats: SynthesisStats, max_lps):
@@ -389,33 +369,16 @@ def _combined(certs):
     return False if False in certs else (None if None in certs else True)
 
 
-def _cert_key(ids, beta):
-    """The key in rows of the certificate of the feasible set ids's block at
-    party beta, of a kind no other key of rows compares equal to."""
-    return ids, beta, "cert"
-
-
 def _block_certificates(trees, cands, beta, m, tol, rows):
     """`_class_certificate` of the block at party beta of each candidate's
     class LP, composed from its trees' and chains' (module docstring) without
-    building it: from its prefix's, when rows keeps that under `_cert_key`,
-    and its last tree's and last chain's, else from all of them. Beside
-    `_tree_rows`, rows caches (ta, tb, beta), the chain certificate of
-    consecutive trees ta, tb; the chains of the candidates that no tree
-    refutes and that rows lacks are found in one numpy pass."""
-    tails, out = [], []
-    for ids in cands:
-        head = _cert_key(ids[:-1], beta)
-        if head in rows:
-            tails.append(ids[-2:])
-            out.append(_combined(
-                (rows[head], _tree_rows(trees, ids[-1], beta, m, tol, rows)[0])))
-        else:
-            tails.append(ids)
-            out.append(_combined(_tree_rows(trees, tid, beta, m, tol, rows)[0]
-                                 for tid in ids))
+    building it. Beside `_tree_rows`, rows caches (ta, tb, beta), the chain
+    certificate of consecutive trees ta, tb; the chains of the candidates
+    that no tree refutes and that rows lacks are found in one numpy pass."""
+    out = [_combined(_tree_rows(trees, tid, beta, m, tol, rows)[0] for tid in ids)
+           for ids in cands]
     new = list(dict.fromkeys(
-        (ta, tb, beta) for ids, known in zip(tails, out) if known is not False
+        (ta, tb, beta) for ids, known in zip(cands, out) if known is not False
         for ta, tb in zip(ids, ids[1:]) if (ta, tb, beta) not in rows))
     if new:
         certs = _chain_certificates(
@@ -423,7 +386,7 @@ def _block_certificates(trees, cands, beta, m, tol, rows):
         rows.update(zip(new, certs))
     return [known if known is False else _combined(
         [known] + [rows[ta, tb, beta] for ta, tb in zip(ids, ids[1:])])
-        for ids, known in zip(tails, out)]
+        for ids, known in zip(cands, out)]
 
 
 def _class_lp(ids, beta, rows):
@@ -457,8 +420,7 @@ def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
     trees' roots share one strictly positive common value on every party
     except free_party? Counted, certified and solved as the module docstring
     says; rows, the run's cache of `_block_certificates` (a fresh one when
-    None), also keeps each solved block's answer under (ids, party), and
-    gains each feasible set's certificates."""
+    None), also keeps each solved block's answer under (ids, party)."""
     rows = {} if rows is None else rows
     parties = [beta for beta in range(m.P) if beta != free_party]
     sets, answers = [], []
@@ -470,40 +432,28 @@ def _classes_feasible(trees, cands, free_party, m, stats, max_lps, tol,
         else:
             _count_lp(stats, max_lps)
             answers.append(None)
-    cands, undecided = sets, []
-    held = [[] for _ in cands]      # per set, its (party, certificate)s
+    undecided = [[] for _ in sets]      # per set, its parties left to the simplex
     for beta in parties:
         alive = [k for k, answer in enumerate(answers) if answer is None]
-        certs = _block_certificates(trees, [cands[k] for k in alive], beta, m,
+        certs = _block_certificates(trees, [sets[k] for k in alive], beta, m,
                                     tol, rows)
         for k, cert in zip(alive, certs):
-            held[k].append((beta, cert))
-            if cert is not True:
-                answers[k] = cert
-        undecided.append((beta, [k for k, c in zip(alive, certs) if c is None]))
-    tripped = {}
-    for beta, ks in undecided:
-        ks = [k for k in ks if answers[k] is None and k not in tripped]
-        new = [k for k in ks if (cands[k], beta) not in rows]
-        for lo in range(0, len(new), _CHUNK):
-            chunk = new[lo:lo + _CHUNK]
-            As = [_class_lp(cands[k], beta, rows) for k in chunk]
-            trips = {}
-            xs = feasible_points(As, [np.zeros(len(A)) for A in As], tol=tol,
-                                 lowers=[np.ones(A.shape[1]) for A in As],
-                                 tripped=trips)
-            tripped.update((chunk[i], e) for i, e in trips.items())
-            rows.update(((cands[k], beta), x is not None)
-                        for i, (k, x) in enumerate(zip(chunk, xs)) if i not in trips)
-        for k in ks:
-            if k not in tripped and not rows[cands[k], beta]:
+            if cert is None:
+                undecided[k].append(beta)
+            elif cert is False:
                 answers[k] = False
-    if tripped:
-        raise tripped[min(tripped)]
-    # a feasible set's certificates, read at every party, for its extensions
-    rows.update((_cert_key(ids, beta), cert)
-                for ids, answer, certs in zip(cands, answers, held)
-                if answer is not False and len(ids) > 1 for beta, cert in certs)
+
+    def solved(ids, beta):
+        """The simplex's answer for the block of ids at beta, kept in rows."""
+        if (ids, beta) not in rows:
+            A = _class_lp(ids, beta, rows)
+            rows[ids, beta] = feasible_point(
+                A, np.zeros(len(A)), tol=tol, lower=np.ones(A.shape[1])) is not None
+        return rows[ids, beta]
+
+    for k, ids in enumerate(sets):
+        if answers[k] is None and not all(solved(ids, beta) for beta in undecided[k]):
+            answers[k] = False
     return [answer is not False for answer in answers]
 
 
@@ -520,7 +470,7 @@ def _feasible_family(trees, eligible, free_party, m, known, start, stats,
     subsets of the ids below start, and gains every feasible subset found.
     refuted holds sets known to be infeasible (`_cover_search`'s) and is only
     read; a set in known or refuted gets no LP. rows is passed to
-    `_classes_feasible`, which decides each level's candidates at once.
+    `_classes_feasible`, which is asked each level's candidates in one call.
 
     Level k+1 joins two feasible level-k tuples that share their first k-1
     ids; a candidate gets an LP only when every one-smaller subset is
@@ -799,6 +749,9 @@ def _search(m, cfg, stats, depth=0):
     into stats; depth is the number of splits above m, which `rounds` and
     the round limit count too."""
     N = len(m)
+    if stats.trees_built + N > cfg.max_trees:
+        return SynthesisVerdict("BudgetExhausted", None, None, stats,
+                                reason="tree budget exhausted")
     trees = [leaf_tree(m, j) for j in range(N)]
     stats.trees_built += N
     stats.rounds = depth
@@ -819,9 +772,10 @@ def _search(m, cfg, stats, depth=0):
 
     # per free party, the feasible subsets found so far (ascending id tuples)
     known = [set() for _ in range(m.P)]
-    # the class LPs' data per (tree id, party), the solved blocks' answers
-    # per (ids, party) and the feasible sets' certificates, read by every
-    # free party; tree ids are stable, as trees are only appended
+    # the class LPs' data per (tree id, party), the chains' certificates per
+    # (tree id, tree id, party) and the solved blocks' answers per (ids,
+    # party), read by every free party; tree ids are stable, as trees are
+    # only appended
     rows = {}
     # per tree id, the bitmask of the operators its leaves cover
     covers = [1 << j for j in range(N)]

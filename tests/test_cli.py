@@ -389,6 +389,20 @@ def test_synthesize_split_obeys_max_trees(capsys):
     assert payload["stats"]["trees_built"] == 2
 
 
+def test_synthesize_search_obeys_max_trees(capsys):
+    """domino9 neither splits nor reduces, so the search builds its nine
+    leaf trees first: under --max-trees 1 it exits 3 with no tree built and
+    no LP solved."""
+    code, out, _ = run(capsys, "synthesize", fx("domino9"), "--max-trees", "1",
+                       "--format", "json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "BudgetExhausted"
+    assert payload["reason"] == "tree budget exhausted"
+    assert payload["stats"]["trees_built"] <= 1
+    assert payload["stats"]["lps_solved"] == 0
+
+
 def test_synthesize_exhaustive(capsys):
     code, out, _ = run(capsys, "synthesize", fx("productbasis4"),
                        "--exhaustive", "--format", "json")

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -284,53 +282,7 @@ def test_vectorized_kernel_matches_loop_reference(rng, monkeypatch):
             assert x.tobytes() == x_ref.tobytes()
 
 
-def same_answers(got, As, bs, tol, lowers):
-    """Whether each answer of got is feasible_point's on its LP, bit for bit."""
-    return all((x is None and y is None) or (
-        x is not None and y is not None and x.tobytes() == y.tobytes())
-        for x, y in zip(got, (feasible_point(A, b, tol=tol, lower=lower)
-                              for A, b, lower in zip(As, bs, lowers))))
-
-
-def test_feasible_points_match_feasible_point_on_search_levels(monkeypatch):
-    """Every list of class-LP blocks that the searches on cascade5, domino9
-    and the LOCC random trees 10, 12, 29 and 51 hand to feasible_points, a
-    party's undecided blocks of a family level: each answer is the one
-    feasible_point gives that block alone, the same point bit for bit or
-    both None. Most blocks are answered on stacks."""
-    calls, stacked = [], []
-    real, real_stack = simplex.feasible_points, simplex._phase1_stack
-
-    def spy(As, bs, *, tol, lowers, tripped):
-        calls.append((As, bs, tol, lowers,
-                      real(As, bs, tol=tol, lowers=lowers, tripped=tripped)))
-        assert not tripped
-        return calls[-1][-1]
-
-    def stack_spy(A, b, n, k):
-        stacked.append(len(A))
-        return real_stack(A, b, n, k)
-
-    monkeypatch.setattr(synthesis, "feasible_points", spy)
-    monkeypatch.setattr(simplex, "_phase1_stack", stack_spy)
-    seeds = locc_random_measurements()
-    for m, cfg in [(load_fixture("cascade5"), RunConfig()),
-                   (load_fixture("domino9"), RunConfig())] + [
-            (seeds[s], RunConfig(max_lps=2000)) for s in (10, 12, 29, 51)]:
-        # the search alone, as the last-mover quotient decides the trees
-        synthesis._search(m, cfg, synthesis.SynthesisStats())
-    blocks = answers = 0
-    for As, bs, tol, lowers, got in calls:
-        assert len(got) == len(As)
-        assert same_answers(got, As, bs, tol, lowers)
-        blocks += len(As)
-        answers += sum(x is not None for x in got)
-    # both answers occur, and most blocks share a stack
-    assert 0 < answers < blocks
-    assert sum(stacked) > blocks / 2
-
-
-def _tie_stack(rng, B, k, n):
+def _tied_lps(rng, B, k, n):
     """B LPs A x = b, x >= 0 of k rows and n columns whose rows have entries
     in [0, 1] and rhs in [0.5, 0.5 + 3 eps): column 0 is all ones, so it
     enters first and its ratios are the rhs, tied within a few _PIVOT_EPS."""
@@ -345,180 +297,26 @@ def _tie_stack(rng, B, k, n):
     return As, bs
 
 
-def test_feasible_points_break_ratio_ties_as_the_scan(rng, monkeypatch):
-    """Stacks whose ratio tests hold ties within 2 _PIVOT_EPS: feasible_points
-    answers each LP as feasible_point does, bit for bit, choosing every
-    leaving row on a stack, and pivots each call's LPs in one stack. The
-    last call interleaves five shapes, so that rows k >= 9 are padding
-    beside shorter LPs, and raises on any floating-point warning."""
-    cases = []
-    for k, n in ((3, 4), (5, 5), (6, 9), (12, 2), (9, 5)):
-        As, bs = _tie_stack(rng, 60 if k < 9 else 20, k, n)
-        want = [feasible_point(A, b) for A, b in zip(As, bs)]
-        assert any(x is not None for x in want)
-        cases.append((As, bs, want))
-    mixed = [lp for lps in itertools.zip_longest(*(zip(*c) for c in cases))
-             for lp in lps if lp is not None]
-    pivots, scanned, stacks = [], [], []
-    real_rows, real_scan = simplex._leaving_rows, simplex._leaving_row
-    real_stack = simplex._phase1_stack
-
-    def rows_spy(col, rhs, basis):
-        pivots.append(len(col))
-        return real_rows(col, rhs, basis)
-
-    def scan_spy(*args):
-        scanned.append(True)
-        return real_scan(*args)
-
-    def stack_spy(*args):
-        stacks.append(True)
-        return real_stack(*args)
-
-    monkeypatch.setattr(simplex, "_leaving_rows", rows_spy)
-    monkeypatch.setattr(simplex, "_leaving_row", scan_spy)
-    monkeypatch.setattr(simplex, "_phase1_stack", stack_spy)
-    for As, bs, want in cases[:3] + [tuple(map(list, zip(*mixed)))]:
-        stacks.clear()
-        with np.errstate(all="raise"):
-            got = simplex.feasible_points(As, bs)
-        assert all((x is None and y is None) or x.tobytes() == y.tobytes()
-                   for x, y in zip(got, want))
-        assert len(stacks) == 1
-    assert sum(pivots) and not scanned
-
-
-def test_feasible_points_sum_each_objective_over_its_own_rows():
-    """-x = b_i on 9 rows, with sum(b) within an ulp of the objective
-    threshold 1e-9 (1 + 9): no column enters, so how b is summed decides
-    between x = 0 and None. Beside a 16-row LP its rhs is padded to 16
-    entries, and numpy's pairwise sum over those adds b[8] elsewhere and
-    crosses the threshold; feasible_points still answers as feasible_point."""
-    limit = 1e-9 * (1.0 + 9)
-    ulp = np.spacing(limit)
-    b = np.array([limit - 3 * ulp] + [0.4 * ulp] * 7 + [0.5 * ulp])
-    padded = np.zeros(16)
-    padded[:9] = b
-    assert b.sum() <= limit < padded.sum()
-    A = -np.ones((9, 1))
-    want = feasible_point(A, b)
-    assert want is not None
-    got, _ = simplex.feasible_points([A, np.ones((16, 2))], [b, np.ones(16)])
-    assert got.tobytes() == want.tobytes()
-
-
-def test_feasible_points_sum_a_one_column_reduced_cost_over_its_own_rows():
-    """A x = 1 with one column of 16 entries near 0.5: column 0 enters, and
-    the phase-1 objective after its pivot, 16 - sum(a) / a_0, lies within
-    roundoff of the threshold 1e-9 (1 + 16), so how sum(a) is summed decides
-    between x = 1 / a_0 and None. Beside a two-column LP the stack sums its
-    columns row by row, where numpy sums one column alone pairwise;
-    feasible_points still answers as feasible_point."""
-    k = 16
-    limit = 1e-9 * (1.0 + k)
-    u = np.linspace(0.0, 1.0, k) ** 2       # row 0 has the largest entry
-
-    def objective(a, total):
-        # the kernel's arithmetic: -b.sum(), then the pivot on row 0
-        return -(-float(k) - (-total) * (1.0 / a[0]))
-
-    for step in range(-2000, 2000):
-        a = 0.5 * (1.0 - limit / u.sum() * (1.0 + step * 1e-9) * u)
-        alone = a[:, None].sum(axis=0)[0]
-        stacked = 0.0
-        for v in a:
-            stacked += v
-        if (objective(a, alone) > limit) != (objective(a, stacked) > limit):
-            break
-    else:
-        pytest.fail("no column whose summation order crosses the threshold")
-    A, b = a[:, None], np.ones(k)
-    want = feasible_point(A, b)
-    got, _ = simplex.feasible_points([A, np.ones((k, 2))], [b, np.ones(k)])
-    assert (got is None and want is None) or got.tobytes() == want.tobytes()
-
-
-def test_feasible_points_pad_columns_to_the_widest_live_lp(monkeypatch):
-    """The widest LP of the call is refuted (0 = 1 on a zero row) and the
-    next widest keeps no row: phase 1 gets a stack only as wide as the two
-    LPs that pivot, and every answer is feasible_point's, bit for bit."""
-    widths = []
-    real = simplex._phase1_stack
-
-    def spy(A, b, n, k):
-        widths.append(A.shape[2])
-        return real(A, b, n, k)
-
-    monkeypatch.setattr(simplex, "_phase1_stack", spy)
-    refuted = np.zeros((2, 12))
-    refuted[0, :] = 1.0
-    As = [refuted, np.zeros((3, 9)), np.array([[1.0, 2.0, 1.0]]),
-          np.array([[1.0, -1.0], [2.0, 1.0]])]
-    bs = [np.array([1.0, 1.0]), np.zeros(3), np.array([2.0]), np.array([0.0, 3.0])]
-    got = simplex.feasible_points(As, bs)
-    assert widths == [3]
-    assert got[0] is None and got[1] is not None and got[3] is not None
-    assert same_answers(got, As, bs, 1e-8, [None] * len(As))
-
-
-def test_feasible_points_trip_each_lp_at_its_own_guard(monkeypatch):
-    """A guard of 0.2 (n + k + 10) pivots per LP: the identity on 5 rows
-    needs 5 pivots and is allowed 4, so it trips; [I_6 | 0] on 6 rows and 30
-    columns needs 6 and is allowed 9.2, so it answers as feasible_point does.
-    A guard shared by the stack trips both (the least limit) or neither (the
-    padded shape's)."""
-    A1, A2 = np.eye(5), np.hstack([np.eye(6), np.zeros((6, 24))])
-    b1, b2 = np.ones(5), np.ones(6)
-    want = feasible_point(A2, b2)
-    monkeypatch.setattr(simplex, "_ITER_FACTOR", 0.2)
-    tripped = {}
-    got = simplex.feasible_points([A1, A2], [b1, b2], tripped=tripped)
-    assert list(tripped) == [0]
-    assert str(tripped[0]) == str(simplex._guard_error(5, 5))
-    assert got[0] is None and got[1].tobytes() == want.tobytes()
-
-
-def test_leaving_rows_read_off_only_what_the_scan_gives(rng):
-    """On near-tied ratio tests, the stacked leaving rows equal the scalar
-    rule's row by row."""
-    eps = simplex._PIVOT_EPS
-    B, k = 2000, 6
-    col = rng.choice([0.0, 1e-11, 0.5, 1.0, 2.0], size=(B, k))
-    rhs = rng.choice([0.0, 1e-17, 0.4, 0.5, 1.0], size=(B, k))
-    rhs += eps * rng.choice([0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 2.5], size=(B, k))
-    basis = np.array([rng.permutation(20)[:k] for _ in range(B)])
-    got = simplex._leaving_rows(col, rhs, basis)
-    want = [simplex._leaving_row(c.tolist(), r.tolist(), b.tolist())
-            for c, r, b in zip(col, rhs, basis)]
-    assert got.tolist() == want
-    assert -1 in want and len(set(want)) > 2
-
-
 def test_leaving_row_keeps_the_least_ratio_where_eps_vanishes_beside_it():
     """A least ratio of 2e8, where adding _PIVOT_EPS rounds back to it: the
     rows of that ratio are still the candidates, and the one of least basis
-    index leaves, in the scalar rule and on a stack. On the stack's last LP
-    no row qualifies, and its -1 comes without a floating-point warning."""
+    index leaves."""
     col = [5e-9, 5e-9, 4e-9, 0.0]
     rhs = [1.0, 1.0, 1.0, 1.0]
     basis = [7, 3, 5, 1]
     assert 2e8 + simplex._PIVOT_EPS == 2e8
     assert simplex._leaving_row(col, rhs, basis) == 1
-    with np.errstate(all="raise"):
-        got = simplex._leaving_rows(
-            np.array([col, col[::-1], [0.0, -1.0, 1e-11, 0.0]]),
-            np.array([rhs, rhs, rhs]), np.array([basis, basis[::-1], basis]))
-    assert got.tolist() == [1, 2, -1]
+    assert simplex._leaving_row(col[::-1], rhs, basis[::-1]) == 2
+    assert simplex._leaving_row([0.0, -1.0, 1e-11, 0.0], rhs, basis) == -1
 
 
 def test_near_tied_stacks_agree_with_highs(rng):
-    """The stacks where the leaving-row rule meets ties within _PIVOT_EPS:
-    `_tie_stack`'s, and degenerate ones with a duplicated row, zero rhs
+    """The LPs where the leaving-row rule meets ties within _PIVOT_EPS:
+    `_tied_lps`'s, and degenerate ones with a duplicated row, zero rhs
     entries and, in some, a first column of 5e-9 whose ratios, of order 1e8,
-    swallow eps. Each LP's verdict, from feasible_points and from
-    feasible_point, is HiGHS's."""
+    swallow eps. Each LP's feasible_point verdict is HiGHS's."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    cases = [_tie_stack(rng, 60, k, n) for k, n in ((3, 4), (5, 5), (6, 9))]
+    cases = [_tied_lps(rng, 60, k, n) for k, n in ((3, 4), (5, 5), (6, 9))]
     for k, n in ((4, 5), (6, 6)):
         As, bs = [], []
         for _ in range(60):
@@ -531,81 +329,35 @@ def test_near_tied_stacks_agree_with_highs(rng):
         cases.append((As, bs))
     verdicts = []
     for As, bs in cases:
-        for A, b, x in zip(As, bs, simplex.feasible_points(As, bs)):
+        for A, b in zip(As, bs):
             ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, method="highs")
             assert ref.status in (0, 2), ref.message
-            assert (x is not None) == (feasible_point(A, b) is not None) == (
-                ref.status == 0), (A, b)
+            x = feasible_point(A, b)
+            assert (x is not None) == (ref.status == 0), (A, b)
             verdicts.append(x is not None)
     assert 0 < np.mean(verdicts) < 1
 
 
-def test_feasible_points_drop_zero_rows_as_feasible_point(rng):
-    """LPs with rows that are zero relative to their matrix, with zero and
-    with nonzero rhs, stacked with others of their shape and of the shape
-    their kept rows have: each answer is feasible_point's, bit for bit."""
-    As, bs, lowers = [], [], []
-    for j in range(120):
-        n = 5
-        A = rng.standard_normal((6, n))
-        x0 = rng.uniform(1.0, 2.0, n)
-        lower = np.ones(n) if j % 2 else None
-        zero = rng.choice(6, size=int(rng.integers(0, 3)), replace=False)
-        A[zero] *= rng.choice([0.0, 1e-13])
-        b = A @ x0 if j % 3 else rng.standard_normal(6)
-        if j % 5 == 0 and len(zero):
-            b[zero[0]] = 1.0               # 0 = 1 on a dropped row
-        As.append(A if j % 4 else A[:4])
-        bs.append(b if j % 4 else b[:4])
-        lowers.append(lower)
-    got = simplex.feasible_points(As, bs, tol=LP_TOL, lowers=lowers)
-    assert same_answers(got, As, bs, LP_TOL, lowers)
-    assert 0 < sum(x is not None for x in got) < len(As)
-
-
-def test_feasible_points_raise_the_first_tripped_guard(rng, monkeypatch):
-    """With no pivots allowed, every LP with a row kept trips the guard:
-    feasible_points raises the error feasible_point raises on the first such
-    LP in list order, here one alone in its shape that comes after an LP
-    with every row dropped and before a stack, which trips too."""
-    monkeypatch.setattr(simplex, "_ITER_FACTOR", 0)
-    As, bs = _tie_stack(rng, 8, 12, 2)
-    As, bs = [np.zeros((2, 3)), np.ones((1, 3))] + As, [np.zeros(2), np.ones(1)] + bs
-    assert feasible_point(As[0], bs[0]) is not None
-    errors = []
-    for A, b in zip(As[1:], bs[1:]):
-        with pytest.raises(simplex.SimplexGuardError) as err:
-            feasible_point(A, b)
-        errors.append(str(err.value))
-    assert "(1 rows, 3 columns)" in errors[0] and "(12 rows" in errors[1]
-    with pytest.raises(simplex.SimplexGuardError) as err:
-        simplex.feasible_points(As, bs)
-    assert str(err.value) == errors[0]
-
-
-def test_feasible_points_agree_with_highs(rng):
-    """Random stacks of LPs of a few shapes, feasible and infeasible, with and
-    without lower bounds: each feasible_points answer is HiGHS's verdict, and
-    a point passes the bound and the residual check."""
+def test_lps_of_a_few_shapes_agree_with_highs(rng):
+    """Random LPs of a few shapes, feasible and infeasible, with and without
+    lower bounds: each feasible_point answer is HiGHS's verdict, and a point
+    passes the bound and the residual check."""
     linprog = pytest.importorskip("scipy.optimize").linprog
-    As, bs, lowers = [], [], []
+    verdicts = []
     for _ in range(150):
         k, n = [(3, 4), (4, 6), (5, 5)][int(rng.integers(3))]
         A = rng.standard_normal((k, n)) * (rng.random((k, n)) < 0.8)
         lower = rng.uniform(0.0, 1.0, n) if rng.random() < 0.5 else None
         x0 = (0.0 if lower is None else lower) + rng.uniform(0.1, 2.0, n)
         b = A @ x0 if rng.random() < 0.5 else rng.standard_normal(k)
-        As.append(A)
-        bs.append(b)
-        lowers.append(lower)
-    got = simplex.feasible_points(As, bs, lowers=lowers)
-    for A, b, lower, x in zip(As, bs, lowers, got):
-        lo = np.zeros(A.shape[1]) if lower is None else lower
-        ref = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, method="highs",
+        x = feasible_point(A, b, lower=lower)
+        lo = np.zeros(n) if lower is None else lower
+        ref = linprog(np.zeros(n), A_eq=A, b_eq=b, method="highs",
                       bounds=[(float(v), None) for v in lo])
         assert ref.status in (0, 2), ref.message
         assert (x is not None) == (ref.status == 0), (A, b, lower)
         if x is not None:
             assert (x >= lo - 1e-12).all()
             assert np.abs(A @ x - b).max() <= 1e-8 * (1 + np.abs(b).max())
-    assert 0.2 < np.mean([x is not None for x in got]) < 0.8
+        verdicts.append(x is not None)
+    assert 0.2 < np.mean(verdicts) < 0.8

@@ -664,6 +664,18 @@ def test_tree_budget_is_checked_before_merging(monkeypatch):
     assert len(calls) == 11
 
 
+def test_tree_budget_refuses_the_leaf_trees_it_cannot_keep():
+    """The search builds one leaf tree per operator before any LP: when they
+    would pass max_trees, it builds none, solves no LP and runs out of
+    trees. domino9's nine leaves fit a budget of 9, and the first merger of
+    round 1 does not."""
+    m = load_fixture("domino9")
+    for max_trees, trees, lps in ((1, 0, 0), (8, 0, 0), (9, 9, 72)):
+        v = synthesize(m, RunConfig(max_trees=max_trees))
+        assert (v.kind, v.reason) == ("BudgetExhausted", "tree budget exhausted")
+        assert (v.stats.trees_built, v.stats.lps_solved) == (trees, lps)
+
+
 def test_tree_budget_spares_a_round_that_holds_a_protocol():
     """Only the full-coverage mergers are built before a round's answer is
     known: random-tree seed 59 finds its protocol in round 1 with 10 trees
@@ -962,10 +974,9 @@ def test_lp_budget_cuts_a_level_where_one_lp_at_a_time_would(max_lps, stats,
 def test_a_level_raises_the_guard_error_of_its_first_tripped_set(monkeypatch):
     """When class-LP blocks trip the simplex's iteration guard, a family
     level raises the error of the first set, in candidate order, whose block
-    trips, as deciding one set at a time does, although it solves the blocks
-    party by party. Here every block trips; on some levels of random-tree
-    seed 10 that set's first undecided block is not at the first party that
-    solves any, so raising in party order would name another set."""
+    trips, as deciding one set at a time does. Here every block trips, with
+    an error naming the block; on some levels of random-tree seed 10 the
+    first candidate needs no simplex, so the error names a later set."""
     levels = []
     real = synthesis._classes_feasible
 
@@ -977,12 +988,9 @@ def test_a_level_raises_the_guard_error_of_its_first_tripped_set(monkeypatch):
     monkeypatch.setattr(synthesis, "_classes_feasible", spy)
     search(locc_random_measurements()[10], RunConfig(max_lps=300))
     monkeypatch.undo()
-    calls = []
 
-    def tripping(As, bs, *, tol, lowers, tripped):
-        calls.append([simplex.SimplexGuardError(A.tobytes().hex()) for A in As])
-        tripped.update(enumerate(calls[-1]))
-        return [None] * len(As)
+    def tripping(A, b, *, tol, lower):
+        raise simplex.SimplexGuardError(A.tobytes().hex())
 
     def raised(trees, cands, free, m):
         try:
@@ -990,14 +998,13 @@ def test_a_level_raises_the_guard_error_of_its_first_tripped_set(monkeypatch):
         except simplex.SimplexGuardError as e:
             return str(e)
 
-    monkeypatch.setattr(synthesis, "feasible_points", tripping)
-    crossed = 0
+    monkeypatch.setattr(synthesis, "feasible_point", tripping)
+    later = 0
     for trees, cands, free, m in levels:
         want = next(filter(None, (raised(trees, [c], free, m) for c in cands)), None)
-        del calls[:]
         assert raised(trees, cands, free, m) == want
-        crossed += want is not None and want not in map(str, calls[0])
-    assert crossed
+        later += want is not None and raised(trees, cands[:1], free, m) is None
+    assert later
 
 
 def test_tree_budget():
@@ -1209,26 +1216,21 @@ def test_class_certificates_agree_with_the_simplex(monkeypatch):
     simplex's. The two add each row in another order, so they may differ on
     the zero test, and only where the block's row sums are within summation
     roundoff of zero (one block of cascade5). The certificates are read
-    twice: with one rows per search in reach order, which keeps each
-    feasible set's certificates as the search does and reads a set's from
-    its prefix's, and with each set alone in a fresh rows, which composes
-    them from all its trees; both give the same answers."""
+    twice: with one rows per search in reach order, which keeps each chain's
+    certificate as the search does, and with each set alone in a fresh rows;
+    both give the same answers."""
     answers = {True: 0, False: 0, None: 0}
-    prefixed = 0
     for reached in reached_class_lps(monkeypatch):
         rows = {}
-        for trees, ids, free, m, tol, feasible in reached:
+        for trees, ids, free, m, tol, _ in reached:
             A, _ = reference_class_lp(trees, ids, free, m)
-            certs = []
             for beta, rs, cs in joint_blocks(trees, ids, free, m):
                 block = A[rs, cs]
-                prefixed += synthesis._cert_key(ids[:-1], beta) in rows
                 known, = synthesis._block_certificates(trees, [ids], beta, m,
                                                        tol, rows)
                 alone, = synthesis._block_certificates(trees, [ids], beta, m,
                                                        tol, {})
                 assert known == alone
-                certs.append((beta, known))
                 full = synthesis._class_certificate(block, tol)
                 if known != full:
                     assert {known, full} == {True, None}
@@ -1239,13 +1241,8 @@ def test_class_certificates_agree_with_the_simplex(monkeypatch):
                 answers[known] += 1
                 if known is not None:
                     assert known == kernel_answer(block, tol)
-            if feasible and len(ids) > 1:
-                rows.update((synthesis._cert_key(ids, beta), c)
-                            for beta, c in certs)
-    # both certificates fire, some blocks still need the simplex, and some
-    # are read from their prefix's
+    # both certificates fire, and some blocks still need the simplex
     assert min(answers.values()) > 0
-    assert prefixed > 0
 
 
 def test_class_certificate_margins():
@@ -1307,11 +1304,10 @@ def test_class_certificate_margins():
 
 def test_product_basis_class_lps_need_no_pivots(monkeypatch):
     """On the 3x3 basis every class LP is decided by a certificate, and each
-    still counts in lps_solved. Neither the one-LP kernel nor the stacked
-    one pivots."""
+    still counts in lps_solved. The simplex does not pivot."""
     inside, calls, pivoted = [], [], []
     real_class = synthesis._classes_feasible
-    real_phase1, real_stack = simplex._phase1, simplex._phase1_stack
+    real_phase1 = simplex._phase1
 
     def class_spy(trees, cands, *args):
         cands = list(cands)
@@ -1327,14 +1323,8 @@ def test_product_basis_class_lps_need_no_pivots(monkeypatch):
             pivoted.append(args)
         return real_phase1(*args)
 
-    def stack_spy(*args):
-        if inside:
-            pivoted.append(args)
-        return real_stack(*args)
-
     monkeypatch.setattr(synthesis, "_classes_feasible", class_spy)
     monkeypatch.setattr(simplex, "_phase1", phase1_spy)
-    monkeypatch.setattr(simplex, "_phase1_stack", stack_spy)
     v = search(product_basis(3, 3))
     assert v.kind == "Protocol"
     assert (v.stats.lps_solved, v.stats.trees_built, v.stats.rounds) == (82, 34, 2)
@@ -1501,6 +1491,22 @@ def assert_domino_products_impossible(cfg):
         assert v.kind == "ProvedImpossible", dims
         assert v.reason == reason + "round 2 produced no new equivalence classes"
         assert v.stats.lps_solved == lps
+
+
+def test_domino_times_trine_exhausts_the_lp_budget():
+    """domino9 times the qubit trine POVM {(2/3)|t_k><t_k|} on a new party,
+    t_k = (cos(pi k / 3), sin(pi k / 3)): it does not split, the last-mover
+    quotient stops at 5 operators, and the search runs out of LPs in round
+    4. Its class LPs reach the simplex more than any other frontier row's."""
+    domino = load_fixture("domino9")
+    ts = [np.array([np.cos(np.pi * k / 3), np.sin(np.pi * k / 3)]) for k in range(3)]
+    m = measurement_from_parts([
+        [domino.part(j, a) for a in range(domino.P)] + [2 / 3 * np.outer(t, t)]
+        for j in range(len(domino)) for t in ts])
+    v = synthesize(m, RunConfig())
+    assert (v.kind, v.reason) == ("BudgetExhausted", "lp budget exhausted")
+    s = v.stats
+    assert (s.rounds, s.trees_built, s.lps_solved, s.classes_found) == (4, 635, 50001, 77)
 
 
 def test_frontier_bases_split_to_protocols():
